@@ -1,13 +1,31 @@
 """Exact extremization of quadratic polynomials over closed Euclidean balls.
 
-The global extrema of a quadratic over a ball satisfy a stationarity system
-(H + mu I) z = -g with a scalar multiplier mu.  After an eigendecomposition
-of the Hessian the boundary multiplier is the root of a one-dimensional
-secular equation, found by a safeguarded bracketing solve plus Newton
-refinement.  The degenerate branch, where the multiplier is pinned at an
-extreme eigenvalue and the gradient has no component on that eigenspace, is
-completed along the corresponding eigenvector.  A brute-force lattice oracle
-is provided as an independent cross-check for low dimensions.
+``extremize_batch`` finds certified global minimizers of a stack of
+quadratics g.z + z^T H z / 2 on one ball ||z|| <= r.  A global minimizer
+is a feasible z with a multiplier mu such that H + mu I is positive
+semidefinite, mu (r - ||z||) = 0 and (H + mu I) z = -g (Moré & Sorensen,
+"Computing a trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).
+
+The whole stack shares one batched eigendecomposition.  In the eigenbasis
+the boundary multiplier is the root of the secular function
+1/||z(mu)|| - 1/r, which is increasing and concave to the right of the pole
+at -lambda_min.  A vectorised Newton iteration starts from a lower bound on
+the root, so its iterates stay between the pole and the root.
+
+Near the hard case (a tiny gradient component on the extreme eigenspace)
+the root sits so close to the pole that mu cannot resolve it in floating
+point.  The step is then completed instead: its components off the extreme
+eigenspace are kept, the extreme component is filled in so that the step
+reaches the sphere, and mu is reset to -lambda_min + ||g_cluster|| / tau.
+The same completion along an extreme eigenvector covers the exact hard
+case.
+
+Each item keeps the best of its interior, boundary and completed candidates
+that passes the certificate: mu >= max(0, -lambda_min), complementarity
+mu (r - ||z||) = 0 and stationarity, each to ``tol`` after scaling by the
+item's coefficient magnitude.  An item with no certified candidate raises.
+A brute-force lattice oracle is provided as an independent cross-check for
+low dimensions.
 """
 
 from __future__ import annotations
@@ -15,13 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .poly import QuadraticPolynomial
 
 __all__ = [
     "BallExtremum",
+    "BallSolution",
+    "extremize_batch",
     "extremize_on_ball",
+    "max_abs_batch",
     "max_abs_on_ball",
     "grid_oracle",
     "lipschitz_on_ball",
@@ -30,14 +50,17 @@ __all__ = [
 GRID_BUDGET = 10_000_000
 GRID_MAX_DIM = 4
 _CHUNK_POINTS = 1_000_000
+_NEWTON_ITERS = 100
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class BallExtremum:
     """Global extrema of a quadratic over a closed ball.
 
-    ``solver_residual`` is the largest stationarity residual of the two
-    one-sided solves, scaled by the coefficient magnitude.
+    ``solver_residual`` is the largest certificate residual (stationarity
+    or complementarity) of the two one-sided solves, scaled by the
+    coefficient magnitude.
     """
 
     max_value: float
@@ -45,6 +68,23 @@ class BallExtremum:
     min_value: float
     argmin: np.ndarray
     solver_residual: float
+
+
+@dataclass(frozen=True)
+class BallSolution:
+    """Certified global minimizers of a stack of k quadratics on one ball.
+
+    Row i of ``z`` (shape (k, n)) minimizes g_i.z + z^T H_i z / 2 over
+    ||z|| <= radius, with multiplier ``mu[i]``.  ``complementarity`` is
+    |mu (radius - ||z||)| and ``stationarity`` is ||(H + mu I) z + g||,
+    both divided by max(1, ||g|| + ||H|| radius); each is at most the
+    solver's ``tol``.
+    """
+
+    z: np.ndarray
+    mu: np.ndarray
+    complementarity: np.ndarray
+    stationarity: np.ndarray
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
@@ -56,140 +96,211 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _ball_min(g: np.ndarray, H: np.ndarray, r: float):
-    """Global minimizer of g.z + z^T H z / 2 over ||z|| <= r.
+def _lex_first(rows: np.ndarray) -> int:
+    best = 0
+    for i in range(1, len(rows)):
+        if _lex_smaller(rows[i], rows[best]):
+            best = i
+    return best
 
-    Returns (z, mu, residual) with mu >= 0 the boundary multiplier (0 for
-    interior solutions) and residual = ||(H + mu I) z + g||.
+
+def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
+    """Certified global minimizers of g_i.z + z^T H_i z / 2 over ||z|| <= radius.
+
+    Parameters
+    ----------
+    G : array_like, shape (k, n)
+        Gradients at the ball center.
+    H : array_like, shape (k, n, n)
+        Symmetric Hessians.
+    radius : float
+        Positive ball radius.
+    tol : float
+        Cap on each scaled certificate residual.
+
+    Raises RuntimeError when some item has no candidate that certifies.
+    Candidates whose values tie to 1e-14 relative resolve to the
+    lexicographically smallest step.  Maximizers are the minimizers of
+    (-G, -H).
     """
-    n = g.size
-    w, Q = np.linalg.eigh(H)
-    gh = Q.T @ g
-    lam_min = float(w[0])
-    h_scale = float(np.max(np.abs(w)))
-    g_scale = float(np.linalg.norm(g))
+    G = np.asarray(G, dtype=float)
+    H = np.asarray(H, dtype=float)
+    if G.ndim != 2 or H.shape != G.shape + (G.shape[1],):
+        raise ValueError(
+            f"need G of shape (k, n) and H of shape (k, n, n), got {G.shape} and {H.shape}"
+        )
+    r = float(radius)
+    if not np.isfinite(r) or r <= 0.0:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(H))):
+        raise ValueError("gradients and Hessians must be finite")
+    k, n = G.shape
 
-    candidates = []  # (z, mu)
+    w, Q = np.linalg.eigh(H)  # ascending eigenvalues, eigenvectors in columns
+    gh = np.einsum("kji,kj->ki", Q, G)
+    lam = w[:, 0]
+    h_scale = np.max(np.abs(w), axis=1)
+    g_norm = np.linalg.norm(G, axis=1)
+    scale = np.maximum(1.0, g_norm + h_scale * r)
+    mu_lo = np.maximum(0.0, -lam)
 
-    # Interior stationary point: H must be PSD and g in its range.
-    pos_tol = 1e-13 * max(1.0, h_scale)
-    if lam_min >= -pos_tol:
-        pos = w > pos_tol
-        if np.all(np.abs(gh[~pos]) <= 1e-13 * max(1.0, g_scale)):
-            zh = np.zeros(n)
-            zh[pos] = -gh[pos] / w[pos]
-            nz = float(np.linalg.norm(zh))
-            if nz <= r * (1.0 + 1e-12):
-                if nz > r:
-                    zh *= r / nz
-                candidates.append((Q @ zh, 0.0))
-
-    mu_lo = max(0.0, -lam_min)
-    cluster = w <= lam_min + 1e-10 * max(1.0, abs(lam_min))
-    g_cluster = float(np.linalg.norm(gh[cluster]))
-    degenerate = g_cluster <= 1e-11 * max(1.0, g_scale)
-
-    gh_eff = gh.copy()
-    if degenerate:
-        # No gradient component on the extreme eigenspace: drop it so the
-        # secular function stays finite when mu hits -lam_min exactly.
-        gh_eff[cluster] = 0.0
+    # The extreme eigenspace, and whether the gradient is too small on it to
+    # matter; such a component is dropped so the pole at -lambda_min goes.
+    cluster = w <= (lam + 1e-12 * np.maximum(1.0, h_scale))[:, None]
+    g_cluster = np.linalg.norm(np.where(cluster, gh, 0.0), axis=1)
+    degenerate = g_cluster <= 1e-11 * np.maximum(1.0, g_norm)
+    gh_eff = np.where(cluster & degenerate[:, None], 0.0, gh)
+    g_cluster = np.where(degenerate, 0.0, g_cluster)
     active = gh_eff != 0.0
 
-    def step(mu: float) -> np.ndarray:
-        d = w + mu
-        t = np.zeros(n)
-        with np.errstate(divide="ignore", over="ignore"):
-            t[active] = gh_eff[active] / d[active]
-        return t
+    def step(mu):
+        # Eigen-coordinates of -z(mu), and the shifted eigenvalues.
+        d = w + mu[:, None]
+        t = np.divide(gh_eff, d, out=np.zeros_like(gh_eff), where=active)
+        return t, d
 
-    def step_norm(mu: float) -> float:
-        t = step(mu)
-        return float(np.sqrt(np.sum(np.square(t))))
+    # Interior candidate: H positive semidefinite and g in its range.
+    pos_tol = 1e-13 * np.maximum(1.0, h_scale)
+    pos = w > pos_tol[:, None]
+    z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
+    n_int = np.linalg.norm(z_int, axis=1)
+    in_range = np.abs(gh) <= (1e-13 * np.maximum(1.0, g_norm))[:, None]
+    ok_int = (
+        (lam >= -pos_tol)
+        & np.all(pos | in_range, axis=1)
+        & (n_int <= r * (1.0 + 1e-12))
+    )
 
-    def secular(mu: float) -> float:
-        # Decreasing in mu: 1/r near the pole, negative once the step is
-        # shorter than the radius.
-        s = step_norm(mu)
-        if s == 0.0:
-            return -1.0 / r
-        if not np.isfinite(s):
-            return 1.0 / r
-        return 1.0 / r - 1.0 / s
+    # Boundary candidate.  ||z(mu)|| >= |gh_i| / (w_i + mu) for every i, so
+    # the root lies right of every |gh_i| / r - w_i; start at the largest.
+    with np.errstate(invalid="ignore"):
+        bound = np.max(np.where(active, np.abs(gh_eff) / r - w, -np.inf), axis=1)
+    mu = np.maximum(mu_lo, bound)
+    pole = ~degenerate & (mu <= -lam)
+    mu = np.where(pole, -lam + np.maximum(4.0 * _EPS * np.abs(lam), 1e-300), mu)
+    t, d = step(mu)
+    live = np.all((d > 0.0) | ~active, axis=1) & np.any(active, axis=1)
+    ok_bnd = live.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            if not live.any():
+                break
+            s2 = np.sum(t * t, axis=1)
+            s = np.sqrt(s2)
+            slope = np.sum(
+                np.divide(t * t, d, out=np.zeros_like(t), where=active), axis=1
+            )
+            delta = np.maximum((s - r) / r * s2 / slope, 0.0)
+            finite = np.isfinite(delta)
+            ok_bnd &= finite | ~live
+            live &= finite
+            mu = np.where(live, mu + delta, mu)
+            live &= delta > 2.0 * _EPS * mu
+            t, d = step(mu)
+    mu_bnd = mu
+    z_bnd = -t
 
-    boundary_done = False
-    if degenerate:
-        s0 = step_norm(mu_lo)
-        if s0 < r * (1.0 - 1e-14):
-            # Multiplier pinned at the extreme eigenvalue: complete the step
-            # to the sphere along an extreme eigenvector.
-            tau = float(np.sqrt(max(r * r - s0 * s0, 0.0)))
-            zbar = Q @ (-step(mu_lo))
-            u = Q[:, 0]
-            candidates.append((zbar + tau * u, mu_lo))
-            candidates.append((zbar - tau * u, mu_lo))
-            boundary_done = True
+    # Completion on the extreme eigenspace, from the boundary multiplier when
+    # there is one and from the pole otherwise.
+    base = np.where(ok_bnd, mu_bnd, mu_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_rest, _ = step(base)
+    t_rest[cluster] = 0.0
+    tau2 = r * r - np.sum(t_rest * t_rest, axis=1)
+    ok_cmp = tau2 > 0.0
+    tau = np.sqrt(np.maximum(tau2, 0.0))
+    unit = np.where(g_cluster > 0.0, g_cluster, 1.0)
+    direction = np.where(cluster, -gh, 0.0) / unit[:, None]
+    direction[degenerate, :] = 0.0
+    direction[degenerate, 0] = 1.0
+    z_cmp = -t_rest + tau[:, None] * direction
+    z_alt = -t_rest - tau[:, None] * direction  # the other sign, hard case only
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_cmp = np.maximum(0.0, -lam + np.where(g_cluster > 0.0, g_cluster / tau, 0.0))
+    ok_cmp &= np.isfinite(mu_cmp)
 
-    if not boundary_done:
-        lo = mu_lo if degenerate else mu_lo + max(1e-300, 1e-13 * max(1.0, mu_lo))
-        f_lo = secular(lo)
-        if f_lo >= 0.0:
-            # The step at lo reaches the sphere: a boundary multiplier exists.
-            if f_lo == 0.0:
-                mu = lo
-            else:
-                hi = max(1.0, 2.0 * mu_lo, g_scale / r, 2.0 * h_scale)
-                for _ in range(200):
-                    if secular(hi) < 0.0:
-                        break
-                    hi *= 4.0
-                else:
-                    raise RuntimeError("failed to bracket the boundary multiplier")
-                mu = float(
-                    brentq(secular, lo, hi, xtol=1e-14 * max(1.0, hi), rtol=8.9e-16)
-                )
-            # Newton refinement on 1/||z(mu)|| - 1/r, nearly linear in mu.
-            for _ in range(3):
-                t = step(mu)
-                s2 = float(t @ t)
-                if not np.isfinite(s2) or s2 <= 0.0:
-                    break
-                s = np.sqrt(s2)
-                fval = 1.0 / s - 1.0 / r
-                d = w + mu
-                fder = float(np.sum(np.square(t[active]) / d[active])) / (s2 * s)
-                if not np.isfinite(fder) or fder <= 0.0:
-                    break
-                mu_new = mu - fval / fder
-                if not np.isfinite(mu_new) or mu_new <= mu_lo:
-                    break
-                mu = mu_new
-            z = Q @ (-step(mu))
-            nz = float(np.linalg.norm(z))
-            if nz > 0.0:
-                z *= r / nz
-            candidates.append((z, mu))
+    # Certify every candidate in the original coordinates.
+    Zh = np.stack([z_int, z_cmp, z_alt, z_bnd], axis=1)
+    MU = np.stack([np.zeros(k), mu_cmp, mu_cmp, mu_bnd], axis=1)
+    ok = np.stack([ok_int, ok_cmp, ok_cmp & degenerate, ok_bnd], axis=1)
+    Zh = np.where(ok[:, :, None], Zh, 0.0)
+    MU = np.where(ok, MU, 0.0)
+    Z = np.einsum("kij,kcj->kci", Q, Zh)
+    norms = np.linalg.norm(Z, axis=2)
+    Z *= np.minimum(1.0, r / np.where(norms > 0.0, norms, 1.0))[:, :, None]
+    norms = np.minimum(norms, r)
+    HZ = np.einsum("kij,kcj->kci", H, Z)
+    gap = HZ + MU[:, :, None] * Z + G[:, None, :]
+    stationarity = np.linalg.norm(gap, axis=2) / scale[:, None]
+    complementarity = np.abs(MU * (r - norms)) / scale[:, None]
+    dual = (mu_lo[:, None] - MU) * r / scale[:, None]
+    certified = ok & (stationarity <= tol) & (complementarity <= tol) & (dual <= tol)
+    # Near the pole the completed step is the accurate one; the plain
+    # boundary step only stands in where the completion does not certify.
+    certified[:, 3] &= ~certified[:, 1]
+    uncertified = ~certified.any(axis=1)
+    if uncertified.any():
+        i = int(np.flatnonzero(uncertified)[0])
+        residual = np.maximum(np.maximum(stationarity[i], complementarity[i]), dual[i])
+        worst = np.where(ok[i], residual, np.inf)
+        raise RuntimeError(
+            f"no candidate certifies for item {i}: smallest residual "
+            f"{float(np.min(worst)):.3e} exceeds tol {tol:.3e}"
+        )
 
-    if not candidates:
-        # g = 0 and H = 0 lands here only if the interior branch was somehow
-        # skipped; the center is then optimal anyway.
-        candidates.append((np.zeros(n), 0.0))
+    value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
+    value = np.where(certified, value, np.inf)
+    best = np.min(value, axis=1)
+    tied = value <= (best + 1e-14 * np.maximum(1.0, np.abs(best)))[:, None]
+    choice = np.argmax(tied, axis=1)
+    for i in np.flatnonzero(np.sum(tied, axis=1) > 1):
+        cands = np.flatnonzero(tied[i])
+        choice[i] = cands[_lex_first(Z[i, cands])]
+    rows = np.arange(k)
+    return BallSolution(
+        z=Z[rows, choice],
+        mu=MU[rows, choice],
+        complementarity=complementarity[rows, choice],
+        stationarity=stationarity[rows, choice],
+    )
 
-    def value(z: np.ndarray) -> float:
-        return float(g @ z + 0.5 * z @ (H @ z))
 
-    best_z, best_mu = candidates[0]
-    best_v = value(best_z)
-    for z, mu in candidates[1:]:
-        v = value(z)
-        tie = 1e-14 * max(1.0, abs(best_v))
-        if v < best_v - tie:
-            best_z, best_mu, best_v = z, mu, v
-        elif abs(v - best_v) <= tie and _lex_smaller(z, best_z):
-            best_z, best_mu = z, mu
+def _stack(polys, center):
+    """Coefficient stacks of the polynomials and their gradients at center."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    n = polys[0].dim
+    if any(m.dim != n for m in polys):
+        raise ValueError("dimension mismatch among polynomials")
+    center = np.asarray(center, dtype=float).ravel()
+    if center.shape != (n,):
+        raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    c = np.array([m.constant for m in polys])
+    g = np.array([m.gradient for m in polys])
+    H = np.array([m.hessian for m in polys])
+    if not (
+        np.all(np.isfinite(c))
+        and np.all(np.isfinite(g))
+        and np.all(np.isfinite(H))
+        and np.all(np.isfinite(center))
+    ):
+        raise ValueError("polynomial coefficients and center must be finite")
+    return center, c, g, H, g + H @ center
 
-    residual = float(np.linalg.norm(H @ best_z + best_mu * best_z + g))
-    return best_z, best_mu, residual
+
+def _pick_abs(vmax, argmax, vmin, argmin):
+    """Per item, the larger of |max| and |min| with its argument.
+
+    Values within 1e-12 relative tie, and a tie goes to the
+    lexicographically smaller argument.
+    """
+    amax, amin = np.abs(vmax), np.abs(vmin)
+    gap = 1e-12 * np.maximum(1.0, np.maximum(amax, amin))
+    take_min = amin > amax + gap
+    for i in np.flatnonzero((amax <= amin + gap) & (amin <= amax + gap)):
+        take_min[i] = _lex_smaller(argmin[i], argmax[i])
+    return np.where(take_min, amin, amax), np.where(take_min[:, None], argmin, argmax)
 
 
 def extremize_on_ball(
@@ -204,7 +315,7 @@ def extremize_on_ball(
     radius : float
         Positive ball radius.
     tol : float
-        Cap on the scaled stationarity residual; exceeding it raises.
+        Cap on each scaled certificate residual; an uncertified solve raises.
 
     Returns
     -------
@@ -212,60 +323,47 @@ def extremize_on_ball(
         Reported values are evaluations of ``m`` at the returned arguments,
         which lie in the closed ball.
     """
-    radius = float(radius)
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    center = np.asarray(center, dtype=float).ravel()
-    if center.shape != (m.dim,):
-        raise ValueError(f"center must have shape ({m.dim},), got {center.shape}")
-    if not (
-        np.isfinite(m.constant)
-        and np.all(np.isfinite(m.gradient))
-        and np.all(np.isfinite(m.hessian))
-        and np.all(np.isfinite(center))
-    ):
-        raise ValueError("polynomial coefficients and center must be finite")
-
-    g0 = m.grad(center)
-    H = m.hessian
-    scale = max(1.0, float(np.linalg.norm(g0)) + float(np.linalg.norm(H, 2)) * radius)
-
-    zmin, _, res_min = _ball_min(g0, H, radius)
-    zmax, _, res_max = _ball_min(-g0, -H, radius)
-    residual = max(res_min, res_max) / scale
-    if residual > tol:
-        raise RuntimeError(
-            f"stationarity residual {residual:.3e} exceeds tol {tol:.3e}"
-        )
-
-    argmin = center + zmin
-    argmax = center + zmax
+    center, _, _, H, g0 = _stack([m], center)
+    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
+    argmin, argmax = center + sol.z
     return BallExtremum(
         max_value=m.eval(argmax),
         argmax=argmax,
         min_value=m.eval(argmin),
         argmin=argmin,
-        solver_residual=residual,
+        solver_residual=float(max(sol.stationarity.max(), sol.complementarity.max())),
     )
+
+
+def max_abs_batch(polys, center, radius: float, tol: float = 1e-10):
+    """Maximum of |m| over the ball for each polynomial, in one solve.
+
+    Returns (values, arguments) with shapes (k,) and (k, n).  Ties between
+    the max and min branches follow ``max_abs_on_ball``.
+    """
+    center, c, g, H, g0 = _stack(polys, center)
+    k = len(c)
+    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
+    X = center + sol.z
+    c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
+    values = (
+        c2 + np.einsum("ki,ki->k", g2, X) + 0.5 * np.einsum("ki,kij,kj->k", X, H2, X)
+    )
+    return _pick_abs(values[k:], X[k:], values[:k], X[:k])
 
 
 def max_abs_on_ball(m: QuadraticPolynomial, center, radius: float, tol: float = 1e-10):
     """Maximum of |m| over the ball; returns (value, argument).
 
-    Ties between the max and min branches are broken toward the
-    lexicographically smaller argument.
+    Ties between the max and min branches (1e-12 relative) are broken
+    toward the lexicographically smaller argument.
     """
     ext = extremize_on_ball(m, center, radius, tol=tol)
-    vmax = abs(ext.max_value)
-    vmin = abs(ext.min_value)
-    gap = 1e-12 * max(1.0, vmax, vmin)
-    if vmax > vmin + gap:
-        return vmax, ext.argmax
-    if vmin > vmax + gap:
-        return vmin, ext.argmin
-    if _lex_smaller(ext.argmin, ext.argmax):
-        return vmin, ext.argmin
-    return vmax, ext.argmax
+    values, args = _pick_abs(
+        np.array([ext.max_value]), ext.argmax[None, :],
+        np.array([ext.min_value]), ext.argmin[None, :],
+    )
+    return float(values[0]), args[0]
 
 
 def lipschitz_on_ball(m: QuadraticPolynomial, center, radius: float) -> float:

@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    # Stdout is strict JSON, which has no infinity or NaN; argparse names
+    # the offending flag in the error.
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dfobounds",
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--delta",
-        type=float,
+        type=_finite_float,
         default=None,
         help="ball radius (overrides the JSON sidecar)",
     )
@@ -86,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an interpolation model to a points file")
     p.add_argument("points", help="CSV with header y1,...,yn,f")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--kind", choices=sorted(_MODEL_KINDS), required=True)
     p.add_argument(
         "--kappa",
-        type=float,
+        type=_finite_float,
         default=None,
         help="relaxation envelope multiplier; 0 or omitted fits exactly",
     )
@@ -109,18 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate error-bound constants")
     p.add_argument("--kind", choices=sorted(_BOUND_KINDS), required=True)
-    p.add_argument("--L", type=float, required=True, help="gradient Lipschitz constant")
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=None, help="poisedness constant")
-    p.add_argument("--kappa-L", type=float, default=None)
-    p.add_argument("--kappa-Q", type=float, default=None)
-    p.add_argument("--kappa-s", type=float, default=None)
-    p.add_argument("--kappa-H", type=float, default=None)
+    p.add_argument(
+        "--L", type=_finite_float, required=True, help="gradient Lipschitz constant"
+    )
+    p.add_argument("--kappa", type=_finite_float, default=0.0)
+    p.add_argument("--lam", type=_finite_float, default=None, help="poisedness constant")
+    p.add_argument("--kappa-L", type=_finite_float, default=None)
+    p.add_argument("--kappa-Q", type=_finite_float, default=None)
+    p.add_argument("--kappa-s", type=_finite_float, default=None)
+    p.add_argument("--kappa-H", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--delta-max", type=float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
+    p.add_argument("--delta-max", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification campaign")
@@ -136,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--center", default=None, help="comma-separated coordinates; default origin"
     )
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--resolution", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
+    p.add_argument("--resolution", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
 
     return parser
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out is not None:
         with open(out, "w") as handle:
@@ -179,7 +193,7 @@ def _cmd_fit(args) -> int:
         fit.model,
         extra={"residual": fit.residual, "condition": fit.condition},
     )
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -212,7 +226,7 @@ def _cmd_verify(args) -> int:
     report = run_campaign(
         trials, csv_path=args.csv, json_path=args.json, progress=progress
     )
-    print(json.dumps(report.summary, indent=2, sort_keys=True))
+    print(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False))
     if report.summary["n_failed"] > 0 or not report.summary["all_passed"]:
         return EXIT_MATH
     return EXIT_OK

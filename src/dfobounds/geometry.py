@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .ball import max_abs_on_ball
+from .ball import max_abs_batch
 from .bounds import constants_from_lambda
 from .poly import (
     BasisPart,
@@ -370,9 +370,8 @@ def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> Poisedness
     measured constant.
     """
     polys = _lagrange_for_kind(sample_set, kind)
-    per_point = tuple(
-        float(max_abs_on_ball(l, sample_set.y0, sample_set.radius)[0]) for l in polys
-    )
+    values, _ = max_abs_batch(polys, sample_set.y0, sample_set.radius)
+    per_point = tuple(float(v) for v in values)
     lam = max(per_point)
 
     n, p = sample_set.n, sample_set.p
@@ -456,8 +455,7 @@ def generate_poised_set(
                 [center, center + delta * _unit_ball_points(rng, p, n)]
             )
             continue
-        maxima = [max_abs_on_ball(l, center, delta) for l in polys]
-        values = np.array([v for v, _ in maxima])
+        values, args = max_abs_batch(polys, center, delta)
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:
@@ -465,7 +463,7 @@ def generate_poised_set(
         # Replace the worst non-center point by its polynomial's maximizer.
         j = 1 + int(np.argmax(values[1:]))
         points = points.copy()
-        points[j] = maxima[j][1]
+        points[j] = args[j]
     raise RuntimeError(
         f"could not reach lambda <= {lambda_max} in {max_iters} iterations; "
         f"best found {best:.6g}"

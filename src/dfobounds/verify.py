@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -113,30 +113,22 @@ def quartic_function(n: int) -> TestFunction:
     )
 
 
-@lru_cache(maxsize=4)
-def _rosenbrock_lipschitz(resolution: float = 1e-3) -> float:
-    # Largest Hessian spectral norm over a lattice of [-2, 2]^2; the 2x2
-    # eigenvalues are evaluated in closed form, chunked to bound memory.
-    count = int(round(4.0 / resolution)) + 1
-    axis = np.linspace(-2.0, 2.0, count)
-    best = 0.0
-    for chunk in np.array_split(axis, 64):
-        X1, X2 = np.meshgrid(chunk, axis, indexing="ij")
-        a = 1200.0 * X1**2 - 400.0 * X2 + 2.0
-        bb = -400.0 * X1
-        d = 200.0
-        mean = 0.5 * (a + d)
-        rad = np.sqrt(0.25 * (a - d) ** 2 + bb**2)
-        spec = np.maximum(np.abs(mean + rad), np.abs(mean - rad))
-        best = max(best, float(spec.max()))
-    return best
+def _rosenbrock_lipschitz() -> float:
+    # Largest Hessian spectral norm over [-2, 2]^2.  The Hessian is
+    # [[1200 x1^2 - 400 x2 + 2, -400 x1], [-400 x1, 200]]; its top eigenvalue
+    # grows with the (1, 1) entry and with |x1|, and both peak at the
+    # (+-2, -2) corners, where it also dominates the bottom one in magnitude.
+    a = 1200.0 * 4.0 + 800.0 + 2.0
+    b = 800.0
+    d = 200.0
+    return float(0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * b))
 
 
 def rosenbrock_function(n: int = 2) -> TestFunction:
     """The two-dimensional Rosenbrock function on [-2, 2]^2.
 
-    The Lipschitz constant comes from a dense lattice scan of the Hessian
-    norm over the box.
+    The Lipschitz constant is the Hessian's spectral norm at the (+-2, -2)
+    corners of the box, where it peaks (5717.98...).
     """
     if n != 2:
         raise ValueError(f"rosenbrock is only defined for n = 2, got n = {n}")
@@ -328,8 +320,19 @@ class TrialConfig:
                 object.__setattr__(self, "kind", ModelKind[self.kind.upper()])
             except KeyError:
                 raise ValueError(f"unknown model kind {self.kind!r}") from None
+        for name in ("delta", "kappa", "lambda_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.delta <= 0.0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        if self.lambda_max <= 1.0:
+            raise ValueError(f"lambda_max must exceed 1, got {self.lambda_max}")
+        for name in ("n", "p"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -597,11 +600,14 @@ def _quantiles(values) -> dict:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {"q50": None, "q90": None, "max": None}
-    return {
-        "q50": float(np.quantile(arr, 0.5)),
-        "q90": float(np.quantile(arr, 0.9)),
-        "max": float(np.max(arr)),
-    }
+    with np.errstate(invalid="ignore"):  # interpolating between infinities
+        out = {
+            "q50": np.quantile(arr, 0.5),
+            "q90": np.quantile(arr, 0.9),
+            "max": np.max(arr),
+        }
+    # Strict JSON has no infinity: a non-finite margin is written as null.
+    return {key: float(v) if np.isfinite(v) else None for key, v in out.items()}
 
 
 def run_campaign(
@@ -661,7 +667,7 @@ def run_campaign(
         write_campaign_csv(report, csv_path)
     if json_path is not None:
         Path(json_path).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+            json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     return report
 

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from dfobounds import (
     QuadraticPolynomial,
+    extremize_batch,
     extremize_on_ball,
     grid_oracle,
     lipschitz_on_ball,
+    max_abs_batch,
     max_abs_on_ball,
 )
 
@@ -154,3 +156,80 @@ def test_constant_polynomial():
     assert ext.max_value == ext.min_value == 3.0
     value, _ = max_abs_on_ball(m, np.ones(2), 1.0)
     assert value == 3.0
+
+
+def ball_samples(rng, n, count):
+    z = rng.standard_normal((count, n))
+    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
+    return z * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    repeated=st.booleans(),
+    log_component=st.floats(-16.0, -6.0),
+    flip=st.booleans(),
+)
+def test_near_hard_case_certified_and_unbeaten(seed, n, repeated, log_component, flip):
+    # A gradient component of 1e-16..1e-6 on the lowest eigenspace puts the
+    # boundary multiplier within roundoff of the pole at -lambda_min.
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.sort(2.0 * rng.standard_normal(n))
+    mult = 2 if repeated else 1
+    w[:mult] = w[0]
+    H = Q @ np.diag(w) @ Q.T
+    E = Q[:, :mult]
+    g = rng.standard_normal(n)
+    g -= E @ (E.T @ g)
+    u = rng.standard_normal(mult)
+    g += 10.0**log_component * (E @ (u / np.linalg.norm(u)))
+    center = rng.standard_normal(n)
+    radius = float(rng.uniform(0.3, 2.0))
+    m = QuadraticPolynomial(n, float(rng.standard_normal()), g - H @ center, H)
+    if flip:
+        m = -m  # near-hard on the max side instead
+    ext = extremize_on_ball(m, center, radius)
+    assert ext.solver_residual <= 1e-10
+    vals = m.eval_batch(center + radius * ball_samples(rng, n, 20_000))
+    slack = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    assert np.max(vals) <= ext.max_value + slack
+    assert np.min(vals) >= ext.min_value - slack
+
+
+def test_batch_matches_single_solves(rng):
+    for n in (1, 2, 5):
+        polys = [random_quadratic(rng, n) for _ in range(7)]
+        polys.append(affine(n, 0.0, np.ones(n)))  # |max| = |min|: a tie
+        center = rng.standard_normal(n)
+        values, args = max_abs_batch(polys, center, 0.8)
+        for m, value, arg in zip(polys, values, args):
+            single, single_arg = max_abs_on_ball(m, center, 0.8)
+            assert np.isclose(value, single, rtol=1e-12, atol=1e-12)
+            assert np.allclose(arg, single_arg, atol=1e-10)
+    assert np.allclose(args[-1], -np.ones(n) / np.sqrt(n) * 0.8 + center)
+
+
+def test_batch_certificate_fields(rng):
+    n, k, radius = 4, 9, 1.3
+    G = rng.standard_normal((k, n))
+    B = rng.standard_normal((k, n, n))
+    H = B + np.transpose(B, (0, 2, 1))
+    sol = extremize_batch(G, H, radius)
+    assert sol.z.shape == (k, n) and sol.mu.shape == (k,)
+    assert np.all(np.linalg.norm(sol.z, axis=1) <= radius * (1.0 + 1e-12))
+    lam_min = np.linalg.eigvalsh(H)[:, 0]
+    assert np.all(sol.mu >= np.maximum(0.0, -lam_min) - 1e-10)
+    assert np.all(sol.complementarity <= 1e-10)
+    assert np.all(sol.stationarity <= 1e-10)
+
+
+def test_batch_bad_input_raises():
+    with pytest.raises(ValueError):
+        extremize_batch(np.zeros((2, 3)), np.zeros((2, 3, 2)), 1.0)
+    with pytest.raises(ValueError):
+        extremize_batch(np.zeros((1, 2)), np.zeros((1, 2, 2)), 0.0)
+    with pytest.raises(ValueError):
+        extremize_batch(np.full((1, 2), np.nan), np.zeros((1, 2, 2)), 1.0)

@@ -129,6 +129,18 @@ class TestBounds:
         code = main(["bounds", "--kind", "lin_det", "--L", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--L", "--lam", "--delta", "--kappa"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_flag_exits_1(self, capsys, flag, value):
+        # stdout carries strict JSON, which cannot hold the resulting constants
+        argv = ["bounds", "--kind", "lin_det", "--L", "2", "--lam", "1", "--n", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite number" in captured.err
+
 
 class TestOracle:
     def test_witness_value(self, capsys, tmp_path):

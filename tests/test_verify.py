@@ -21,7 +21,8 @@ from dfobounds import (
     run_campaign,
     run_trial,
 )
-from dfobounds.verify import _rosenbrock_lipschitz
+import dfobounds.verify as verify_module
+from dfobounds.verify import TrialResult, _rosenbrock_lipschitz
 
 from conftest import fd_gradient
 
@@ -46,8 +47,7 @@ class TestFunctions:
             )
 
     def test_rosenbrock_lipschitz_at_corner(self):
-        # the Hessian norm over the box peaks at the (+-2, -2) corners; the
-        # lattice scan must land exactly on that closed-form value
+        # the Hessian norm over the box peaks at the (+-2, -2) corners
         H = np.array([[1200.0 * 4.0 + 800.0 + 2.0, 800.0], [800.0, 200.0]])
         fn = rosenbrock_function()
         assert np.isclose(fn.lipschitz_L, np.linalg.norm(H, 2), rtol=1e-10)
@@ -78,6 +78,31 @@ class TestFunctions:
 
     def test_lipschitz_scan_cached(self):
         assert _rosenbrock_lipschitz() == _rosenbrock_lipschitz()
+
+    def test_rosenbrock_lipschitz_matches_lattice_scan(self):
+        assert _rosenbrock_lipschitz() == scan_rosenbrock_lipschitz(1e-3)
+        assert _rosenbrock_lipschitz() == 5717.984380503378
+
+
+def scan_rosenbrock_lipschitz(resolution):
+    """Largest Rosenbrock Hessian spectral norm over a lattice of [-2, 2]^2.
+
+    The 2x2 eigenvalues are evaluated in closed form, chunked to bound
+    memory; the oracle for the corner value the library uses.
+    """
+    count = int(round(4.0 / resolution)) + 1
+    axis = np.linspace(-2.0, 2.0, count)
+    best = 0.0
+    for chunk in np.array_split(axis, 64):
+        X1, X2 = np.meshgrid(chunk, axis, indexing="ij")
+        a = 1200.0 * X1**2 - 400.0 * X2 + 2.0
+        bb = -400.0 * X1
+        d = 200.0
+        mean = 0.5 * (a + d)
+        rad = np.sqrt(0.25 * (a - d) ** 2 + bb**2)
+        spec = np.maximum(np.abs(mean + rad), np.abs(mean - rad))
+        best = max(best, float(spec.max()))
+    return best
 
 
 class TestCheckTheory:
@@ -145,6 +170,46 @@ class TestTrials:
         cfg = TrialConfig(function="quartic", kind="lin_det", n=2, p=2, delta=1.2, seed=0)
         with pytest.raises(ValueError):
             run_trial(cfg)
+
+    @pytest.mark.parametrize(
+        "function, kind, n, p, seed",
+        [
+            ("quadratic", "quad_det", 6, 27, 385025371),
+            ("quartic", "quad_det", 6, 27, 385025371),
+            ("quadratic", "mfn", 6, 20, 1193623364),
+        ],
+    )
+    def test_near_hard_case_sets_pass(self, function, kind, n, p, seed):
+        # Lagrange polynomials of these sets are near-hard cases for the
+        # ball solver: the gradient nearly vanishes on an extreme eigenspace.
+        cfg = TrialConfig(
+            function=function, kind=kind, n=n, p=p, delta=0.2, kappa=0.01,
+            lambda_max=5.0, seed=seed,
+        )
+        assert run_trial(cfg).passed
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta", float("nan")),
+            ("delta", float("inf")),
+            ("delta", 0.0),
+            ("delta", -0.1),
+            ("kappa", float("nan")),
+            ("kappa", float("inf")),
+            ("n", 0),
+            ("p", 0),
+            ("lambda_max", float("nan")),
+            ("lambda_max", float("inf")),
+            ("lambda_max", 1.0),
+            ("lambda_max", -3.0),
+        ],
+    )
+    def test_config_rejects_bad_field(self, field, value):
+        kwargs = dict(function="quartic", kind="mfn", n=2, p=4, delta=0.1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**kwargs)
 
     def test_kind_coercion_and_validation(self):
         cfg = TrialConfig(function="quartic", kind="LIN_DET", n=2, p=2, delta=0.1)
@@ -217,6 +282,29 @@ class TestCampaign:
         failed_row = lines[2].split(",")
         assert failed_row[-1] == "False"
         assert failed_row[CSV_COLUMNS.index("lambda")] == ""
+
+    def test_infinite_margin_written_as_null(self, tmp_path, monkeypatch):
+        # a zero cap with a nonzero error gives an infinite margin, which
+        # strict JSON cannot carry
+        margin = verify_module._margin(1.0, 0.0)
+        assert margin == np.inf
+        result = TrialResult(
+            lam=1.0, C_f=0.0, C_g=1.0, C_H=1.0, emp_f=1.0, emp_g=0.5, emp_H=0.5,
+            margin_f=margin, margin_g=0.5, margin_H=0.5, passed=False,
+        )
+        monkeypatch.setattr(verify_module, "run_trial", lambda config: result)
+        trials = expand_config(
+            {"function": "quartic", "kind": "lin_det", "n": 2, "p": 2, "delta": 0.1}
+        )
+        run_campaign(trials, json_path=tmp_path / "s.json")
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject)
+        quantiles = summary["per_kind"]["LIN_DET"]
+        assert quantiles["margin_f"] == {"q50": None, "q90": None, "max": None}
+        assert quantiles["margin_g"]["max"] == 0.5
 
     def test_progress_callback(self):
         seen = []
