@@ -12,13 +12,14 @@ the boundary multiplier is the root of the secular function
 at -lambda_min.  A vectorised Newton iteration starts from a lower bound on
 the root, so its iterates stay between the pole and the root.
 
-Near the hard case (a tiny gradient component on the extreme eigenspace)
-the root sits so close to the pole that mu cannot resolve it in floating
-point.  The step is then completed instead: its components off the extreme
-eigenspace are kept, the extreme component is filled in so that the step
-reaches the sphere, and mu is reset to -lambda_min + ||g_cluster|| / tau.
-The same completion along an extreme eigenvector covers the exact hard
-case.
+Near the hard case (a tiny gradient component g_cluster on the extreme
+eigenspace) the root sits so close to the pole that mu cannot resolve it
+in floating point.  The step is then completed instead: its components off
+the extreme eigenspace are kept, the extreme component is filled in along
+-g_cluster with the length tau that takes the step to the sphere, and mu
+is reset to -lambda_min + ||g_cluster|| / tau.  The same completion along
+an extreme eigenvector, with both signs, covers the exact hard case.
+Where the completed step certifies it replaces the plain Newton step.
 
 Each item keeps the best of its interior, boundary and completed candidates
 that passes the certificate: mu >= max(0, -lambda_min), complementarity
@@ -77,8 +78,8 @@ class BallSolution:
     Row i of ``z`` (shape (k, n)) minimizes g_i.z + z^T H_i z / 2 over
     ||z|| <= radius, with multiplier ``mu[i]``.  ``complementarity`` is
     |mu (radius - ||z||)| and ``stationarity`` is ||(H + mu I) z + g||,
-    both divided by max(1, ||g|| + ||H|| radius); each is at most the
-    solver's ``tol``.
+    both divided by ||g|| + ||H|| radius; each is at most the solver's
+    ``tol``.
     """
 
     z: np.ndarray
@@ -96,14 +97,6 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _lex_first(rows: np.ndarray) -> int:
-    best = 0
-    for i in range(1, len(rows)):
-        if _lex_smaller(rows[i], rows[best]):
-            best = i
-    return best
-
-
 def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     """Certified global minimizers of g_i.z + z^T H_i z / 2 over ||z|| <= radius.
 
@@ -119,7 +112,8 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         Cap on each scaled certificate residual.
 
     Raises RuntimeError when some item has no candidate that certifies.
-    Candidates whose values tie to 1e-14 relative resolve to the
+    Candidates whose values tie to 1e-14 relative (to the larger of the
+    value and the item's scale ||g|| r + ||H|| r^2) resolve to the
     lexicographically smallest step.  Maximizers are the minimizers of
     (-G, -H).
     """
@@ -141,14 +135,14 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     lam = w[:, 0]
     h_scale = np.max(np.abs(w), axis=1)
     g_norm = np.linalg.norm(G, axis=1)
-    scale = np.maximum(1.0, g_norm + h_scale * r)
+    scale = np.maximum(np.finfo(float).tiny, g_norm + h_scale * r)
     mu_lo = np.maximum(0.0, -lam)
 
     # The extreme eigenspace, and whether the gradient is too small on it to
     # matter; such a component is dropped so the pole at -lambda_min goes.
-    cluster = w <= (lam + 1e-12 * np.maximum(1.0, h_scale))[:, None]
+    cluster = w <= (lam + 1e-12 * h_scale)[:, None]
     g_cluster = np.linalg.norm(np.where(cluster, gh, 0.0), axis=1)
-    degenerate = g_cluster <= 1e-11 * np.maximum(1.0, g_norm)
+    degenerate = g_cluster <= 1e-11 * g_norm
     gh_eff = np.where(cluster & degenerate[:, None], 0.0, gh)
     g_cluster = np.where(degenerate, 0.0, g_cluster)
     active = gh_eff != 0.0
@@ -160,11 +154,11 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         return t, d
 
     # Interior candidate: H positive semidefinite and g in its range.
-    pos_tol = 1e-13 * np.maximum(1.0, h_scale)
+    pos_tol = 1e-13 * h_scale
     pos = w > pos_tol[:, None]
     z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
     n_int = np.linalg.norm(z_int, axis=1)
-    in_range = np.abs(gh) <= (1e-13 * np.maximum(1.0, g_norm))[:, None]
+    in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
     ok_int = (
         (lam >= -pos_tol)
         & np.all(pos | in_range, axis=1)
@@ -234,15 +228,19 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     stationarity = np.linalg.norm(gap, axis=2) / scale[:, None]
     complementarity = np.abs(MU * (r - norms)) / scale[:, None]
     dual = (mu_lo[:, None] - MU) * r / scale[:, None]
-    certified = ok & (stationarity <= tol) & (complementarity <= tol) & (dual <= tol)
-    # Near the pole the completed step is the accurate one; the plain
-    # boundary step only stands in where the completion does not certify.
-    certified[:, 3] &= ~certified[:, 1]
+    residual = np.maximum(np.maximum(stationarity, complementarity), dual)
+    certified = ok & (residual <= tol)
+    # The completed and the plain boundary step approximate the same point:
+    # near the pole the completed one is accurate, far from it the plain
+    # one.  Where both certify, the smaller residual stays.
+    both = certified[:, 1] & certified[:, 3]
+    completed_better = residual[:, 1] <= residual[:, 3]
+    certified[:, 3] &= ~(both & completed_better)
+    certified[:, 1:3] &= ~(both & ~completed_better)[:, None]
     uncertified = ~certified.any(axis=1)
     if uncertified.any():
         i = int(np.flatnonzero(uncertified)[0])
-        residual = np.maximum(np.maximum(stationarity[i], complementarity[i]), dual[i])
-        worst = np.where(ok[i], residual, np.inf)
+        worst = np.where(ok[i], residual[i], np.inf)
         raise RuntimeError(
             f"no candidate certifies for item {i}: smallest residual "
             f"{float(np.min(worst)):.3e} exceeds tol {tol:.3e}"
@@ -251,11 +249,10 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
     value = np.where(certified, value, np.inf)
     best = np.min(value, axis=1)
-    tied = value <= (best + 1e-14 * np.maximum(1.0, np.abs(best)))[:, None]
+    tied = value <= (best + 1e-14 * np.maximum(np.abs(best), scale * r))[:, None]
     choice = np.argmax(tied, axis=1)
     for i in np.flatnonzero(np.sum(tied, axis=1) > 1):
-        cands = np.flatnonzero(tied[i])
-        choice[i] = cands[_lex_first(Z[i, cands])]
+        choice[i] = min(np.flatnonzero(tied[i]), key=lambda c: tuple(Z[i, c]))
     rows = np.arange(k)
     return BallSolution(
         z=Z[rows, choice],
@@ -335,7 +332,7 @@ def extremize_on_ball(
     )
 
 
-def max_abs_batch(polys, center, radius: float, tol: float = 1e-10):
+def max_abs_batch(polys, center, radius: float):
     """Maximum of |m| over the ball for each polynomial, in one solve.
 
     Returns (values, arguments) with shapes (k,) and (k, n).  Ties between
@@ -343,7 +340,7 @@ def max_abs_batch(polys, center, radius: float, tol: float = 1e-10):
     """
     center, c, g, H, g0 = _stack(polys, center)
     k = len(c)
-    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
+    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (
