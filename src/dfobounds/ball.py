@@ -128,7 +128,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         raise ValueError(f"radius must be positive and finite, got {r}")
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(H))):
         raise ValueError("gradients and Hessians must be finite")
-    k, n = G.shape
+    k = G.shape[0]
 
     w, Q = np.linalg.eigh(H)  # ascending eigenvalues, eigenvectors in columns
     gh = np.einsum("kji,kj->ki", Q, G)
