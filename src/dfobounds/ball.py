@@ -167,8 +167,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
 
     # Boundary candidate.  ||z(mu)|| >= |gh_i| / (w_i + mu) for every i, so
     # the root lies right of every |gh_i| / r - w_i; start at the largest.
-    with np.errstate(invalid="ignore"):
-        bound = np.max(np.where(active, np.abs(gh_eff) / r - w, -np.inf), axis=1)
+    bound = np.max(np.where(active, np.abs(gh_eff) / r - w, -np.inf), axis=1)
     mu = np.maximum(mu_lo, bound)
     pole = ~degenerate & (mu <= -lam)
     mu = np.where(pole, -lam + np.maximum(4.0 * _EPS * np.abs(lam), 1e-300), mu)
