@@ -25,6 +25,10 @@ Each item keeps the best of its interior, boundary and completed candidates
 that passes the certificate: mu >= max(0, -lambda_min), complementarity
 mu (r - ||z||) = 0 and stationarity, each to ``tol`` after scaling by the
 item's coefficient magnitude.  An item with no certified candidate raises.
+
+``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial or a
+sequence of polynomials on one ball; a sequence, such as the Lagrange
+polynomials of a sample set, is one batched solve for both signs.
 A brute-force lattice oracle is provided as an independent cross-check for
 low dimensions.
 """
@@ -42,7 +46,6 @@ __all__ = [
     "BallSolution",
     "extremize_batch",
     "extremize_on_ball",
-    "max_abs_batch",
     "max_abs_on_ball",
     "grid_oracle",
     "lipschitz_on_ball",
@@ -190,6 +193,11 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
             mu = np.where(live, mu + delta, mu)
             live &= delta > 2.0 * _EPS * mu
             t, d = step(mu)
+        # Where Newton stopped inside the sphere (mu = 0 with an interior
+        # minimizer, or past the root at the pole) the interior or completed
+        # candidate covers the item; a step short of the sphere is not
+        # offered as a boundary one.
+        reached = np.linalg.norm(t, axis=1) >= r * (1.0 - tol)
     mu_bnd = mu
     z_bnd = -t
 
@@ -215,7 +223,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     # Certify every candidate in the original coordinates.
     Zh = np.stack([z_int, z_cmp, z_alt, z_bnd], axis=1)
     MU = np.stack([np.zeros(k), mu_cmp, mu_cmp, mu_bnd], axis=1)
-    ok = np.stack([ok_int, ok_cmp, ok_cmp & degenerate, ok_bnd], axis=1)
+    ok = np.stack([ok_int, ok_cmp, ok_cmp & degenerate, ok_bnd & reached], axis=1)
     Zh = np.where(ok[:, :, None], Zh, 0.0)
     MU = np.where(ok, MU, 0.0)
     Z = np.einsum("kij,kcj->kci", Q, Zh)
@@ -299,15 +307,16 @@ def _pick_abs(vmax, argmax, vmin, argmin):
     return np.where(take_min, amin, amax), np.where(take_min[:, None], argmin, argmax)
 
 
-def extremize_on_ball(
-    m: QuadraticPolynomial, center, radius: float, tol: float = 1e-10
-) -> BallExtremum:
+def extremize_on_ball(m, center, radius: float, tol: float = 1e-10) -> BallExtremum:
     """Global max and min of ``m`` over the closed ball B(center, radius).
 
     Parameters
     ----------
-    m : QuadraticPolynomial
-    center : array_like, shape (m.dim,)
+    m : QuadraticPolynomial, or a sequence of k of them
+        A sequence is solved with one batched eigendecomposition; every
+        field of the result but ``solver_residual`` then has a leading
+        axis of length k.
+    center : array_like, shape (n,)
     radius : float
         Positive ball radius.
     tol : float
@@ -316,50 +325,38 @@ def extremize_on_ball(
     Returns
     -------
     BallExtremum
-        Reported values are evaluations of ``m`` at the returned arguments,
-        which lie in the closed ball.
+        Reported values are evaluations of the polynomials at the returned
+        arguments, which lie in the closed ball.  ``solver_residual`` is
+        the largest over the whole solve.
     """
-    center, _, _, H, g0 = _stack([m], center)
-    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
-    argmin, argmax = center + sol.z
-    return BallExtremum(
-        max_value=m.eval(argmax),
-        argmax=argmax,
-        min_value=m.eval(argmin),
-        argmin=argmin,
-        solver_residual=float(max(sol.stationarity.max(), sol.complementarity.max())),
-    )
-
-
-def max_abs_batch(polys, center, radius: float):
-    """Maximum of |m| over the ball for each polynomial, in one solve.
-
-    Returns (values, arguments) with shapes (k,) and (k, n).  Ties between
-    the max and min branches follow ``max_abs_on_ball``.
-    """
-    center, c, g, H, g0 = _stack(polys, center)
+    single = isinstance(m, QuadraticPolynomial)
+    center, c, g, H, g0 = _stack([m] if single else m, center)
     k = len(c)
-    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius)
+    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (
         c2 + np.einsum("ki,ki->k", g2, X) + 0.5 * np.einsum("ki,kij,kj->k", X, H2, X)
     )
-    return _pick_abs(values[k:], X[k:], values[:k], X[:k])
+    residual = float(max(sol.stationarity.max(), sol.complementarity.max()))
+    if single:
+        return BallExtremum(float(values[1]), X[1], float(values[0]), X[0], residual)
+    return BallExtremum(values[k:], X[k:], values[:k], X[:k], residual)
 
 
-def max_abs_on_ball(m: QuadraticPolynomial, center, radius: float, tol: float = 1e-10):
+def max_abs_on_ball(m, center, radius: float, tol: float = 1e-10):
     """Maximum of |m| over the ball; returns (value, argument).
 
-    Ties between the max and min branches (1e-12 relative) are broken
-    toward the lexicographically smaller argument.
+    For a sequence of k polynomials, one batched solve returns arrays of
+    shapes (k,) and (k, n).  Ties between the max and min branches (1e-12
+    relative) are broken toward the lexicographically smaller argument.
     """
-    ext = extremize_on_ball(m, center, radius, tol=tol)
-    values, args = _pick_abs(
-        np.array([ext.max_value]), ext.argmax[None, :],
-        np.array([ext.min_value]), ext.argmin[None, :],
-    )
-    return float(values[0]), args[0]
+    single = isinstance(m, QuadraticPolynomial)
+    ext = extremize_on_ball([m] if single else m, center, radius, tol=tol)
+    values, args = _pick_abs(ext.max_value, ext.argmax, ext.min_value, ext.argmin)
+    if single:
+        return float(values[0]), args[0]
+    return values, args
 
 
 def lipschitz_on_ball(m: QuadraticPolynomial, center, radius: float) -> float:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .ball import max_abs_batch
+from .ball import max_abs_on_ball
 from .bounds import constants_from_lambda
 from .poly import (
     BasisPart,
@@ -370,7 +370,7 @@ def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> Poisedness
     measured constant.
     """
     polys = _lagrange_for_kind(sample_set, kind)
-    values, _ = max_abs_batch(polys, sample_set.y0, sample_set.radius)
+    values, _ = max_abs_on_ball(polys, sample_set.y0, sample_set.radius)
     per_point = tuple(float(v) for v in values)
     lam = max(per_point)
 
@@ -455,7 +455,7 @@ def generate_poised_set(
                 [center, center + delta * _unit_ball_points(rng, p, n)]
             )
             continue
-        values, args = max_abs_batch(polys, center, delta)
+        values, args = max_abs_on_ball(polys, center, delta)
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:

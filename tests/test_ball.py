@@ -9,7 +9,6 @@ from dfobounds import (
     extremize_on_ball,
     grid_oracle,
     lipschitz_on_ball,
-    max_abs_batch,
     max_abs_on_ball,
 )
 
@@ -204,7 +203,7 @@ def test_batch_matches_single_solves(rng):
         polys = [random_quadratic(rng, n) for _ in range(7)]
         polys.append(affine(n, 0.0, np.ones(n)))  # |max| = |min|: a tie
         center = rng.standard_normal(n)
-        values, args = max_abs_batch(polys, center, 0.8)
+        values, args = max_abs_on_ball(polys, center, 0.8)
         for m, value, arg in zip(polys, values, args):
             single, single_arg = max_abs_on_ball(m, center, 0.8)
             assert np.isclose(value, single, rtol=1e-12, atol=1e-12)
