@@ -11,11 +11,11 @@ invariant.  The absolute-coordinate matrices remain available through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .ball import max_abs_on_ball
 from .bounds import constants_from_lambda
@@ -63,11 +63,16 @@ class SampleSet:
     """p+1 pairwise-distinct points in the closed ball around the first one.
 
     Row 0 of ``points`` is the base point y0 and doubles as the ball center;
-    ``radius`` is the ball radius delta.
+    ``radius`` is the ball radius delta.  ``certificate`` is the poisedness
+    certificate ``generate_poised_set`` measured on its final iteration, and
+    None for a set built any other way; it cannot be passed in.
     """
 
     points: np.ndarray
     radius: float
+    certificate: Optional[PoisednessCertificate] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -264,7 +269,9 @@ def _check_mfn_shape(sample_set: SampleSet) -> int:
     return q
 
 
-def _mfn_factorization(sample_set: SampleSet):
+def _checked_mfn_system(sample_set: SampleSet):
+    # The normalized saddle system with its condition number; each caller
+    # makes one solve with it, so nothing is factored ahead of time.
     Ml, Mq, F = _normalized_mfn_system(sample_set)
     cond = float(np.linalg.cond(F))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
@@ -272,7 +279,7 @@ def _mfn_factorization(sample_set: SampleSet):
             f"saddle system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
             condition=cond,
         )
-    return Ml, Mq, lu_factor(F), cond
+    return Ml, Mq, F, cond
 
 
 def lagrange_mfn(sample_set: SampleSet):
@@ -284,9 +291,9 @@ def lagrange_mfn(sample_set: SampleSet):
     """
     _check_mfn_shape(sample_set)
     n, p = sample_set.n, sample_set.p
-    Ml, Mq, lu, _ = _mfn_factorization(sample_set)
+    Ml, Mq, F, _ = _checked_mfn_system(sample_set)
     rhs = np.vstack([np.eye(p + 1), np.zeros((n + 1, p + 1))])
-    sol = lu_solve(lu, rhs)
+    sol = np.linalg.solve(F, rhs)
     mult = sol[: p + 1]
     alpha_lin = sol[p + 1 :]
     alpha_quad = Mq.T @ mult
@@ -309,12 +316,12 @@ def mfn_lambda_vector(sample_set: SampleSet, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (sample_set.n,):
         raise ValueError(f"x must have shape ({sample_set.n},), got {x.shape}")
-    Ml, Mq, lu, _ = _mfn_factorization(sample_set)
+    Ml, Mq, F, _ = _checked_mfn_system(sample_set)
     xh = (x - sample_set.y0) / sample_set.radius
     phi_lin = natural_basis(BasisSelector(2, BasisPart.LINEAR_PART), xh)
     phi_quad = natural_basis(BasisSelector(2, BasisPart.QUADRATIC_PART), xh)
     rhs = np.concatenate([Mq @ phi_quad, phi_lin])
-    sol = lu_solve(lu, rhs)
+    sol = np.linalg.solve(F, rhs)
     return sol[: p + 1]
 
 
@@ -371,6 +378,13 @@ def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> Poisedness
     """
     polys = _lagrange_for_kind(sample_set, kind)
     values, _ = max_abs_on_ball(polys, sample_set.y0, sample_set.radius)
+    return _certificate(sample_set, kind, values)
+
+
+def _certificate(
+    sample_set: SampleSet, kind: PoisednessKind, values
+) -> PoisednessCertificate:
+    # values[j] is max |l_j| over the ball, for the kind's Lagrange basis.
     per_point = tuple(float(v) for v in values)
     lam = max(per_point)
 
@@ -421,7 +435,9 @@ def generate_poised_set(
     maximizer; the center stays fixed because it anchors the ball.
 
     The interpolation kind is inferred from (n, p): p = n is degree 1,
-    p = q is degree 2, n < p < q is minimum-norm.
+    p = q is degree 2, n < p < q is minimum-norm.  The returned set carries
+    the certificate of that kind in ``certificate``, equal to what
+    ``lambda_poisedness`` would compute for it.
     """
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
@@ -459,6 +475,8 @@ def generate_poised_set(
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:
+            cert = _certificate(sample_set, kind, values)
+            object.__setattr__(sample_set, "certificate", cert)
             return sample_set
         # Replace the worst non-center point by its polynomial's maximizer.
         j = 1 + int(np.argmax(values[1:]))

@@ -7,13 +7,12 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import (
     COND_THRESHOLD,
     NotPoisedError,
     SampleSet,
-    _mfn_factorization,
+    _checked_mfn_system,
     _pullback,
     lagrange_determined,
     lagrange_mfn,
@@ -141,7 +140,7 @@ def fit_model(kind: ModelKind, sample_set: SampleSet, values) -> FitResult:
                 f"{COND_THRESHOLD:.1e}",
                 condition=cond,
             )
-        alpha = lu_solve(lu_factor(M), v)
+        alpha = np.linalg.solve(M, v)
         if kind is ModelKind.LIN_DET:
             model_hat = QuadraticPolynomial(
                 n, float(alpha[0]), alpha[1:].copy(), np.zeros((n, n))
@@ -149,9 +148,9 @@ def fit_model(kind: ModelKind, sample_set: SampleSet, values) -> FitResult:
         else:
             model_hat = QuadraticPolynomial.from_coeffs(alpha, n)
     else:
-        Ml, Mq, lu, cond = _mfn_factorization(sample_set)
+        Ml, Mq, F, cond = _checked_mfn_system(sample_set)
         rhs = np.concatenate([v, np.zeros(n + 1)])
-        sol = lu_solve(lu, rhs)
+        sol = np.linalg.solve(F, rhs)
         mult = sol[: sample_set.p + 1]
         alpha_lin = sol[sample_set.p + 1 :]
         alpha_quad = Mq.T @ mult
@@ -225,6 +224,6 @@ def _system_condition(kind: ModelKind, sample_set: SampleSet) -> float:
     elif kind is ModelKind.QUAD_DET:
         M = basis_matrix(BasisSelector(2, BasisPart.FULL), Yh)
     else:
-        _, _, _, cond = _mfn_factorization(sample_set)
+        _, _, _, cond = _checked_mfn_system(sample_set)
         return cond
     return float(np.linalg.cond(M))

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .ball import max_abs_on_ball
 from .bounds import BoundInputs, BoundKind, c_delta_max, error_bounds
@@ -367,13 +366,47 @@ def _trial_center(fn: TestFunction, delta: float, seed: int) -> np.ndarray:
     return center
 
 
+def _first_primes(count: int) -> np.ndarray:
+    """The first ``count`` primes, from a sieve doubled until it holds them."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        primes = np.flatnonzero(sieve)
+        if primes.size >= count:
+            return primes[:count]
+        limit *= 2
+
+
+def _halton_points(d: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in [0, 1)^d.
+
+    Coordinate k is the radical inverse of the point index 0, 1, 2, ... in
+    the k-th prime base (Halton, Numer. Math. 2, 1960); digits are summed
+    lowest first, so the points equal SciPy's ``qmc.Halton(d,
+    scramble=False).random(count)`` bit for bit.
+    """
+    out = np.zeros((count, d))
+    for k, base in enumerate(_first_primes(d)):
+        index = np.arange(count)
+        scale = 1.0 / base
+        while np.any(index):
+            out[:, k] += (index % base) * scale
+            scale /= base
+            index //= base
+    return out
+
+
 def _probe_points(
     center: np.ndarray, delta: float, count: int, extra: np.ndarray
 ) -> np.ndarray:
     n = center.size
     # Low-discrepancy cube points pushed radially onto the ball; boundary
     # coverage matters because the worst errors tend to sit there.
-    u = qmc.Halton(d=n, scramble=False).random(count)
+    u = _halton_points(n, count)
     z = 2.0 * u - 1.0
     norms = np.linalg.norm(z, axis=1)
     outside = norms > 1.0
@@ -416,7 +449,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
         seed=config.seed,
         center=center,
     )
-    cert = lambda_poisedness(sample_set, _KIND_TO_POISED[config.kind])
+    # The generator certified the set for the kind it inferred from (n, p);
+    # reuse that certificate when it is the kind the model needs.
+    kind = _KIND_TO_POISED[config.kind]
+    cert = sample_set.certificate
+    if cert is None or cert.kind is not kind:
+        cert = lambda_poisedness(sample_set, kind)
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
         fit: FitResult = fit_relaxed(

@@ -266,6 +266,27 @@ class TestGenerator:
         b = generate_poised_set(2, 4, 0.01, 10.0, seed=6)
         assert np.allclose(a.points * 0.01, b.points, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind, n, p",
+        [
+            (PoisednessKind.LINEAR, 3, 3),
+            (PoisednessKind.QUADRATIC, 2, 5),
+            (PoisednessKind.MFN, 3, 7),
+        ],
+    )
+    def test_certificate_equals_lambda_poisedness(self, kind, n, p):
+        # The generator certifies its final set once; that certificate is
+        # exactly the one a fresh measurement gives.
+        ss = generate_poised_set(n, p, 0.3, 8.0, seed=5, center=np.full(n, 0.25))
+        assert ss.certificate is not None
+        assert ss.certificate.to_dict() == lambda_poisedness(ss, kind).to_dict()
+
+    def test_certificate_cannot_be_injected(self, simplex_set):
+        assert simplex_set.certificate is None
+        cert = lambda_poisedness(simplex_set, PoisednessKind.LINEAR)
+        with pytest.raises(TypeError):
+            SampleSet(simplex_set.points, 1.0, certificate=cert)
+
     def test_lambda_max_guard(self):
         with pytest.raises(ValueError):
             generate_poised_set(2, 4, 0.5, 1.0, seed=0)

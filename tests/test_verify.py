@@ -22,7 +22,12 @@ from dfobounds import (
     run_trial,
 )
 import dfobounds.verify as verify_module
-from dfobounds.verify import TrialResult, _rosenbrock_lipschitz
+from dfobounds.verify import (
+    TrialResult,
+    _first_primes,
+    _halton_points,
+    _rosenbrock_lipschitz,
+)
 
 from conftest import fd_gradient
 
@@ -103,6 +108,25 @@ def scan_rosenbrock_lipschitz(resolution):
         spec = np.maximum(np.abs(mean + rad), np.abs(mean - rad))
         best = max(best, float(spec.max()))
     return best
+
+
+class TestHalton:
+    def test_leading_values(self):
+        u = _halton_points(2, 4)
+        assert np.array_equal(u[:, 0], [0.0, 1 / 2, 1 / 4, 3 / 4])
+        assert np.array_equal(u[:, 1], [0.0, 1 / 3, 2 / 3, 1 / 9])
+
+    def test_primes_beyond_first_sieve(self):
+        primes = _first_primes(30)
+        assert primes[:6].tolist() == [2, 3, 5, 7, 11, 13]
+        assert primes[-1] == 113 and primes.size == 30
+
+    def test_bit_identical_to_scipy(self):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for d in range(1, 9):
+            for count in (1, 2, 50, 400, 1000):
+                expected = qmc.Halton(d=d, scramble=False).random(count)
+                assert np.array_equal(_halton_points(d, count), expected), (d, count)
 
 
 class TestCheckTheory:
@@ -187,6 +211,29 @@ class TestTrials:
             lambda_max=5.0, seed=seed,
         )
         assert run_trial(cfg).passed
+
+    @pytest.mark.parametrize(
+        "kind, n, p, kappa",
+        [("lin_det", 2, 2, 0.0), ("quad_det", 2, 5, 0.0), ("mfn", 2, 4, 0.01)],
+    )
+    def test_generated_certificate_is_reused(self, monkeypatch, kind, n, p, kappa):
+        cfg = TrialConfig(
+            function="quartic", kind=kind, n=n, p=p, delta=0.1, kappa=kappa, seed=3
+        )
+        expected = run_trial(cfg)
+
+        def recertify(*args, **kwargs):
+            raise AssertionError("the generated set was certified twice")
+
+        monkeypatch.setattr(verify_module, "lambda_poisedness", recertify)
+        assert run_trial(cfg) == expected
+
+    def test_mismatched_kind_recertifies(self):
+        # p = 4 makes the generator certify a minimum-norm set; a linear
+        # model then needs its own certificate, which cannot be built.
+        cfg = TrialConfig(function="quartic", kind="lin_det", n=2, p=4, delta=0.1)
+        with pytest.raises(ValueError, match="p = n"):
+            run_trial(cfg)
 
     @pytest.mark.parametrize(
         "field, value",
