@@ -453,7 +453,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     # reuse that certificate when it is the kind the model needs.
     kind = _KIND_TO_POISED[config.kind]
     cert = sample_set.certificate
-    if cert is None or cert.kind is not kind:
+    if cert.kind is not kind:
         cert = lambda_poisedness(sample_set, kind)
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
