@@ -32,24 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
-_POISED_KINDS = {
-    "linear": PoisednessKind.LINEAR,
-    "quadratic": PoisednessKind.QUADRATIC,
-    "mfn": PoisednessKind.MFN,
-}
-_MODEL_KINDS = {
-    "lin_det": ModelKind.LIN_DET,
-    "quad_det": ModelKind.QUAD_DET,
-    "mfn": ModelKind.MFN,
-}
-_BOUND_KINDS = {
-    "lin_det": BoundKind.LIN_DET,
-    "quad_det": BoundKind.QUAD_DET,
-    "under": BoundKind.UNDER,
-    "mfn": BoundKind.MFN,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors by default, which would
     # collide with the mathematical-failure code; usage problems are 1 here.
@@ -93,13 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ball radius (overrides the JSON sidecar)",
     )
-    p.add_argument("--kind", choices=sorted(_POISED_KINDS), required=True)
+    p.add_argument(
+        "--kind", choices=sorted(k.value for k in PoisednessKind), required=True
+    )
     p.add_argument("--out", default=None, help="also write the JSON here")
 
     p = sub.add_parser("fit", help="fit an interpolation model to a points file")
     p.add_argument("points", help="CSV with header y1,...,yn,f")
     p.add_argument("--delta", type=_finite_float, default=None)
-    p.add_argument("--kind", choices=sorted(_MODEL_KINDS), required=True)
+    p.add_argument(
+        "--kind", choices=sorted(k.value for k in ModelKind), required=True
+    )
     p.add_argument(
         "--kappa",
         type=_finite_float,
@@ -120,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="evaluate error-bound constants")
-    p.add_argument("--kind", choices=sorted(_BOUND_KINDS), required=True)
+    p.add_argument(
+        "--kind", choices=sorted(k.value for k in BoundKind), required=True
+    )
     p.add_argument(
         "--L", type=_finite_float, required=True, help="gradient Lipschitz constant"
     )
@@ -167,7 +155,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _cmd_poisedness(args) -> int:
     sample_set, _ = fileio.read_points(args.points, delta=args.delta)
-    certificate = lambda_poisedness(sample_set, _POISED_KINDS[args.kind])
+    certificate = lambda_poisedness(sample_set, PoisednessKind(args.kind))
     _emit(certificate.to_dict(), args.out)
     return EXIT_OK
 
@@ -176,7 +164,7 @@ def _cmd_fit(args) -> int:
     sample_set, values = fileio.read_points(args.points, delta=args.delta)
     if values is None:
         raise ValueError(f"{args.points}: fit requires an f column")
-    kind = _MODEL_KINDS[args.kind]
+    kind = ModelKind(args.kind)
     gamma = fileio.read_gamma(args.gamma_file) if args.gamma_file else None
     kappa = args.kappa
     if gamma is None and (kappa is None or kappa == 0.0):
@@ -212,7 +200,7 @@ def _cmd_bounds(args) -> int:
         delta=args.delta,
         delta_max=args.delta_max,
     )
-    report = error_bounds(_BOUND_KINDS[args.kind], inputs)
+    report = error_bounds(BoundKind(args.kind), inputs)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 

@@ -175,6 +175,14 @@ def interpolation_matrix(selector: BasisSelector, sample_set: SampleSet) -> np.n
     return basis_matrix(selector, sample_set.points)
 
 
+def _saddle_system(points: np.ndarray):
+    """Quadratic block Mq and saddle matrix [[Mq Mq^T, Ml], [Ml^T, 0]] at points."""
+    n = points.shape[1]
+    Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
+    Mq = basis_matrix(BasisSelector(2, BasisPart.QUADRATIC_PART), points)
+    return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
+
+
 def mfn_system_matrix(sample_set: SampleSet) -> np.ndarray:
     """Saddle-point matrix [[Mq Mq^T, Ml], [Ml^T, 0]] in absolute coordinates.
 
@@ -184,21 +192,7 @@ def mfn_system_matrix(sample_set: SampleSet) -> np.ndarray:
     n, p = sample_set.n, sample_set.p
     if p < n:
         raise ValueError(f"need p >= n, got p={p}, n={n}")
-    Ml = interpolation_matrix(BasisSelector(2, BasisPart.LINEAR_PART), sample_set)
-    Mq = interpolation_matrix(BasisSelector(2, BasisPart.QUADRATIC_PART), sample_set)
-    return np.block(
-        [[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]]
-    )
-
-
-def _normalized_mfn_system(sample_set: SampleSet):
-    """Blocks and saddle matrix of the shifted/scaled set."""
-    n = sample_set.n
-    Yh = normalized_points(sample_set)
-    Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), Yh)
-    Mq = basis_matrix(BasisSelector(2, BasisPart.QUADRATIC_PART), Yh)
-    F = np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
-    return Ml, Mq, F
+    return _saddle_system(sample_set.points)[1]
 
 
 def mfn_poised(sample_set: SampleSet, cond_threshold: float = COND_THRESHOLD) -> bool:
@@ -209,15 +203,85 @@ def mfn_poised(sample_set: SampleSet, cond_threshold: float = COND_THRESHOLD) ->
     """
     if sample_set.p < sample_set.n:
         return False
-    _, _, F = _normalized_mfn_system(sample_set)
+    _, F = _saddle_system(normalized_points(sample_set))
     cond = float(np.linalg.cond(F))
     return bool(np.isfinite(cond) and cond <= cond_threshold)
 
 
-def _pullback(poly_hat: QuadraticPolynomial, sample_set: SampleSet) -> QuadraticPolynomial:
-    # poly_hat lives on the normalized set; return x -> poly_hat((x - y0)/delta).
+class PoisednessKind(Enum):
+    LINEAR = "linear"
+    QUADRATIC = "quadratic"
+    MFN = "mfn"
+
+
+def _kind_for_shape(n: int, p: int) -> Optional[PoisednessKind]:
+    # p = n is degree 1, p = q is degree 2, n < p < q is minimum-norm.
+    q = space_dim(2, n) - 1
+    if p == n:
+        return PoisednessKind.LINEAR
+    if p == q:
+        return PoisednessKind.QUADRATIC
+    if n < p < q:
+        return PoisednessKind.MFN
+    return None
+
+
+def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
+    """Solve the kind's normalized interpolation system for rhs.
+
+    Returns the FULL degree-2 coefficients of the solution on the
+    shifted/scaled set (one column per column of rhs) and the system's
+    condition number.  LINEAR solves the degree-1 basis system and pads the
+    second-order coefficients with zeros; QUADRATIC solves the degree-2
+    system; MFN solves the saddle system, whose solution is the multipliers
+    followed by the affine coefficients, and maps the multipliers to the
+    second-order coefficients through Mq^T.
+    """
+    n, p = sample_set.n, sample_set.p
+    if _kind_for_shape(n, p) is not kind:
+        q = space_dim(2, n) - 1
+        rule = {
+            PoisednessKind.LINEAR: "p = n",
+            PoisednessKind.QUADRATIC: f"p = q = {q}",
+            PoisednessKind.MFN: "n < p < q",
+        }[kind]
+        raise ValueError(
+            f"{kind.name} interpolation needs {rule}, got n={n}, p={p}, q={q}"
+        )
+    Yh = normalized_points(sample_set)
+    if kind is PoisednessKind.MFN:
+        Mq, M = _saddle_system(Yh)
+        rhs = np.concatenate([rhs, np.zeros((n + 1,) + rhs.shape[1:])])
+    else:
+        degree = 1 if kind is PoisednessKind.LINEAR else 2
+        M = basis_matrix(BasisSelector(degree, BasisPart.FULL), Yh)
+    cond = float(np.linalg.cond(M))
+    if not np.isfinite(cond) or cond > COND_THRESHOLD:
+        system = "saddle" if kind is PoisednessKind.MFN else "interpolation"
+        raise NotPoisedError(
+            f"{system} system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
+            condition=cond,
+        )
+    sol = np.linalg.solve(M, rhs)
+    if kind is PoisednessKind.MFN:
+        sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
+    elif kind is PoisednessKind.LINEAR:
+        quad = np.zeros((space_dim(2, n) - n - 1,) + sol.shape[1:])
+        sol = np.concatenate([sol, quad])
+    return sol, cond
+
+
+def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
+    # coeffs are FULL degree-2 coefficients on the normalized set; return
+    # x -> m_hat((x - y0) / delta) in absolute coordinates.
     delta = sample_set.radius
+    poly_hat = QuadraticPolynomial.from_coeffs(coeffs, sample_set.n)
     return poly_hat.compose_affine(-sample_set.y0 / delta, 1.0 / delta)
+
+
+def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
+    coeffs, _ = _interpolate(sample_set, kind, np.eye(sample_set.p + 1))
+    return [_interpolant(sample_set, c) for c in coeffs.T]
 
 
 def lagrange_determined(sample_set: SampleSet, degree: int):
@@ -226,60 +290,10 @@ def lagrange_determined(sample_set: SampleSet, degree: int):
     Solves the square system on the shifted/scaled set and pulls each
     polynomial back; l_j(y^i) = delta_ij by construction.
     """
-    n, p = sample_set.n, sample_set.p
-    if degree == 1:
-        if p != n:
-            raise ValueError(f"degree-1 basis needs p = n, got p={p}, n={n}")
-        selector = BasisSelector(1, BasisPart.FULL)
-    elif degree == 2:
-        q = space_dim(2, n) - 1
-        if p != q:
-            raise ValueError(f"degree-2 basis needs p = q = {q}, got p={p}")
-        selector = BasisSelector(2, BasisPart.FULL)
-    else:
+    if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-
-    M = basis_matrix(selector, normalized_points(sample_set))
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise NotPoisedError(
-            f"interpolation system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
-            condition=cond,
-        )
-    A = np.linalg.solve(M, np.eye(p + 1))
-    polys = []
-    for j in range(p + 1):
-        if degree == 1:
-            poly_hat = QuadraticPolynomial(
-                n, float(A[0, j]), A[1:, j].copy(), np.zeros((n, n))
-            )
-        else:
-            poly_hat = QuadraticPolynomial.from_coeffs(A[:, j], n)
-        polys.append(_pullback(poly_hat, sample_set))
-    return polys
-
-
-def _check_mfn_shape(sample_set: SampleSet) -> int:
-    n, p = sample_set.n, sample_set.p
-    q = space_dim(2, n) - 1
-    if not (n < p < q):
-        raise ValueError(
-            f"minimum-norm interpolation needs n < p < q, got n={n}, p={p}, q={q}"
-        )
-    return q
-
-
-def _checked_mfn_system(sample_set: SampleSet):
-    # The normalized saddle system with its condition number; each caller
-    # makes one solve with it, so nothing is factored ahead of time.
-    Ml, Mq, F = _normalized_mfn_system(sample_set)
-    cond = float(np.linalg.cond(F))
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise NotPoisedError(
-            f"saddle system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
-            condition=cond,
-        )
-    return Ml, Mq, F, cond
+    kind = PoisednessKind.LINEAR if degree == 1 else PoisednessKind.QUADRATIC
+    return _lagrange(sample_set, kind)
 
 
 def lagrange_mfn(sample_set: SampleSet):
@@ -287,48 +301,23 @@ def lagrange_mfn(sample_set: SampleSet):
 
     Each l_j minimizes the Euclidean norm of its second-order coefficients
     subject to l_j(y^i) = delta_ij.  All p+1 polynomials come from a single
-    factorization of the saddle system.
+    solve of the saddle system.
     """
-    _check_mfn_shape(sample_set)
-    n, p = sample_set.n, sample_set.p
-    Ml, Mq, F, _ = _checked_mfn_system(sample_set)
-    rhs = np.vstack([np.eye(p + 1), np.zeros((n + 1, p + 1))])
-    sol = np.linalg.solve(F, rhs)
-    mult = sol[: p + 1]
-    alpha_lin = sol[p + 1 :]
-    alpha_quad = Mq.T @ mult
-    polys = []
-    for j in range(p + 1):
-        coeffs = np.concatenate([alpha_lin[:, j], alpha_quad[:, j]])
-        polys.append(_pullback(QuadraticPolynomial.from_coeffs(coeffs, n), sample_set))
-    return polys
+    return _lagrange(sample_set, PoisednessKind.MFN)
 
 
 def mfn_lambda_vector(sample_set: SampleSet, x) -> np.ndarray:
     """Weight vector of the minimum-norm interpolant at x.
 
-    Solves the equality-constrained least-squares problem whose solution
-    coincides with the vector of minimum-norm Lagrange values at x; its sup
-    norm over the ball is the poisedness constant.
+    The vector of minimum-norm Lagrange values at x; its sup norm over the
+    ball is the poisedness constant.
     """
-    _check_mfn_shape(sample_set)
-    p = sample_set.p
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (sample_set.n,):
         raise ValueError(f"x must have shape ({sample_set.n},), got {x.shape}")
-    Ml, Mq, F, _ = _checked_mfn_system(sample_set)
+    coeffs, _ = _interpolate(sample_set, PoisednessKind.MFN, np.eye(sample_set.p + 1))
     xh = (x - sample_set.y0) / sample_set.radius
-    phi_lin = natural_basis(BasisSelector(2, BasisPart.LINEAR_PART), xh)
-    phi_quad = natural_basis(BasisSelector(2, BasisPart.QUADRATIC_PART), xh)
-    rhs = np.concatenate([Mq @ phi_quad, phi_lin])
-    sol = np.linalg.solve(F, rhs)
-    return sol[: p + 1]
-
-
-class PoisednessKind(Enum):
-    LINEAR = "linear"
-    QUADRATIC = "quadratic"
-    MFN = "mfn"
+    return natural_basis(BasisSelector(2, BasisPart.FULL), xh) @ coeffs
 
 
 @dataclass(frozen=True)
@@ -359,6 +348,8 @@ class PoisednessCertificate:
 
 
 def _lagrange_for_kind(sample_set: SampleSet, kind: PoisednessKind):
+    # Through the public builders, looked up at call time, so a wrapper
+    # installed on either name sees every build.
     if kind is PoisednessKind.LINEAR:
         return lagrange_determined(sample_set, 1)
     if kind is PoisednessKind.QUADRATIC:
@@ -376,9 +367,14 @@ def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> Poisedness
     matrix's inverse (or pseudoinverse) norm and the cap implied by the
     measured constant.
     """
+    return _certify(sample_set, kind)[0]
+
+
+def _certify(sample_set: SampleSet, kind: PoisednessKind):
+    # The certificate together with the Lagrange basis it was measured on.
     polys = _lagrange_for_kind(sample_set, kind)
     values, _ = max_abs_on_ball(polys, sample_set.y0, sample_set.radius)
-    return _certificate(sample_set, kind, values)
+    return _certificate(sample_set, kind, values), polys
 
 
 def _certificate(
@@ -441,14 +437,9 @@ def generate_poised_set(
     """
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
-    q = space_dim(2, n) - 1
-    if p == n:
-        kind = PoisednessKind.LINEAR
-    elif p == q:
-        kind = PoisednessKind.QUADRATIC
-    elif n < p < q:
-        kind = PoisednessKind.MFN
-    else:
+    kind = _kind_for_shape(n, p)
+    if kind is None:
+        q = space_dim(2, n) - 1
         raise ValueError(
             f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
         )

@@ -9,23 +9,16 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    COND_THRESHOLD,
-    NotPoisedError,
+    PoisednessKind,
     SampleSet,
-    _checked_mfn_system,
-    _pullback,
-    lagrange_determined,
-    lagrange_mfn,
-    normalized_points,
+    _interpolant,
+    _interpolate,
+    # Bound here so callers and tracers that look the Lagrange builders up
+    # in this module keep finding them.
+    lagrange_determined,  # noqa: F401
+    lagrange_mfn,  # noqa: F401
 )
-from .poly import (
-    BasisPart,
-    BasisSelector,
-    QuadraticPolynomial,
-    basis_matrix,
-    space_dim,
-    weighted_sum,
-)
+from .poly import QuadraticPolynomial
 
 __all__ = [
     "ModelKind",
@@ -42,6 +35,14 @@ class ModelKind(Enum):
     LIN_DET = "lin_det"
     QUAD_DET = "quad_det"
     MFN = "mfn"
+
+
+# The interpolation system each model kind solves.
+_POISEDNESS_KIND = {
+    ModelKind.LIN_DET: PoisednessKind.LINEAR,
+    ModelKind.QUAD_DET: PoisednessKind.QUADRATIC,
+    ModelKind.MFN: PoisednessKind.MFN,
+}
 
 
 class RelaxationError(ValueError):
@@ -97,17 +98,6 @@ def _check_values(sample_set: SampleSet, values) -> np.ndarray:
     return v
 
 
-def _check_shape(kind: ModelKind, sample_set: SampleSet) -> None:
-    n, p = sample_set.n, sample_set.p
-    q = space_dim(2, n) - 1
-    if kind is ModelKind.LIN_DET and p != n:
-        raise ValueError(f"LIN_DET needs p = n, got p={p}, n={n}")
-    if kind is ModelKind.QUAD_DET and p != q:
-        raise ValueError(f"QUAD_DET needs p = q = {q}, got p={p}")
-    if kind is ModelKind.MFN and not (n < p < q):
-        raise ValueError(f"MFN needs n < p < q, got n={n}, p={p}, q={q}")
-
-
 def interpolation_residual(
     model: QuadraticPolynomial, sample_set: SampleSet, values
 ) -> float:
@@ -117,61 +107,27 @@ def interpolation_residual(
     return float(np.max(np.abs(fitted - v)))
 
 
+def _fit(kind: ModelKind, sample_set: SampleSet, rhs, values) -> FitResult:
+    # The kind's interpolant of rhs, with its residual against values.
+    coeffs, cond = _interpolate(sample_set, _POISEDNESS_KIND[kind], rhs)
+    model = _interpolant(sample_set, coeffs)
+    return FitResult(
+        model=model,
+        residual=interpolation_residual(model, sample_set, values),
+        condition=cond,
+    )
+
+
 def fit_model(kind: ModelKind, sample_set: SampleSet, values) -> FitResult:
     """Interpolate the values exactly with the requested model kind.
 
     Determined kinds solve the square basis system; MFN minimizes the
     Euclidean norm of the second-order coefficients subject to the
-    interpolation conditions, through one factorization of the saddle
-    system.  All solves run on the shifted/scaled set.
+    interpolation conditions, through one solve of the saddle system.  All
+    solves run on the shifted/scaled set.
     """
-    _check_shape(kind, sample_set)
     v = _check_values(sample_set, values)
-    n = sample_set.n
-    Yh = normalized_points(sample_set)
-
-    if kind in (ModelKind.LIN_DET, ModelKind.QUAD_DET):
-        degree = 1 if kind is ModelKind.LIN_DET else 2
-        M = basis_matrix(BasisSelector(degree, BasisPart.FULL), Yh)
-        cond = float(np.linalg.cond(M))
-        if not np.isfinite(cond) or cond > COND_THRESHOLD:
-            raise NotPoisedError(
-                f"interpolation system condition {cond:.3e} exceeds "
-                f"{COND_THRESHOLD:.1e}",
-                condition=cond,
-            )
-        alpha = np.linalg.solve(M, v)
-        if kind is ModelKind.LIN_DET:
-            model_hat = QuadraticPolynomial(
-                n, float(alpha[0]), alpha[1:].copy(), np.zeros((n, n))
-            )
-        else:
-            model_hat = QuadraticPolynomial.from_coeffs(alpha, n)
-    else:
-        Ml, Mq, F, cond = _checked_mfn_system(sample_set)
-        rhs = np.concatenate([v, np.zeros(n + 1)])
-        sol = np.linalg.solve(F, rhs)
-        mult = sol[: sample_set.p + 1]
-        alpha_lin = sol[sample_set.p + 1 :]
-        alpha_quad = Mq.T @ mult
-        model_hat = QuadraticPolynomial.from_coeffs(
-            np.concatenate([alpha_lin, alpha_quad]), n
-        )
-
-    model = _pullback(model_hat, sample_set)
-    return FitResult(
-        model=model,
-        residual=interpolation_residual(model, sample_set, v),
-        condition=cond,
-    )
-
-
-def _lagrange_basis(kind: ModelKind, sample_set: SampleSet):
-    if kind is ModelKind.LIN_DET:
-        return lagrange_determined(sample_set, 1)
-    if kind is ModelKind.QUAD_DET:
-        return lagrange_determined(sample_set, 2)
-    return lagrange_mfn(sample_set)
+    return _fit(kind, sample_set, v, v)
 
 
 def fit_relaxed(
@@ -179,13 +135,13 @@ def fit_relaxed(
 ) -> FitResult:
     """Fit a model interpolating relaxed values gamma.
 
-    The model is the Lagrange expansion sum_j gamma_j l_j.  Explicit gamma
-    values are validated against the envelope; otherwise gamma is drawn
-    uniformly from [values_j - kappa delta^2, values_j + kappa delta^2]
-    seeded by ``spec.noise_seed``.  The residual is measured against the
-    original values, so it is at most kappa delta^2 up to roundoff.
+    The model is the kind's interpolant of gamma, the Lagrange expansion
+    sum_j gamma_j l_j.  Explicit gamma values are validated against the
+    envelope; otherwise gamma is drawn uniformly from
+    [values_j - kappa delta^2, values_j + kappa delta^2] seeded by
+    ``spec.noise_seed``.  The residual is measured against the original
+    values, so it is at most kappa delta^2 up to roundoff.
     """
-    _check_shape(kind, sample_set)
     v = _check_values(sample_set, values)
     envelope = spec.kappa * sample_set.radius**2
 
@@ -207,23 +163,4 @@ def fit_relaxed(
         rng = np.random.default_rng(spec.noise_seed)
         gamma = v + rng.uniform(-envelope, envelope, size=v.shape)
 
-    basis = _lagrange_basis(kind, sample_set)
-    cond = _system_condition(kind, sample_set)
-    model = weighted_sum(basis, gamma)
-    return FitResult(
-        model=model,
-        residual=interpolation_residual(model, sample_set, v),
-        condition=cond,
-    )
-
-
-def _system_condition(kind: ModelKind, sample_set: SampleSet) -> float:
-    Yh = normalized_points(sample_set)
-    if kind is ModelKind.LIN_DET:
-        M = basis_matrix(BasisSelector(1, BasisPart.FULL), Yh)
-    elif kind is ModelKind.QUAD_DET:
-        M = basis_matrix(BasisSelector(2, BasisPart.FULL), Yh)
-    else:
-        _, _, _, cond = _checked_mfn_system(sample_set)
-        return cond
-    return float(np.linalg.cond(M))
+    return _fit(kind, sample_set, gamma, v)

@@ -30,9 +30,16 @@ from .geometry import (
     generate_poised_set,
     lambda_poisedness,
     normalized_points,
-    _lagrange_for_kind,
+    _certify,
 )
-from .models import FitResult, ModelKind, RelaxationSpec, fit_model, fit_relaxed
+from .models import (
+    _POISEDNESS_KIND,
+    FitResult,
+    ModelKind,
+    RelaxationSpec,
+    fit_model,
+    fit_relaxed,
+)
 from .poly import (
     BasisPart,
     BasisSelector,
@@ -208,31 +215,30 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     dim_quad = space_dim(2, n)
-    worst_quad = np.inf
-    worst_lin = np.inf
-    worst_unit = np.inf
-    origin = np.zeros(n)
+    quad, lin, unit = [], [], []
     for _ in range(count):
         u = rng.uniform(-1.0, 1.0, size=dim_quad)
         scale = np.max(np.abs(u))
         if scale == 0.0:
             continue
-        v = u / scale
-        poly = QuadraticPolynomial.from_coeffs(v, n)
-        worst_quad = min(worst_quad, max_abs_on_ball(poly, origin, 1.0)[0])
+        quad.append(QuadraticPolynomial.from_coeffs(u / scale, n))
 
         u = rng.uniform(-1.0, 1.0, size=n + 1)
         scale = np.max(np.abs(u))
         if scale == 0.0:
             continue
         v = u / scale
-        poly = QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n)))
-        worst_lin = min(worst_lin, max_abs_on_ball(poly, origin, 1.0)[0])
+        lin.append(QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n))))
 
         u = rng.standard_normal(n + 1)
         v = u / np.linalg.norm(u)
-        poly = QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n)))
-        worst_unit = min(worst_unit, max_abs_on_ball(poly, origin, 1.0)[0])
+        unit.append(QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n))))
+    origin = np.zeros(n)
+    # One batched ball solve per family.
+    worst_quad, worst_lin, worst_unit = (
+        np.min(max_abs_on_ball(family, origin, 1.0)[0]) if family else np.inf
+        for family in (quad, lin, unit)
+    )
     return [
         _ge("quadratic_basis_floor", worst_quad, 0.25),
         _ge("linear_basis_floor", worst_lin, 1.0),
@@ -252,7 +258,7 @@ def check_theory(
     Raises NotPoisedError for degenerate sets (no inequalities are emitted
     in that case).
     """
-    cert = lambda_poisedness(sample_set, kind)
+    cert, polys = _certify(sample_set, kind)
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
     delta = sample_set.radius
@@ -267,7 +273,7 @@ def check_theory(
         dm = delta if delta_max is None else float(delta_max)
         c = c_delta_max(dm)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
-        for j, l in enumerate(_lagrange_for_kind(sample_set, kind)):
+        for j, l in enumerate(polys):
             checks.append(
                 _le(
                     f"lagrange_hessian_norm_{j}",
@@ -428,13 +434,6 @@ def _margin(emp: float, cap: float) -> float:
     return 0.0 if emp <= 1e-12 else np.inf
 
 
-_KIND_TO_POISED = {
-    ModelKind.LIN_DET: PoisednessKind.LINEAR,
-    ModelKind.QUAD_DET: PoisednessKind.QUADRATIC,
-    ModelKind.MFN: PoisednessKind.MFN,
-}
-
-
 def run_trial(config: TrialConfig) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held."""
     fn = resolve_function(config.function, config.n)
@@ -451,7 +450,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
     # The generator certified the set for the kind it inferred from (n, p);
     # reuse that certificate when it is the kind the model needs.
-    kind = _KIND_TO_POISED[config.kind]
+    kind = _POISEDNESS_KIND[config.kind]
     cert = sample_set.certificate
     if cert.kind is not kind:
         cert = lambda_poisedness(sample_set, kind)

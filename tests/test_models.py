@@ -14,6 +14,9 @@ from dfobounds import (
     fit_relaxed,
     generate_poised_set,
     interpolation_residual,
+    lagrange_determined,
+    lagrange_mfn,
+    rosenbrock_function,
     space_dim,
 )
 
@@ -164,6 +167,24 @@ class TestRelaxedFits:
         relaxed = fit_relaxed(ModelKind.MFN, ss, values, RelaxationSpec(0.0))
         assert np.allclose(relaxed.model.coeffs(), exact.model.coeffs(), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "kind,p", [(ModelKind.LIN_DET, 2), (ModelKind.QUAD_DET, 5), (ModelKind.MFN, 4)]
+    )
+    def test_gamma_interpolated_to_roundoff(self, kind, p):
+        # Small sets far from the origin with large values: the interpolant
+        # of gamma must reproduce gamma to roundoff relative to its size.
+        f = rosenbrock_function().f
+        kappa = 0.01
+        for seed in range(5):
+            ss = generate_poised_set(2, p, 0.02, 100.0, seed=seed, center=[1.0, -1.0])
+            values = f(ss.points)
+            envelope = kappa * ss.radius**2
+            gamma = values + envelope * np.linspace(-1.0, 1.0, p + 1)
+            spec = RelaxationSpec(kappa=kappa, gamma=gamma)
+            fit = fit_relaxed(kind, ss, values, spec)
+            residual = interpolation_residual(fit.model, ss, gamma)
+            assert residual <= 1e-12 * np.max(np.abs(gamma))
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             RelaxationSpec(kappa=-0.1)
@@ -182,3 +203,27 @@ def test_lin_det_recovery_property(seed):
     )
     fit = fit_model(ModelKind.LIN_DET, ss, f.eval_batch(ss.points))
     assert np.max(np.abs(fit.model.coeffs() - f.coeffs())) <= 1e-8 * coeff_scale(f)
+
+
+def _relaxed(kind):
+    return lambda ss, v: fit_relaxed(kind, ss, v, RelaxationSpec(0.1, noise_seed=0))
+
+
+@pytest.mark.parametrize(
+    "p,call,rule",
+    [
+        (4, lambda ss, v: fit_model(ModelKind.LIN_DET, ss, v), "p = n"),
+        (4, lambda ss, v: fit_model(ModelKind.QUAD_DET, ss, v), "p = q = 5"),
+        (2, lambda ss, v: fit_model(ModelKind.MFN, ss, v), "n < p < q"),
+        (4, _relaxed(ModelKind.LIN_DET), "p = n"),
+        (2, _relaxed(ModelKind.QUAD_DET), "p = q = 5"),
+        (5, _relaxed(ModelKind.MFN), "n < p < q"),
+        (4, lambda ss, v: lagrange_determined(ss, 1), "p = n"),
+        (4, lambda ss, v: lagrange_determined(ss, 2), "p = q = 5"),
+        (2, lambda ss, v: lagrange_mfn(ss), "n < p < q"),
+    ],
+)
+def test_wrong_shape_names_rule(p, call, rule):
+    ss = generate_poised_set(2, p, 0.5, 20.0, seed=4)
+    with pytest.raises(ValueError, match=rule):
+        call(ss, np.zeros(p + 1))

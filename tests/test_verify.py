@@ -153,6 +153,23 @@ class TestCheckTheory:
         assert {"quadratic_basis_floor", "linear_basis_floor", "unit_coeff_floor"} <= names
         assert all(c.passed for c in checks)
 
+    def test_mfn_basis_built_once(self, monkeypatch):
+        # The certificate and the Lagrange Hessian checks share one basis.
+        import dfobounds.geometry as geometry_module
+
+        ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7)
+        calls = []
+        original = geometry_module.lagrange_mfn
+
+        def counting(sample_set):
+            calls.append(sample_set)
+            return original(sample_set)
+
+        monkeypatch.setattr(geometry_module, "lagrange_mfn", counting)
+        checks = check_theory(ss, PoisednessKind.MFN, floor_samples=10)
+        assert len(calls) == 1
+        assert any(c.name.startswith("lagrange_hessian_norm_") for c in checks)
+
     def test_quadratic_kind(self):
         ss = generate_poised_set(2, 5, 0.5, 30.0, seed=3)
         checks = check_theory(ss, PoisednessKind.QUADRATIC, floor_samples=20)
