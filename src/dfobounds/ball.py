@@ -23,7 +23,7 @@ Where the completed step certifies it replaces the plain Newton step.
 
 Each item keeps the best of its interior, boundary and completed candidates
 that passes the certificate: mu >= max(0, -lambda_min), complementarity
-mu (r - ||z||) = 0 and stationarity, each to ``tol`` after scaling by the
+mu (r - ||z||) = 0 and stationarity, each to 1e-10 after scaling by the
 item's coefficient magnitude.  An item with no certified candidate raises.
 
 ``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial or a
@@ -55,6 +55,7 @@ GRID_BUDGET = 10_000_000
 GRID_MAX_DIM = 4
 _CHUNK_POINTS = 1_000_000
 _NEWTON_ITERS = 100
+_TOL = 1e-10  # cap on each scaled certificate residual
 _EPS = np.finfo(float).eps
 
 
@@ -81,8 +82,7 @@ class BallSolution:
     Row i of ``z`` (shape (k, n)) minimizes g_i.z + z^T H_i z / 2 over
     ||z|| <= radius, with multiplier ``mu[i]``.  ``complementarity`` is
     |mu (radius - ||z||)| and ``stationarity`` is ||(H + mu I) z + g||,
-    both divided by ||g|| + ||H|| radius; each is at most the solver's
-    ``tol``.
+    both divided by ||g|| + ||H|| radius; each is at most 1e-10.
     """
 
     z: np.ndarray
@@ -100,7 +100,7 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
+def extremize_batch(G, H, radius: float) -> BallSolution:
     """Certified global minimizers of g_i.z + z^T H_i z / 2 over ||z|| <= radius.
 
     Parameters
@@ -111,8 +111,6 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         Symmetric Hessians.
     radius : float
         Positive ball radius.
-    tol : float
-        Cap on each scaled certificate residual.
 
     Raises RuntimeError when some item has no candidate that certifies.
     Candidates whose values tie to 1e-14 relative (to the larger of the
@@ -197,7 +195,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         # minimizer, or past the root at the pole) the interior or completed
         # candidate covers the item; a step short of the sphere is not
         # offered as a boundary one.
-        reached = np.linalg.norm(t, axis=1) >= r * (1.0 - tol)
+        reached = np.linalg.norm(t, axis=1) >= r * (1.0 - _TOL)
     mu_bnd = mu
     z_bnd = -t
 
@@ -236,7 +234,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
     complementarity = np.abs(MU * (r - norms)) / scale[:, None]
     dual = (mu_lo[:, None] - MU) * r / scale[:, None]
     residual = np.maximum(np.maximum(stationarity, complementarity), dual)
-    certified = ok & (residual <= tol)
+    certified = ok & (residual <= _TOL)
     # The completed and the plain boundary step approximate the same point:
     # near the pole the completed one is accurate, far from it the plain
     # one.  Where both certify, the smaller residual stays.
@@ -250,7 +248,7 @@ def extremize_batch(G, H, radius: float, tol: float = 1e-10) -> BallSolution:
         worst = np.where(ok[i], residual[i], np.inf)
         raise RuntimeError(
             f"no candidate certifies for item {i}: smallest residual "
-            f"{float(np.min(worst)):.3e} exceeds tol {tol:.3e}"
+            f"{float(np.min(worst)):.3e} exceeds tol {_TOL:.3e}"
         )
 
     value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
@@ -307,7 +305,7 @@ def _pick_abs(vmax, argmax, vmin, argmin):
     return np.where(take_min, amin, amax), np.where(take_min[:, None], argmin, argmax)
 
 
-def extremize_on_ball(m, center, radius: float, tol: float = 1e-10) -> BallExtremum:
+def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     """Global max and min of ``m`` over the closed ball B(center, radius).
 
     Parameters
@@ -319,8 +317,6 @@ def extremize_on_ball(m, center, radius: float, tol: float = 1e-10) -> BallExtre
     center : array_like, shape (n,)
     radius : float
         Positive ball radius.
-    tol : float
-        Cap on each scaled certificate residual; an uncertified solve raises.
 
     Returns
     -------
@@ -332,7 +328,7 @@ def extremize_on_ball(m, center, radius: float, tol: float = 1e-10) -> BallExtre
     single = isinstance(m, QuadraticPolynomial)
     center, c, g, H, g0 = _stack([m] if single else m, center)
     k = len(c)
-    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, tol)
+    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (
@@ -344,7 +340,7 @@ def extremize_on_ball(m, center, radius: float, tol: float = 1e-10) -> BallExtre
     return BallExtremum(values[k:], X[k:], values[:k], X[:k], residual)
 
 
-def max_abs_on_ball(m, center, radius: float, tol: float = 1e-10):
+def max_abs_on_ball(m, center, radius: float):
     """Maximum of |m| over the ball; returns (value, argument).
 
     For a sequence of k polynomials, one batched solve returns arrays of
@@ -352,7 +348,7 @@ def max_abs_on_ball(m, center, radius: float, tol: float = 1e-10):
     relative) are broken toward the lexicographically smaller argument.
     """
     single = isinstance(m, QuadraticPolynomial)
-    ext = extremize_on_ball([m] if single else m, center, radius, tol=tol)
+    ext = extremize_on_ball([m] if single else m, center, radius)
     values, args = _pick_abs(ext.max_value, ext.argmax, ext.min_value, ext.argmin)
     if single:
         return float(values[0]), args[0]

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 COND_THRESHOLD = 1e12
+_MAX_ITERS = 200  # improvement steps generate_poised_set takes before it gives up
 
 
 class NotPoisedError(Exception):
@@ -195,7 +196,7 @@ def mfn_system_matrix(sample_set: SampleSet) -> np.ndarray:
     return _saddle_system(sample_set.points)[1]
 
 
-def mfn_poised(sample_set: SampleSet, cond_threshold: float = COND_THRESHOLD) -> bool:
+def mfn_poised(sample_set: SampleSet) -> bool:
     """Whether the minimum-norm interpolation system is usable.
 
     Checked on the shifted/scaled copy of the set so the verdict does not
@@ -205,13 +206,21 @@ def mfn_poised(sample_set: SampleSet, cond_threshold: float = COND_THRESHOLD) ->
         return False
     _, F = _saddle_system(normalized_points(sample_set))
     cond = float(np.linalg.cond(F))
-    return bool(np.isfinite(cond) and cond <= cond_threshold)
+    return bool(np.isfinite(cond) and cond <= COND_THRESHOLD)
 
 
 class PoisednessKind(Enum):
     LINEAR = "linear"
     QUADRATIC = "quadratic"
     MFN = "mfn"
+
+
+# The scaled design matrix whose inverse (or pseudoinverse) norm each kind caps.
+_SCALED_MATRIX = {
+    PoisednessKind.LINEAR: MatrixKind.LIN_SCALED,
+    PoisednessKind.QUADRATIC: MatrixKind.QUAD_SCALED,
+    PoisednessKind.MFN: MatrixKind.UNDER_SCALED,
+}
 
 
 def _kind_for_shape(n: int, p: int) -> Optional[PoisednessKind]:
@@ -386,12 +395,8 @@ def _certificate(
 
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
-    if kind is PoisednessKind.LINEAR:
-        sv = np.linalg.svd(design_matrix(MatrixKind.LIN_SCALED, sample_set), compute_uv=False)
-    elif kind is PoisednessKind.QUADRATIC:
-        sv = np.linalg.svd(design_matrix(MatrixKind.QUAD_SCALED, sample_set), compute_uv=False)
-    else:
-        sv = np.linalg.svd(design_matrix(MatrixKind.UNDER_SCALED, sample_set), compute_uv=False)
+    M = design_matrix(_SCALED_MATRIX[kind], sample_set)
+    sv = np.linalg.svd(M, compute_uv=False)
     smin = float(sv[-1])
     matrix_norm = np.inf if smin == 0.0 else 1.0 / smin
     norm_bound = constants_from_lambda(kind, lam, n=n, p=p, q=q)
@@ -420,7 +425,6 @@ def generate_poised_set(
     lambda_max: float,
     seed: int,
     center=None,
-    max_iters: int = 200,
 ) -> SampleSet:
     """Draw a sample set in the ball and improve it until it certifies.
 
@@ -453,7 +457,7 @@ def generate_poised_set(
     rng = np.random.default_rng(seed)
     points = np.vstack([center, center + delta * _unit_ball_points(rng, p, n)])
     best = np.inf
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         try:
             sample_set = SampleSet(points, delta)
             polys = _lagrange_for_kind(sample_set, kind)
@@ -474,6 +478,6 @@ def generate_poised_set(
         points = points.copy()
         points[j] = args[j]
     raise RuntimeError(
-        f"could not reach lambda <= {lambda_max} in {max_iters} iterations; "
+        f"could not reach lambda <= {lambda_max} in {_MAX_ITERS} iterations; "
         f"best found {best:.6g}"
     )

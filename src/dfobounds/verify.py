@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -88,13 +88,13 @@ class TestFunction:
     quadratic: Optional[QuadraticPolynomial] = None
 
 
-def quadratic_function(A, b, box_halfwidth: float = 10.0) -> TestFunction:
-    """x -> x^T A x / 2 + b . x with the exact constant L = ||A||."""
+def quadratic_function(A, b) -> TestFunction:
+    """x -> x^T A x / 2 + b . x on [-10, 10]^n with the exact constant L = ||A||."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
     poly = QuadraticPolynomial(n, 0.0, b, A)
-    box = np.column_stack([np.full(n, -box_halfwidth), np.full(n, box_halfwidth)])
+    box = np.column_stack([np.full(n, -10.0), np.full(n, 10.0)])
     return TestFunction(
         name="quadratic",
         dim=n,
@@ -246,6 +246,14 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     ]
 
 
+# The name of the inverse (or pseudoinverse) norm check of each kind.
+_NORM_CHECK = {
+    PoisednessKind.LINEAR: "linear_inverse_norm",
+    PoisednessKind.QUADRATIC: "quadratic_inverse_norm",
+    PoisednessKind.MFN: "pseudoinverse_norm",
+}
+
+
 def check_theory(
     sample_set: SampleSet,
     kind: PoisednessKind,
@@ -262,14 +270,9 @@ def check_theory(
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
     delta = sample_set.radius
-    checks = []
+    checks = [_le(_NORM_CHECK[kind], cert.matrix_norm, cert.norm_bound)]
 
-    if kind is PoisednessKind.LINEAR:
-        checks.append(_le("linear_inverse_norm", cert.matrix_norm, cert.norm_bound))
-    elif kind is PoisednessKind.QUADRATIC:
-        checks.append(_le("quadratic_inverse_norm", cert.matrix_norm, cert.norm_bound))
-    else:
-        checks.append(_le("pseudoinverse_norm", cert.matrix_norm, cert.norm_bound))
+    if kind is PoisednessKind.MFN:
         dm = delta if delta_max is None else float(delta_max)
         c = c_delta_max(dm)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
@@ -438,7 +441,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held."""
     fn = resolve_function(config.function, config.n)
     delta = float(config.delta)
-    delta_max = delta if config.delta_max is None else float(config.delta_max)
     center = _trial_center(fn, delta, config.seed)
     sample_set = generate_poised_set(
         config.n,
@@ -466,16 +468,14 @@ def run_trial(config: TrialConfig) -> TrialResult:
         fit = fit_model(config.kind, sample_set, values)
     model = fit.model
 
-    q = space_dim(2, config.n) - 1
     inputs = BoundInputs(
         L=fn.lipschitz_L,
         kappa=config.kappa,
         lam=cert.lam,
         n=config.n,
         p=config.p,
-        q=q,
         delta=delta,
-        delta_max=delta_max,
+        delta_max=config.delta_max,
     )
     report = error_bounds(BoundKind[config.kind.name], inputs)
 
@@ -534,18 +534,8 @@ CSV_COLUMNS = [
     "pass",
 ]
 
-_CONFIG_FIELDS = [
-    "function",
-    "kind",
-    "n",
-    "p",
-    "delta",
-    "delta_max",
-    "kappa",
-    "lambda_max",
-    "seed",
-    "sample_count",
-]
+# The result columns, in TrialResult's field order.
+_RESULT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("lambda") :]
 
 
 def expand_config(config: dict):
@@ -554,11 +544,12 @@ def expand_config(config: dict):
     Keys mirror TrialConfig fields; a list value sweeps that field and the
     expansion is the cross product, ordered by field declaration order.
     """
-    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    names = [f.name for f in fields(TrialConfig)]
+    unknown = sorted(set(config) - set(names))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     axes = []
-    for name in _CONFIG_FIELDS:
+    for name in names:
         if name in config:
             value = config[name]
             options = list(value) if isinstance(value, (list, tuple)) else [value]
@@ -597,40 +588,8 @@ def _config_columns(trial_id: int, config: TrialConfig) -> dict:
 
 def _result_columns(result: Optional[TrialResult]) -> dict:
     if result is None:
-        return {
-            "lambda": "",
-            "C_f": "",
-            "C_g": "",
-            "C_H": "",
-            "emp_f": "",
-            "emp_g": "",
-            "emp_H": "",
-            "margin_f": "",
-            "margin_g": "",
-            "margin_H": "",
-            "pass": False,
-        }
-    return {
-        "lambda": result.lam,
-        "C_f": result.C_f,
-        "C_g": result.C_g,
-        "C_H": result.C_H,
-        "emp_f": result.emp_f,
-        "emp_g": result.emp_g,
-        "emp_H": result.emp_H,
-        "margin_f": result.margin_f,
-        "margin_g": result.margin_g,
-        "margin_H": result.margin_H,
-        "pass": result.passed,
-    }
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, float):
-        return str(value)
-    return str(value)
+        return {**dict.fromkeys(_RESULT_COLUMNS, ""), "pass": False}
+    return dict(zip(_RESULT_COLUMNS, astuple(result)))
 
 
 def _quantiles(values) -> dict:
@@ -714,4 +673,4 @@ def write_campaign_csv(report: CampaignReport, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            writer.writerow([_format_cell(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([str(row[col]) for col in CSV_COLUMNS])
