@@ -226,13 +226,9 @@ def _cmd_oracle(args) -> int:
         center = np.zeros(model.dim)
     else:
         try:
-            center = np.asarray(
-                [float(part) for part in args.center.split(",")], dtype=float
-            )
-        except ValueError:
-            raise ValueError(
-                f"--center must be comma-separated numbers, got {args.center!r}"
-            ) from None
+            center = np.asarray([_finite_float(part) for part in args.center.split(",")])
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"argument --center: {exc}") from None
     value, argmax = grid_oracle(model, center, args.radius, args.resolution)
     _emit(
         {

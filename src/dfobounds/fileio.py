@@ -143,13 +143,17 @@ def model_from_dict(payload: dict) -> QuadraticPolynomial:
         if key not in payload:
             raise ValueError(f'model JSON is missing key "{key}"')
     n = int(payload["n"])
+    c = float(payload["c"])
     g = np.asarray(payload["g"], dtype=float)
     H = np.asarray(payload["H"], dtype=float)
     if g.shape != (n,):
         raise ValueError(f"model gradient has shape {g.shape}, expected ({n},)")
     if H.shape != (n, n):
         raise ValueError(f"model Hessian has shape {H.shape}, expected ({n}, {n})")
-    return QuadraticPolynomial(n, float(payload["c"]), g, H)
+    for key, value in (("c", c), ("g", g), ("H", H)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f'model JSON key "{key}" must be finite')
+    return QuadraticPolynomial(n, c, g, H)
 
 
 def read_model(path) -> QuadraticPolynomial:

@@ -11,6 +11,7 @@ for the same config.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import numbers
@@ -323,26 +324,39 @@ class TrialConfig:
     sample_count: int = 1000
 
     def __post_init__(self) -> None:
-        if isinstance(self.kind, str):
+        if not isinstance(self.kind, ModelKind):
             try:
-                object.__setattr__(self, "kind", ModelKind[self.kind.upper()])
+                object.__setattr__(self, "kind", ModelKind[str(self.kind).upper()])
             except KeyError:
                 raise ValueError(f"unknown model kind {self.kind!r}") from None
-        for name in ("delta", "kappa", "lambda_max"):
+        # bool passes as Integral and Real, so it is rejected explicitly.
+        for name, least in (("n", 1), ("p", 1), ("sample_count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name in ("delta", "delta_max", "kappa", "lambda_max"):
+            value = getattr(self, name)
+            if name == "delta_max" and value is None:
+                continue
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not np.isfinite(value)
+            ):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.delta <= 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        # The same rule BoundInputs applies to the radius cap.
+        if self.delta_max is not None and self.delta > self.delta_max * (1.0 + 1e-12):
+            raise ValueError(
+                f"delta_max must be at least delta {self.delta}, got {self.delta_max}"
+            )
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if self.lambda_max <= 1.0:
             raise ValueError(f"lambda_max must exceed 1, got {self.lambda_max}")
-        for name in ("n", "p"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -390,13 +404,15 @@ def _first_primes(count: int) -> np.ndarray:
         limit *= 2
 
 
+@functools.lru_cache(maxsize=8)
 def _halton_points(d: int, count: int) -> np.ndarray:
     """The first ``count`` points of the unscrambled Halton sequence in [0, 1)^d.
 
     Coordinate k is the radical inverse of the point index 0, 1, 2, ... in
     the k-th prime base (Halton, Numer. Math. 2, 1960); digits are summed
     lowest first, so the points equal SciPy's ``qmc.Halton(d,
-    scramble=False).random(count)`` bit for bit.
+    scramble=False).random(count)`` bit for bit.  The block is built once
+    per (d, count) and returned read-only, since every caller shares it.
     """
     out = np.zeros((count, d))
     for k, base in enumerate(_first_primes(d)):
@@ -406,6 +422,7 @@ def _halton_points(d: int, count: int) -> np.ndarray:
             out[:, k] += (index % base) * scale
             scale /= base
             index //= base
+    out.setflags(write=False)
     return out
 
 

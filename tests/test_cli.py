@@ -177,6 +177,34 @@ class TestOracle:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("center", ["nan,0", "0,inf"])
+    def test_non_finite_center_exits_1(self, capsys, tmp_path, center):
+        poly = tmp_path / "m.json"
+        poly.write_text(json.dumps(
+            {"n": 2, "c": 0.0, "g": [1.0, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}
+        ))
+        code = main(
+            ["oracle", "--poly", str(poly), f"--center={center}", "--radius", "1",
+             "--resolution", "0.01"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "argument --center: must be a finite number" in captured.err
+
+    def test_non_finite_model_exits_1(self, capsys, tmp_path):
+        poly = tmp_path / "m.json"
+        poly.write_text(
+            '{"n": 2, "c": 0.0, "g": [NaN, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}'
+        )
+        code = main(
+            ["oracle", "--poly", str(poly), "--radius", "1", "--resolution", "0.01"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert '"g"' in captured.err
+
 
 class TestVerify:
     def test_three_trial_campaign(self, capsys, tmp_path):
@@ -219,6 +247,20 @@ class TestVerify:
              "--json", str(tmp_path / "o.json"), "--quiet"]
         )
         assert code == 1
+
+    def test_string_field_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"function": "quartic", "kind": "lin_det", "n": "2", "p": 2, "delta": 0.1}
+        ))
+        code = main(
+            ["verify", "--config", str(cfg), "--csv", str(tmp_path / "o.csv"),
+             "--json", str(tmp_path / "o.json"), "--quiet"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "n must be an integer" in captured.err
 
     def test_failing_trial_exits_2(self, capsys, tmp_path):
         # radius larger than the quartic domain can host

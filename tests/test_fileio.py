@@ -95,6 +95,17 @@ def test_model_shape_validation():
         model_from_dict({"n": 2, "c": 0.0, "g": [1.0, 0.0]})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("c", float("nan")), ("g", [0.0, float("inf")]), ("H", [[0.0, 0.0], [float("nan"), 0.0]])],
+)
+def test_model_rejects_non_finite(key, value):
+    payload = {"n": 2, "c": 0.0, "g": [1.0, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}
+    payload[key] = value
+    with pytest.raises(ValueError, match=f'"{key}"'):
+        model_from_dict(payload)
+
+
 def test_gamma_and_config(tmp_path):
     gpath = tmp_path / "gamma.json"
     gpath.write_text("[1.0, 2.0, 3.0]")

@@ -128,6 +128,13 @@ class TestHalton:
                 expected = qmc.Halton(d=d, scramble=False).random(count)
                 assert np.array_equal(_halton_points(d, count), expected), (d, count)
 
+    def test_block_cached_read_only(self):
+        first = _halton_points(3, 50)
+        assert _halton_points(3, 50) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+        assert first[0, 0] == 0.0
+
 
 class TestCheckTheory:
     def test_simplex_linear(self, simplex_set):
@@ -267,6 +274,21 @@ class TestTrials:
             ("lambda_max", float("inf")),
             ("lambda_max", 1.0),
             ("lambda_max", -3.0),
+            ("n", "2"),
+            ("n", 2.5),
+            ("n", True),
+            ("p", 4.0),
+            ("sample_count", "x"),
+            ("sample_count", 0),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("delta", True),
+            ("kappa", False),
+            ("lambda_max", "5"),
+            ("delta_max", float("nan")),
+            ("delta_max", float("inf")),
+            ("delta_max", 0.05),
+            ("delta_max", True),
         ],
     )
     def test_config_rejects_bad_field(self, field, value):
@@ -369,6 +391,39 @@ class TestCampaign:
         quantiles = summary["per_kind"]["LIN_DET"]
         assert quantiles["margin_f"] == {"q50": None, "q90": None, "max": None}
         assert quantiles["margin_g"]["max"] == 0.5
+
+    def test_row_maps_every_result_field(self, monkeypatch):
+        # Every field gets a distinct value, so a column wired to the wrong
+        # field shows up.
+        values = {
+            "lam": 1.5, "C_f": 2.5, "C_g": 3.5, "C_H": 4.5, "emp_f": 5.5,
+            "emp_g": 6.5, "emp_H": 7.5, "margin_f": 8.5, "margin_g": 9.5,
+            "margin_H": 10.5, "passed": True,
+        }
+        columns = {
+            "lambda": "lam", "C_f": "C_f", "C_g": "C_g", "C_H": "C_H",
+            "emp_f": "emp_f", "emp_g": "emp_g", "emp_H": "emp_H",
+            "margin_f": "margin_f", "margin_g": "margin_g",
+            "margin_H": "margin_H", "pass": "passed",
+        }
+        assert CSV_COLUMNS[-len(columns):] == list(columns)
+        trials = expand_config(
+            {"function": "quartic", "kind": "lin_det", "n": 2, "p": 2,
+             "delta": [0.1, 0.2]}
+        )
+
+        def fake_trial(config):
+            if config.delta == 0.2:
+                raise ValueError("this trial fails")
+            return TrialResult(**values)
+
+        monkeypatch.setattr(verify_module, "run_trial", fake_trial)
+        passed_row, failed_row = run_campaign(trials).rows
+        for column, name in columns.items():
+            assert passed_row[column] == values[name], column
+        assert failed_row["pass"] is False
+        for column in list(columns)[:-1]:
+            assert failed_row[column] == "", column
 
     def test_progress_callback(self):
         seen = []
