@@ -26,9 +26,10 @@ that passes the certificate: mu >= max(0, -lambda_min), complementarity
 mu (r - ||z||) = 0 and stationarity, each to 1e-10 after scaling by the
 item's coefficient magnitude.  An item with no certified candidate raises.
 
-``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial or a
-sequence of polynomials on one ball; a sequence, such as the Lagrange
-polynomials of a sample set, is one batched solve for both signs.
+``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial, or a
+stack on one ball: a sequence of polynomials or a (k, q+1) array of FULL
+degree-2 coefficients, such as the Lagrange basis of a sample set.  A stack
+is one batched solve for both signs, on one shared eigendecomposition.
 A brute-force lattice oracle is provided as an independent cross-check for
 low dimensions.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import QuadraticPolynomial
+from .poly import QuadraticPolynomial, _split_coeffs, space_dim
 
 __all__ = [
     "BallExtremum",
@@ -91,15 +92,6 @@ class BallSolution:
     stationarity: np.ndarray
 
 
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return False
-
-
 def extremize_batch(G, H, radius: float) -> BallSolution:
     """Certified global minimizers of g_i.z + z^T H_i z / 2 over ||z|| <= radius.
 
@@ -118,6 +110,12 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
     lexicographically smallest step.  Maximizers are the minimizers of
     (-G, -H).
     """
+    return _extremize(G, H, radius)
+
+
+def _extremize(G, H, radius: float, eig=None) -> BallSolution:
+    # extremize_batch, given the eigendecomposition (w, Q) of H with w
+    # ascending per item, or computing it when eig is None.
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
     if G.ndim != 2 or H.shape != G.shape + (G.shape[1],):
@@ -131,7 +129,8 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
         raise ValueError("gradients and Hessians must be finite")
     k = G.shape[0]
 
-    w, Q = np.linalg.eigh(H)  # ascending eigenvalues, eigenvectors in columns
+    # Ascending eigenvalues, eigenvectors in columns.
+    w, Q = np.linalg.eigh(H) if eig is None else eig
     gh = np.einsum("kji,kj->ki", Q, G)
     lam = w[:, 0]
     h_scale = np.max(np.abs(w), axis=1)
@@ -268,19 +267,31 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
 
 
 def _stack(polys, center):
-    """Coefficient stacks of the polynomials and their gradients at center."""
-    polys = list(polys)
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    n = polys[0].dim
-    if any(m.dim != n for m in polys):
-        raise ValueError("dimension mismatch among polynomials")
+    """Coefficients of a stack and its gradients at center.
+
+    ``polys`` is a sequence of QuadraticPolynomial or an array of shape
+    (k, q+1) whose rows are coefficients over the FULL degree-2 basis.
+    """
     center = np.asarray(center, dtype=float).ravel()
-    if center.shape != (n,):
-        raise ValueError(f"center must have shape ({n},), got {center.shape}")
-    c = np.array([m.constant for m in polys])
-    g = np.array([m.gradient for m in polys])
-    H = np.array([m.hessian for m in polys])
+    if isinstance(polys, np.ndarray):  # the center fixes n
+        if polys.ndim != 2 or polys.shape[1] != space_dim(2, center.size) or not len(polys):
+            raise ValueError(
+                f"need a (k, q+1) coefficient array, k >= 1, for a center in "
+                f"R^{center.size}, got shape {polys.shape}"
+            )
+        c, g, H = _split_coeffs(polys.astype(float, copy=False), center.size)
+    else:
+        polys = list(polys)
+        if not polys:
+            raise ValueError("need at least one polynomial")
+        n = polys[0].dim
+        if any(m.dim != n for m in polys):
+            raise ValueError("dimension mismatch among polynomials")
+        if center.shape != (n,):
+            raise ValueError(f"center must have shape ({n},), got {center.shape}")
+        c = np.array([m.constant for m in polys])
+        g = np.array([m.gradient for m in polys])
+        H = np.array([m.hessian for m in polys])
     if not (
         np.all(np.isfinite(c))
         and np.all(np.isfinite(g))
@@ -301,7 +312,7 @@ def _pick_abs(vmax, argmax, vmin, argmin):
     gap = 1e-12 * np.maximum(1.0, np.maximum(amax, amin))
     take_min = amin > amax + gap
     for i in np.flatnonzero((amax <= amin + gap) & (amin <= amax + gap)):
-        take_min[i] = _lex_smaller(argmin[i], argmax[i])
+        take_min[i] = tuple(argmin[i]) < tuple(argmax[i])
     return np.where(take_min, amin, amax), np.where(take_min[:, None], argmin, argmax)
 
 
@@ -310,10 +321,11 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
 
     Parameters
     ----------
-    m : QuadraticPolynomial, or a sequence of k of them
-        A sequence is solved with one batched eigendecomposition; every
-        field of the result but ``solver_residual`` then has a leading
-        axis of length k.
+    m : QuadraticPolynomial, a sequence of k of them, or an array of shape (k, q+1)
+        Array rows are coefficients over the FULL degree-2 basis, in the
+        coordinates of ``center``.  A stack is solved with one batched
+        eigendecomposition; every field of the result but
+        ``solver_residual`` then has a leading axis of length k.
     center : array_like, shape (n,)
     radius : float
         Positive ball radius.
@@ -328,7 +340,11 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     single = isinstance(m, QuadraticPolynomial)
     center, c, g, H, g0 = _stack([m] if single else m, center)
     k = len(c)
-    sol = extremize_batch(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius)
+    # eigh(-H) is eigh(H) with the eigenvalues negated and their order, and
+    # the eigenvector columns with them, reversed.
+    w, Q = np.linalg.eigh(H)
+    eig = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
+    sol = _extremize(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, eig)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (
@@ -343,8 +359,9 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
 def max_abs_on_ball(m, center, radius: float):
     """Maximum of |m| over the ball; returns (value, argument).
 
-    For a sequence of k polynomials, one batched solve returns arrays of
-    shapes (k,) and (k, n).  Ties between the max and min branches (1e-12
+    For a stack of k polynomials (a sequence, or a coefficient array as in
+    ``extremize_on_ball``), one batched solve returns arrays of shapes (k,)
+    and (k, n).  Ties between the max and min branches (1e-12
     relative) are broken toward the lexicographically smaller argument.
     """
     single = isinstance(m, QuadraticPolynomial)

@@ -2,10 +2,12 @@
 
 All linear solves run on a shifted and scaled copy of the sample set (points
 mapped to (y - y0) / delta, so the set lives in the unit ball around the
-origin) and the resulting coefficients are pulled back through the exact
-affine substitution.  This keeps conditioning independent of where the set
-sits and how small delta is, and makes the poisedness verdict scale
-invariant.  The absolute-coordinate matrices remain available through
+origin).  This keeps conditioning independent of where the set sits and how
+small delta is.  The poisedness constant is invariant under the map, so sets
+are certified on the stack of normalized Lagrange coefficients on the unit
+ball; only fitted models, the public Lagrange builders' polynomials and the
+point the generator moves are pulled back through the exact affine
+substitution.  The absolute-coordinate matrices remain available through
 ``interpolation_matrix`` and ``mfn_system_matrix``.
 """
 
@@ -288,9 +290,14 @@ def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
     return poly_hat.compose_affine(-sample_set.y0 / delta, 1.0 / delta)
 
 
-def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
+def _lagrange_coeffs(sample_set: SampleSet, kind: PoisednessKind) -> np.ndarray:
+    # Row j holds the FULL degree-2 coefficients of l_j on the normalized set.
     coeffs, _ = _interpolate(sample_set, kind, np.eye(sample_set.p + 1))
-    return [_interpolant(sample_set, c) for c in coeffs.T]
+    return coeffs.T
+
+
+def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
+    return [_interpolant(sample_set, c) for c in _lagrange_coeffs(sample_set, kind)]
 
 
 def lagrange_determined(sample_set: SampleSet, degree: int):
@@ -356,34 +363,23 @@ class PoisednessCertificate:
         }
 
 
-def _lagrange_for_kind(sample_set: SampleSet, kind: PoisednessKind):
-    # Through the public builders, looked up at call time, so a wrapper
-    # installed on either name sees every build.
-    if kind is PoisednessKind.LINEAR:
-        return lagrange_determined(sample_set, 1)
-    if kind is PoisednessKind.QUADRATIC:
-        return lagrange_determined(sample_set, 2)
-    if kind is PoisednessKind.MFN:
-        return lagrange_mfn(sample_set)
-    raise ValueError(f"unknown poisedness kind {kind!r}")
-
-
 def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> PoisednessCertificate:
     """Measure the poisedness constant by maximizing each Lagrange polynomial.
 
     The constant is max_j max_{x in ball} |l_j(x)|, computed exactly by the
-    ball extremizer.  The certificate also records the scaled design
-    matrix's inverse (or pseudoinverse) norm and the cap implied by the
-    measured constant.
+    ball extremizer on the normalized set.  The certificate also records the
+    scaled design matrix's inverse (or pseudoinverse) norm and the cap
+    implied by the measured constant.
     """
     return _certify(sample_set, kind)[0]
 
 
 def _certify(sample_set: SampleSet, kind: PoisednessKind):
-    # The certificate together with the Lagrange basis it was measured on.
-    polys = _lagrange_for_kind(sample_set, kind)
-    values, _ = max_abs_on_ball(polys, sample_set.y0, sample_set.radius)
-    return _certificate(sample_set, kind, values), polys
+    # The certificate together with the normalized Lagrange coefficients it
+    # was measured on, one row per polynomial.
+    coeffs = _lagrange_coeffs(sample_set, kind)
+    values, _ = max_abs_on_ball(coeffs, np.zeros(sample_set.n), 1.0)
+    return _certificate(sample_set, kind, values), coeffs
 
 
 def _certificate(
@@ -456,17 +452,18 @@ def generate_poised_set(
 
     rng = np.random.default_rng(seed)
     points = np.vstack([center, center + delta * _unit_ball_points(rng, p, n)])
+    origin = np.zeros(n)
     best = np.inf
     for _ in range(_MAX_ITERS):
         try:
             sample_set = SampleSet(points, delta)
-            polys = _lagrange_for_kind(sample_set, kind)
+            coeffs = _lagrange_coeffs(sample_set, kind)
         except (NotPoisedError, ValueError):
             points = np.vstack(
                 [center, center + delta * _unit_ball_points(rng, p, n)]
             )
             continue
-        values, args = max_abs_on_ball(polys, center, delta)
+        values, args = max_abs_on_ball(coeffs, origin, 1.0)
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:
@@ -476,7 +473,7 @@ def generate_poised_set(
         # Replace the worst non-center point by its polynomial's maximizer.
         j = 1 + int(np.argmax(values[1:]))
         points = points.copy()
-        points[j] = args[j]
+        points[j] = center + delta * args[j]
     raise RuntimeError(
         f"could not reach lambda <= {lambda_max} in {_MAX_ITERS} iterations; "
         f"best found {best:.6g}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,17 +70,38 @@ class BasisSelector:
         return q
 
 
+@functools.lru_cache(maxsize=None)
+def _second_order_index(n: int):
+    """Row i and column j of each second-order basis function, in basis order.
+
+    The order is x_i^2/2 then x_i x_j (j > i), i ascending: the upper
+    triangle row by row.
+    """
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _second_order_block(X: np.ndarray) -> np.ndarray:
-    # Columns ordered x_i^2/2 then x_i x_j (j > i), i ascending.
-    m, n = X.shape
-    cols = []
-    for i in range(n):
-        cols.append(0.5 * X[:, i] * X[:, i])
-        for j in range(i + 1, n):
-            cols.append(X[:, i] * X[:, j])
-    if not cols:
-        return np.empty((m, 0))
-    return np.column_stack(cols)
+    rows, cols = _second_order_index(X.shape[1])
+    block = X[:, rows] * X[:, cols]
+    block[:, rows == cols] *= 0.5
+    return block
+
+
+def _split_coeffs(A: np.ndarray, n: int):
+    """Constants, gradients and Hessians of rows of FULL degree-2 coefficients.
+
+    ``A`` has shape (k, q+1); returns arrays of shapes (k,), (k, n) and
+    (k, n, n).  The coefficient of x_i^2/2 is H_ii and that of x_i x_j is
+    H_ij = H_ji, so the Hessians reproduce the monomial weights.
+    """
+    rows, cols = _second_order_index(n)
+    H = np.zeros((A.shape[0], n, n))
+    H[:, rows, cols] = A[:, n + 1 :]
+    H[:, cols, rows] = A[:, n + 1 :]
+    return A[:, 0], A[:, 1 : n + 1], H
 
 
 def basis_matrix(selector: BasisSelector, points: np.ndarray) -> np.ndarray:
@@ -148,44 +170,21 @@ class QuadraticPolynomial:
 
     @classmethod
     def from_coeffs(cls, alpha: np.ndarray, n: int) -> "QuadraticPolynomial":
-        """Build from coefficients over the FULL degree-2 basis.
-
-        The coefficient of x_i^2/2 is H_ii and the coefficient of x_i x_j is
-        H_ij = H_ji, so the stored Hessian reproduces the monomial weights.
-        """
+        """Build from coefficients over the FULL degree-2 basis (see _split_coeffs)."""
         a = np.asarray(alpha, dtype=float).ravel()
         expected = space_dim(2, n)
         if a.shape != (expected,):
             raise ValueError(
                 f"expected {expected} coefficients for n={n}, got {a.shape[0]}"
             )
-        c = a[0]
-        g = a[1 : n + 1].copy()
-        H = np.zeros((n, n))
-        k = n + 1
-        for i in range(n):
-            H[i, i] = a[k]
-            k += 1
-            for j in range(i + 1, n):
-                H[i, j] = a[k]
-                H[j, i] = a[k]
-                k += 1
-        return cls(n, c, g, H)
+        c, g, H = _split_coeffs(a[None, :], n)
+        return cls(n, c[0], g[0], H[0])
 
     def coeffs(self) -> np.ndarray:
         """Coefficients over the FULL degree-2 basis (inverse of from_coeffs)."""
         n = self.dim
-        out = np.empty(space_dim(2, n))
-        out[0] = self.constant
-        out[1 : n + 1] = self.gradient
-        k = n + 1
-        for i in range(n):
-            out[k] = self.hessian[i, i]
-            k += 1
-            for j in range(i + 1, n):
-                out[k] = self.hessian[i, j]
-                k += 1
-        return out
+        rows, cols = _second_order_index(n)
+        return np.concatenate([[self.constant], self.gradient, self.hessian[rows, cols]])
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

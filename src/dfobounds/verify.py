@@ -45,6 +45,7 @@ from .poly import (
     BasisPart,
     BasisSelector,
     QuadraticPolynomial,
+    _split_coeffs,
     basis_matrix,
     space_dim,
 )
@@ -216,28 +217,28 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     dim_quad = space_dim(2, n)
+    # Rows of FULL degree-2 coefficients; affine rows end in zeros.
+    zeros = np.zeros(dim_quad - n - 1)
     quad, lin, unit = [], [], []
     for _ in range(count):
         u = rng.uniform(-1.0, 1.0, size=dim_quad)
         scale = np.max(np.abs(u))
         if scale == 0.0:
             continue
-        quad.append(QuadraticPolynomial.from_coeffs(u / scale, n))
+        quad.append(u / scale)
 
         u = rng.uniform(-1.0, 1.0, size=n + 1)
         scale = np.max(np.abs(u))
         if scale == 0.0:
             continue
-        v = u / scale
-        lin.append(QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n))))
+        lin.append(np.concatenate([u / scale, zeros]))
 
         u = rng.standard_normal(n + 1)
-        v = u / np.linalg.norm(u)
-        unit.append(QuadraticPolynomial(n, float(v[0]), v[1:].copy(), np.zeros((n, n))))
+        unit.append(np.concatenate([u / np.linalg.norm(u), zeros]))
     origin = np.zeros(n)
     # One batched ball solve per family.
     worst_quad, worst_lin, worst_unit = (
-        np.min(max_abs_on_ball(family, origin, 1.0)[0]) if family else np.inf
+        np.min(max_abs_on_ball(np.array(family), origin, 1.0)[0]) if family else np.inf
         for family in (quad, lin, unit)
     )
     return [
@@ -267,7 +268,7 @@ def check_theory(
     Raises NotPoisedError for degenerate sets (no inequalities are emitted
     in that case).
     """
-    cert, polys = _certify(sample_set, kind)
+    cert, coeffs = _certify(sample_set, kind)
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
     delta = sample_set.radius
@@ -277,14 +278,12 @@ def check_theory(
         dm = delta if delta_max is None else float(delta_max)
         c = c_delta_max(dm)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
-        for j, l in enumerate(polys):
+        # The absolute Hessian of l_j is the normalized one over delta^2.
+        H_hat = _split_coeffs(coeffs, n)[2]
+        norms = np.linalg.norm(H_hat, 2, axis=(1, 2)) / (delta * delta)
+        for j, norm in enumerate(norms):
             checks.append(
-                _le(
-                    f"lagrange_hessian_norm_{j}",
-                    float(np.linalg.norm(l.hessian, 2)),
-                    cap,
-                    tol=1e-9 * max(1.0, cap),
-                )
+                _le(f"lagrange_hessian_norm_{j}", norm, cap, tol=1e-9 * max(1.0, cap))
             )
         # The absolute affine interpolation matrix of the shifted/scaled set
         # factors through the scaled displacement matrix.

@@ -232,3 +232,53 @@ def test_batch_bad_input_raises():
         extremize_batch(np.zeros((1, 2)), np.zeros((1, 2, 2)), 0.0)
     with pytest.raises(ValueError):
         extremize_batch(np.full((1, 2), np.nan), np.zeros((1, 2, 2)), 1.0)
+
+
+def test_coefficient_array_matches_polynomials(rng):
+    # A (k, q+1) array of FULL-basis coefficients is the same stack as the
+    # polynomials built from its rows, and each value is |m| at its argument
+    # and beats every sampled point.
+    for n in (1, 3, 6):
+        polys = [random_quadratic(rng, n) for _ in range(5)]
+        coeffs = np.array([m.coeffs() for m in polys])
+        center = rng.standard_normal(n)
+        values, args = max_abs_on_ball(coeffs, center, 0.7)
+        ref_values, ref_args = max_abs_on_ball(polys, center, 0.7)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(args, ref_args)
+        samples = center + 0.7 * ball_samples(rng, n, 2000)
+        for m, value, arg in zip(polys, values, args):
+            assert np.isclose(value, abs(m(arg)), rtol=1e-12, atol=1e-12)
+            assert np.max(np.abs(m.eval_batch(samples))) <= value * (1.0 + 1e-9)
+
+
+def test_coefficient_array_bad_shape_raises():
+    with pytest.raises(ValueError):
+        max_abs_on_ball(np.zeros((2, 5)), np.zeros(2), 1.0)  # q+1 = 6 at n = 2
+    with pytest.raises(ValueError):
+        max_abs_on_ball(np.zeros(6), np.zeros(2), 1.0)
+    with pytest.raises(ValueError):
+        max_abs_on_ball(np.zeros((0, 6)), np.zeros(2), 1.0)
+    with pytest.raises(ValueError):
+        max_abs_on_ball(np.full((1, 6), np.inf), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("n, k", [(1, 4), (4, 15), (8, 31)])
+def test_shared_eigh_matches_separate_solves(rng, n, k):
+    # extremize_on_ball takes eigh(-H) from eigh(H); extremize_batch on the
+    # stacked [H; -H] decomposes both halves itself.
+    polys = [random_quadratic(rng, n) for _ in range(k)]
+    polys.append(QuadraticPolynomial(n, 0.0, rng.standard_normal(n), np.eye(n)))
+    center, radius = rng.standard_normal(n), 0.9
+    ext = extremize_on_ball(polys, center, radius)
+    G = np.array([m.grad(center) for m in polys])
+    H = np.array([m.hessian for m in polys])
+    sol = extremize_batch(np.vstack([G, -G]), np.concatenate([H, -H]), radius)
+    X = center + sol.z
+    values = np.array([m(x) for m, x in zip(polys + polys, X)])
+    m = len(polys)
+    scale = np.maximum(1.0, np.abs(values))
+    assert np.all(np.abs(ext.min_value - values[:m]) <= 1e-12 * scale[:m])
+    assert np.all(np.abs(ext.max_value - values[m:]) <= 1e-12 * scale[m:])
+    assert np.allclose(ext.argmin, X[:m], rtol=0.0, atol=1e-12)
+    assert np.allclose(ext.argmax, X[m:], rtol=0.0, atol=1e-12)

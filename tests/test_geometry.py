@@ -18,6 +18,7 @@ from dfobounds import (
     lagrange_determined,
     lagrange_mfn,
     lambda_poisedness,
+    max_abs_on_ball,
     mfn_lambda_vector,
     mfn_poised,
     mfn_system_matrix,
@@ -308,3 +309,51 @@ def test_poisedness_shift_invariance(seed):
     a = lambda_poisedness(ss, PoisednessKind.MFN).lam
     b = lambda_poisedness(moved, PoisednessKind.MFN).lam
     assert np.isclose(a, b, rtol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "kind, n, p",
+    [
+        (PoisednessKind.LINEAR, 2, 2),
+        (PoisednessKind.QUADRATIC, 2, 5),
+        (PoisednessKind.QUADRATIC, 4, 14),
+        (PoisednessKind.MFN, 2, 4),
+        (PoisednessKind.MFN, 6, 20),
+    ],
+)
+def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
+    # Sets are certified on their normalized Lagrange coefficients on the
+    # unit ball; the constant, the per-point maxima and the maximizers must
+    # be those of the pulled-back polynomials on the ball itself.
+    from dfobounds.geometry import _certify
+
+    center = np.where(np.arange(n) % 2 == 0, 5.0, -3.0)
+    delta = 1e-3
+    ss = generate_poised_set(n, p, delta, 100.0, seed=1, center=center)
+    cert, coeffs = _certify(ss, kind)
+    values, z = max_abs_on_ball(coeffs, np.zeros(n), 1.0)
+    polys = lagrange_for(ss, kind)
+    ref_values, ref_args = max_abs_on_ball(polys, ss.y0, delta)
+    # Evaluating a pulled-back polynomial in absolute coordinates cancels
+    # terms of size |x|^2 ||H|| ~ 1e7 |l_j| here, so the reference itself
+    # carries the roundoff of that sum; the normalized values do not.
+    terms = np.array(
+        [
+            abs(m.constant)
+            + np.abs(m.gradient) @ np.abs(x)
+            + 0.5 * np.abs(x) @ np.abs(m.hessian) @ np.abs(x)
+            for m, x in zip(polys, ref_args)
+        ]
+    )
+    tol = 1e-12 * ref_values + 16.0 * np.finfo(float).eps * terms
+    assert np.all(np.abs(values - ref_values) <= tol)
+    assert np.array_equal(values, np.array(cert.per_point_max))
+    assert cert.lam == values.max()
+    assert np.max(np.abs(ss.y0 + delta * z - ref_args)) <= 1e-9 * delta
+
+    # Centred at the origin with radius 1 the pull-back is the identity and
+    # both paths agree to roundoff.
+    ss = generate_poised_set(n, p, 1.0, 100.0, seed=1)
+    cert, _ = _certify(ss, kind)
+    ref_values, _ = max_abs_on_ball(lagrange_for(ss, kind), ss.y0, 1.0)
+    assert np.allclose(cert.per_point_max, ref_values, rtol=1e-12, atol=0.0)

@@ -80,6 +80,31 @@ def test_coeff_roundtrip(rng):
         assert np.allclose(m2.hessian, m.hessian)
 
 
+def loop_second_order(values, halve):
+    # The second-order layout written out: (i, i) then (i, j) for j > i,
+    # i ascending; halve scales the (i, i) entries by 1/2.
+    n = values.shape[0]
+    out = []
+    for i in range(n):
+        out.append(0.5 * values[i, i] if halve else values[i, i])
+        out.extend(values[i, j] for j in range(i + 1, n))
+    return out
+
+
+def test_coefficient_layout_matches_loop_reference(rng):
+    for n in (1, 2, 3, 6):
+        m = random_quadratic(rng, n)
+        reference = [m.constant, *m.gradient, *loop_second_order(m.hessian, False)]
+        assert np.array_equal(m.coeffs(), reference)
+        a = rng.standard_normal(space_dim(2, n))
+        rebuilt = QuadraticPolynomial.from_coeffs(a, n)
+        assert np.array_equal(rebuilt.coeffs(), a)
+        assert np.array_equal(rebuilt.hessian, rebuilt.hessian.T)
+        X = rng.standard_normal((4, n))
+        rows = [[1.0, *x, *loop_second_order(np.outer(x, x), True)] for x in X]
+        assert np.array_equal(basis_matrix(BasisSelector(2, BasisPart.FULL), X), rows)
+
+
 def test_eval_equals_coeff_dot_basis(rng):
     # the two evaluation routes (c + g.x + x'Hx/2 versus coeffs . basis)
     # must agree, pinning the coefficient <-> Hessian mapping

@@ -1,4 +1,8 @@
+import csv
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from dfobounds import (
     check_theory,
     expand_config,
     generate_poised_set,
+    lagrange_mfn,
     quadratic_function,
     quartic_function,
     resolve_function,
@@ -161,21 +166,32 @@ class TestCheckTheory:
         assert all(c.passed for c in checks)
 
     def test_mfn_basis_built_once(self, monkeypatch):
-        # The certificate and the Lagrange Hessian checks share one basis.
+        # The certificate and the Lagrange Hessian checks share one basis:
+        # one solve of the saddle system for the identity right-hand side.
         import dfobounds.geometry as geometry_module
 
         ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7)
         calls = []
-        original = geometry_module.lagrange_mfn
+        original = geometry_module._interpolate
 
-        def counting(sample_set):
-            calls.append(sample_set)
-            return original(sample_set)
+        def counting(sample_set, kind, rhs):
+            if np.array_equal(rhs, np.eye(sample_set.p + 1)):
+                calls.append(kind)
+            return original(sample_set, kind, rhs)
 
-        monkeypatch.setattr(geometry_module, "lagrange_mfn", counting)
+        monkeypatch.setattr(geometry_module, "_interpolate", counting)
         checks = check_theory(ss, PoisednessKind.MFN, floor_samples=10)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is PoisednessKind.MFN
         assert any(c.name.startswith("lagrange_hessian_norm_") for c in checks)
+
+    def test_mfn_hessian_norms_are_absolute(self):
+        # check_theory reads the norms off the normalized coefficients; they
+        # must be those of the pulled-back Lagrange polynomials.
+        ss = generate_poised_set(2, 4, 0.1, 30.0, seed=7, center=[0.3, -0.2])
+        checks = check_theory(ss, PoisednessKind.MFN, floor_samples=10)
+        lhs = [c.lhs for c in checks if c.name.startswith("lagrange_hessian_norm_")]
+        expected = [np.linalg.norm(l.hessian, 2) for l in lagrange_mfn(ss)]
+        assert np.allclose(lhs, expected, rtol=1e-12, atol=0.0)
 
     def test_quadratic_kind(self):
         ss = generate_poised_set(2, 5, 0.5, 30.0, seed=3)
@@ -325,7 +341,44 @@ class TestExpandConfig:
                            "p": 2, "delta": []})
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _numeric(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 class TestCampaign:
+    def test_default_sweep_matches_golden_csv(self, tmp_path, capsys):
+        # tests/data/default_sweep.csv is the CSV of
+        # ``scripts/run_bound_campaign.py --seeds 5``.  Text cells (function,
+        # kind, pass, the blanks of a failed trial) must match exactly and
+        # numbers to 1e-9 relative, so a change of roundoff order passes and
+        # a change of behaviour does not.
+        spec = importlib.util.spec_from_file_location(
+            "run_bound_campaign", ROOT / "scripts" / "run_bound_campaign.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--seeds", "5", "--quiet", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "campaign.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        with open(ROOT / "tests" / "data" / "default_sweep.csv", newline="") as handle:
+            golden = list(csv.reader(handle))
+        assert rows[0] == golden[0] == CSV_COLUMNS
+        assert len(rows) == len(golden) == 91
+        for row, ref in zip(rows[1:], golden[1:]):
+            for column, cell, expected in zip(CSV_COLUMNS, row, ref):
+                a, b = _numeric(cell), _numeric(expected)
+                if a is None or b is None or math.isinf(b):
+                    assert cell == expected, (row[0], column)
+                else:
+                    assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (row[0], column)
+
     def test_empty_sweep(self, tmp_path):
         report = run_campaign(
             [], csv_path=tmp_path / "r.csv", json_path=tmp_path / "r.json"
