@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -129,6 +130,17 @@ class BoundInputs:
         _check_nonneg(L=self.L, kappa=self.kappa)
         if self.lam is not None and self.lam < 1.0 - 1e-9:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
+        # bool passes as Integral, so it is rejected explicitly.
+        for name in ("n", "p", "q"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or value < 1
+            ):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if self.n is not None and self.p is not None and self.p < self.n:
+            raise ValueError(f"p must be at least n = {self.n}, got {self.p}")
         if self.n is not None and self.q is None:
             object.__setattr__(self, "q", (self.n * self.n + 3 * self.n) // 2)
         if self.delta is not None and self.delta_max is None:

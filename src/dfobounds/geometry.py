@@ -237,6 +237,20 @@ def _kind_for_shape(n: int, p: int) -> Optional[PoisednessKind]:
     return None
 
 
+def _check_shape(kind: PoisednessKind, n: int, p: int) -> None:
+    # Raise unless p + 1 points in R^n make the kind's interpolation system.
+    if _kind_for_shape(n, p) is not kind:
+        q = space_dim(2, n) - 1
+        rule = {
+            PoisednessKind.LINEAR: "p = n",
+            PoisednessKind.QUADRATIC: f"p = q = {q}",
+            PoisednessKind.MFN: "n < p < q",
+        }[kind]
+        raise ValueError(
+            f"{kind.name} interpolation needs {rule}, got n={n}, p={p}, q={q}"
+        )
+
+
 def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
     """Solve the kind's normalized interpolation system for rhs.
 
@@ -249,16 +263,7 @@ def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
     second-order coefficients through Mq^T.
     """
     n, p = sample_set.n, sample_set.p
-    if _kind_for_shape(n, p) is not kind:
-        q = space_dim(2, n) - 1
-        rule = {
-            PoisednessKind.LINEAR: "p = n",
-            PoisednessKind.QUADRATIC: f"p = q = {q}",
-            PoisednessKind.MFN: "n < p < q",
-        }[kind]
-        raise ValueError(
-            f"{kind.name} interpolation needs {rule}, got n={n}, p={p}, q={q}"
-        )
+    _check_shape(kind, n, p)
     Yh = normalized_points(sample_set)
     if kind is PoisednessKind.MFN:
         Mq, M = _saddle_system(Yh)

@@ -27,9 +27,12 @@ from .geometry import (
     MatrixKind,
     PoisednessKind,
     SampleSet,
+    _check_shape,
     design_matrix,
     generate_poised_set,
-    lambda_poisedness,
+    # Bound here so tracers that look the certifier up in this module keep
+    # finding it.
+    lambda_poisedness,  # noqa: F401
     normalized_points,
     _certify,
 )
@@ -335,6 +338,9 @@ class TrialConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        # The generator infers the interpolation kind from (n, p); it must be
+        # the one the model kind solves.
+        _check_shape(_POISEDNESS_KIND[self.kind], self.n, self.p)
         for name in ("delta", "delta_max", "kappa", "lambda_max"):
             value = getattr(self, name)
             if name == "delta_max" and value is None:
@@ -466,12 +472,9 @@ def run_trial(config: TrialConfig) -> TrialResult:
         seed=config.seed,
         center=center,
     )
-    # The generator certified the set for the kind it inferred from (n, p);
-    # reuse that certificate when it is the kind the model needs.
-    kind = _POISEDNESS_KIND[config.kind]
+    # The generator certified the set for the kind it inferred from (n, p),
+    # which TrialConfig has checked is the kind the model needs.
     cert = sample_set.certificate
-    if cert.kind is not kind:
-        cert = lambda_poisedness(sample_set, kind)
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
         fit: FitResult = fit_relaxed(

@@ -127,6 +127,23 @@ class TestErrorBounds:
         with pytest.raises(ValueError):
             BoundInputs(L=1.0, lam=0.3)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n": -3}, "n"),
+            ({"n": 0}, "n"),
+            ({"n": 2.0}, "n"),
+            ({"n": True}, "n"),
+            ({"p": 0}, "p"),
+            ({"q": 0}, "q"),
+            ({"q": "9"}, "q"),
+            ({"n": 3, "p": 2}, "p"),
+        ],
+    )
+    def test_invalid_dimensions_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BoundInputs(L=1.0, lam=2.0, **kwargs)
+
     def test_q_autofilled(self):
         inputs = BoundInputs(L=1.0, lam=2.0, n=3)
         assert inputs.q == 9

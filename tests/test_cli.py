@@ -129,6 +129,22 @@ class TestBounds:
         code = main(["bounds", "--kind", "lin_det", "--L", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "lin_det", "--n", "-3"], "n must be an integer of at least 1"),
+            (["--kind", "quad_det", "--n", "0"], "n must be an integer of at least 1"),
+            (["--kind", "mfn", "--n", "3", "--p", "2", "--delta", "0.1"],
+             "p must be at least n"),
+        ],
+    )
+    def test_bad_dimension_exits_1(self, capsys, argv, message):
+        code = main(["bounds", "--L", "2", "--lam", "1"] + argv)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("flag", ["--L", "--lam", "--delta", "--kappa"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_flag_exits_1(self, capsys, flag, value):

@@ -269,11 +269,10 @@ class TestTrials:
         assert run_trial(cfg) == expected
 
     def test_mismatched_kind_recertifies(self):
-        # p = 4 makes the generator certify a minimum-norm set; a linear
-        # model then needs its own certificate, which cannot be built.
-        cfg = TrialConfig(function="quartic", kind="lin_det", n=2, p=4, delta=0.1)
+        # p = 4 would make the generator certify a minimum-norm set, which a
+        # linear model cannot use; the config is rejected before any trial.
         with pytest.raises(ValueError, match="p = n"):
-            run_trial(cfg)
+            TrialConfig(function="quartic", kind="lin_det", n=2, p=4, delta=0.1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -305,11 +304,17 @@ class TestTrials:
             ("delta_max", float("inf")),
             ("delta_max", 0.05),
             ("delta_max", True),
+            # Shapes the generator would certify for another kind, or none.
+            ("p", 6),
+            pytest.param("p", {"kind": "lin_det", "n": 3, "p": 5}, id="p-lin_det-n3-p5"),
         ],
     )
     def test_config_rejects_bad_field(self, field, value):
         kwargs = dict(function="quartic", kind="mfn", n=2, p=4, delta=0.1)
-        kwargs[field] = value
+        if isinstance(value, dict):
+            kwargs.update(value)
+        else:
+            kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             TrialConfig(**kwargs)
 
