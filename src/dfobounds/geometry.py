@@ -5,14 +5,17 @@ mapped to (y - y0) / delta, so the set lives in the unit ball around the
 origin).  This keeps conditioning independent of where the set sits and how
 small delta is.  The poisedness constant is invariant under the map, so sets
 are certified on the stack of normalized Lagrange coefficients on the unit
-ball; only fitted models, the public Lagrange builders' polynomials and the
-point the generator moves are pulled back through the exact affine
-substitution.  The absolute-coordinate matrices remain available through
+ball; only fitted models and the public Lagrange builders' polynomials are
+pulled back through the exact affine substitution.  The generator works on
+the unit ball throughout and only places its certified shape at the end.
+The absolute-coordinate matrices remain available through
 ``interpolation_matrix`` and ``mfn_system_matrix``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -76,6 +79,9 @@ class SampleSet:
     certificate: Optional[PoisednessCertificate] = field(
         default=None, init=False, repr=False
     )
+    # The points mapped to (y - y0) / radius, which every solve uses.  A
+    # generated set keeps the exact unit set it was certified on.
+    _normalized: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -90,7 +96,10 @@ class SampleSet:
         radius = float(self.radius)
         if not np.isfinite(radius) or radius <= 0.0:
             raise ValueError(f"radius must be positive and finite, got {radius}")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # Equal rows are neighbours once sorted lexicographically; -0.0 and
+        # 0.0 compare equal in both the sort and the test.
+        ordered = pts[np.lexsort(pts.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("sample points must be pairwise distinct")
         dist = np.linalg.norm(pts - pts[0], axis=1)
         if np.any(dist > radius * (1.0 + 1e-9)):
@@ -99,9 +108,12 @@ class SampleSet:
                 f"point {worst} lies at distance {dist[worst]:.6g} from the "
                 f"base point, outside the ball of radius {radius:.6g}"
             )
+        normalized = (pts - pts[0]) / radius
         pts.setflags(write=False)
+        normalized.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "_normalized", normalized)
 
     @property
     def n(self) -> int:
@@ -121,8 +133,12 @@ class SampleSet:
 
 
 def normalized_points(sample_set: SampleSet) -> np.ndarray:
-    """All p+1 points mapped to (y - y0) / radius; row 0 becomes the origin."""
-    return (sample_set.points - sample_set.points[0]) / sample_set.radius
+    """All p+1 points mapped to (y - y0) / radius; row 0 becomes the origin.
+
+    The array is read-only.  For a generated set it is the certified unit
+    set itself, not the placed points mapped back.
+    """
+    return sample_set._normalized
 
 
 class MatrixKind(Enum):
@@ -142,34 +158,28 @@ def design_matrix(kind: MatrixKind, sample_set: SampleSet) -> np.ndarray:
     evaluate the constant-free basis on the displacements; the scaled
     variant divides the affine columns by the radius and the second-order
     columns by its square.  UNDER/UNDER_SCALED are the n < p < q analogue of
-    the linear pair with a rectangular (p, n) matrix.
+    the linear pair with a rectangular (p, n) matrix.  The scaled variants
+    are built from the normalized points, so they describe exactly the
+    geometry the set's solves use.
     """
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
-    delta = sample_set.radius
-    D = sample_set.shifted()
+    if kind in (MatrixKind.LIN_SCALED, MatrixKind.QUAD_SCALED, MatrixKind.UNDER_SCALED):
+        D = normalized_points(sample_set)[1:]
+    else:
+        D = sample_set.shifted()
     if kind in (MatrixKind.LIN, MatrixKind.LIN_SCALED):
         if p != n:
             raise ValueError(f"kind {kind.name} needs p = n, got p={p}, n={n}")
-        M = D.copy()
-        if kind is MatrixKind.LIN_SCALED:
-            M /= delta
-        return M
+        return D.copy()
     if kind in (MatrixKind.QUAD, MatrixKind.QUAD_SCALED):
         if p != q:
             raise ValueError(f"kind {kind.name} needs p = q = {q}, got p={p}")
-        M = basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), D)
-        if kind is MatrixKind.QUAD_SCALED:
-            M[:, :n] /= delta
-            M[:, n:] /= delta * delta
-        return M
+        return basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), D)
     if kind in (MatrixKind.UNDER, MatrixKind.UNDER_SCALED):
         if not (n < p < q):
             raise ValueError(f"kind {kind.name} needs n < p < q, got n={n}, p={p}, q={q}")
-        M = D.copy()
-        if kind is MatrixKind.UNDER_SCALED:
-            M /= delta
-        return M
+        return D.copy()
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
@@ -419,6 +429,26 @@ def _unit_ball_points(rng: np.random.Generator, count: int, n: int) -> np.ndarra
     return u / norms * radii
 
 
+# The certified shapes of the running campaign by (n, p, lambda_max, seed);
+# unset outside one.  See _shape_memo.
+_SHAPES: ContextVar[dict] = ContextVar("_SHAPES")
+
+
+@contextmanager
+def _shape_memo():
+    """Let generate_poised_set reuse each shape it certifies inside the block.
+
+    The memo is dropped when the block exits, so the next block, like the
+    next process, generates every shape afresh.  A failed generation is not
+    stored: a later call with the same key retries it and fails the same way.
+    """
+    token = _SHAPES.set({})
+    try:
+        yield
+    finally:
+        _SHAPES.reset(token)
+
+
 def generate_poised_set(
     n: int,
     p: int,
@@ -429,16 +459,21 @@ def generate_poised_set(
 ) -> SampleSet:
     """Draw a sample set in the ball and improve it until it certifies.
 
-    Points are drawn uniformly in the unit ball (so the shape of the set is
-    the same for every delta at a fixed seed), scaled and translated.  While
-    the measured constant exceeds ``lambda_max``, the non-center point whose
-    Lagrange polynomial peaks highest is replaced by that polynomial's own
-    maximizer; the center stays fixed because it anchors the ball.
+    Points are drawn uniformly in the unit ball.  While the measured
+    constant exceeds ``lambda_max``, the non-center point whose Lagrange
+    polynomial peaks highest is replaced by that polynomial's own maximizer;
+    the center stays fixed because it anchors the ball.
 
     The interpolation kind is inferred from (n, p): p = n is degree 1,
     p = q is degree 2, n < p < q is minimum-norm.  The returned set carries
     the certificate of that kind in ``certificate``, equal to what
     ``lambda_poisedness`` would compute for it.
+
+    The shape is exactly the same for every center and delta: the loop runs
+    on the unit ball at the origin and depends only on (n, p, lambda_max,
+    seed); the set is then placed at ``center + delta * U`` and keeps the
+    certified unit set U as its normalized points, so later solves use
+    exactly the certified geometry and the certificate carries over as is.
     """
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
@@ -455,30 +490,43 @@ def generate_poised_set(
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
 
+    shapes = _SHAPES.get({})  # outside a campaign, a dict used once
+    key = (n, p, float(lambda_max), seed)
+    if key not in shapes:
+        shapes[key] = _poised_shape(kind, n, p, lambda_max, seed)
+    shape = shapes[key]
+    placed = SampleSet(center + delta * shape.points, delta)
+    object.__setattr__(placed, "_normalized", normalized_points(shape))
+    object.__setattr__(placed, "certificate", shape.certificate)
+    return placed
+
+
+def _poised_shape(
+    kind: PoisednessKind, n: int, p: int, lambda_max: float, seed: int
+) -> SampleSet:
+    # generate_poised_set's improvement loop on the unit ball at the origin;
+    # returns the certified unit set with its certificate attached.
     rng = np.random.default_rng(seed)
-    points = np.vstack([center, center + delta * _unit_ball_points(rng, p, n)])
     origin = np.zeros(n)
+    points = np.vstack([origin, _unit_ball_points(rng, p, n)])
     best = np.inf
     for _ in range(_MAX_ITERS):
         try:
-            sample_set = SampleSet(points, delta)
-            coeffs = _lagrange_coeffs(sample_set, kind)
+            shape = SampleSet(points, 1.0)
+            coeffs = _lagrange_coeffs(shape, kind)
         except (NotPoisedError, ValueError):
-            points = np.vstack(
-                [center, center + delta * _unit_ball_points(rng, p, n)]
-            )
+            points = np.vstack([origin, _unit_ball_points(rng, p, n)])
             continue
         values, args = max_abs_on_ball(coeffs, origin, 1.0)
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:
-            cert = _certificate(sample_set, kind, values)
-            object.__setattr__(sample_set, "certificate", cert)
-            return sample_set
-        # Replace the worst non-center point by its polynomial's maximizer.
+            object.__setattr__(shape, "certificate", _certificate(shape, kind, values))
+            return shape
+        # Replace the worst non-center point by its polynomial's maximizer;
+        # SampleSet copied the points, so they can change in place.
         j = 1 + int(np.argmax(values[1:]))
-        points = points.copy()
-        points[j] = center + delta * args[j]
+        points[j] = args[j]
     raise RuntimeError(
         f"could not reach lambda <= {lambda_max} in {_MAX_ITERS} iterations; "
         f"best found {best:.6g}"

@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 import numbers
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -35,6 +35,7 @@ from .geometry import (
     lambda_poisedness,  # noqa: F401
     normalized_points,
     _certify,
+    _shape_memo,
 )
 from .models import (
     _POISEDNESS_KIND,
@@ -431,24 +432,37 @@ def _halton_points(d: int, count: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_probe_block(n: int, count: int):
+    """The probe points on the unit ball at the origin, built once per (n, count).
+
+    Returns the block that scales by delta (the Halton points, the origin
+    and the +-axes) and the +-1 corners, which scale by delta / sqrt(n), or
+    None when n > 6.  Both are read-only, since every trial shares them.
+    """
+    # Low-discrepancy cube points pushed radially onto the ball; boundary
+    # coverage matters because the worst errors tend to sit there.
+    z = 2.0 * _halton_points(n, count) - 1.0
+    norms = np.linalg.norm(z, axis=1)
+    outside = norms > 1.0
+    z[outside] /= norms[outside][:, None]
+    unit = np.vstack([z, np.zeros((1, n)), np.eye(n), -np.eye(n)])
+    unit.setflags(write=False)
+    if n > 6:
+        return unit, None
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    corners.setflags(write=False)
+    return unit, corners
+
+
 def _probe_points(
     center: np.ndarray, delta: float, count: int, extra: np.ndarray
 ) -> np.ndarray:
     n = center.size
-    # Low-discrepancy cube points pushed radially onto the ball; boundary
-    # coverage matters because the worst errors tend to sit there.
-    u = _halton_points(n, count)
-    z = 2.0 * u - 1.0
-    norms = np.linalg.norm(z, axis=1)
-    outside = norms > 1.0
-    z[outside] /= norms[outside][:, None]
-    blocks = [center + delta * z, center[None, :]]
-    axes = delta * np.eye(n)
-    blocks.append(center + axes)
-    blocks.append(center - axes)
-    if n <= 6:
-        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        blocks.append(center + delta * corners / np.sqrt(n))
+    unit, corners = _unit_probe_block(n, count)
+    blocks = [center + delta * unit]
+    if corners is not None:
+        blocks.append(center + (delta / np.sqrt(n)) * corners)
     blocks.append(extra)
     return np.vstack(blocks)
 
@@ -553,8 +567,9 @@ CSV_COLUMNS = [
     "pass",
 ]
 
-# The result columns, in TrialResult's field order.
+# The result columns, in TrialResult's field order, and those fields.
 _RESULT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("lambda") :]
+_RESULT_FIELDS = [f.name for f in fields(TrialResult)]
 
 
 def expand_config(config: dict):
@@ -608,7 +623,10 @@ def _config_columns(trial_id: int, config: TrialConfig) -> dict:
 def _result_columns(result: Optional[TrialResult]) -> dict:
     if result is None:
         return {**dict.fromkeys(_RESULT_COLUMNS, ""), "pass": False}
-    return dict(zip(_RESULT_COLUMNS, astuple(result)))
+    return {
+        column: getattr(result, name)
+        for column, name in zip(_RESULT_COLUMNS, _RESULT_FIELDS)
+    }
 
 
 def _quantiles(values) -> dict:
@@ -633,6 +651,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Run trials sequentially, recording failures without stopping.
 
+    Trials that share (n, p, lambda_max, seed) share one sample-set shape,
+    generated by the first of them and placed by each; the shapes are
+    forgotten when the call returns.  Every row equals the one its config
+    gives when run alone.
+
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
     """
@@ -640,22 +663,23 @@ def run_campaign(
     rows = []
     failures = []
     results = []
-    for trial_id, config in enumerate(trials):
-        if progress is not None:
-            progress(
-                f"trial {trial_id + 1}/{len(trials)}: {config.function} "
-                f"{config.kind.name} n={config.n} p={config.p} "
-                f"delta={config.delta} seed={config.seed}"
-            )
-        row = _config_columns(trial_id, config)
-        try:
-            result = run_trial(config)
-            results.append((config, result))
-        except Exception as exc:  # record per-trial failure, keep going
-            result = None
-            failures.append({"trial_id": trial_id, "error": str(exc)})
-        row.update(_result_columns(result))
-        rows.append(row)
+    with _shape_memo():
+        for trial_id, config in enumerate(trials):
+            if progress is not None:
+                progress(
+                    f"trial {trial_id + 1}/{len(trials)}: {config.function} "
+                    f"{config.kind.name} n={config.n} p={config.p} "
+                    f"delta={config.delta} seed={config.seed}"
+                )
+            row = _config_columns(trial_id, config)
+            try:
+                result = run_trial(config)
+                results.append((config, result))
+            except Exception as exc:  # record per-trial failure, keep going
+                result = None
+                failures.append({"trial_id": trial_id, "error": str(exc)})
+            row.update(_result_columns(result))
+            rows.append(row)
 
     per_kind = {}
     for kind in sorted({config.kind.name for config, _ in results}):

@@ -34,6 +34,13 @@ KINDS = {
 }
 
 
+_SCALED = {
+    PoisednessKind.LINEAR: MatrixKind.LIN_SCALED,
+    PoisednessKind.QUADRATIC: MatrixKind.QUAD_SCALED,
+    PoisednessKind.MFN: MatrixKind.UNDER_SCALED,
+}
+
+
 def lagrange_for(ss, kind):
     if kind is PoisednessKind.LINEAR:
         return lagrange_determined(ss, 1)
@@ -58,6 +65,39 @@ class TestSampleSetValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             SampleSet(np.array([[0.0, 0.0], [np.nan, 0.0]]), 1.0)
+
+    def test_signed_zero_duplicate_rejected(self):
+        # -0.0 equals 0.0, so these two rows are the same point.
+        pts = np.array([[0.0, 0.0], [0.5, -0.0], [0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            SampleSet(pts, 1.0)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            SampleSet(np.array([[0.0, 0.0], [-0.0, -0.0]]), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(2, 12),
+        cols=st.integers(1, 4),
+    )
+    def test_distinctness_verdict_matches_unique(self, seed, rows, cols):
+        # Coordinates from a small grid (with signed zeros) make repeated
+        # rows common; the verdict must be np.unique's.
+        rng = np.random.default_rng(seed)
+        pts = rng.choice([-0.5, -0.0, 0.0, 0.5], size=(rows, cols))
+        pts[0] = 0.0
+        distinct = np.unique(pts, axis=0).shape[0] == rows
+        if distinct:
+            SampleSet(pts, 1.0)
+        else:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                SampleSet(pts, 1.0)
+
+    def test_normalized_points_read_only(self, simplex_set):
+        Yh = normalized_points(simplex_set)
+        assert np.array_equal(Yh, simplex_set.points)
+        with pytest.raises(ValueError):
+            Yh[1, 0] = 2.0
 
     def test_shape_properties(self, simplex_set):
         assert simplex_set.n == 2
@@ -287,6 +327,29 @@ class TestGenerator:
         cert = lambda_poisedness(simplex_set, PoisednessKind.LINEAR)
         with pytest.raises(TypeError):
             SampleSet(simplex_set.points, 1.0, certificate=cert)
+
+    @pytest.mark.parametrize(
+        "kind, n, p",
+        [
+            (PoisednessKind.LINEAR, 2, 2),
+            (PoisednessKind.QUADRATIC, 2, 5),
+            (PoisednessKind.MFN, 2, 4),
+        ],
+    )
+    def test_placements_share_one_shape(self, kind, n, p):
+        # The shape depends only on (n, p, lambda_max, seed); the center and
+        # delta only place it, so both placements solve on the same unit
+        # set and carry the same certificate.
+        a = generate_poised_set(n, p, 0.5, 20.0, seed=4)
+        b = generate_poised_set(n, p, 1e-3, 20.0, seed=4, center=[5.0, -3.0])
+        assert np.array_equal(normalized_points(a), normalized_points(b))
+        assert a.certificate == b.certificate
+        assert b.certificate == lambda_poisedness(b, kind)
+        assert np.array_equal(b.y0, [5.0, -3.0])
+        assert np.array_equal(b.points, b.y0 + 1e-3 * normalized_points(b))
+        assert np.array_equal(
+            design_matrix(_SCALED[kind], a), design_matrix(_SCALED[kind], b)
+        )
 
     def test_lambda_max_guard(self):
         with pytest.raises(ValueError):

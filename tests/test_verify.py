@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -26,11 +27,13 @@ from dfobounds import (
     run_campaign,
     run_trial,
 )
+import dfobounds.geometry as geometry_module
 import dfobounds.verify as verify_module
 from dfobounds.verify import (
     TrialResult,
     _first_primes,
     _halton_points,
+    _probe_points,
     _rosenbrock_lipschitz,
 )
 
@@ -139,6 +142,45 @@ class TestHalton:
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
         assert first[0, 0] == 0.0
+
+
+def _probe_points_reference(center, delta, count, extra):
+    # The probe formula written out per trial, as it was before the unit
+    # block was cached.
+    n = center.size
+    z = 2.0 * _halton_points(n, count) - 1.0
+    norms = np.linalg.norm(z, axis=1)
+    outside = norms > 1.0
+    z[outside] /= norms[outside][:, None]
+    axes = delta * np.eye(n)
+    blocks = [center + delta * z, center[None, :], center + axes, center - axes]
+    if n <= 6:
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        blocks.append(center + delta * corners / np.sqrt(n))
+    blocks.append(extra)
+    return np.vstack(blocks)
+
+
+class TestProbePoints:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
+    def test_equal_to_per_trial_formula(self, rng, n):
+        for center, delta in [
+            (np.zeros(n), 1.0),
+            (rng.uniform(-1.0, 1.0, n), 0.02),
+            (rng.uniform(-5.0, 5.0, n), 0.37),
+            (np.full(n, -0.0), 1e-3),
+        ]:
+            extra = center + delta * rng.uniform(-0.5, 0.5, (3, n))
+            got = _probe_points(center, delta, 50, extra)
+            assert np.array_equal(got, _probe_points_reference(center, delta, 50, extra))
+
+    def test_unit_block_shared_and_read_only(self):
+        unit, corners = verify_module._unit_probe_block(3, 40)
+        assert verify_module._unit_probe_block(3, 40)[0] is unit
+        assert unit.shape == (40 + 1 + 6, 3) and corners.shape == (8, 3)
+        with pytest.raises(ValueError):
+            unit[0, 0] = 1.0
+        assert verify_module._unit_probe_block(7, 40)[1] is None
 
 
 class TestCheckTheory:
@@ -349,6 +391,16 @@ class TestExpandConfig:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _default_sweep(seeds):
+    # The trials of ``scripts/run_bound_campaign.py --seeds <seeds>``.
+    spec = importlib.util.spec_from_file_location(
+        "run_bound_campaign", ROOT / "scripts" / "run_bound_campaign.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.build_trials(seeds, 0.0)
+
+
 def _numeric(cell):
     try:
         return float(cell)
@@ -482,6 +534,72 @@ class TestCampaign:
         assert failed_row["pass"] is False
         for column in list(columns)[:-1]:
             assert failed_row[column] == "", column
+
+    def test_default_sweep_generates_each_shape_once(self, monkeypatch):
+        # 90 trials share 15 (n, p, lambda_max, seed) keys.  The shapes live
+        # only as long as one run_campaign call, so a second call generates
+        # them all again.
+        keys = []
+        original = geometry_module._poised_shape
+
+        def counted(kind, n, p, lambda_max, seed):
+            keys.append((n, p, lambda_max, seed))
+            return original(kind, n, p, lambda_max, seed)
+
+        monkeypatch.setattr(geometry_module, "_poised_shape", counted)
+        trials = _default_sweep(5)
+        assert len(trials) == 90
+        first = run_campaign(trials)
+        assert len(keys) == len(set(keys)) == 15
+        assert geometry_module._SHAPES.get(None) is None
+        second = run_campaign(trials)
+        assert len(keys) == 30 and set(keys[15:]) == set(keys[:15])
+        assert first.rows == second.rows and not first.failures
+
+    def test_rows_equal_trials_run_alone(self):
+        trials = _default_sweep(2)
+        report = run_campaign(trials)
+        for trial_id, config in enumerate(trials):
+            alone = {
+                **verify_module._config_columns(trial_id, config),
+                **verify_module._result_columns(run_trial(config)),
+            }
+            assert report.rows[trial_id] == alone, trial_id
+
+    def test_failed_shape_fails_only_its_key(self, monkeypatch):
+        # A shape that raises is not remembered: every trial with its key
+        # tries again and fails with the same message; the others pass.
+        calls = []
+        original = geometry_module._poised_shape
+
+        def flaky(kind, n, p, lambda_max, seed):
+            calls.append((n, p, seed))
+            if (p, seed) == (4, 1):
+                raise RuntimeError(f"no shape for p={p} seed={seed}")
+            return original(kind, n, p, lambda_max, seed)
+
+        trials = _default_sweep(2)
+        clean = run_campaign(trials)
+        monkeypatch.setattr(geometry_module, "_poised_shape", flaky)
+        report = run_campaign(trials)
+        bad = [i for i, c in enumerate(trials) if (c.p, c.seed) == (4, 1)]
+        assert len(bad) == 6
+        assert [f["trial_id"] for f in report.failures] == bad
+        assert {f["error"] for f in report.failures} == {"no shape for p=4 seed=1"}
+        assert calls.count((2, 4, 1)) == 6
+        assert len(calls) == 5 + 6
+        for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
+            if trial_id not in bad:
+                assert row == ref, trial_id
+
+    def test_shapes_dropped_when_campaign_raises(self):
+        def stop(_message):
+            raise KeyboardInterrupt
+
+        trials = _default_sweep(1)[:1]
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(trials, progress=stop)
+        assert geometry_module._SHAPES.get(None) is None
 
     def test_progress_callback(self):
         seen = []
