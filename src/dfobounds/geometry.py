@@ -6,10 +6,13 @@ origin).  This keeps conditioning independent of where the set sits and how
 small delta is.  The poisedness constant is invariant under the map, so sets
 are certified on the stack of normalized Lagrange coefficients on the unit
 ball; only fitted models and the public Lagrange builders' polynomials are
-pulled back through the exact affine substitution.  The generator works on
-the unit ball throughout and only places its certified shape at the end.
-The absolute-coordinate matrices remain available through
-``interpolation_matrix`` and ``mfn_system_matrix``.
+pulled back through the exact affine substitution.  Each set builds its
+normalized interpolation system, and takes its condition number, once: the
+system is memoized on the set, and every fit, Lagrange basis, weight vector
+and certificate of that set solves against it.  The generator works on the
+unit ball throughout and only places its certified shape at the end; the
+placed set shares the shape's system.  The absolute-coordinate matrices
+remain available through ``interpolation_matrix`` and ``mfn_system_matrix``.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ class SampleSet:
     # The points mapped to (y - y0) / radius, which every solve uses.  A
     # generated set keeps the exact unit set it was certified on.
     _normalized: np.ndarray = field(default=None, init=False, repr=False)
+    # (M, Mq, cond) of the normalized system, set by the first _system call
+    # that passes the condition check.  A generated set shares its shape's.
+    _system: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -261,23 +267,22 @@ def _check_shape(kind: PoisednessKind, n: int, p: int) -> None:
         )
 
 
-def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
-    """Solve the kind's normalized interpolation system for rhs.
+def _system(sample_set: SampleSet, kind: PoisednessKind):
+    """The kind's normalized system matrix M, Mq (MFN only), and cond(M).
 
-    Returns the FULL degree-2 coefficients of the solution on the
-    shifted/scaled set (one column per column of rhs) and the system's
-    condition number.  LINEAR solves the degree-1 basis system and pads the
-    second-order coefficients with zeros; QUADRATIC solves the degree-2
-    system; MFN solves the saddle system, whose solution is the multipliers
-    followed by the affine coefficients, and maps the multipliers to the
-    second-order coefficients through Mq^T.
+    M is the FULL degree-1 (LINEAR) or degree-2 (QUADRATIC) basis at the
+    normalized points, or the saddle matrix (MFN).  The system is built and
+    its condition checked once per set: the first call that passes the check
+    memoizes it on the set, read-only; (n, p) admits one kind, so the memo
+    needs no key.  A set that fails raises NotPoisedError on every call.
     """
-    n, p = sample_set.n, sample_set.p
-    _check_shape(kind, n, p)
+    _check_shape(kind, sample_set.n, sample_set.p)
+    if sample_set._system is not None:
+        return sample_set._system
     Yh = normalized_points(sample_set)
+    Mq = None
     if kind is PoisednessKind.MFN:
         Mq, M = _saddle_system(Yh)
-        rhs = np.concatenate([rhs, np.zeros((n + 1,) + rhs.shape[1:])])
     else:
         degree = 1 if kind is PoisednessKind.LINEAR else 2
         M = basis_matrix(BasisSelector(degree, BasisPart.FULL), Yh)
@@ -288,6 +293,29 @@ def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
             f"{system} system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
             condition=cond,
         )
+    for matrix in (M, Mq):
+        if matrix is not None:
+            matrix.setflags(write=False)
+    object.__setattr__(sample_set, "_system", (M, Mq, cond))
+    return sample_set._system
+
+
+def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
+    """Solve the kind's normalized interpolation system for rhs.
+
+    Returns the FULL degree-2 coefficients of the solution on the
+    shifted/scaled set (one column per column of rhs) and the system's
+    condition number.  The system is the set's one memoized system (see
+    ``_system``); only the solve runs per call.  LINEAR solves the degree-1
+    basis system and pads the second-order coefficients with zeros;
+    QUADRATIC solves the degree-2 system; MFN solves the saddle system, whose
+    solution is the multipliers followed by the affine coefficients, and
+    maps the multipliers to the second-order coefficients through Mq^T.
+    """
+    M, Mq, cond = _system(sample_set, kind)
+    n, p = sample_set.n, sample_set.p
+    if kind is PoisednessKind.MFN:
+        rhs = np.concatenate([rhs, np.zeros((n + 1,) + rhs.shape[1:])])
     sol = np.linalg.solve(M, rhs)
     if kind is PoisednessKind.MFN:
         sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
@@ -472,8 +500,9 @@ def generate_poised_set(
     The shape is exactly the same for every center and delta: the loop runs
     on the unit ball at the origin and depends only on (n, p, lambda_max,
     seed); the set is then placed at ``center + delta * U`` and keeps the
-    certified unit set U as its normalized points, so later solves use
-    exactly the certified geometry and the certificate carries over as is.
+    certified unit set U as its normalized points, with the system already
+    built on it, so later solves use exactly the certified geometry and the
+    certificate carries over as is.
     """
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
@@ -497,6 +526,7 @@ def generate_poised_set(
     shape = shapes[key]
     placed = SampleSet(center + delta * shape.points, delta)
     object.__setattr__(placed, "_normalized", normalized_points(shape))
+    object.__setattr__(placed, "_system", shape._system)
     object.__setattr__(placed, "certificate", shape.certificate)
     return placed
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,24 @@ def fd_gradient(f, x, h=1e-6):
         e[i] = h
         out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def campaign_script():
+    """``scripts/run_bound_campaign.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "run_bound_campaign", ROOT / "scripts" / "run_bound_campaign.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def default_sweep(seeds):
+    """The trials of ``scripts/run_bound_campaign.py --seeds <seeds>``."""
+    return campaign_script().build_trials(seeds, 0.0)
 
 
 @pytest.fixture

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfobounds.geometry as geometry_module
 from dfobounds import (
     BasisPart,
     BasisSelector,
     MatrixKind,
+    ModelKind,
     NotPoisedError,
     PoisednessKind,
     SampleSet,
     basis_matrix,
     design_matrix,
+    fit_model,
     generate_poised_set,
     grid_oracle,
     interpolation_matrix,
@@ -24,8 +27,11 @@ from dfobounds import (
     mfn_system_matrix,
     natural_basis,
     normalized_points,
+    run_campaign,
     space_dim,
 )
+
+from conftest import default_sweep
 
 KINDS = {
     PoisednessKind.LINEAR: lambda n: n,
@@ -360,6 +366,95 @@ class TestGenerator:
             generate_poised_set(2, 1, 0.5, 10.0, seed=0)
         with pytest.raises(ValueError):
             generate_poised_set(2, 6, 0.5, 10.0, seed=0)  # above quadratic size
+
+
+class TestSystemMemo:
+    """Each set builds its normalized interpolation system once."""
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5)])
+    def test_placed_set_shares_shape_memo(self, n, p):
+        with geometry_module._shape_memo():
+            a = generate_poised_set(n, p, 0.5, 20.0, seed=4)
+            b = generate_poised_set(n, p, 1e-3, 20.0, seed=4, center=[5.0, -3.0])
+            (shape,) = geometry_module._SHAPES.get().values()
+        assert shape._system is not None
+        assert a._system is shape._system
+        assert b._system is shape._system
+        M, Mq, cond = shape._system
+        assert not M.flags.writeable
+        assert (Mq is not None) == (p == 4)
+        if Mq is not None:
+            assert not Mq.flags.writeable
+        kind = geometry_module._kind_for_shape(n, p)
+        assert cond == geometry_module._interpolate(b, kind, np.eye(p + 1))[1]
+
+    def test_system_built_once_per_generator_iteration(self, monkeypatch):
+        # Over the default sweep every system is built by the generator, one
+        # per candidate set it tries; the trials' fits only reuse them.
+        original_system = geometry_module._system
+        original_shape = geometry_module._poised_shape
+        generating = []
+        candidates = []
+        builds = []  # (set, inside the generator)
+        reuses = []
+
+        class CountedSet(SampleSet):
+            def __post_init__(self):
+                super().__post_init__()
+                if generating:
+                    candidates.append(self)
+
+        def counted_system(sample_set, kind):
+            empty = sample_set._system is None
+            (builds if empty else reuses).append((sample_set, bool(generating)))
+            return original_system(sample_set, kind)
+
+        def counted_shape(*args):
+            generating.append(True)
+            try:
+                return original_shape(*args)
+            finally:
+                generating.pop()
+
+        monkeypatch.setattr(geometry_module, "SampleSet", CountedSet)
+        monkeypatch.setattr(geometry_module, "_system", counted_system)
+        monkeypatch.setattr(geometry_module, "_poised_shape", counted_shape)
+        trials = default_sweep(5)
+        report = run_campaign(trials)
+        assert not report.failures
+        assert all(inside for _, inside in builds)
+        assert [ss for ss, _ in builds] == candidates
+        # 15 shapes, each accepted on its last iteration; one fit per trial.
+        assert len(candidates) >= 15
+        assert len(reuses) == len(trials)
+        assert not any(inside for _, inside in reuses)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LIN_DET, ModelKind.QUAD_DET, ModelKind.MFN])
+    def test_fit_on_generated_set_equals_fresh_set(self, kind):
+        p = {ModelKind.LIN_DET: 2, ModelKind.QUAD_DET: 5, ModelKind.MFN: 4}[kind]
+        placed = generate_poised_set(2, p, 0.1, 20.0, seed=3, center=[0.3, -0.2])
+        fresh = SampleSet(placed.points, placed.radius)
+        object.__setattr__(fresh, "_normalized", normalized_points(placed))
+        assert fresh._system is None
+        values = np.sin(placed.points).sum(axis=1)
+        a = fit_model(kind, placed, values)
+        b = fit_model(kind, fresh, values)
+        assert np.array_equal(a.model.coeffs(), b.model.coeffs())
+        assert a.condition == b.condition
+        assert a.residual == b.residual
+
+    def test_failed_check_not_memoized(self):
+        collinear = SampleSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]), 1.0)
+        for _ in range(2):
+            with pytest.raises(NotPoisedError):
+                fit_model(ModelKind.LIN_DET, collinear, [0.0, 1.0, 2.0])
+            assert collinear._system is None
+
+    def test_memo_cannot_be_injected(self, simplex_set):
+        assert simplex_set._system is None
+        system = geometry_module._system(simplex_set, PoisednessKind.LINEAR)
+        with pytest.raises(TypeError):
+            SampleSet(simplex_set.points, 1.0, _system=system)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,9 +1,7 @@
 import csv
-import importlib.util
 import itertools
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from dfobounds.verify import (
     _rosenbrock_lipschitz,
 )
 
-from conftest import fd_gradient
+from conftest import ROOT, campaign_script, default_sweep, fd_gradient
 
 
 class TestFunctions:
@@ -47,6 +45,18 @@ class TestFunctions:
         fn = quadratic_function(A, rng.standard_normal(3))
         assert np.isclose(fn.lipschitz_L, np.linalg.norm(A, 2))
         assert fn.quadratic is not None
+
+    def test_quartic_products_match_powers(self, rng):
+        # The quartic uses products instead of float pow; they agree to a few
+        # ulps relative on blocks of every scale.
+        fn = quartic_function(4)
+        tol = 4.0 * np.finfo(float).eps
+        for scale in (1e-3, 1.0, 1e3):
+            X = rng.uniform(-1, 1, (200, 4)) * scale
+            ref_f = np.sum(X**4, axis=1)
+            ref_g = 4.0 * X**3
+            assert np.all(np.abs(fn.f(X) - ref_f) <= tol * np.abs(ref_f))
+            assert np.all(np.abs(fn.grad(X) - ref_g) <= tol * np.abs(ref_g))
 
     def test_quartic_shape_and_gradient(self, rng):
         fn = quartic_function(3)
@@ -388,19 +398,6 @@ class TestExpandConfig:
                            "p": 2, "delta": []})
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _default_sweep(seeds):
-    # The trials of ``scripts/run_bound_campaign.py --seeds <seeds>``.
-    spec = importlib.util.spec_from_file_location(
-        "run_bound_campaign", ROOT / "scripts" / "run_bound_campaign.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script.build_trials(seeds, 0.0)
-
-
 def _numeric(cell):
     try:
         return float(cell)
@@ -408,23 +405,38 @@ def _numeric(cell):
         return None
 
 
+class TestTrialCenter:
+    def test_center_draw_cached_and_read_only(self):
+        draw = verify_module._center_draw(11, 3)
+        assert verify_module._center_draw(11, 3) is draw
+        assert not draw.flags.writeable
+        with pytest.raises(ValueError):
+            draw[0] = 0.0
+        ref = np.random.default_rng(11).uniform(-0.5, 0.5, size=3)
+        assert np.array_equal(draw, ref)
+
+    def test_center_from_draw(self):
+        # The center is the seed's draw scaled into the middle half of the box.
+        fn = rosenbrock_function()
+        draw = np.random.default_rng(4).uniform(-0.5, 0.5, size=2)
+        center = verify_module._trial_center(fn, 0.1, 4)
+        assert np.array_equal(center, 0.0 + draw * 2.0)
+        assert center.flags.writeable
+
+
 class TestCampaign:
-    def test_default_sweep_matches_golden_csv(self, tmp_path, capsys):
-        # tests/data/default_sweep.csv is the CSV of
-        # ``scripts/run_bound_campaign.py --seeds 5``.  Text cells (function,
-        # kind, pass, the blanks of a failed trial) must match exactly and
-        # numbers to 1e-9 relative, so a change of roundoff order passes and
-        # a change of behaviour does not.
-        spec = importlib.util.spec_from_file_location(
-            "run_bound_campaign", ROOT / "scripts" / "run_bound_campaign.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.main(["--seeds", "5", "--quiet", "--out-dir", str(tmp_path)]) == 0
+    @staticmethod
+    def _check_against_golden(argv, golden_name, tmp_path, capsys):
+        # Run the campaign script and compare its CSV with a golden one: text
+        # cells (function, kind, pass, the blanks of a failed trial) must
+        # match exactly and numbers to 1e-9 relative, so a change of roundoff
+        # order passes and a change of behaviour does not.
+        script = campaign_script()
+        assert script.main([*argv, "--quiet", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         with open(tmp_path / "campaign.csv", newline="") as handle:
             rows = list(csv.reader(handle))
-        with open(ROOT / "tests" / "data" / "default_sweep.csv", newline="") as handle:
+        with open(ROOT / "tests" / "data" / golden_name, newline="") as handle:
             golden = list(csv.reader(handle))
         assert rows[0] == golden[0] == CSV_COLUMNS
         assert len(rows) == len(golden) == 91
@@ -435,6 +447,19 @@ class TestCampaign:
                     assert cell == expected, (row[0], column)
                 else:
                     assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (row[0], column)
+
+    def test_default_sweep_matches_golden_csv(self, tmp_path, capsys):
+        # tests/data/default_sweep.csv is the CSV of
+        # ``scripts/run_bound_campaign.py --seeds 5``.
+        self._check_against_golden(["--seeds", "5"], "default_sweep.csv", tmp_path, capsys)
+
+    def test_relaxed_sweep_matches_golden_csv(self, tmp_path, capsys):
+        # tests/data/default_sweep_kappa001.csv is the CSV of
+        # ``scripts/run_bound_campaign.py --seeds 5 --kappa 0.01``: every fit
+        # is relaxed, so the relaxed path is pinned too.
+        self._check_against_golden(
+            ["--seeds", "5", "--kappa", "0.01"], "default_sweep_kappa001.csv", tmp_path, capsys
+        )
 
     def test_empty_sweep(self, tmp_path):
         report = run_campaign(
@@ -547,7 +572,7 @@ class TestCampaign:
             return original(kind, n, p, lambda_max, seed)
 
         monkeypatch.setattr(geometry_module, "_poised_shape", counted)
-        trials = _default_sweep(5)
+        trials = default_sweep(5)
         assert len(trials) == 90
         first = run_campaign(trials)
         assert len(keys) == len(set(keys)) == 15
@@ -557,7 +582,7 @@ class TestCampaign:
         assert first.rows == second.rows and not first.failures
 
     def test_rows_equal_trials_run_alone(self):
-        trials = _default_sweep(2)
+        trials = default_sweep(2)
         report = run_campaign(trials)
         for trial_id, config in enumerate(trials):
             alone = {
@@ -578,7 +603,7 @@ class TestCampaign:
                 raise RuntimeError(f"no shape for p={p} seed={seed}")
             return original(kind, n, p, lambda_max, seed)
 
-        trials = _default_sweep(2)
+        trials = default_sweep(2)
         clean = run_campaign(trials)
         monkeypatch.setattr(geometry_module, "_poised_shape", flaky)
         report = run_campaign(trials)
@@ -596,7 +621,7 @@ class TestCampaign:
         def stop(_message):
             raise KeyboardInterrupt
 
-        trials = _default_sweep(1)[:1]
+        trials = default_sweep(1)[:1]
         with pytest.raises(KeyboardInterrupt):
             run_campaign(trials, progress=stop)
         assert geometry_module._SHAPES.get(None) is None
