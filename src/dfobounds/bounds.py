@@ -109,8 +109,8 @@ class BoundInputs:
 
     lam is the measured poisedness constant; kappa_L/kappa_Q/kappa_s/kappa_H
     are raw matrix-norm constants that, when supplied, take precedence over
-    the lam-derived values.  q defaults to the quadratic space size minus
-    one for the given n.
+    the lam-derived values.  q is the quadratic space size minus one for the
+    given n: it defaults to that value, and another q is rejected.
     """
 
     L: float
@@ -141,8 +141,13 @@ class BoundInputs:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.n is not None and self.p is not None and self.p < self.n:
             raise ValueError(f"p must be at least n = {self.n}, got {self.p}")
-        if self.n is not None and self.q is None:
-            object.__setattr__(self, "q", (self.n * self.n + 3 * self.n) // 2)
+        if self.n is not None:
+            q = (self.n * self.n + 3 * self.n) // 2
+            if self.q not in (None, q):
+                raise ValueError(
+                    f"q must be (n^2 + 3n)/2 = {q} for n = {self.n}, got {self.q}"
+                )
+            object.__setattr__(self, "q", q)
         if self.delta is not None and self.delta_max is None:
             object.__setattr__(self, "delta_max", float(self.delta))
         if (
@@ -201,15 +206,19 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     L, kappa = inputs.L, inputs.kappa
     prov: dict = {}
 
+    def constant(name, derive, needs=("lam",)):
+        # The supplied matrix constant, else derive() of the inputs in needs.
+        if getattr(inputs, name) is not None:
+            prov[name] = "supplied"
+            return getattr(inputs, name)
+        prov[name] = "from_lambda"
+        return derive(*_require(inputs, *needs))
+
     if kind is BoundKind.LIN_DET:
         (n,) = _require(inputs, "n")
-        if inputs.kappa_L is not None:
-            kappa_L = inputs.kappa_L
-            prov["kappa_L"] = "supplied"
-        else:
-            (lam,) = _require(inputs, "lam")
-            kappa_L = constants_from_lambda("LINEAR", lam, n=n)
-            prov["kappa_L"] = "from_lambda"
+        kappa_L = constant(
+            "kappa_L", lambda lam: constants_from_lambda("LINEAR", lam, n=n)
+        )
         term = (0.5 * L + 2.0 * kappa) * kappa_L * math.sqrt(n)
         C_g = L + term
         C_f = 0.5 * L + kappa + term
@@ -219,13 +228,9 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
 
     if kind is BoundKind.QUAD_DET:
         (q,) = _require(inputs, "q")
-        if inputs.kappa_Q is not None:
-            kappa_Q = inputs.kappa_Q
-            prov["kappa_Q"] = "supplied"
-        else:
-            (lam,) = _require(inputs, "lam")
-            kappa_Q = constants_from_lambda("QUADRATIC", lam, q=q)
-            prov["kappa_Q"] = "from_lambda"
+        kappa_Q = constant(
+            "kappa_Q", lambda lam: constants_from_lambda("QUADRATIC", lam, q=q)
+        )
         C_H = 2.0 * kappa_Q * math.sqrt(2.0 * q) * (kappa + L)
         C_g = 2.0 * kappa_Q * math.sqrt(q) * (1.0 + math.sqrt(2.0)) * (kappa + L)
         C_f = 0.5 * L + kappa + kappa_Q * math.sqrt(q) * (2.0 + 3.0 * math.sqrt(2.0)) * (kappa + L)
@@ -239,26 +244,19 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     if kind is BoundKind.UNDER:
         (p,) = _require(inputs, "p")
         kappa_s, kappa_H = _require(inputs, "kappa_s", "kappa_H")
-        prov["kappa_s"] = "supplied"
-        prov["kappa_H"] = "supplied"
+        prov.update(kappa_s="supplied", kappa_H="supplied")
         return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
 
     if kind is BoundKind.MFN:
         (n, p, q) = _require(inputs, "n", "p", "q")
-        if inputs.kappa_s is not None:
-            kappa_s = inputs.kappa_s
-            prov["kappa_s"] = "supplied"
-        else:
-            (lam,) = _require(inputs, "lam")
-            kappa_s = constants_from_lambda("MFN", lam, n=n, p=p)
-            prov["kappa_s"] = "from_lambda"
-        if inputs.kappa_H is not None:
-            kappa_H = inputs.kappa_H
-            prov["kappa_H"] = "supplied"
-        else:
-            (lam, delta_max) = _require(inputs, "lam", "delta_max")
-            kappa_H = hessian_bound_mfn(L, kappa, lam, p, q, delta_max)
-            prov["kappa_H"] = "from_lambda"
+        kappa_s = constant(
+            "kappa_s", lambda lam: constants_from_lambda("MFN", lam, n=n, p=p)
+        )
+        kappa_H = constant(
+            "kappa_H",
+            lambda lam, delta_max: hessian_bound_mfn(L, kappa, lam, p, q, delta_max),
+            needs=("lam", "delta_max"),
+        )
         return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
 
     raise ValueError(f"unknown bound kind {kind!r}")

@@ -167,12 +167,13 @@ def read_model(path) -> QuadraticPolynomial:
 
 
 def write_model(path, model: QuadraticPolynomial, extra: Optional[dict] = None) -> dict:
-    """Serialize a model to JSON; extra keys are merged into the object."""
+    """Serialize a model to strict JSON; extra keys are merged into the object."""
     payload = model_to_dict(model)
     if extra:
         payload.update(extra)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path is not None:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(text + "\n")
     return payload
 
 

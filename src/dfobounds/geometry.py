@@ -6,13 +6,13 @@ origin).  This keeps conditioning independent of where the set sits and how
 small delta is.  The poisedness constant is invariant under the map, so sets
 are certified on the stack of normalized Lagrange coefficients on the unit
 ball; only fitted models and the public Lagrange builders' polynomials are
-pulled back through the exact affine substitution.  Each set builds its
-normalized interpolation system, and takes its condition number, once: the
-system is memoized on the set, and every fit, Lagrange basis, weight vector
-and certificate of that set solves against it.  The generator works on the
-unit ball throughout and only places its certified shape at the end; the
-placed set shares the shape's system.  The absolute-coordinate matrices
-remain available through ``interpolation_matrix`` and ``mfn_system_matrix``.
+pulled back through the exact affine substitution.  Each set is solved once:
+its Lagrange basis, and its condition number, are memoized on the set, and
+every fit (sum_j f(y_j) l_j), Lagrange builder, weight vector and certificate
+of that set reads that basis.  The generator works on the unit ball and only
+places its certified shape at the end; the placed set shares the shape's
+basis.  The absolute-coordinate matrices remain available through
+``interpolation_matrix`` and ``mfn_system_matrix``.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class SampleSet:
     # The points mapped to (y - y0) / radius, which every solve uses.  A
     # generated set keeps the exact unit set it was certified on.
     _normalized: np.ndarray = field(default=None, init=False, repr=False)
-    # (M, Mq, cond) of the normalized system, set by the first _system call
-    # that passes the condition check.  A generated set shares its shape's.
+    # (Lagrange coefficients, cond), set by the first _system call that
+    # passes the condition check.  A generated set shares its shape's.
     _system: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -268,19 +268,21 @@ def _check_shape(kind: PoisednessKind, n: int, p: int) -> None:
 
 
 def _system(sample_set: SampleSet, kind: PoisednessKind):
-    """The kind's normalized system matrix M, Mq (MFN only), and cond(M).
+    """The kind's normalized Lagrange basis and the condition of its system.
 
-    M is the FULL degree-1 (LINEAR) or degree-2 (QUADRATIC) basis at the
-    normalized points, or the saddle matrix (MFN).  The system is built and
-    its condition checked once per set: the first call that passes the check
-    memoizes it on the set, read-only; (n, p) admits one kind, so the memo
-    needs no key.  A set that fails raises NotPoisedError on every call.
+    Column j of the read-only (q+1, p+1) coeffs holds the FULL degree-2
+    coefficients of l_j on the normalized set.  The system matrix M is the
+    FULL degree-1 (LINEAR) or degree-2 (QUADRATIC) basis at the normalized
+    points, or the saddle matrix (MFN).  The first call that passes the cond
+    check solves M for the identity and memoizes (coeffs, cond) on the set;
+    (n, p) admits one kind, so the memo needs no key.  A set that fails
+    raises NotPoisedError on every call.
     """
     _check_shape(kind, sample_set.n, sample_set.p)
     if sample_set._system is not None:
         return sample_set._system
     Yh = normalized_points(sample_set)
-    Mq = None
+    n, p = sample_set.n, sample_set.p
     if kind is PoisednessKind.MFN:
         Mq, M = _saddle_system(Yh)
     else:
@@ -293,35 +295,29 @@ def _system(sample_set: SampleSet, kind: PoisednessKind):
             f"{system} system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
             condition=cond,
         )
-    for matrix in (M, Mq):
-        if matrix is not None:
-            matrix.setflags(write=False)
-    object.__setattr__(sample_set, "_system", (M, Mq, cond))
-    return sample_set._system
-
-
-def _interpolate(sample_set: SampleSet, kind: PoisednessKind, rhs):
-    """Solve the kind's normalized interpolation system for rhs.
-
-    Returns the FULL degree-2 coefficients of the solution on the
-    shifted/scaled set (one column per column of rhs) and the system's
-    condition number.  The system is the set's one memoized system (see
-    ``_system``); only the solve runs per call.  LINEAR solves the degree-1
-    basis system and pads the second-order coefficients with zeros;
-    QUADRATIC solves the degree-2 system; MFN solves the saddle system, whose
-    solution is the multipliers followed by the affine coefficients, and
-    maps the multipliers to the second-order coefficients through Mq^T.
-    """
-    M, Mq, cond = _system(sample_set, kind)
-    n, p = sample_set.n, sample_set.p
-    if kind is PoisednessKind.MFN:
-        rhs = np.concatenate([rhs, np.zeros((n + 1,) + rhs.shape[1:])])
-    sol = np.linalg.solve(M, rhs)
+    # The saddle solution is the multipliers, which Mq^T maps to the
+    # second-order coefficients, then the affine coefficients; LINEAR pads.
+    sol = np.linalg.solve(M, np.eye(M.shape[0], p + 1))
     if kind is PoisednessKind.MFN:
         sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
     elif kind is PoisednessKind.LINEAR:
-        quad = np.zeros((space_dim(2, n) - n - 1,) + sol.shape[1:])
-        sol = np.concatenate([sol, quad])
+        sol = np.concatenate([sol, np.zeros((space_dim(2, n) - n - 1, p + 1))])
+    sol.setflags(write=False)
+    object.__setattr__(sample_set, "_system", (sol, cond))
+    return sample_set._system
+
+
+def _interpolate(sample_set: SampleSet, kind: PoisednessKind, values):
+    """The kind's interpolant of values, as the Lagrange expansion.
+
+    Returns its FULL degree-2 coefficients on the normalized set, read off
+    the set's memoized basis (see ``_system``), and the system's cond.  Each
+    kind reproduces constants (sum_j l_j = 1), so the expansion is taken
+    about values_0 and a constant is fitted exactly.
+    """
+    coeffs, cond = _system(sample_set, kind)
+    sol = coeffs @ (values - values[0])
+    sol[0] += values[0]
     return sol, cond
 
 
@@ -335,8 +331,7 @@ def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
 
 def _lagrange_coeffs(sample_set: SampleSet, kind: PoisednessKind) -> np.ndarray:
     # Row j holds the FULL degree-2 coefficients of l_j on the normalized set.
-    coeffs, _ = _interpolate(sample_set, kind, np.eye(sample_set.p + 1))
-    return coeffs.T
+    return _system(sample_set, kind)[0].T
 
 
 def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
@@ -346,8 +341,8 @@ def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
 def lagrange_determined(sample_set: SampleSet, degree: int):
     """Lagrange basis for determined interpolation of the given degree.
 
-    Solves the square system on the shifted/scaled set and pulls each
-    polynomial back; l_j(y^i) = delta_ij by construction.
+    Reads the set's basis, solved for on the shifted/scaled set, and pulls
+    each polynomial back; l_j(y^i) = delta_ij by construction.
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
@@ -359,8 +354,8 @@ def lagrange_mfn(sample_set: SampleSet):
     """Minimum-norm Lagrange basis for n < p < q.
 
     Each l_j minimizes the Euclidean norm of its second-order coefficients
-    subject to l_j(y^i) = delta_ij.  All p+1 polynomials come from a single
-    solve of the saddle system.
+    subject to l_j(y^i) = delta_ij.  All p+1 polynomials come from the set's
+    single solve of the saddle system.
     """
     return _lagrange(sample_set, PoisednessKind.MFN)
 
@@ -374,7 +369,7 @@ def mfn_lambda_vector(sample_set: SampleSet, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (sample_set.n,):
         raise ValueError(f"x must have shape ({sample_set.n},), got {x.shape}")
-    coeffs, _ = _interpolate(sample_set, PoisednessKind.MFN, np.eye(sample_set.p + 1))
+    coeffs, _ = _system(sample_set, PoisednessKind.MFN)
     xh = (x - sample_set.y0) / sample_set.radius
     return natural_basis(BasisSelector(2, BasisPart.FULL), xh) @ coeffs
 
@@ -500,9 +495,9 @@ def generate_poised_set(
     The shape is exactly the same for every center and delta: the loop runs
     on the unit ball at the origin and depends only on (n, p, lambda_max,
     seed); the set is then placed at ``center + delta * U`` and keeps the
-    certified unit set U as its normalized points, with the system already
-    built on it, so later solves use exactly the certified geometry and the
-    certificate carries over as is.
+    certified unit set U as its normalized points, with the Lagrange basis
+    already solved for on it, so later fits use exactly the certified
+    geometry and the certificate carries over as is.
     """
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")

@@ -102,29 +102,34 @@ def interpolation_residual(
     model: QuadraticPolynomial, sample_set: SampleSet, values
 ) -> float:
     """max_j |model(y_j) - values_j|."""
-    v = _check_values(sample_set, values)
-    fitted = model.eval_batch(sample_set.points)
-    return float(np.max(np.abs(fitted - v)))
+    return _residual(model, sample_set, _check_values(sample_set, values))
+
+
+def _residual(model: QuadraticPolynomial, sample_set: SampleSet, v) -> float:
+    return float(np.max(np.abs(model.eval_batch(sample_set.points) - v)))
 
 
 def _fit(kind: ModelKind, sample_set: SampleSet, rhs, values) -> FitResult:
-    # The kind's interpolant of rhs, with its residual against values.
-    coeffs, cond = _interpolate(sample_set, _POISEDNESS_KIND[kind], rhs)
-    model = _interpolant(sample_set, coeffs)
+    # The kind's interpolant of rhs, with its residual against values; the
+    # caller checked both.  Finite values can still overflow the expansion.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, cond = _interpolate(sample_set, _POISEDNESS_KIND[kind], rhs)
+        model = _interpolant(sample_set, coeffs)
+    parts = (model.constant, model.gradient, model.hessian)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValueError("values overflow the fit: its coefficients are not finite")
     return FitResult(
-        model=model,
-        residual=interpolation_residual(model, sample_set, values),
-        condition=cond,
+        model=model, residual=_residual(model, sample_set, values), condition=cond
     )
 
 
 def fit_model(kind: ModelKind, sample_set: SampleSet, values) -> FitResult:
     """Interpolate the values exactly with the requested model kind.
 
-    Determined kinds solve the square basis system; MFN minimizes the
-    Euclidean norm of the second-order coefficients subject to the
-    interpolation conditions, through one solve of the saddle system.  All
-    solves run on the shifted/scaled set.
+    The model is sum_j values_j l_j in the set's memoized Lagrange basis.
+    The determined kinds' basis solves the square basis system; MFN's
+    minimizes the Euclidean norm of the second-order coefficients subject
+    to the interpolation conditions, through the saddle system.
     """
     v = _check_values(sample_set, values)
     return _fit(kind, sample_set, v, v)

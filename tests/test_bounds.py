@@ -148,6 +148,24 @@ class TestErrorBounds:
         inputs = BoundInputs(L=1.0, lam=2.0, n=3)
         assert inputs.q == 9
 
+    @pytest.mark.parametrize("n,q", [(2, 9), (2, 4), (3, 5), (1, 9)])
+    def test_q_contradicting_n_rejected(self, n, q):
+        with pytest.raises(ValueError, match=f"^q must be .*, got {q}$"):
+            BoundInputs(L=1.0, lam=2.0, n=n, q=q)
+
+    def test_q_matching_n_or_without_n_accepted(self):
+        assert BoundInputs(L=1.0, lam=2.0, n=2, q=5).q == 5
+        assert BoundInputs(L=1.0, lam=2.0, q=9).q == 9
+
+    def test_mfn_provenance_per_constant(self):
+        inputs = BoundInputs(L=1.0, lam=2.0, kappa_s=3.0, n=2, p=4, delta=0.5)
+        report = error_bounds(BoundKind.MFN, inputs)
+        assert report.provenance["kappa_s"] == "supplied"
+        assert report.provenance["kappa_H"] == "from_lambda"
+        assert report.C_H == hessian_bound_mfn(1.0, 0.0, 2.0, 4, 5, 0.5)
+        with pytest.raises(ValueError, match="^bound computation needs delta_max$"):
+            error_bounds(BoundKind.MFN, BoundInputs(L=1.0, lam=2.0, n=2, p=4))
+
     def test_report_serializes(self):
         report = error_bounds(BoundKind.LIN_DET, BoundInputs(L=2.0, lam=1.0, n=4))
         payload = report.to_dict()

@@ -105,6 +105,18 @@ class TestFit:
         envelope = 0.05 * 2.0  # kappa * delta^2
         assert payload["residual"] <= envelope * (1 + 1e-9)
 
+    def test_overflowing_values_exit_1_without_out_file(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        write_points(path, pts, values=[1e308, -1e308, 1e308])
+        out = tmp_path / "model.json"
+        code = main(["fit", str(path), "--delta", "1", "--kind", "lin_det", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "values overflow the fit" in captured.err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_lin_det_worked_example(self, capsys):
@@ -156,6 +168,15 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be a finite number" in captured.err
+
+    def test_q_contradicting_n_exits_1(self, capsys):
+        code = main(
+            ["bounds", "--kind", "quad_det", "--L", "2", "--lam", "1", "--n", "2", "--q", "9"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q must be" in captured.err
 
 
 class TestOracle:

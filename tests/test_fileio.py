@@ -106,6 +106,14 @@ def test_model_rejects_non_finite(key, value):
         model_from_dict(payload)
 
 
+def test_write_model_rejects_non_finite_before_opening(tmp_path):
+    model = QuadraticPolynomial(2, float("nan"), np.zeros(2), np.zeros((2, 2)))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        write_model(path, model)
+    assert not path.exists()
+
+
 def test_gamma_and_config(tmp_path):
     gpath = tmp_path / "gamma.json"
     gpath.write_text("[1.0, 2.0, 3.0]")

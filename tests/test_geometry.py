@@ -380,13 +380,11 @@ class TestSystemMemo:
         assert shape._system is not None
         assert a._system is shape._system
         assert b._system is shape._system
-        M, Mq, cond = shape._system
-        assert not M.flags.writeable
-        assert (Mq is not None) == (p == 4)
-        if Mq is not None:
-            assert not Mq.flags.writeable
-        kind = geometry_module._kind_for_shape(n, p)
-        assert cond == geometry_module._interpolate(b, kind, np.eye(p + 1))[1]
+        coeffs, cond = shape._system
+        assert not coeffs.flags.writeable
+        assert coeffs.shape == (6, p + 1)  # FULL degree-2 basis at n = 2
+        kind = {2: ModelKind.LIN_DET, 4: ModelKind.MFN, 5: ModelKind.QUAD_DET}[p]
+        assert cond == fit_model(kind, b, np.ones(p + 1)).condition
 
     def test_system_built_once_per_generator_iteration(self, monkeypatch):
         # Over the default sweep every system is built by the generator, one
@@ -428,6 +426,43 @@ class TestSystemMemo:
         assert len(candidates) >= 15
         assert len(reuses) == len(trials)
         assert not any(inside for _, inside in reuses)
+
+    def test_one_solve_per_system_build(self, monkeypatch):
+        # Over the default sweep the only solves are the basis solves in
+        # _system, one per system it builds, all for generator candidates;
+        # the trials' fits expand values in those bases and solve nothing.
+        original_system = geometry_module._system
+        original_shape = geometry_module._poised_shape
+        original_solve = np.linalg.solve
+        generating = []
+        builds = []  # inside the generator
+        solves = []  # inside the generator
+
+        def counted_system(sample_set, kind):
+            empty = sample_set._system is None
+            result = original_system(sample_set, kind)
+            if empty:
+                builds.append(bool(generating))
+            return result
+
+        def counted_solve(a, b):
+            solves.append(bool(generating))
+            return original_solve(a, b)
+
+        def counted_shape(*args):
+            generating.append(True)
+            try:
+                return original_shape(*args)
+            finally:
+                generating.pop()
+
+        monkeypatch.setattr(geometry_module, "_system", counted_system)
+        monkeypatch.setattr(geometry_module, "_poised_shape", counted_shape)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        report = run_campaign(default_sweep(5))
+        assert not report.failures
+        assert len(solves) == len(builds) >= 15
+        assert all(solves) and all(builds)
 
     @pytest.mark.parametrize("kind", [ModelKind.LIN_DET, ModelKind.QUAD_DET, ModelKind.MFN])
     def test_fit_on_generated_set_equals_fresh_set(self, kind):

@@ -65,6 +65,46 @@ class TestDeterminedFits:
         with pytest.raises(ValueError):
             fit_model(ModelKind.LIN_DET, simplex_set, np.array([1.0, np.inf, 0.0]))
 
+    def test_overflowing_values_raise(self):
+        # Finite values whose differences overflow must not yield a NaN model.
+        ss = SampleSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1.0)
+        with pytest.raises(ValueError, match="values overflow the fit"):
+            fit_model(ModelKind.LIN_DET, ss, [1e308, -1e308, 1e308])
+
+
+KIND_SHAPES = [
+    (ModelKind.LIN_DET, 2, 2),
+    (ModelKind.LIN_DET, 4, 4),
+    (ModelKind.MFN, 2, 4),
+    (ModelKind.MFN, 3, 6),
+    (ModelKind.QUAD_DET, 2, 5),
+    (ModelKind.QUAD_DET, 3, 9),
+]
+
+
+@pytest.mark.parametrize("kind,n,p", KIND_SHAPES)
+def test_constant_fitted_exactly(kind, n, p):
+    # Every kind reproduces constants, so the fit is the constant itself,
+    # with no roundoff in any coefficient.
+    for seed in range(3):
+        ss = generate_poised_set(n, p, 0.1, 20.0, seed=seed, center=np.full(n, 0.3))
+        fit = fit_model(kind, ss, np.full(p + 1, -2.75))
+        assert fit.model.constant == -2.75
+        assert not np.any(fit.model.gradient)
+        assert not np.any(fit.model.hessian)
+        assert fit.residual == 0.0
+
+
+@pytest.mark.parametrize("kind,n,p", KIND_SHAPES)
+def test_fit_residual_equals_interpolation_residual(kind, n, p, rng):
+    ss = generate_poised_set(n, p, 0.2, 20.0, seed=1, center=np.full(n, -0.4))
+    values = rng.standard_normal(p + 1)
+    exact = fit_model(kind, ss, values)
+    relaxed = fit_relaxed(kind, ss, values, RelaxationSpec(0.5, noise_seed=2))
+    for fit in (exact, relaxed):
+        assert fit.residual == interpolation_residual(fit.model, ss, values)
+    assert relaxed.residual > exact.residual
+
 
 class TestMfnFits:
     def test_cross_product_recovery(self, cross_set):

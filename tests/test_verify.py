@@ -219,21 +219,24 @@ class TestCheckTheory:
 
     def test_mfn_basis_built_once(self, monkeypatch):
         # The certificate and the Lagrange Hessian checks share one basis:
-        # one solve of the saddle system for the identity right-hand side.
-        import dfobounds.geometry as geometry_module
-
+        # one solve of the saddle system, for the identity right-hand side.
+        # A generated set reuses the basis the generator solved for.
         ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7)
-        calls = []
-        original = geometry_module._interpolate
+        fresh = SampleSet(ss.points, ss.radius)
+        solves = []
+        original = np.linalg.solve
 
-        def counting(sample_set, kind, rhs):
-            if np.array_equal(rhs, np.eye(sample_set.p + 1)):
-                calls.append(kind)
-            return original(sample_set, kind, rhs)
+        def counting(a, b):
+            solves.append((a.shape, b.shape))
+            return original(a, b)
 
-        monkeypatch.setattr(geometry_module, "_interpolate", counting)
-        checks = check_theory(ss, PoisednessKind.MFN, floor_samples=10)
-        assert len(calls) == 1 and calls[0] is PoisednessKind.MFN
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        check_theory(ss, PoisednessKind.MFN, floor_samples=10)
+        assert solves == []
+        assert fresh._system is None
+        checks = check_theory(fresh, PoisednessKind.MFN, floor_samples=10)
+        assert solves == [((8, 8), (8, 5))]  # saddle system of p + n + 2 rows
+        assert fresh._system is not None
         assert any(c.name.startswith("lagrange_hessian_norm_") for c in checks)
 
     def test_mfn_hessian_norms_are_absolute(self):
