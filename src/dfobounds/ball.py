@@ -58,6 +58,7 @@ _CHUNK_POINTS = 1_000_000
 _NEWTON_ITERS = 100
 _TOL = 1e-10  # cap on each scaled certificate residual
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -110,79 +111,91 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
     lexicographically smallest step.  Maximizers are the minimizers of
     (-G, -H).
     """
-    return _extremize(G, H, radius)
-
-
-def _extremize(G, H, radius: float, eig=None) -> BallSolution:
-    # extremize_batch, given the eigendecomposition (w, Q) of H with w
-    # ascending per item, or computing it when eig is None.
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
     if G.ndim != 2 or H.shape != G.shape + (G.shape[1],):
         raise ValueError(
             f"need G of shape (k, n) and H of shape (k, n, n), got {G.shape} and {H.shape}"
         )
+    r = _radius(radius)
+    if not (np.isfinite(G).all() and np.isfinite(H).all()):
+        raise ValueError("gradients and Hessians must be finite")
+    return _extremize(G, H, r)
+
+
+def _radius(radius) -> float:
     r = float(radius)
     if not np.isfinite(r) or r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r}")
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(H))):
-        raise ValueError("gradients and Hessians must be finite")
-    k = G.shape[0]
+    return r
+
+
+def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
+    # np.linalg.norm(x, axis=axis) for real x, without its dispatch.
+    return np.sqrt((x * x).sum(axis=axis))
+
+
+def _extremize(G, H, r: float, eig=None) -> BallSolution:
+    # extremize_batch on checked float arrays and radius, given the
+    # eigendecomposition (w, Q) of H with w ascending per item, or computing
+    # it when eig is None.
+    k, n = G.shape
 
     # Ascending eigenvalues, eigenvectors in columns.
     w, Q = np.linalg.eigh(H) if eig is None else eig
     gh = np.einsum("kji,kj->ki", Q, G)
     lam = w[:, 0]
-    h_scale = np.max(np.abs(w), axis=1)
-    g_norm = np.linalg.norm(G, axis=1)
-    scale = np.maximum(np.finfo(float).tiny, g_norm + h_scale * r)
+    h_scale = np.abs(w).max(axis=1)
+    g_norm = _rownorm(G, 1)
+    scale = np.maximum(_TINY, g_norm + h_scale * r)
     mu_lo = np.maximum(0.0, -lam)
 
     # The extreme eigenspace, and whether the gradient is too small on it to
     # matter; such a component is dropped so the pole at -lambda_min goes.
+    # Adding 0.0 turns -0.0 into 0.0, so every inactive component is +0.0.
     cluster = w <= (lam + 1e-12 * h_scale)[:, None]
-    g_cluster = np.linalg.norm(np.where(cluster, gh, 0.0), axis=1)
+    g_cluster = _rownorm(np.where(cluster, gh, 0.0), 1)
     degenerate = g_cluster <= 1e-11 * g_norm
-    gh_eff = np.where(cluster & degenerate[:, None], 0.0, gh)
+    gh_eff = np.where(cluster & degenerate[:, None], 0.0, gh) + 0.0
     g_cluster = np.where(degenerate, 0.0, g_cluster)
     active = gh_eff != 0.0
+    # Inactive components divide by 1 + mu >= 1, which leaves them +0.0.
+    w_act = np.where(active, w, 1.0)
 
     def step(mu):
         # Eigen-coordinates of -z(mu), and the shifted eigenvalues.
-        d = w + mu[:, None]
-        t = np.divide(gh_eff, d, out=np.zeros_like(gh_eff), where=active)
-        return t, d
+        d = w_act + mu[:, None]
+        return gh_eff / d, d
 
     # Interior candidate: H positive semidefinite and g in its range.
     pos_tol = 1e-13 * h_scale
     pos = w > pos_tol[:, None]
     z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
-    n_int = np.linalg.norm(z_int, axis=1)
+    n_int = _rownorm(z_int, 1)
     in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
     ok_int = (
         (lam >= -pos_tol)
-        & np.all(pos | in_range, axis=1)
+        & (pos | in_range).all(axis=1)
         & (n_int <= r * (1.0 + 1e-12))
     )
 
     # Boundary candidate.  ||z(mu)|| >= |gh_i| / (w_i + mu) for every i, so
     # the root lies right of every |gh_i| / r - w_i; start at the largest.
-    bound = np.max(np.where(active, np.abs(gh_eff) / r - w, -np.inf), axis=1)
+    bound = np.where(active, np.abs(gh_eff) / r - w, -np.inf).max(axis=1)
     mu = np.maximum(mu_lo, bound)
     pole = ~degenerate & (mu <= -lam)
     mu = np.where(pole, -lam + np.maximum(4.0 * _EPS * np.abs(lam), 1e-300), mu)
     t, d = step(mu)
-    live = np.all((d > 0.0) | ~active, axis=1) & np.any(active, axis=1)
+    live = ((d > 0.0) | ~active).all(axis=1) & active.any(axis=1)
     ok_bnd = live.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
             if not live.any():
                 break
-            s2 = np.sum(t * t, axis=1)
+            tt = t * t
+            s2 = tt.sum(axis=1)
             s = np.sqrt(s2)
-            slope = np.sum(
-                np.divide(t * t, d, out=np.zeros_like(t), where=active), axis=1
-            )
+            slope = (tt / d).sum(axis=1)
             delta = np.maximum((s - r) / r * s2 / slope, 0.0)
             finite = np.isfinite(delta)
             ok_bnd &= finite | ~live
@@ -194,9 +207,8 @@ def _extremize(G, H, radius: float, eig=None) -> BallSolution:
         # minimizer, or past the root at the pole) the interior or completed
         # candidate covers the item; a step short of the sphere is not
         # offered as a boundary one.
-        reached = np.linalg.norm(t, axis=1) >= r * (1.0 - _TOL)
+        reached = _rownorm(t, 1) >= r * (1.0 - _TOL)
     mu_bnd = mu
-    z_bnd = -t
 
     # Completion on the extreme eigenspace, from the boundary multiplier when
     # there is one and from the pole otherwise.
@@ -204,32 +216,43 @@ def _extremize(G, H, radius: float, eig=None) -> BallSolution:
     with np.errstate(divide="ignore", invalid="ignore"):
         t_rest, _ = step(base)
     t_rest[cluster] = 0.0
-    tau2 = r * r - np.sum(t_rest * t_rest, axis=1)
+    tau2 = r * r - (t_rest * t_rest).sum(axis=1)
     ok_cmp = tau2 > 0.0
     tau = np.sqrt(np.maximum(tau2, 0.0))
     unit = np.where(g_cluster > 0.0, g_cluster, 1.0)
     direction = np.where(cluster, -gh, 0.0) / unit[:, None]
     direction[degenerate, :] = 0.0
     direction[degenerate, 0] = 1.0
-    z_cmp = -t_rest + tau[:, None] * direction
-    z_alt = -t_rest - tau[:, None] * direction  # the other sign, hard case only
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_cmp = np.maximum(0.0, -lam + np.where(g_cluster > 0.0, g_cluster / tau, 0.0))
     ok_cmp &= np.isfinite(mu_cmp)
 
-    # Certify every candidate in the original coordinates.
-    Zh = np.stack([z_int, z_cmp, z_alt, z_bnd], axis=1)
-    MU = np.stack([np.zeros(k), mu_cmp, mu_cmp, mu_bnd], axis=1)
-    ok = np.stack([ok_int, ok_cmp, ok_cmp & degenerate, ok_bnd & reached], axis=1)
-    Zh = np.where(ok[:, :, None], Zh, 0.0)
-    MU = np.where(ok, MU, 0.0)
+    # Certify every candidate in the original coordinates: interior,
+    # completed, completed with the other sign (hard case only), boundary.
+    Zh = np.empty((k, 4, n))
+    Zh[:, 0] = z_int
+    Zh[:, 1] = -t_rest + tau[:, None] * direction
+    Zh[:, 2] = -t_rest - tau[:, None] * direction
+    Zh[:, 3] = -t
+    MU = np.empty((k, 4))
+    MU[:, 0] = 0.0
+    MU[:, 1] = mu_cmp
+    MU[:, 2] = mu_cmp
+    MU[:, 3] = mu_bnd
+    ok = np.empty((k, 4), dtype=bool)
+    ok[:, 0] = ok_int
+    ok[:, 1] = ok_cmp
+    ok[:, 2] = ok_cmp & degenerate
+    ok[:, 3] = ok_bnd & reached
+    Zh[~ok] = 0.0
+    MU[~ok] = 0.0
     Z = np.einsum("kij,kcj->kci", Q, Zh)
-    norms = np.linalg.norm(Z, axis=2)
+    norms = _rownorm(Z, 2)
     Z *= np.minimum(1.0, r / np.where(norms > 0.0, norms, 1.0))[:, :, None]
     norms = np.minimum(norms, r)
     HZ = np.einsum("kij,kcj->kci", H, Z)
     gap = HZ + MU[:, :, None] * Z + G[:, None, :]
-    stationarity = np.linalg.norm(gap, axis=2) / scale[:, None]
+    stationarity = _rownorm(gap, 2) / scale[:, None]
     complementarity = np.abs(MU * (r - norms)) / scale[:, None]
     dual = (mu_lo[:, None] - MU) * r / scale[:, None]
     residual = np.maximum(np.maximum(stationarity, complementarity), dual)
@@ -247,15 +270,15 @@ def _extremize(G, H, radius: float, eig=None) -> BallSolution:
         worst = np.where(ok[i], residual[i], np.inf)
         raise RuntimeError(
             f"no candidate certifies for item {i}: smallest residual "
-            f"{float(np.min(worst)):.3e} exceeds tol {_TOL:.3e}"
+            f"{float(worst.min()):.3e} exceeds tol {_TOL:.3e}"
         )
 
     value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
     value = np.where(certified, value, np.inf)
-    best = np.min(value, axis=1)
+    best = value.min(axis=1)
     tied = value <= (best + 1e-14 * np.maximum(np.abs(best), scale * r))[:, None]
-    choice = np.argmax(tied, axis=1)
-    for i in np.flatnonzero(np.sum(tied, axis=1) > 1):
+    choice = tied.argmax(axis=1)
+    for i in np.flatnonzero(tied.sum(axis=1) > 1):
         choice[i] = min(np.flatnonzero(tied[i]), key=lambda c: tuple(Z[i, c]))
     rows = np.arange(k)
     return BallSolution(
@@ -339,12 +362,13 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     """
     single = isinstance(m, QuadraticPolynomial)
     center, c, g, H, g0 = _stack([m] if single else m, center)
+    r = _radius(radius)
     k = len(c)
     # eigh(-H) is eigh(H) with the eigenvalues negated and their order, and
     # the eigenvector columns with them, reversed.
     w, Q = np.linalg.eigh(H)
     eig = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
-    sol = _extremize(np.vstack([g0, -g0]), np.concatenate([H, -H]), radius, eig)
+    sol = _extremize(np.vstack([g0, -g0]), np.concatenate([H, -H]), r, eig)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (

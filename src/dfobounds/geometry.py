@@ -11,7 +11,11 @@ its Lagrange basis, and its condition number, are memoized on the set, and
 every fit (sum_j f(y_j) l_j), Lagrange builder, weight vector and certificate
 of that set reads that basis.  The generator works on the unit ball and only
 places its certified shape at the end; the placed set shares the shape's
-basis.  The absolute-coordinate matrices remain available through
+basis.  Its improvement loop is a generator that yields each candidate's
+Lagrange stack for the ball solver; one driver runs such loops of one n in
+lockstep, with one solve per step for all of them, so a campaign certifies
+its shapes together and each equals the shape certified alone.  The
+absolute-coordinate matrices remain available through
 ``interpolation_matrix`` and ``mfn_system_matrix``.
 """
 
@@ -31,6 +35,7 @@ from .poly import (
     BasisPart,
     BasisSelector,
     QuadraticPolynomial,
+    _split_coeffs,
     basis_matrix,
     natural_basis,
     space_dim,
@@ -323,10 +328,16 @@ def _interpolate(sample_set: SampleSet, kind: PoisednessKind, values):
 
 def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
     # coeffs are FULL degree-2 coefficients on the normalized set; return
-    # x -> m_hat((x - y0) / delta) in absolute coordinates.
+    # x -> m_hat((x - y0) / delta) in absolute coordinates, with the
+    # expressions of QuadraticPolynomial.compose_affine.
     delta = sample_set.radius
-    poly_hat = QuadraticPolynomial.from_coeffs(coeffs, sample_set.n)
-    return poly_hat.compose_affine(-sample_set.y0 / delta, 1.0 / delta)
+    c, g, H = (a[0] for a in _split_coeffs(coeffs[None, :], sample_set.n))
+    o = -sample_set.y0 / delta
+    s = 1.0 / delta
+    Ho = H @ o
+    return QuadraticPolynomial(
+        sample_set.n, float(c + g @ o + 0.5 * o @ Ho), s * (g + Ho), (s * s) * H
+    )
 
 
 def _lagrange_coeffs(sample_set: SampleSet, kind: PoisednessKind) -> np.ndarray:
@@ -499,14 +510,7 @@ def generate_poised_set(
     already solved for on it, so later fits use exactly the certified
     geometry and the certificate carries over as is.
     """
-    if lambda_max <= 1.0:
-        raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
-    kind = _kind_for_shape(n, p)
-    if kind is None:
-        q = space_dim(2, n) - 1
-        raise ValueError(
-            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
-        )
+    kind = _shape_kind(n, p, lambda_max)
     delta = float(delta)
     if delta <= 0.0 or not np.isfinite(delta):
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -517,7 +521,10 @@ def generate_poised_set(
     shapes = _SHAPES.get({})  # outside a campaign, a dict used once
     key = (n, p, float(lambda_max), seed)
     if key not in shapes:
-        shapes[key] = _poised_shape(kind, n, p, lambda_max, seed)
+        shape = _drive({key: _improve_shape(kind, n, p, lambda_max, seed)}, n)[key]
+        if isinstance(shape, Exception):
+            raise shape
+        shapes[key] = shape
     shape = shapes[key]
     placed = SampleSet(center + delta * shape.points, delta)
     object.__setattr__(placed, "_normalized", normalized_points(shape))
@@ -526,11 +533,100 @@ def generate_poised_set(
     return placed
 
 
-def _poised_shape(
-    kind: PoisednessKind, n: int, p: int, lambda_max: float, seed: int
-) -> SampleSet:
-    # generate_poised_set's improvement loop on the unit ball at the origin;
-    # returns the certified unit set with its certificate attached.
+def _shape_kind(n: int, p: int, lambda_max: float) -> PoisednessKind:
+    # The kind a shape of key (n, p, lambda_max, seed) is certified for;
+    # ValueError for a key generate_poised_set rejects.
+    if lambda_max <= 1.0:
+        raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
+    kind = _kind_for_shape(n, p)
+    if kind is None:
+        q = space_dim(2, n) - 1
+        raise ValueError(
+            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
+        )
+    return kind
+
+
+def _certify_shapes(keys) -> None:
+    """Certify the shapes of (n, p, lambda_max, seed) keys into the running memo.
+
+    The improvement loops of one n run in lockstep (see ``_drive``), so each
+    step makes one ball solve per n, and every shape equals the one
+    ``generate_poised_set`` certifies for its key alone.  A key that fails,
+    or that ``generate_poised_set`` would reject, is not stored: its calls
+    generate it alone and raise as they would without this step.
+    """
+    shapes = _SHAPES.get()
+    loops = {}
+    for key in dict.fromkeys(keys):
+        if key in shapes:
+            continue
+        try:
+            kind = _shape_kind(*key[:3])
+        except ValueError:
+            continue  # left to generate_poised_set, which raises it
+        loops.setdefault(key[0], {})[key] = _improve_shape(kind, *key)
+    for n, group in loops.items():
+        for key, shape in _drive(group, n).items():
+            if not isinstance(shape, Exception):
+                shapes[key] = shape
+
+
+def _drive(loops: dict, n: int) -> dict:
+    """Run the improvement loops of one n in lockstep until each ends.
+
+    ``loops`` maps keys to fresh ``_improve_shape`` generators.  Each step
+    stacks the Lagrange coefficients of every loop still improving into one
+    ``max_abs_on_ball`` call and sends each loop its own rows; the solver
+    treats rows independently, so a loop takes the same steps as alone.
+    Returns each key's certified shape, or the exception its loop raised.
+    """
+    origin = np.zeros(n)
+    ended = {}
+    stacks = {}
+
+    def advance(key, reply):
+        try:
+            stacks[key] = loops[key].send(reply)
+        except StopIteration as stop:
+            ended[key] = stop.value
+        except Exception as exc:
+            ended[key] = exc
+
+    for key in loops:
+        advance(key, None)
+    while stacks:
+        step = list(stacks.items())
+        stacks.clear()
+        for (key, _), reply in zip(step, _solve_stacks([c for _, c in step], origin)):
+            if isinstance(reply, Exception):
+                loops[key].close()
+                ended[key] = reply
+            else:
+                advance(key, reply)
+    return ended
+
+
+def _solve_stacks(stacks, origin):
+    # (values, args) of max |l_j| over the unit ball for each coefficient
+    # stack, from one solve.  If that raises, each stack is solved alone, and
+    # one that raises gets its exception: a failure belongs to the loop whose
+    # stack caused it, not to the other loops or the caller.
+    try:
+        values, args = max_abs_on_ball(np.vstack(stacks), origin, 1.0)
+    except Exception as exc:
+        if len(stacks) == 1:
+            return [exc]
+        return [_solve_stacks([c], origin)[0] for c in stacks]
+    cuts = np.cumsum([len(c) for c in stacks[:-1]])
+    return list(zip(np.split(values, cuts), np.split(args, cuts)))
+
+
+def _improve_shape(kind: PoisednessKind, n: int, p: int, lambda_max: float, seed: int):
+    # generate_poised_set's improvement loop on the unit ball at the origin,
+    # as a generator: it yields each candidate's Lagrange coefficient stack,
+    # receives (values, args) of max |l_j| over the ball, and returns the
+    # certified unit set with its certificate attached.
     rng = np.random.default_rng(seed)
     origin = np.zeros(n)
     points = np.vstack([origin, _unit_ball_points(rng, p, n)])
@@ -542,7 +638,7 @@ def _poised_shape(
         except (NotPoisedError, ValueError):
             points = np.vstack([origin, _unit_ball_points(rng, p, n)])
             continue
-        values, args = max_abs_on_ball(coeffs, origin, 1.0)
+        values, args = yield coeffs
         lam = float(values.max())
         best = min(best, lam)
         if lam <= lambda_max:

@@ -35,6 +35,7 @@ from .geometry import (
     lambda_poisedness,  # noqa: F401
     normalized_points,
     _certify,
+    _certify_shapes,
     _shape_memo,
 )
 from .models import (
@@ -80,9 +81,9 @@ class TestFunction:
 
     ``f`` maps (N, n) point blocks to (N,) values, ``grad`` to (N, n)
     gradients.  ``lipschitz_L`` bounds the gradient's Lipschitz constant on
-    ``domain_box`` (rows of per-coordinate lower/upper limits).  For exactly
-    quadratic objectives ``quadratic`` holds the polynomial itself, which
-    lets trials locate the worst value error exactly.
+    ``domain_box`` (read-only rows of per-coordinate lower/upper limits).
+    For exactly quadratic objectives ``quadratic`` holds the polynomial
+    itself, which lets trials locate the worst value error exactly.
     """
 
     name: str
@@ -101,6 +102,7 @@ def quadratic_function(A, b) -> TestFunction:
     n = b.size
     poly = QuadraticPolynomial(n, 0.0, b, A)
     box = np.column_stack([np.full(n, -10.0), np.full(n, 10.0)])
+    box.setflags(write=False)
     return TestFunction(
         name="quadratic",
         dim=n,
@@ -115,6 +117,7 @@ def quadratic_function(A, b) -> TestFunction:
 def quartic_function(n: int) -> TestFunction:
     """sum_i x_i^4 on [-1, 1]^n; the Hessian norm there is at most 12."""
     box = np.column_stack([np.full(n, -1.0), np.full(n, 1.0)])
+    box.setflags(write=False)
     return TestFunction(
         name="quartic",
         dim=n,
@@ -168,6 +171,7 @@ def rosenbrock_function(n: int = 2) -> TestFunction:
         return np.column_stack([g1, g2])
 
     box = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+    box.setflags(write=False)
     return TestFunction(
         name="rosenbrock",
         dim=2,
@@ -195,7 +199,12 @@ def builtin_functions() -> dict:
     }
 
 
+@functools.lru_cache(maxsize=64)
 def resolve_function(name: str, n: int) -> TestFunction:
+    """The named builtin test function in R^n.
+
+    Built once per (name, n) and shared, so its arrays are read-only.
+    """
     registry = builtin_functions()
     if name not in registry:
         raise ValueError(
@@ -653,15 +662,25 @@ def _result_columns(result: Optional[TrialResult]) -> dict:
     }
 
 
-def _quantiles(values) -> dict:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {"q50": None, "q90": None, "max": None}
+_MARGINS = ("margin_f", "margin_g", "margin_H")
+
+
+def _quantiles(margins: np.ndarray) -> dict:
+    """q50, q90 and max of each row of the (3, m) margins, keyed by margin.
+
+    m >= 1, since a kind is summarized only when some trial of it ran.
+    """
     with np.errstate(invalid="ignore"):  # interpolating between infinities
-        q50, q90 = np.quantile(arr, [0.5, 0.9])
-    out = {"q50": q50, "q90": q90, "max": np.max(arr)}
+        q50, q90 = np.quantile(margins, [0.5, 0.9], axis=1)
+    top = margins.max(axis=1)
     # Strict JSON has no infinity: a non-finite margin is written as null.
-    return {key: float(v) if np.isfinite(v) else None for key, v in out.items()}
+    return {
+        name: {
+            key: float(v) if np.isfinite(v) else None
+            for key, v in (("q50", q50[i]), ("q90", q90[i]), ("max", top[i]))
+        }
+        for i, name in enumerate(_MARGINS)
+    }
 
 
 def run_campaign(
@@ -672,10 +691,12 @@ def run_campaign(
 ) -> CampaignReport:
     """Run trials sequentially, recording failures without stopping.
 
-    Trials that share (n, p, lambda_max, seed) share one sample-set shape,
-    generated by the first of them and placed by each; the shapes are
-    forgotten when the call returns.  Every row equals the one its config
-    gives when run alone.
+    Trials that share (n, p, lambda_max, seed) share one sample-set shape.
+    Every distinct shape is certified before the first trial, the
+    improvement loops of one n in lockstep, and each trial places its own;
+    the shapes are forgotten when the call returns.  So ``progress``, called
+    before each trial, first fires once the shapes exist.  Every row equals
+    the one its config gives when run alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
@@ -685,6 +706,10 @@ def run_campaign(
     failures = []
     results = []
     with _shape_memo():
+        _certify_shapes(
+            (config.n, config.p, float(config.lambda_max), config.seed)
+            for config in trials
+        )
         for trial_id, config in enumerate(trials):
             if progress is not None:
                 progress(
@@ -705,11 +730,12 @@ def run_campaign(
     per_kind = {}
     for kind in sorted({config.kind.name for config, _ in results}):
         picked = [r for c, r in results if c.kind.name == kind]
+        margins = np.array(
+            [[getattr(r, name) for r in picked] for name in _MARGINS], dtype=float
+        )
         per_kind[kind] = {
             "trials": len(picked),
-            "margin_f": _quantiles([r.margin_f for r in picked]),
-            "margin_g": _quantiles([r.margin_g for r in picked]),
-            "margin_H": _quantiles([r.margin_H for r in picked]),
+            **_quantiles(margins),
             "all_passed": bool(all(r.passed for r in picked)),
         }
     summary = {

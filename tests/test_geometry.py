@@ -11,6 +11,7 @@ from dfobounds import (
     ModelKind,
     NotPoisedError,
     PoisednessKind,
+    QuadraticPolynomial,
     SampleSet,
     basis_matrix,
     design_matrix,
@@ -387,10 +388,11 @@ class TestSystemMemo:
         assert cond == fit_model(kind, b, np.ones(p + 1)).condition
 
     def test_system_built_once_per_generator_iteration(self, monkeypatch):
-        # Over the default sweep every system is built by the generator, one
-        # per candidate set it tries; the trials' fits only reuse them.
+        # Over the default sweep every system is built by the generator's
+        # driver, one per candidate set it tries; the trials' fits only
+        # reuse them.
         original_system = geometry_module._system
-        original_shape = geometry_module._poised_shape
+        original_drive = geometry_module._drive
         generating = []
         candidates = []
         builds = []  # (set, inside the generator)
@@ -407,16 +409,16 @@ class TestSystemMemo:
             (builds if empty else reuses).append((sample_set, bool(generating)))
             return original_system(sample_set, kind)
 
-        def counted_shape(*args):
+        def counted_drive(*args):
             generating.append(True)
             try:
-                return original_shape(*args)
+                return original_drive(*args)
             finally:
                 generating.pop()
 
         monkeypatch.setattr(geometry_module, "SampleSet", CountedSet)
         monkeypatch.setattr(geometry_module, "_system", counted_system)
-        monkeypatch.setattr(geometry_module, "_poised_shape", counted_shape)
+        monkeypatch.setattr(geometry_module, "_drive", counted_drive)
         trials = default_sweep(5)
         report = run_campaign(trials)
         assert not report.failures
@@ -432,7 +434,7 @@ class TestSystemMemo:
         # _system, one per system it builds, all for generator candidates;
         # the trials' fits expand values in those bases and solve nothing.
         original_system = geometry_module._system
-        original_shape = geometry_module._poised_shape
+        original_drive = geometry_module._drive
         original_solve = np.linalg.solve
         generating = []
         builds = []  # inside the generator
@@ -449,15 +451,15 @@ class TestSystemMemo:
             solves.append(bool(generating))
             return original_solve(a, b)
 
-        def counted_shape(*args):
+        def counted_drive(*args):
             generating.append(True)
             try:
-                return original_shape(*args)
+                return original_drive(*args)
             finally:
                 generating.pop()
 
         monkeypatch.setattr(geometry_module, "_system", counted_system)
-        monkeypatch.setattr(geometry_module, "_poised_shape", counted_shape)
+        monkeypatch.setattr(geometry_module, "_drive", counted_drive)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         report = run_campaign(default_sweep(5))
         assert not report.failures
@@ -490,6 +492,144 @@ class TestSystemMemo:
         system = geometry_module._system(simplex_set, PoisednessKind.LINEAR)
         with pytest.raises(TypeError):
             SampleSet(simplex_set.points, 1.0, _system=system)
+
+
+# The (n, p) shapes of the high-dimensional benchmark sweep, certified to
+# lambda 5 there.
+HIGHDIM_SHAPES = ((8, 8), (4, 10), (6, 20), (8, 30), (4, 14), (6, 27))
+
+
+def _loop(key):
+    n, p, lambda_max, seed = key
+    return geometry_module._improve_shape(
+        geometry_module._kind_for_shape(n, p), n, p, lambda_max, seed
+    )
+
+
+def _lockstep_shapes(keys):
+    # The shapes the campaign's lockstep pass certifies for keys.
+    with geometry_module._shape_memo():
+        geometry_module._certify_shapes(keys)
+        return dict(geometry_module._SHAPES.get())
+
+
+def _solves_alone(key):
+    # Ball solves the improvement loop of key takes when it runs alone.
+    loop = _loop(key)
+    steps = 0
+    coeffs = next(loop)
+    while True:
+        steps += 1
+        try:
+            coeffs = loop.send(max_abs_on_ball(coeffs, np.zeros(key[0]), 1.0))
+        except StopIteration:
+            return steps
+
+
+class TestLockstep:
+    def test_stacked_solve_equals_separate_solves(self):
+        # The ball solver treats rows independently, so one solve of several
+        # candidates' Lagrange stacks gives each stack its own solve's rows.
+        for n, ps, lambda_max in ((2, (2, 4, 5), 100.0), (4, (4, 10, 14), 5.0)):
+            stacks = [
+                next(_loop((n, p, lambda_max, seed))) for p in ps for seed in range(4)
+            ]
+            origin = np.zeros(n)
+            values, args = max_abs_on_ball(np.vstack(stacks), origin, 1.0)
+            alone = [max_abs_on_ball(c, origin, 1.0) for c in stacks]
+            assert np.array_equal(values, np.concatenate([v for v, _ in alone]))
+            assert np.array_equal(args, np.concatenate([a for _, a in alone]))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            sorted({(c.n, c.p, float(c.lambda_max), c.seed) for c in default_sweep(20)}),
+            [(n, p, 5.0, seed) for n, p in HIGHDIM_SHAPES for seed in range(3)],
+        ],
+        ids=["default_sweep_20", "highdim"],
+    )
+    def test_lockstep_shapes_equal_shapes_generated_alone(self, keys):
+        shapes = _lockstep_shapes(keys)
+        assert set(shapes) == set(keys)
+        for (n, p, lambda_max, seed), shape in shapes.items():
+            alone = generate_poised_set(n, p, 1.0, lambda_max, seed=seed)
+            assert np.array_equal(normalized_points(shape), normalized_points(alone))
+            assert shape.certificate == alone.certificate
+
+    def test_one_ball_solve_per_n_per_step(self, monkeypatch):
+        # Each step solves the stacks of every loop of one n still improving
+        # at once: the solves of an n are those of its slowest loop, and the
+        # rows solved are every loop's own.
+        keys = [(n, p, 5.0, seed) for n, p in HIGHDIM_SHAPES for seed in range(2)]
+        keys += [(2, p, 100.0, seed) for p in (2, 4, 5) for seed in range(3)]
+        steps = {key: _solves_alone(key) for key in keys}
+        solves = []  # (n, rows) per call
+        original = geometry_module.max_abs_on_ball
+
+        def counted(coeffs, center, radius):
+            solves.append((len(center), len(coeffs)))
+            return original(coeffs, center, radius)
+
+        monkeypatch.setattr(geometry_module, "max_abs_on_ball", counted)
+        _lockstep_shapes(keys)
+        for n in {key[0] for key in keys}:
+            mine = [k for k in keys if k[0] == n]
+            calls = [rows for dim, rows in solves if dim == n]
+            assert len(calls) == max(steps[k] for k in mine)
+            assert sum(calls) == sum(steps[k] * (k[1] + 1) for k in mine)
+        assert len(solves) < sum(steps.values())
+
+    def test_failed_solve_lands_on_its_key(self, monkeypatch):
+        # A stack the solver rejects makes the step's batched solve raise;
+        # the step is solved again key by key, so only that key fails, with
+        # the error its solve alone raises, and the others go on unchanged.
+        original = geometry_module._improve_shape
+        bad = (2, 4, 100.0, 1)
+
+        def poisoned(kind, n, p, lambda_max, seed):
+            if (n, p, lambda_max, seed) == bad:
+                yield np.full((p + 1, space_dim(2, n)), np.nan)
+                raise AssertionError("a failed solve is not answered")
+            return (yield from original(kind, n, p, lambda_max, seed))
+
+        keys = [(2, p, 100.0, seed) for p in (2, 4, 5) for seed in range(3)]
+        reference = _lockstep_shapes(keys)
+        monkeypatch.setattr(geometry_module, "_improve_shape", poisoned)
+        ended = geometry_module._drive({key: _loop(key) for key in keys}, 2)
+        assert isinstance(ended[bad], ValueError)
+        with pytest.raises(ValueError, match=str(ended[bad])):
+            generate_poised_set(2, 4, 0.5, 100.0, seed=1)
+        shapes = _lockstep_shapes(keys)
+        assert set(shapes) == set(keys) - {bad}
+        for key, shape in shapes.items():
+            assert np.array_equal(shape.points, reference[key].points)
+            assert shape.certificate == reference[key].certificate
+            assert ended[key].certificate == shape.certificate
+
+    def test_keys_the_generator_rejects_are_left_to_it(self):
+        # No interpolation kind for p = 6 at n = 2, and lambda_max <= 1:
+        # the lockstep pass skips both, and generate_poised_set raises.
+        assert _lockstep_shapes([(2, 6, 100.0, 0), (2, 4, 1.0, 0)]) == {}
+
+
+def test_interpolant_equals_composed_reference(rng):
+    # The pull-back builds one polynomial with compose_affine's expressions;
+    # it equals building the normalized polynomial and composing it.
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        delta = float(10.0 ** rng.uniform(-4, 1))
+        center = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        u = rng.standard_normal((3, n))
+        u *= rng.uniform(0.1, 1.0, (3, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+        ss = SampleSet(center + delta * np.vstack([np.zeros(n), u]), delta)
+        coeffs = rng.standard_normal(space_dim(2, n)) * 10.0 ** rng.uniform(-3, 3)
+        got = geometry_module._interpolant(ss, coeffs)
+        ref = QuadraticPolynomial.from_coeffs(coeffs, n).compose_affine(
+            -ss.y0 / delta, 1.0 / delta
+        )
+        assert got.constant == ref.constant
+        assert np.array_equal(got.gradient, ref.gradient)
+        assert np.array_equal(got.hessian, ref.hessian)
 
 
 @settings(max_examples=15, deadline=None)

@@ -99,6 +99,23 @@ class TestFunctions:
         with pytest.raises(ValueError):
             resolve_function("cubic", 2)
 
+    def test_resolved_once_per_name_and_n(self):
+        # Trials share the resolved function, so none of its arrays can be
+        # written; a name or dimension that cannot resolve raises every time.
+        for name, n in (("quadratic", 3), ("quartic", 2), ("rosenbrock", 2)):
+            fn = resolve_function(name, n)
+            assert resolve_function(name, n) is fn
+            assert not fn.domain_box.flags.writeable
+            if fn.quadratic is not None:
+                assert not fn.quadratic.gradient.flags.writeable
+                assert not fn.quadratic.hessian.flags.writeable
+        assert resolve_function("quadratic", 4) is not resolve_function("quadratic", 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown test function"):
+                resolve_function("cubic", 2)
+            with pytest.raises(ValueError, match="only defined for n = 2"):
+                resolve_function("rosenbrock", 3)
+
     def test_lipschitz_scan_cached(self):
         assert _rosenbrock_lipschitz() == _rosenbrock_lipschitz()
 
@@ -464,6 +481,15 @@ class TestCampaign:
             ["--seeds", "5", "--kappa", "0.01"], "default_sweep_kappa001.csv", tmp_path, capsys
         )
 
+    def test_default_sweep_summary_matches_golden(self, tmp_path, capsys):
+        # tests/data/default_sweep_summary.json is the summary JSON of
+        # ``scripts/run_bound_campaign.py --seeds 5``, byte for byte.
+        script = campaign_script()
+        assert script.main(["--seeds", "5", "--quiet", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        golden = ROOT / "tests" / "data" / "default_sweep_summary.json"
+        assert (tmp_path / "campaign_summary.json").read_bytes() == golden.read_bytes()
+
     def test_empty_sweep(self, tmp_path):
         report = run_campaign(
             [], csv_path=tmp_path / "r.csv", json_path=tmp_path / "r.json"
@@ -564,17 +590,17 @@ class TestCampaign:
             assert failed_row[column] == "", column
 
     def test_default_sweep_generates_each_shape_once(self, monkeypatch):
-        # 90 trials share 15 (n, p, lambda_max, seed) keys.  The shapes live
-        # only as long as one run_campaign call, so a second call generates
-        # them all again.
+        # 90 trials share 15 (n, p, lambda_max, seed) keys, each improved
+        # by one loop.  The shapes live only as long as one run_campaign
+        # call, so a second call generates them all again.
         keys = []
-        original = geometry_module._poised_shape
+        original = geometry_module._improve_shape
 
         def counted(kind, n, p, lambda_max, seed):
             keys.append((n, p, lambda_max, seed))
             return original(kind, n, p, lambda_max, seed)
 
-        monkeypatch.setattr(geometry_module, "_poised_shape", counted)
+        monkeypatch.setattr(geometry_module, "_improve_shape", counted)
         trials = default_sweep(5)
         assert len(trials) == 90
         first = run_campaign(trials)
@@ -595,27 +621,28 @@ class TestCampaign:
             assert report.rows[trial_id] == alone, trial_id
 
     def test_failed_shape_fails_only_its_key(self, monkeypatch):
-        # A shape that raises is not remembered: every trial with its key
-        # tries again and fails with the same message; the others pass.
+        # A shape whose loop raises is not remembered: the campaign's
+        # lockstep pass drops it, every trial with its key tries again alone
+        # and fails with the same message; the others pass.
         calls = []
-        original = geometry_module._poised_shape
+        original = geometry_module._improve_shape
 
         def flaky(kind, n, p, lambda_max, seed):
             calls.append((n, p, seed))
             if (p, seed) == (4, 1):
                 raise RuntimeError(f"no shape for p={p} seed={seed}")
-            return original(kind, n, p, lambda_max, seed)
+            return (yield from original(kind, n, p, lambda_max, seed))
 
         trials = default_sweep(2)
         clean = run_campaign(trials)
-        monkeypatch.setattr(geometry_module, "_poised_shape", flaky)
+        monkeypatch.setattr(geometry_module, "_improve_shape", flaky)
         report = run_campaign(trials)
         bad = [i for i, c in enumerate(trials) if (c.p, c.seed) == (4, 1)]
         assert len(bad) == 6
         assert [f["trial_id"] for f in report.failures] == bad
         assert {f["error"] for f in report.failures} == {"no shape for p=4 seed=1"}
-        assert calls.count((2, 4, 1)) == 6
-        assert len(calls) == 5 + 6
+        assert calls.count((2, 4, 1)) == 1 + 6
+        assert len(calls) == 6 + 6
         for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
             if trial_id not in bad:
                 assert row == ref, trial_id
