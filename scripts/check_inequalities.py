@@ -34,7 +34,9 @@ def main(argv=None):
     for kind, n, p in PLANS:
         assert p <= space_dim(2, n) - 1
         ss = generate_poised_set(n, p, args.delta, 50.0, seed=args.seed)
-        print(f"\n{kind.name} set, n={n}, p={p}, delta={args.delta}:")
+        # The certificate names the kind by its poisedness name (LINEAR, ...).
+        label = ss.certificate.to_dict()["kind"]
+        print(f"\n{label} set, n={n}, p={p}, delta={args.delta}:")
         for check in check_theory(ss, kind, floor_samples=args.floor_samples,
                                   seed=args.seed):
             status = "ok" if check.passed else "FAIL"

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Optional
 
 __all__ = [
+    "ModelKind",
     "BoundKind",
     "BoundInputs",
     "BoundReport",
@@ -30,11 +31,42 @@ __all__ = [
 ]
 
 
-class BoundKind(Enum):
-    LIN_DET = "lin_det"
-    QUAD_DET = "quad_det"
-    UNDER = "under"
-    MFN = "mfn"
+class ModelKind(Enum):
+    """Interpolation model on p + 1 points in R^n, with q = (n^2 + 3n)/2.
+
+    LIN_DET is linear interpolation (p = n), QUAD_DET quadratic (p = q) and
+    MFN minimum-Frobenius-norm quadratic (n < p < q).  LINEAR and QUADRATIC
+    are the determined kinds' poisedness names, and UNDER is MFN with the
+    matrix constants kappa_s and kappa_H supplied.  ``ModelKind(kind)``
+    coerces a kind: it takes a member, or a member or alias name in any
+    case, and raises ValueError naming anything else.
+    """
+
+    # value, certificate label, name of the inverse-norm check
+    LIN_DET = "lin_det", "LINEAR", "linear_inverse_norm"
+    QUAD_DET = "quad_det", "QUADRATIC", "quadratic_inverse_norm"
+    MFN = "mfn", "MFN", "pseudoinverse_norm"
+    LINEAR = LIN_DET
+    QUADRATIC = QUAD_DET
+    UNDER = MFN
+
+    def __new__(cls, value, label, norm_check):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._label = label
+        member._norm_check = norm_check
+        return member
+
+    @classmethod
+    def _missing_(cls, value):
+        member = cls.__members__.get(value.upper()) if isinstance(value, str) else None
+        if member is None:
+            raise ValueError(f"unknown model kind {value!r}")
+        return member
+
+
+# The model kinds by the names the bounds give them.
+BoundKind = ModelKind
 
 
 def c_delta_max(delta_max: float) -> float:
@@ -43,11 +75,6 @@ def c_delta_max(delta_max: float) -> float:
     if delta_max <= 0.0 or not math.isfinite(delta_max):
         raise ValueError(f"delta_max must be positive and finite, got {delta_max}")
     return min(1.0, 1.0 / delta_max, 1.0 / (delta_max * delta_max))
-
-
-def _kind_name(kind) -> str:
-    name = getattr(kind, "name", kind)
-    return str(name).upper()
 
 
 def constants_from_lambda(
@@ -61,25 +88,24 @@ def constants_from_lambda(
 
     LINEAR gives the inverse-norm cap lam * sqrt(n); QUADRATIC gives
     4 lam sqrt((q+1)^3); MFN gives the pseudoinverse cap
-    lam sqrt(2(n+1)) (p+1).  ``kind`` may be a PoisednessKind or its name.
+    lam sqrt(2(n+1)) (p+1).  ``kind`` is anything ``ModelKind`` takes: a
+    member or alias, such as PoisednessKind.LINEAR, or its name.
     """
+    kind = ModelKind(kind)
     lam = float(lam)
     if lam < 1.0 - 1e-9:
         raise ValueError(f"poisedness constant must be >= 1, got {lam}")
-    name = _kind_name(kind)
-    if name == "LINEAR":
+    if kind is ModelKind.LIN_DET:
         if n is None:
             raise ValueError("LINEAR needs n")
         return lam * math.sqrt(n)
-    if name == "QUADRATIC":
+    if kind is ModelKind.QUAD_DET:
         if q is None:
             raise ValueError("QUADRATIC needs q")
         return 4.0 * lam * math.sqrt((q + 1.0) ** 3)
-    if name == "MFN":
-        if n is None or p is None:
-            raise ValueError("MFN needs n and p")
-        return lam * math.sqrt(2.0 * (n + 1.0)) * (p + 1.0)
-    raise ValueError(f"unknown poisedness kind {kind!r}")
+    if n is None or p is None:
+        raise ValueError("MFN needs n and p")
+    return lam * math.sqrt(2.0 * (n + 1.0)) * (p + 1.0)
 
 
 def hessian_bound_mfn(
@@ -164,7 +190,7 @@ class BoundInputs:
 class BoundReport:
     """Bound constants plus a record of how each one was obtained."""
 
-    kind: BoundKind
+    kind: ModelKind
     C_f: float
     C_g: float
     C_H: float
@@ -196,17 +222,17 @@ def _require(inputs: BoundInputs, *names: str):
 def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     """Bound constants for the given model kind.
 
-    For the determined kinds the matrix constant comes from kappa_L/kappa_Q
-    when supplied, otherwise from the poisedness constant.  UNDER takes
-    kappa_s and kappa_H as given; MFN derives them from the poisedness
-    constant (unless overridden) and then applies the UNDER form.
+    ``kind`` is anything ``ModelKind`` takes.  For the determined kinds the
+    matrix constant comes from kappa_L/kappa_Q when supplied, otherwise from
+    the poisedness constant.  MFN takes kappa_s and kappa_H when supplied
+    and derives each missing one from the poisedness constant; UNDER is MFN
+    with both supplied.
     """
-    name = _kind_name(kind)
-    kind = BoundKind[name]
+    kind = ModelKind(kind)
     L, kappa = inputs.L, inputs.kappa
     prov: dict = {}
 
-    def constant(name, derive, needs=("lam",)):
+    def constant(name, derive, needs):
         # The supplied matrix constant, else derive() of the inputs in needs.
         if getattr(inputs, name) is not None:
             prov[name] = "supplied"
@@ -214,10 +240,10 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
         prov[name] = "from_lambda"
         return derive(*_require(inputs, *needs))
 
-    if kind is BoundKind.LIN_DET:
+    if kind is ModelKind.LIN_DET:
         (n,) = _require(inputs, "n")
         kappa_L = constant(
-            "kappa_L", lambda lam: constants_from_lambda("LINEAR", lam, n=n)
+            "kappa_L", lambda lam: constants_from_lambda(kind, lam, n=n), ("lam",)
         )
         term = (0.5 * L + 2.0 * kappa) * kappa_L * math.sqrt(n)
         C_g = L + term
@@ -226,10 +252,10 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
         prov.update(C_f="linear_determined", C_g="linear_determined", C_H="zero")
         return BoundReport(kind, C_f, C_g, C_H, prov)
 
-    if kind is BoundKind.QUAD_DET:
+    if kind is ModelKind.QUAD_DET:
         (q,) = _require(inputs, "q")
         kappa_Q = constant(
-            "kappa_Q", lambda lam: constants_from_lambda("QUADRATIC", lam, q=q)
+            "kappa_Q", lambda lam: constants_from_lambda(kind, lam, q=q), ("lam",)
         )
         C_H = 2.0 * kappa_Q * math.sqrt(2.0 * q) * (kappa + L)
         C_g = 2.0 * kappa_Q * math.sqrt(q) * (1.0 + math.sqrt(2.0)) * (kappa + L)
@@ -241,25 +267,18 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
         )
         return BoundReport(kind, C_f, C_g, C_H, prov)
 
-    if kind is BoundKind.UNDER:
-        (p,) = _require(inputs, "p")
-        kappa_s, kappa_H = _require(inputs, "kappa_s", "kappa_H")
-        prov.update(kappa_s="supplied", kappa_H="supplied")
-        return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
-
-    if kind is BoundKind.MFN:
-        (n, p, q) = _require(inputs, "n", "p", "q")
-        kappa_s = constant(
-            "kappa_s", lambda lam: constants_from_lambda("MFN", lam, n=n, p=p)
-        )
-        kappa_H = constant(
-            "kappa_H",
-            lambda lam, delta_max: hessian_bound_mfn(L, kappa, lam, p, q, delta_max),
-            needs=("lam", "delta_max"),
-        )
-        return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
-
-    raise ValueError(f"unknown bound kind {kind!r}")
+    (p,) = _require(inputs, "p")
+    kappa_s = constant(
+        "kappa_s",
+        lambda n, lam: constants_from_lambda(kind, lam, n=n, p=p),
+        ("n", "lam"),
+    )
+    kappa_H = constant(
+        "kappa_H",
+        lambda q, lam, delta_max: hessian_bound_mfn(L, kappa, lam, p, q, delta_max),
+        ("q", "lam", "delta_max"),
+    )
+    return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
 
 
 def _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov) -> BoundReport:
@@ -275,21 +294,21 @@ def closed_form_bounds(kind, inputs: BoundInputs) -> BoundReport:
     """Fully expanded closed forms of the composed bound constants.
 
     Evaluates the printed one-line expressions (matrix constants substituted
-    by their poisedness-derived values) instead of composing step by step;
-    equal to ``error_bounds`` up to floating-point roundoff and used to
-    cross-check the composition.
+    by their poisedness-derived values, except for MFN given both kappa_s
+    and kappa_H, that is UNDER) instead of composing step by step; equal to
+    ``error_bounds`` up to floating-point roundoff and used to cross-check
+    the composition.
     """
-    name = _kind_name(kind)
-    kind = BoundKind[name]
+    kind = ModelKind(kind)
     L, kappa = inputs.L, inputs.kappa
     prov = {"form": "closed"}
 
-    if kind is BoundKind.LIN_DET:
+    if kind is ModelKind.LIN_DET:
         (n, lam) = _require(inputs, "n", "lam")
         term = (0.5 * L + 2.0 * kappa) * lam * n
         return BoundReport(kind, 0.5 * L + kappa + term, L + term, 0.0, prov)
 
-    if kind is BoundKind.QUAD_DET:
+    if kind is ModelKind.QUAD_DET:
         (q, lam) = _require(inputs, "q", "lam")
         root = math.sqrt(q * (q + 1.0) ** 3)
         C_H = 8.0 * lam * math.sqrt(2.0 * q * (q + 1.0) ** 3) * (kappa + L)
@@ -297,7 +316,7 @@ def closed_form_bounds(kind, inputs: BoundInputs) -> BoundReport:
         C_f = 0.5 * L + kappa + 4.0 * lam * root * (2.0 + 3.0 * math.sqrt(2.0)) * (kappa + L)
         return BoundReport(kind, C_f, C_g, C_H, prov)
 
-    if kind is BoundKind.UNDER:
+    if inputs.kappa_s is not None and inputs.kappa_H is not None:
         (p, kappa_s, kappa_H) = _require(inputs, "p", "kappa_s", "kappa_H")
         bracket = L + kappa + 0.75 * kappa_H
         C_g = 2.0 * kappa_s * math.sqrt(p) * bracket
@@ -305,13 +324,10 @@ def closed_form_bounds(kind, inputs: BoundInputs) -> BoundReport:
             kind, 0.5 * (L + kappa_H) + kappa + C_g, C_g, kappa_H, prov
         )
 
-    if kind is BoundKind.MFN:
-        (n, p, q, lam, delta_max) = _require(inputs, "n", "p", "q", "lam", "delta_max")
-        c = c_delta_max(delta_max)
-        hess = (kappa + 0.5 * L) * lam * 4.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
-        inner = (kappa + 0.5 * L) * lam * 3.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
-        C_g = 2.0 * lam * math.sqrt(2.0 * p * (n + 1.0)) * (p + 1.0) * (L + kappa + inner)
-        C_f = 0.5 * (L + hess) + kappa + C_g
-        return BoundReport(kind, C_f, C_g, hess, prov)
-
-    raise ValueError(f"unknown bound kind {kind!r}")
+    (n, p, q, lam, delta_max) = _require(inputs, "n", "p", "q", "lam", "delta_max")
+    c = c_delta_max(delta_max)
+    hess = (kappa + 0.5 * L) * lam * 4.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    inner = (kappa + 0.5 * L) * lam * 3.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    C_g = 2.0 * lam * math.sqrt(2.0 * p * (n + 1.0)) * (p + 1.0) * (L + kappa + inner)
+    C_f = 0.5 * (L + hess) + kappa + C_g
+    return BoundReport(kind, C_f, C_g, hess, prov)

@@ -14,9 +14,7 @@ places its certified shape at the end; the placed set shares the shape's
 basis.  Its improvement loop is a generator that yields each candidate's
 Lagrange stack for the ball solver; one driver runs such loops of one n in
 lockstep, with one solve per step for all of them, so a campaign certifies
-its shapes together and each equals the shape certified alone.  The
-absolute-coordinate matrices remain available through
-``interpolation_matrix`` and ``mfn_system_matrix``.
+its shapes together and each equals the shape certified alone.
 """
 
 from __future__ import annotations
@@ -24,37 +22,31 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .ball import max_abs_on_ball
-from .bounds import constants_from_lambda
+from .bounds import ModelKind, constants_from_lambda
 from .poly import (
     BasisPart,
     BasisSelector,
     QuadraticPolynomial,
     _split_coeffs,
     basis_matrix,
-    natural_basis,
     space_dim,
 )
 
 __all__ = [
     "COND_THRESHOLD",
     "SampleSet",
-    "MatrixKind",
     "PoisednessKind",
     "PoisednessCertificate",
     "NotPoisedError",
     "design_matrix",
-    "interpolation_matrix",
-    "mfn_system_matrix",
     "mfn_poised",
     "lagrange_determined",
     "lagrange_mfn",
-    "mfn_lambda_vector",
     "lambda_poisedness",
     "generate_poised_set",
     "normalized_points",
@@ -62,6 +54,9 @@ __all__ = [
 
 COND_THRESHOLD = 1e12
 _MAX_ITERS = 200  # improvement steps generate_poised_set takes before it gives up
+
+# The model kinds by their poisedness names: LINEAR, QUADRATIC and MFN.
+PoisednessKind = ModelKind
 
 
 class NotPoisedError(Exception):
@@ -152,51 +147,22 @@ def normalized_points(sample_set: SampleSet) -> np.ndarray:
     return sample_set._normalized
 
 
-class MatrixKind(Enum):
-    LIN = "lin"
-    LIN_SCALED = "lin_scaled"
-    QUAD = "quad"
-    QUAD_SCALED = "quad_scaled"
-    UNDER = "under"
-    UNDER_SCALED = "under_scaled"
+def design_matrix(kind, sample_set: SampleSet) -> np.ndarray:
+    """The kind's scaled design matrix, whose inverse norm lambda caps.
 
-
-def design_matrix(kind: MatrixKind, sample_set: SampleSet) -> np.ndarray:
-    """Design matrix of the shifted displacements y^i - y0, i = 1..p.
-
-    LIN/LIN_SCALED need p = n and stack the displacements row-wise, the
-    scaled variant divided by the radius.  QUAD/QUAD_SCALED need p = q and
-    evaluate the constant-free basis on the displacements; the scaled
-    variant divides the affine columns by the radius and the second-order
-    columns by its square.  UNDER/UNDER_SCALED are the n < p < q analogue of
-    the linear pair with a rectangular (p, n) matrix.  The scaled variants
-    are built from the normalized points, so they describe exactly the
-    geometry the set's solves use.
+    It is built on the normalized displacements (y^i - y0) / delta,
+    i = 1..p, so it describes exactly the geometry the set's solves use.
+    LIN_DET (p = n) and MFN (n < p < q) stack them row-wise, a square or a
+    rectangular (p, n) matrix; QUAD_DET (p = q) evaluates the constant-free
+    degree-2 basis on them.  ``kind`` is anything ``ModelKind`` takes;
+    ValueError if the set's shape is not the kind's.
     """
-    n, p = sample_set.n, sample_set.p
-    q = space_dim(2, n) - 1
-    if kind in (MatrixKind.LIN_SCALED, MatrixKind.QUAD_SCALED, MatrixKind.UNDER_SCALED):
-        D = normalized_points(sample_set)[1:]
-    else:
-        D = sample_set.shifted()
-    if kind in (MatrixKind.LIN, MatrixKind.LIN_SCALED):
-        if p != n:
-            raise ValueError(f"kind {kind.name} needs p = n, got p={p}, n={n}")
-        return D.copy()
-    if kind in (MatrixKind.QUAD, MatrixKind.QUAD_SCALED):
-        if p != q:
-            raise ValueError(f"kind {kind.name} needs p = q = {q}, got p={p}")
+    kind = ModelKind(kind)
+    _kind_for_shape(sample_set.n, sample_set.p, kind)
+    D = normalized_points(sample_set)[1:]
+    if kind is ModelKind.QUAD_DET:
         return basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), D)
-    if kind in (MatrixKind.UNDER, MatrixKind.UNDER_SCALED):
-        if not (n < p < q):
-            raise ValueError(f"kind {kind.name} needs n < p < q, got n={n}, p={p}, q={q}")
-        return D.copy()
-    raise ValueError(f"unknown matrix kind {kind!r}")
-
-
-def interpolation_matrix(selector: BasisSelector, sample_set: SampleSet) -> np.ndarray:
-    """Matrix with entry (i, j) = phi_j(y^i) in absolute coordinates."""
-    return basis_matrix(selector, sample_set.points)
+    return D.copy()
 
 
 def _saddle_system(points: np.ndarray):
@@ -205,18 +171,6 @@ def _saddle_system(points: np.ndarray):
     Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
     Mq = basis_matrix(BasisSelector(2, BasisPart.QUADRATIC_PART), points)
     return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
-
-
-def mfn_system_matrix(sample_set: SampleSet) -> np.ndarray:
-    """Saddle-point matrix [[Mq Mq^T, Ml], [Ml^T, 0]] in absolute coordinates.
-
-    Its nonsingularity is the poisedness condition for minimum-norm
-    quadratic interpolation.
-    """
-    n, p = sample_set.n, sample_set.p
-    if p < n:
-        raise ValueError(f"need p >= n, got p={p}, n={n}")
-    return _saddle_system(sample_set.points)[1]
 
 
 def mfn_poised(sample_set: SampleSet) -> bool:
@@ -232,87 +186,74 @@ def mfn_poised(sample_set: SampleSet) -> bool:
     return bool(np.isfinite(cond) and cond <= COND_THRESHOLD)
 
 
-class PoisednessKind(Enum):
-    LINEAR = "linear"
-    QUADRATIC = "quadratic"
-    MFN = "mfn"
-
-
-# The scaled design matrix whose inverse (or pseudoinverse) norm each kind caps.
-_SCALED_MATRIX = {
-    PoisednessKind.LINEAR: MatrixKind.LIN_SCALED,
-    PoisednessKind.QUADRATIC: MatrixKind.QUAD_SCALED,
-    PoisednessKind.MFN: MatrixKind.UNDER_SCALED,
-}
-
-
-def _kind_for_shape(n: int, p: int) -> Optional[PoisednessKind]:
-    # p = n is degree 1, p = q is degree 2, n < p < q is minimum-norm.
+def _kind_for_shape(n: int, p: int, kind: Optional[ModelKind] = None) -> ModelKind:
+    # The kind p + 1 points in R^n interpolate with: p = n is degree 1,
+    # p = q is degree 2, n < p < q is minimum-norm.  ValueError if there is
+    # none, or if kind is given and is not it.
     q = space_dim(2, n) - 1
     if p == n:
-        return PoisednessKind.LINEAR
-    if p == q:
-        return PoisednessKind.QUADRATIC
-    if n < p < q:
-        return PoisednessKind.MFN
-    return None
-
-
-def _check_shape(kind: PoisednessKind, n: int, p: int) -> None:
-    # Raise unless p + 1 points in R^n make the kind's interpolation system.
-    if _kind_for_shape(n, p) is not kind:
-        q = space_dim(2, n) - 1
+        found = ModelKind.LIN_DET
+    elif p == q:
+        found = ModelKind.QUAD_DET
+    else:
+        found = ModelKind.MFN if n < p < q else None
+    if kind is None and found is None:
+        raise ValueError(
+            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
+        )
+    if kind is not None and found is not kind:
         rule = {
-            PoisednessKind.LINEAR: "p = n",
-            PoisednessKind.QUADRATIC: f"p = q = {q}",
-            PoisednessKind.MFN: "n < p < q",
+            ModelKind.LIN_DET: "p = n",
+            ModelKind.QUAD_DET: f"p = q = {q}",
+            ModelKind.MFN: "n < p < q",
         }[kind]
         raise ValueError(
-            f"{kind.name} interpolation needs {rule}, got n={n}, p={p}, q={q}"
+            f"{kind._label} interpolation needs {rule}, got n={n}, p={p}, q={q}"
         )
+    return found
 
 
-def _system(sample_set: SampleSet, kind: PoisednessKind):
+def _system(sample_set: SampleSet, kind: ModelKind):
     """The kind's normalized Lagrange basis and the condition of its system.
 
     Column j of the read-only (q+1, p+1) coeffs holds the FULL degree-2
     coefficients of l_j on the normalized set.  The system matrix M is the
-    FULL degree-1 (LINEAR) or degree-2 (QUADRATIC) basis at the normalized
+    FULL degree-1 (LIN_DET) or degree-2 (QUAD_DET) basis at the normalized
     points, or the saddle matrix (MFN).  The first call that passes the cond
     check solves M for the identity and memoizes (coeffs, cond) on the set;
     (n, p) admits one kind, so the memo needs no key.  A set that fails
     raises NotPoisedError on every call.
     """
-    _check_shape(kind, sample_set.n, sample_set.p)
+    _kind_for_shape(sample_set.n, sample_set.p, kind)
     if sample_set._system is not None:
         return sample_set._system
     Yh = normalized_points(sample_set)
     n, p = sample_set.n, sample_set.p
-    if kind is PoisednessKind.MFN:
+    if kind is ModelKind.MFN:
         Mq, M = _saddle_system(Yh)
     else:
-        degree = 1 if kind is PoisednessKind.LINEAR else 2
+        degree = 1 if kind is ModelKind.LIN_DET else 2
         M = basis_matrix(BasisSelector(degree, BasisPart.FULL), Yh)
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        system = "saddle" if kind is PoisednessKind.MFN else "interpolation"
+        system = "saddle" if kind is ModelKind.MFN else "interpolation"
         raise NotPoisedError(
             f"{system} system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
             condition=cond,
         )
     # The saddle solution is the multipliers, which Mq^T maps to the
-    # second-order coefficients, then the affine coefficients; LINEAR pads.
+    # second-order coefficients, then the affine coefficients; LIN_DET pads.
     sol = np.linalg.solve(M, np.eye(M.shape[0], p + 1))
-    if kind is PoisednessKind.MFN:
+    if kind is ModelKind.MFN:
         sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
-    elif kind is PoisednessKind.LINEAR:
+    elif kind is ModelKind.LIN_DET:
         sol = np.concatenate([sol, np.zeros((space_dim(2, n) - n - 1, p + 1))])
     sol.setflags(write=False)
     object.__setattr__(sample_set, "_system", (sol, cond))
     return sample_set._system
 
 
-def _interpolate(sample_set: SampleSet, kind: PoisednessKind, values):
+def _interpolate(sample_set: SampleSet, kind: ModelKind, values):
     """The kind's interpolant of values, as the Lagrange expansion.
 
     Returns its FULL degree-2 coefficients on the normalized set, read off
@@ -340,12 +281,12 @@ def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
     )
 
 
-def _lagrange_coeffs(sample_set: SampleSet, kind: PoisednessKind) -> np.ndarray:
+def _lagrange_coeffs(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
     # Row j holds the FULL degree-2 coefficients of l_j on the normalized set.
     return _system(sample_set, kind)[0].T
 
 
-def _lagrange(sample_set: SampleSet, kind: PoisednessKind):
+def _lagrange(sample_set: SampleSet, kind: ModelKind):
     return [_interpolant(sample_set, c) for c in _lagrange_coeffs(sample_set, kind)]
 
 
@@ -357,7 +298,7 @@ def lagrange_determined(sample_set: SampleSet, degree: int):
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    kind = PoisednessKind.LINEAR if degree == 1 else PoisednessKind.QUADRATIC
+    kind = ModelKind.LIN_DET if degree == 1 else ModelKind.QUAD_DET
     return _lagrange(sample_set, kind)
 
 
@@ -368,21 +309,7 @@ def lagrange_mfn(sample_set: SampleSet):
     subject to l_j(y^i) = delta_ij.  All p+1 polynomials come from the set's
     single solve of the saddle system.
     """
-    return _lagrange(sample_set, PoisednessKind.MFN)
-
-
-def mfn_lambda_vector(sample_set: SampleSet, x) -> np.ndarray:
-    """Weight vector of the minimum-norm interpolant at x.
-
-    The vector of minimum-norm Lagrange values at x; its sup norm over the
-    ball is the poisedness constant.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (sample_set.n,):
-        raise ValueError(f"x must have shape ({sample_set.n},), got {x.shape}")
-    coeffs, _ = _system(sample_set, PoisednessKind.MFN)
-    xh = (x - sample_set.y0) / sample_set.radius
-    return natural_basis(BasisSelector(2, BasisPart.FULL), xh) @ coeffs
+    return _lagrange(sample_set, ModelKind.MFN)
 
 
 @dataclass(frozen=True)
@@ -394,7 +321,7 @@ class PoisednessCertificate:
     the measured constant places on it.
     """
 
-    kind: PoisednessKind
+    kind: ModelKind
     lam: float
     per_point_max: tuple
     matrix_norm: float
@@ -403,7 +330,7 @@ class PoisednessCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind.name,
+            "kind": self.kind._label,
             "lambda": self.lam,
             "per_point_max": list(self.per_point_max),
             "matrix_norm": self.matrix_norm,
@@ -412,18 +339,19 @@ class PoisednessCertificate:
         }
 
 
-def lambda_poisedness(sample_set: SampleSet, kind: PoisednessKind) -> PoisednessCertificate:
+def lambda_poisedness(sample_set: SampleSet, kind) -> PoisednessCertificate:
     """Measure the poisedness constant by maximizing each Lagrange polynomial.
 
     The constant is max_j max_{x in ball} |l_j(x)|, computed exactly by the
     ball extremizer on the normalized set.  The certificate also records the
     scaled design matrix's inverse (or pseudoinverse) norm and the cap
-    implied by the measured constant.
+    implied by the measured constant.  ``kind`` is anything ``ModelKind``
+    takes, such as PoisednessKind.LINEAR or "linear".
     """
-    return _certify(sample_set, kind)[0]
+    return _certify(sample_set, ModelKind(kind))[0]
 
 
-def _certify(sample_set: SampleSet, kind: PoisednessKind):
+def _certify(sample_set: SampleSet, kind: ModelKind):
     # The certificate together with the normalized Lagrange coefficients it
     # was measured on, one row per polynomial.
     coeffs = _lagrange_coeffs(sample_set, kind)
@@ -432,7 +360,7 @@ def _certify(sample_set: SampleSet, kind: PoisednessKind):
 
 
 def _certificate(
-    sample_set: SampleSet, kind: PoisednessKind, values
+    sample_set: SampleSet, kind: ModelKind, values
 ) -> PoisednessCertificate:
     # values[j] is max |l_j| over the ball, for the kind's Lagrange basis.
     per_point = tuple(float(v) for v in values)
@@ -440,7 +368,7 @@ def _certificate(
 
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
-    M = design_matrix(_SCALED_MATRIX[kind], sample_set)
+    M = design_matrix(kind, sample_set)
     sv = np.linalg.svd(M, compute_uv=False)
     smin = float(sv[-1])
     matrix_norm = np.inf if smin == 0.0 else 1.0 / smin
@@ -533,18 +461,12 @@ def generate_poised_set(
     return placed
 
 
-def _shape_kind(n: int, p: int, lambda_max: float) -> PoisednessKind:
+def _shape_kind(n: int, p: int, lambda_max: float) -> ModelKind:
     # The kind a shape of key (n, p, lambda_max, seed) is certified for;
     # ValueError for a key generate_poised_set rejects.
     if lambda_max <= 1.0:
         raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
-    kind = _kind_for_shape(n, p)
-    if kind is None:
-        q = space_dim(2, n) - 1
-        raise ValueError(
-            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
-        )
-    return kind
+    return _kind_for_shape(n, p)
 
 
 def _certify_shapes(keys) -> None:
@@ -622,7 +544,7 @@ def _solve_stacks(stacks, origin):
     return list(zip(np.split(values, cuts), np.split(args, cuts)))
 
 
-def _improve_shape(kind: PoisednessKind, n: int, p: int, lambda_max: float, seed: int):
+def _improve_shape(kind: ModelKind, n: int, p: int, lambda_max: float, seed: int):
     # generate_poised_set's improvement loop on the unit ball at the origin,
     # as a generator: it yields each candidate's Lagrange coefficient stack,
     # receives (values, args) of max |l_j| over the ball, and returns the

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from .bounds import ModelKind
 from .geometry import (
-    PoisednessKind,
     SampleSet,
     _interpolant,
     _interpolate,
@@ -29,20 +28,6 @@ __all__ = [
     "fit_relaxed",
     "interpolation_residual",
 ]
-
-
-class ModelKind(Enum):
-    LIN_DET = "lin_det"
-    QUAD_DET = "quad_det"
-    MFN = "mfn"
-
-
-# The interpolation system each model kind solves.
-_POISEDNESS_KIND = {
-    ModelKind.LIN_DET: PoisednessKind.LINEAR,
-    ModelKind.QUAD_DET: PoisednessKind.QUADRATIC,
-    ModelKind.MFN: PoisednessKind.MFN,
-}
 
 
 class RelaxationError(ValueError):
@@ -109,11 +94,12 @@ def _residual(model: QuadraticPolynomial, sample_set: SampleSet, v) -> float:
     return float(np.max(np.abs(model.eval_batch(sample_set.points) - v)))
 
 
-def _fit(kind: ModelKind, sample_set: SampleSet, rhs, values) -> FitResult:
+def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
     # The kind's interpolant of rhs, with its residual against values; the
     # caller checked both.  Finite values can still overflow the expansion.
+    kind = ModelKind(kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, cond = _interpolate(sample_set, _POISEDNESS_KIND[kind], rhs)
+        coeffs, cond = _interpolate(sample_set, kind, rhs)
         model = _interpolant(sample_set, coeffs)
     parts = (model.constant, model.gradient, model.hessian)
     if not all(np.isfinite(part).all() for part in parts):
@@ -123,21 +109,20 @@ def _fit(kind: ModelKind, sample_set: SampleSet, rhs, values) -> FitResult:
     )
 
 
-def fit_model(kind: ModelKind, sample_set: SampleSet, values) -> FitResult:
+def fit_model(kind, sample_set: SampleSet, values) -> FitResult:
     """Interpolate the values exactly with the requested model kind.
 
     The model is sum_j values_j l_j in the set's memoized Lagrange basis.
     The determined kinds' basis solves the square basis system; MFN's
     minimizes the Euclidean norm of the second-order coefficients subject
-    to the interpolation conditions, through the saddle system.
+    to the interpolation conditions, through the saddle system.  ``kind``
+    is anything ``ModelKind`` takes, such as ModelKind.MFN or "mfn".
     """
     v = _check_values(sample_set, values)
     return _fit(kind, sample_set, v, v)
 
 
-def fit_relaxed(
-    kind: ModelKind, sample_set: SampleSet, values, spec: RelaxationSpec
-) -> FitResult:
+def fit_relaxed(kind, sample_set: SampleSet, values, spec: RelaxationSpec) -> FitResult:
     """Fit a model interpolating relaxed values gamma.
 
     The model is the kind's interpolant of gamma, the Lagrange expansion

@@ -15,7 +15,6 @@ __all__ = [
     "space_dim",
     "natural_basis",
     "basis_matrix",
-    "weighted_sum",
 ]
 
 
@@ -250,23 +249,3 @@ class QuadraticPolynomial:
     def __neg__(self) -> "QuadraticPolynomial":
         return (-1.0) * self
 
-
-def weighted_sum(polys, weights) -> QuadraticPolynomial:
-    """Linear combination sum_j weights[j] * polys[j]."""
-    polys = list(polys)
-    w = np.asarray(weights, dtype=float).ravel()
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    if w.shape != (len(polys),):
-        raise ValueError(f"expected {len(polys)} weights, got {w.shape[0]}")
-    n = polys[0].dim
-    c = 0.0
-    g = np.zeros(n)
-    H = np.zeros((n, n))
-    for wj, pj in zip(w, polys):
-        if pj.dim != n:
-            raise ValueError("dimension mismatch among polynomials")
-        c += wj * pj.constant
-        g += wj * pj.gradient
-        H += wj * pj.hessian
-    return QuadraticPolynomial(n, c, g, H)

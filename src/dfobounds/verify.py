@@ -22,12 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ball import max_abs_on_ball
-from .bounds import BoundInputs, BoundKind, c_delta_max, error_bounds
+from .bounds import BoundInputs, ModelKind, c_delta_max, error_bounds
 from .geometry import (
-    MatrixKind,
-    PoisednessKind,
     SampleSet,
-    _check_shape,
+    _kind_for_shape,
     design_matrix,
     generate_poised_set,
     # Bound here so tracers that look the certifier up in this module keep
@@ -39,9 +37,7 @@ from .geometry import (
     _shape_memo,
 )
 from .models import (
-    _POISEDNESS_KIND,
     FitResult,
-    ModelKind,
     RelaxationSpec,
     fit_model,
     fit_relaxed,
@@ -273,33 +269,26 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     ]
 
 
-# The name of the inverse (or pseudoinverse) norm check of each kind.
-_NORM_CHECK = {
-    PoisednessKind.LINEAR: "linear_inverse_norm",
-    PoisednessKind.QUADRATIC: "quadratic_inverse_norm",
-    PoisednessKind.MFN: "pseudoinverse_norm",
-}
-
-
 def check_theory(
     sample_set: SampleSet,
-    kind: PoisednessKind,
+    kind,
     delta_max: Optional[float] = None,
     floor_samples: int = 200,
     seed: int = 0,
 ):
     """All certified inequalities for a sample set, as a list of checks.
 
-    Raises NotPoisedError for degenerate sets (no inequalities are emitted
-    in that case).
+    ``kind`` is anything ``ModelKind`` takes.  Raises NotPoisedError for
+    degenerate sets (no inequalities are emitted in that case).
     """
+    kind = ModelKind(kind)
     cert, coeffs = _certify(sample_set, kind)
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
     delta = sample_set.radius
-    checks = [_le(_NORM_CHECK[kind], cert.matrix_norm, cert.norm_bound)]
+    checks = [_le(kind._norm_check, cert.matrix_norm, cert.norm_bound)]
 
-    if kind is PoisednessKind.MFN:
+    if kind is ModelKind.MFN:
         dm = delta if delta_max is None else float(delta_max)
         c = c_delta_max(dm)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
@@ -315,7 +304,7 @@ def check_theory(
         Ml_hat = basis_matrix(
             BasisSelector(2, BasisPart.LINEAR_PART), normalized_points(sample_set)
         )
-        Ls_hat = design_matrix(MatrixKind.UNDER_SCALED, sample_set)
+        Ls_hat = design_matrix(kind, sample_set)
         expected = np.zeros_like(Ml_hat)
         expected[0, 0] = 1.0
         expected[1:, 0] = 1.0
@@ -348,11 +337,7 @@ class TrialConfig:
     sample_count: int = 1000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, ModelKind):
-            try:
-                object.__setattr__(self, "kind", ModelKind[str(self.kind).upper()])
-            except KeyError:
-                raise ValueError(f"unknown model kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", ModelKind(self.kind))
         # bool passes as Integral and Real, so it is rejected explicitly.
         for name, least in (("n", 1), ("p", 1), ("sample_count", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -361,8 +346,8 @@ class TrialConfig:
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         # The generator infers the interpolation kind from (n, p); it must be
-        # the one the model kind solves.
-        _check_shape(_POISEDNESS_KIND[self.kind], self.n, self.p)
+        # the model kind.
+        _kind_for_shape(self.n, self.p, self.kind)
         for name in ("delta", "delta_max", "kappa", "lambda_max"):
             value = getattr(self, name)
             if name == "delta_max" and value is None:
@@ -542,7 +527,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         delta=delta,
         delta_max=config.delta_max,
     )
-    report = error_bounds(BoundKind[config.kind.name], inputs)
+    report = error_bounds(config.kind, inputs)
 
     X = _probe_points(center, delta, config.sample_count, sample_set.points)
     if fn.quadratic is not None:

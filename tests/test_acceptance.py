@@ -156,7 +156,7 @@ def test_criterion_4_pseudoinverse_cap_and_factorization():
         Ml_hat = d.basis_matrix(
             d.BasisSelector(2, d.BasisPart.LINEAR_PART), d.normalized_points(ss)
         )
-        Ls_hat = d.design_matrix(d.MatrixKind.UNDER_SCALED, ss)
+        Ls_hat = d.design_matrix(d.PoisednessKind.MFN, ss)
         E_inv = np.eye(ss.p + 1)
         E_inv[1:, 0] = 1.0
         block = np.zeros((ss.p + 1, ss.n + 1))

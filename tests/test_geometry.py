@@ -7,7 +7,6 @@ import dfobounds.geometry as geometry_module
 from dfobounds import (
     BasisPart,
     BasisSelector,
-    MatrixKind,
     ModelKind,
     NotPoisedError,
     PoisednessKind,
@@ -18,15 +17,11 @@ from dfobounds import (
     fit_model,
     generate_poised_set,
     grid_oracle,
-    interpolation_matrix,
     lagrange_determined,
     lagrange_mfn,
     lambda_poisedness,
     max_abs_on_ball,
-    mfn_lambda_vector,
     mfn_poised,
-    mfn_system_matrix,
-    natural_basis,
     normalized_points,
     run_campaign,
     space_dim,
@@ -41,11 +36,13 @@ KINDS = {
 }
 
 
-_SCALED = {
-    PoisednessKind.LINEAR: MatrixKind.LIN_SCALED,
-    PoisednessKind.QUADRATIC: MatrixKind.QUAD_SCALED,
-    PoisednessKind.MFN: MatrixKind.UNDER_SCALED,
-}
+def kind_id(value):
+    # A kind's test id is its poisedness name, which keeps the ids stable.
+    return {
+        PoisednessKind.LINEAR: "PoisednessKind.LINEAR",
+        PoisednessKind.QUADRATIC: "PoisednessKind.QUADRATIC",
+        PoisednessKind.MFN: "PoisednessKind.MFN",
+    }.get(value)
 
 
 def lagrange_for(ss, kind):
@@ -118,17 +115,17 @@ class TestSampleSetValidation:
 
 class TestDesignMatrices:
     def test_linear_rows_are_displacements(self, simplex_set):
-        M = design_matrix(MatrixKind.LIN, simplex_set)
+        M = simplex_set.shifted()
         assert np.allclose(M, [[1.0, 0.0], [0.0, 1.0]])
-        Ms = design_matrix(MatrixKind.LIN_SCALED, simplex_set)
+        Ms = design_matrix(ModelKind.LIN_DET, simplex_set)
         assert np.allclose(Ms, M / simplex_set.radius)
 
     def test_quadratic_scaling_blocks(self):
         pts = np.vstack([np.zeros(2), 0.5 * np.eye(2), -0.5 * np.eye(2),
                          [[0.5, 0.5]]])
         ss = SampleSet(pts, 2.0)
-        M = design_matrix(MatrixKind.QUAD, ss)
-        Ms = design_matrix(MatrixKind.QUAD_SCALED, ss)
+        M = basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), ss.shifted())
+        Ms = design_matrix(ModelKind.QUAD_DET, ss)
         n, q = 2, space_dim(2, 2) - 1
         assert M.shape == (q, q)
         # linear columns scale by 1/delta, quadratic columns by 1/delta^2
@@ -137,26 +134,11 @@ class TestDesignMatrices:
 
     def test_under_shape_guard(self, simplex_set):
         with pytest.raises(ValueError):
-            design_matrix(MatrixKind.UNDER, simplex_set)  # p == n is determined
+            design_matrix(ModelKind.MFN, simplex_set)  # p == n is determined
 
     def test_wrong_cardinality_raises(self, simplex_set):
         with pytest.raises(ValueError):
-            design_matrix(MatrixKind.QUAD, simplex_set)
-
-    def test_interpolation_matrix_absolute(self, cross_set):
-        sel = BasisSelector(2, BasisPart.LINEAR_PART)
-        M = interpolation_matrix(sel, cross_set)
-        for i, y in enumerate(cross_set.points):
-            assert np.allclose(M[i], natural_basis(sel, y))
-
-    def test_mfn_system_symmetric(self, cross_set):
-        F = mfn_system_matrix(cross_set)
-        p1 = cross_set.p + 1
-        n1 = cross_set.n + 1
-        assert F.shape == (p1 + n1, p1 + n1)
-        assert np.allclose(F, F.T)
-        eigs = np.linalg.eigvalsh(F[:p1, :p1])
-        assert np.all(eigs >= -1e-10)
+            design_matrix(ModelKind.QUAD_DET, simplex_set)
 
 
 class TestPoisedness:
@@ -229,6 +211,7 @@ class TestLagrange:
             (PoisednessKind.MFN, 2),
             (PoisednessKind.MFN, 3),
         ],
+        ids=kind_id,
     )
     def test_kronecker_and_partition(self, kind, n, rng):
         p = KINDS[kind](n)
@@ -241,14 +224,6 @@ class TestLagrange:
             x = ss.y0 + rng.uniform(-1, 1, n) * ss.radius
             total = sum(l(x) for l in polys)
             assert np.isclose(total, 1.0, atol=1e-8)
-
-    def test_mfn_duality(self, cross_set, rng):
-        polys = lagrange_mfn(cross_set)
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            lam_vec = mfn_lambda_vector(cross_set, x)
-            direct = np.array([l(x) for l in polys])
-            assert np.allclose(lam_vec, direct, atol=1e-9)
 
     def test_degree_guard(self, simplex_set):
         with pytest.raises(ValueError):
@@ -267,7 +242,7 @@ class TestRemarkFactorization:
         Ml_hat = basis_matrix(
             BasisSelector(2, BasisPart.LINEAR_PART), normalized_points(ss)
         )
-        Ls_hat = design_matrix(MatrixKind.UNDER_SCALED, ss)
+        Ls_hat = design_matrix(ModelKind.MFN, ss)
         E_inv = np.eye(ss.p + 1)
         E_inv[1:, 0] = 1.0
         block = np.zeros((ss.p + 1, ss.n + 1))
@@ -321,6 +296,7 @@ class TestGenerator:
             (PoisednessKind.QUADRATIC, 2, 5),
             (PoisednessKind.MFN, 3, 7),
         ],
+        ids=kind_id,
     )
     def test_certificate_equals_lambda_poisedness(self, kind, n, p):
         # The generator certifies its final set once; that certificate is
@@ -342,6 +318,7 @@ class TestGenerator:
             (PoisednessKind.QUADRATIC, 2, 5),
             (PoisednessKind.MFN, 2, 4),
         ],
+        ids=kind_id,
     )
     def test_placements_share_one_shape(self, kind, n, p):
         # The shape depends only on (n, p, lambda_max, seed); the center and
@@ -355,7 +332,7 @@ class TestGenerator:
         assert np.array_equal(b.y0, [5.0, -3.0])
         assert np.array_equal(b.points, b.y0 + 1e-3 * normalized_points(b))
         assert np.array_equal(
-            design_matrix(_SCALED[kind], a), design_matrix(_SCALED[kind], b)
+            design_matrix(kind, a), design_matrix(kind, b)
         )
 
     def test_lambda_max_guard(self):
@@ -653,6 +630,7 @@ def test_poisedness_shift_invariance(seed):
         (PoisednessKind.MFN, 2, 4),
         (PoisednessKind.MFN, 6, 20),
     ],
+    ids=kind_id,
 )
 def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
     # Sets are certified on their normalized Lagrange coefficients on the

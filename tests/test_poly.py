@@ -10,7 +10,6 @@ from dfobounds import (
     basis_matrix,
     natural_basis,
     space_dim,
-    weighted_sum,
 )
 
 from conftest import fd_gradient, random_quadratic
@@ -186,14 +185,6 @@ def test_arithmetic_operators(rng):
     assert np.isclose((m1 - m2)(x), m1(x) - m2(x))
     assert np.isclose((2.5 * m1)(x), 2.5 * m1(x))
     assert np.isclose((-m1)(x), -m1(x))
-
-
-def test_weighted_sum(rng):
-    polys = [random_quadratic(rng, 2) for _ in range(4)]
-    w = rng.standard_normal(4)
-    combo = weighted_sum(polys, w)
-    x = rng.standard_normal(2)
-    assert np.isclose(combo(x), sum(wi * p(x) for wi, p in zip(w, polys)))
 
 
 def test_zero_polynomial():
