@@ -14,7 +14,10 @@ places its certified shape at the end; the placed set shares the shape's
 basis.  Its improvement loop is a generator that yields each candidate's
 Lagrange stack for the ball solver; one driver runs such loops of one n in
 lockstep, with one solve per step for all of them, so a campaign certifies
-its shapes together and each equals the shape certified alone.
+its shapes together and each equals the shape certified alone.  Placing a
+shape re-checks only what rounding can break (the placed points stay
+finite, pairwise distinct and inside the ball, the checks every SampleSet
+runs) and reuses the shape's normalized points, basis and certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ball import max_abs_on_ball
+from .ball import _rownorm, max_abs_on_ball
 from .bounds import ModelKind, constants_from_lambda
 from .poly import (
     BasisPart,
@@ -97,23 +100,10 @@ class SampleSet:
             raise ValueError("need at least two sample points")
         if pts.shape[1] < 1:
             raise ValueError("points need at least one coordinate")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         radius = float(self.radius)
         if not np.isfinite(radius) or radius <= 0.0:
             raise ValueError(f"radius must be positive and finite, got {radius}")
-        # Equal rows are neighbours once sorted lexicographically; -0.0 and
-        # 0.0 compare equal in both the sort and the test.
-        ordered = pts[np.lexsort(pts.T)]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-            raise ValueError("sample points must be pairwise distinct")
-        dist = np.linalg.norm(pts - pts[0], axis=1)
-        if np.any(dist > radius * (1.0 + 1e-9)):
-            worst = int(np.argmax(dist))
-            raise ValueError(
-                f"point {worst} lies at distance {dist[worst]:.6g} from the "
-                f"base point, outside the ball of radius {radius:.6g}"
-            )
+        _check_points(pts, radius)
         normalized = (pts - pts[0]) / radius
         pts.setflags(write=False)
         normalized.setflags(write=False)
@@ -136,6 +126,26 @@ class SampleSet:
     def shifted(self) -> np.ndarray:
         """Rows y^i - y0 for i = 1..p, shape (p, n)."""
         return self.points[1:] - self.points[0]
+
+
+def _check_points(pts: np.ndarray, radius: float) -> None:
+    # ValueError unless the (p+1, n) points are finite, pairwise distinct
+    # and inside the ball of the given radius around row 0: the checks a
+    # placed shape's rounding can break.
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    # Equal rows are neighbours once sorted lexicographically; -0.0 and
+    # 0.0 compare equal in both the sort and the test.
+    ordered = pts[np.lexsort(pts.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise ValueError("sample points must be pairwise distinct")
+    dist = _rownorm(pts - pts[0], 1)
+    if (dist > radius * (1.0 + 1e-9)).any():
+        worst = int(dist.argmax())
+        raise ValueError(
+            f"point {worst} lies at distance {dist[worst]:.6g} from the "
+            f"base point, outside the ball of radius {radius:.6g}"
+        )
 
 
 def normalized_points(sample_set: SampleSet) -> np.ndarray:
@@ -433,10 +443,13 @@ def generate_poised_set(
 
     The shape is exactly the same for every center and delta: the loop runs
     on the unit ball at the origin and depends only on (n, p, lambda_max,
-    seed); the set is then placed at ``center + delta * U`` and keeps the
-    certified unit set U as its normalized points, with the Lagrange basis
-    already solved for on it, so later fits use exactly the certified
-    geometry and the certificate carries over as is.
+    seed); the set is then placed at ``center + delta * U``.  Lambda and the
+    Lagrange basis are invariant under that map, so placement only checks
+    what rounding can break: the placed points must be finite, pairwise
+    distinct and within delta of the center (ValueError otherwise, with the
+    message SampleSet gives).  The placed set reuses the certified unit set
+    U as its normalized points, the Lagrange basis already solved for on it
+    and its certificate, so later fits use exactly the certified geometry.
     """
     kind = _shape_kind(n, p, lambda_max)
     delta = float(delta)
@@ -454,10 +467,19 @@ def generate_poised_set(
             raise shape
         shapes[key] = shape
     shape = shapes[key]
-    placed = SampleSet(center + delta * shape.points, delta)
-    object.__setattr__(placed, "_normalized", normalized_points(shape))
-    object.__setattr__(placed, "_system", shape._system)
-    object.__setattr__(placed, "certificate", shape.certificate)
+    # The shape passed every SampleSet check; placing it only re-checks
+    # what rounding can break, and shares the rest.
+    points = center + delta * shape.points
+    _check_points(points, delta)
+    points.setflags(write=False)
+    placed = SampleSet.__new__(SampleSet)
+    vars(placed).update(
+        points=points,
+        radius=delta,
+        certificate=shape.certificate,
+        _normalized=shape._normalized,
+        _system=shape._system,
+    )
     return placed
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +79,7 @@ def _check_values(sample_set: SampleSet, values) -> np.ndarray:
         raise ValueError(
             f"expected {sample_set.p + 1} values, got {v.shape[0]}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("values must be finite")
     return v
 
@@ -91,7 +92,7 @@ def interpolation_residual(
 
 
 def _residual(model: QuadraticPolynomial, sample_set: SampleSet, v) -> float:
-    return float(np.max(np.abs(model.eval_batch(sample_set.points) - v)))
+    return float(np.abs(model.eval_batch(sample_set.points) - v).max())
 
 
 def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
@@ -101,8 +102,11 @@ def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, cond = _interpolate(sample_set, kind, rhs)
         model = _interpolant(sample_set, coeffs)
-    parts = (model.constant, model.gradient, model.hessian)
-    if not all(np.isfinite(part).all() for part in parts):
+    if not (
+        math.isfinite(model.constant)
+        and np.isfinite(model.gradient).all()
+        and np.isfinite(model.hessian).all()
+    ):
         raise ValueError("values overflow the fit: its coefficients are not finite")
     return FitResult(
         model=model, residual=_residual(model, sample_set, values), condition=cond

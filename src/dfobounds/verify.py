@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ball import max_abs_on_ball
+from .ball import _rownorm, max_abs_on_ball
 from .bounds import BoundInputs, ModelKind, c_delta_max, error_bounds
 from .geometry import (
     SampleSet,
@@ -31,7 +31,6 @@ from .geometry import (
     # Bound here so tracers that look the certifier up in this module keep
     # finding it.
     lambda_poisedness,  # noqa: F401
-    normalized_points,
     _certify,
     _certify_shapes,
     _shape_memo,
@@ -128,7 +127,7 @@ def quartic_function(n: int) -> TestFunction:
 def _quartic_value(X) -> np.ndarray:
     X = np.asarray(X, float)
     X2 = X * X
-    return np.sum(X2 * X2, axis=1)
+    return (X2 * X2).sum(axis=1)
 
 
 def _quartic_grad(X) -> np.ndarray:
@@ -299,18 +298,20 @@ def check_theory(
             checks.append(
                 _le(f"lagrange_hessian_norm_{j}", norm, cap, tol=1e-9 * max(1.0, cap))
             )
-        # The absolute affine interpolation matrix of the shifted/scaled set
-        # factors through the scaled displacement matrix.
-        Ml_hat = basis_matrix(
-            BasisSelector(2, BasisPart.LINEAR_PART), normalized_points(sample_set)
-        )
+        # The absolute affine interpolation matrix factors through the
+        # scaled displacement matrix Ls_hat, on which every solve runs:
+        # [1, y_i] = [1, (y_i - y0) / delta] [[1, y0^T], [0, delta I]].
+        points = sample_set.points
         Ls_hat = design_matrix(kind, sample_set)
-        expected = np.zeros_like(Ml_hat)
-        expected[0, 0] = 1.0
-        expected[1:, 0] = 1.0
+        expected = np.zeros((p + 1, n + 1))
+        expected[:, 0] = 1.0
         expected[1:, 1:] = Ls_hat
-        diff = float(np.max(np.abs(Ml_hat - expected)))
-        checks.append(_le("shifted_factorization", diff, 1e-12, tol=0.0))
+        scale = np.diag([1.0] + [delta] * n)
+        scale[0, 1:] = sample_set.y0
+        Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
+        diff = float(np.abs(Ml - expected @ scale).max())
+        tol = 1e-12 * max(1.0, float(np.abs(points).max()))
+        checks.append(_le("shifted_factorization", diff, tol, tol=0.0))
 
     checks.extend(basis_floor_checks(n, count=floor_samples, seed=seed))
     return checks
@@ -404,7 +405,7 @@ def _trial_center(fn: TestFunction, delta: float, seed: int) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     center = mid + _center_draw(seed, fn.dim) * half
-    if np.any(center - delta < lo - 1e-12) or np.any(center + delta > hi + 1e-12):
+    if (center - delta < lo - 1e-12).any() or (center + delta > hi + 1e-12).any():
         raise ValueError(
             f"ball of radius {delta} around the sampled center does not fit "
             f"inside the domain box of {fn.name}"
@@ -537,11 +538,11 @@ def run_trial(config: TrialConfig) -> TrialResult:
         X = np.vstack([X, arg[None, :]])
 
     f_err = np.abs(fn.f(X) - model.eval_batch(X))
-    g_err = np.linalg.norm(fn.grad(X) - model.grad_batch(X), axis=1)
-    emp_f = float(np.max(f_err)) / (delta * delta)
-    emp_g = float(np.max(g_err)) / delta
+    g_err = _rownorm(fn.grad(X) - model.grad_batch(X), 1)
+    emp_f = float(f_err.max()) / (delta * delta)
+    emp_g = float(g_err.max()) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|.
-    emp_H = float(np.max(np.abs(np.linalg.eigvalsh(model.hessian))))
+    emp_H = float(np.abs(np.linalg.eigvalsh(model.hessian)).max())
 
     margin_f = _margin(emp_f, report.C_f)
     margin_g = _margin(emp_g, report.C_g)
@@ -676,6 +677,9 @@ def run_campaign(
 ) -> CampaignReport:
     """Run trials sequentially, recording failures without stopping.
 
+    A trial that raises is recorded as ``{"trial_id", "type", "error"}``:
+    the exception's class name and message.
+
     Trials that share (n, p, lambda_max, seed) share one sample-set shape.
     Every distinct shape is certified before the first trial, the
     improvement loops of one n in lockstep, and each trial places its own;
@@ -708,7 +712,9 @@ def run_campaign(
                 results.append((config, result))
             except Exception as exc:  # record per-trial failure, keep going
                 result = None
-                failures.append({"trial_id": trial_id, "error": str(exc)})
+                failures.append(
+                    {"trial_id": trial_id, "type": type(exc).__name__, "error": str(exc)}
+                )
             row.update(_result_columns(result))
             rows.append(row)
 

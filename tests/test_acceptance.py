@@ -151,24 +151,27 @@ def test_criterion_4_pseudoinverse_cap_and_factorization():
         ss = d.generate_poised_set(n, p, 0.5, 40.0, seed=5000 + i)
         cert = d.lambda_poisedness(ss, d.PoisednessKind.MFN)
         violations += cert.matrix_norm > cert.norm_bound + 1e-9
-        # affine interpolation matrix of the shifted/scaled set factors as
-        # an elimination product of the scaled displacement block
-        Ml_hat = d.basis_matrix(
-            d.BasisSelector(2, d.BasisPart.LINEAR_PART), d.normalized_points(ss)
-        )
+        # the absolute affine interpolation matrix factors as an elimination
+        # product of the scaled displacement block, mapped back to absolute
+        # coordinates by [[1, y0^T], [0, delta I]]
+        Ml = d.basis_matrix(d.BasisSelector(2, d.BasisPart.LINEAR_PART), ss.points)
         Ls_hat = d.design_matrix(d.PoisednessKind.MFN, ss)
         E_inv = np.eye(ss.p + 1)
         E_inv[1:, 0] = 1.0
         block = np.zeros((ss.p + 1, ss.n + 1))
         block[0, 0] = 1.0
         block[1:, 1:] = Ls_hat
-        worst_fact = max(worst_fact, float(np.max(np.abs(Ml_hat - E_inv @ block))))
-    ok = violations == 0 and worst_fact <= 1e-12
+        S = ss.radius * np.eye(ss.n + 1)
+        S[0, 0] = 1.0
+        S[0, 1:] = ss.y0
+        tol = 1e-12 * max(1.0, np.abs(ss.points).max())
+        worst_fact = max(worst_fact, float(np.abs(Ml - E_inv @ block @ S).max()) / tol)
+    ok = violations == 0 and worst_fact <= 1.0
     assert report(
         4,
         "pseudoinverse cap + factorization",
         ok,
-        f"{violations} violations, factorization {worst_fact:.2e}",
+        f"{violations} violations, factorization {worst_fact:.2e} of tolerance",
     )
 
 

@@ -236,19 +236,23 @@ class TestLagrange:
 
 class TestRemarkFactorization:
     def test_affine_matrix_factors_through_displacements(self):
-        # in shifted/scaled coordinates the affine interpolation matrix is
-        # the elimination product of the scaled displacement block
-        ss = generate_poised_set(3, 6, 0.4, 30.0, seed=9)
-        Ml_hat = basis_matrix(
-            BasisSelector(2, BasisPart.LINEAR_PART), normalized_points(ss)
-        )
-        Ls_hat = design_matrix(ModelKind.MFN, ss)
-        E_inv = np.eye(ss.p + 1)
-        E_inv[1:, 0] = 1.0
-        block = np.zeros((ss.p + 1, ss.n + 1))
-        block[0, 0] = 1.0
-        block[1:, 1:] = Ls_hat
-        assert np.max(np.abs(Ml_hat - E_inv @ block)) <= 1e-12
+        # the absolute affine interpolation matrix (rows [1, y_i^T]) is the
+        # elimination product of the scaled displacement block, mapped back
+        # to absolute coordinates by [[1, y0^T], [0, delta I]]
+        for center in (None, [0.3, -1.2, 2.5]):
+            ss = generate_poised_set(3, 6, 0.4, 30.0, seed=9, center=center)
+            Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), ss.points)
+            Ls_hat = design_matrix(ModelKind.MFN, ss)
+            E_inv = np.eye(ss.p + 1)
+            E_inv[1:, 0] = 1.0
+            block = np.zeros((ss.p + 1, ss.n + 1))
+            block[0, 0] = 1.0
+            block[1:, 1:] = Ls_hat
+            S = ss.radius * np.eye(ss.n + 1)
+            S[0, 0] = 1.0
+            S[0, 1:] = ss.y0
+            tol = 1e-12 * max(1.0, np.abs(ss.points).max())
+            assert np.abs(Ml - E_inv @ block @ S).max() <= tol
 
 
 class TestGenerator:
@@ -344,6 +348,44 @@ class TestGenerator:
             generate_poised_set(2, 1, 0.5, 10.0, seed=0)
         with pytest.raises(ValueError):
             generate_poised_set(2, 6, 0.5, 10.0, seed=0)  # above quadratic size
+
+
+class TestPlacement:
+    """Placing a certified shape at center + delta * U re-checks what rounding breaks."""
+
+    @pytest.mark.parametrize(
+        "delta, center, message",
+        [
+            (0.5, [np.nan, 0.0], "points must be finite"),
+            (0.5, [np.inf, 1.0], "points must be finite"),
+            # 1 + 1e-20 u rounds to 1: every placed point is the center
+            (1e-20, [1.0, 1.0], "sample points must be pairwise distinct"),
+            # rounding at 1e5 moves a boundary point just outside the ball
+            (
+                1e-7,
+                [1e5, -1e5],
+                "point 4 lies at distance 1.00005e-07 from the base point, "
+                "outside the ball of radius 1e-07",
+            ),
+        ],
+    )
+    def test_placement_errors(self, delta, center, message):
+        with pytest.raises(ValueError) as info:
+            generate_poised_set(2, 4, delta, 20.0, seed=0, center=center)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5), (3, 6)])
+    def test_placed_set_reuses_shape(self, n, p):
+        center = np.linspace(-0.7, 0.9, n)
+        with geometry_module._shape_memo():
+            placed = generate_poised_set(n, p, 0.03, 20.0, seed=6, center=center)
+            (shape,) = geometry_module._SHAPES.get().values()
+        assert not placed.points.flags.writeable
+        assert placed.points.tobytes() == (center + 0.03 * shape.points).tobytes()
+        assert placed.radius == 0.03
+        assert normalized_points(placed) is normalized_points(shape)
+        assert placed._system is shape._system
+        assert placed.certificate is shape.certificate
 
 
 class TestSystemMemo:

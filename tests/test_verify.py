@@ -225,14 +225,32 @@ class TestCheckTheory:
             check_theory(collinear, PoisednessKind.LINEAR)
 
     def test_generated_mfn_suite(self):
-        ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7)
-        checks = check_theory(ss, PoisednessKind.MFN, floor_samples=50)
-        names = {c.name for c in checks}
-        assert "pseudoinverse_norm" in names
-        assert "shifted_factorization" in names
-        assert any(name.startswith("lagrange_hessian_norm_") for name in names)
-        assert {"quadratic_basis_floor", "linear_basis_floor", "unit_coeff_floor"} <= names
-        assert all(c.passed for c in checks)
+        # Off the origin the factorization check compares real absolute
+        # coordinates.
+        for center in (None, [0.4, -0.7]):
+            ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7, center=center)
+            checks = check_theory(ss, PoisednessKind.MFN, floor_samples=50)
+            names = {c.name for c in checks}
+            assert "pseudoinverse_norm" in names
+            assert "shifted_factorization" in names
+            assert any(name.startswith("lagrange_hessian_norm_") for name in names)
+            assert {"quadratic_basis_floor", "linear_basis_floor", "unit_coeff_floor"} <= names
+            assert all(c.passed for c in checks)
+
+    def test_factorization_fails_when_normalized_points_disagree(self):
+        # The solves run on the set's normalized points; a set whose copy is
+        # not its points mapped to (y - y0) / delta fails the check.
+        ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7, center=[3.0, -2.0])
+        bad = SampleSet(ss.points, ss.radius)
+        moved = geometry_module.normalized_points(ss).copy()
+        moved[1, 0] += 1e-9
+        moved.setflags(write=False)
+        object.__setattr__(bad, "_normalized", moved)
+        by_name = {c.name: c for c in check_theory(bad, PoisednessKind.MFN, floor_samples=5)}
+        check = by_name["shifted_factorization"]
+        assert not check.passed
+        assert check.rhs == 1e-12 * np.abs(ss.points).max()
+        assert check.lhs > 100 * check.rhs
 
     def test_mfn_basis_built_once(self, monkeypatch):
         # The certificate and the Lagrange Hessian checks share one basis:
@@ -527,11 +545,40 @@ class TestCampaign:
         assert report.summary["n_failed"] == 1
         assert report.summary["all_passed"] is False
         assert report.failures[0]["trial_id"] == 1
+        assert report.failures[0]["type"] == "ValueError"
         lines = (tmp_path / "f.csv").read_text().splitlines()
         assert len(lines) == 3
         failed_row = lines[2].split(",")
         assert failed_row[-1] == "False"
         assert failed_row[CSV_COLUMNS.index("lambda")] == ""
+
+    def test_failure_entries_name_the_exception_type(self, tmp_path, monkeypatch):
+        # A shape-rule ValueError, a NotPoisedError and a generator
+        # RuntimeError read alike by message; the entry names the type.
+        collinear = SampleSet(np.array([[0.0, 0.0], [0.4, 0.0], [0.9, 0.0]]), 1.0)
+        raisers = {
+            0.3: lambda: generate_poised_set(2, 6, 0.5, 10.0, seed=0),
+            0.2: lambda: check_theory(collinear, PoisednessKind.LINEAR),
+            # LIN_DET at n = 2 cannot get lambda below 1 + sqrt(2)
+            0.1: lambda: generate_poised_set(2, 2, 0.5, 1.5, seed=0),
+        }
+
+        def failing(n, p, delta, *args, **kwargs):
+            raisers[delta]()
+
+        monkeypatch.setattr(verify_module, "generate_poised_set", failing)
+        trials = expand_config(
+            {"function": "quartic", "kind": "lin_det", "n": 2, "p": 2,
+             "delta": [0.3, 0.2, 0.1]}
+        )
+        report = run_campaign(trials, json_path=tmp_path / "s.json")
+        types = ["ValueError", "NotPoisedError", "RuntimeError"]
+        assert [f["type"] for f in report.failures] == types
+        assert report.failures[0]["error"].startswith("p=6 fits no interpolation kind")
+        assert report.failures[2]["error"].startswith("could not reach lambda <= 1.5")
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["failures"] == report.failures
+        assert [sorted(f) for f in report.failures] == [["error", "trial_id", "type"]] * 3
 
     def test_infinite_margin_written_as_null(self, tmp_path, monkeypatch):
         # a zero cap with a nonzero error gives an infinite margin, which
@@ -641,6 +688,7 @@ class TestCampaign:
         assert len(bad) == 6
         assert [f["trial_id"] for f in report.failures] == bad
         assert {f["error"] for f in report.failures} == {"no shape for p=4 seed=1"}
+        assert {f["type"] for f in report.failures} == {"RuntimeError"}
         assert calls.count((2, 4, 1)) == 1 + 6
         assert len(calls) == 6 + 6
         for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
