@@ -437,33 +437,46 @@ def grid_oracle(m: QuadraticPolynomial, center, radius: float, resolution: float
     axis = np.arange(-k, k + 1, dtype=float) * resolution
     r2 = radius * radius * (1.0 + 1e-12)
 
-    if n == 1:
-        trailing = np.zeros((1, 0))
-    else:
-        mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-        trailing = np.column_stack([a.ravel() for a in mesh])
-    rows_per_chunk = max(1, _CHUNK_POINTS // max(1, len(trailing)))
+    # m(center + z) = m(center) + sum_j z_j (g_j + H_jj z_j / 2 + sum_{l>j} H_jl z_l),
+    # with g the gradient at the center.  The terms of z_1..z_{n-1} and
+    # their squared norm are summed over the trailing lattice block by
+    # broadcasting, last axis first; z_0's terms are added one chunk of
+    # leading slabs at a time, and the ball is masked afterwards.
+    H = m.hessian
+    g = m.gradient + H @ center
+
+    def cross(j):
+        # sum_{l>j} H_jl z_l over the lattice block of axes j+1..n-1.
+        d = n - 1 - j
+        out = np.zeros(())
+        for i in range(d):
+            shape = [side if t == i else 1 for t in range(d)]
+            out = out + H[j, j + 1 + i] * axis.reshape(shape)
+        return out
+
+    tail = tail_sq = np.zeros(())
+    for j in range(n - 1, 0, -1):
+        a = axis.reshape((side,) + (1,) * (n - 1 - j))
+        tail = a * (g[j] + 0.5 * H[j, j] * a) + a * cross(j) + tail
+        tail_sq = a * a + tail_sq
+    lead_cross = cross(0)
+    m0 = m.eval(center)
+    rows_per_chunk = max(1, _CHUNK_POINTS // tail.size)
 
     best_val = -np.inf
     best_arg = None
     for start in range(0, side, rows_per_chunk):
-        lead = axis[start : start + rows_per_chunk]
-        # Lexicographic order: leading coordinate outer, trailing block inner.
-        Z = np.column_stack(
-            [
-                np.repeat(lead, len(trailing)),
-                np.tile(trailing, (len(lead), 1)),
-            ]
-        )
-        keep = np.einsum("ij,ij->i", Z, Z) <= r2
-        if not np.any(keep):
-            continue
-        Z = Z[keep]
-        vals = np.abs(m.eval_batch(center + Z))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_arg = center + Z[i]
+        a = axis[start : start + rows_per_chunk].reshape((-1,) + (1,) * (n - 1))
+        vals = a * lead_cross + tail
+        vals += m0 + a * (g[0] + 0.5 * H[0, 0] * a)
+        np.abs(vals, out=vals)
+        vals[a * a + tail_sq > r2] = -np.inf
+        # C order is lexicographic order, so argmax takes the first maximum.
+        i = int(vals.argmax())
+        if vals.flat[i] > best_val:
+            best_val = float(vals.flat[i])
+            index = np.unravel_index(i, vals.shape)
+            best_arg = center + axis[[start + index[0], *index[1:]]]
     axis_pts = center + radius * np.vstack([np.eye(n), -np.eye(n)])
     axis_vals = np.abs(m.eval_batch(axis_pts))
     i = int(np.argmax(axis_vals))

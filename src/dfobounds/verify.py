@@ -10,23 +10,26 @@ for the same config.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
 import json
+import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ball import _rownorm, max_abs_on_ball
+from .ball import max_abs_on_ball
 from .bounds import BoundInputs, ModelKind, c_delta_max, error_bounds
 from .geometry import (
     SampleSet,
     _kind_for_shape,
-    design_matrix,
     generate_poised_set,
     # Bound here so tracers that look the certifier up in this module keep
     # finding it.
@@ -34,6 +37,7 @@ from .geometry import (
     _certify,
     _certify_shapes,
     _shape_memo,
+    normalized_points,
 )
 from .models import (
     FitResult,
@@ -277,8 +281,12 @@ def check_theory(
 ):
     """All certified inequalities for a sample set, as a list of checks.
 
-    ``kind`` is anything ``ModelKind`` takes.  Raises NotPoisedError for
-    degenerate sets (no inequalities are emitted in that case).
+    Every kind gets its scaled-matrix norm cap, the factorization of the
+    absolute affine matrix through the normalized points
+    (``shifted_factorization``) and the basis floors; MFN also gets one
+    Hessian cap per Lagrange polynomial.  ``kind`` is anything
+    ``ModelKind`` takes.  Raises NotPoisedError for degenerate sets (no
+    inequalities are emitted in that case).
     """
     kind = ModelKind(kind)
     cert, coeffs = _certify(sample_set, kind)
@@ -298,20 +306,20 @@ def check_theory(
             checks.append(
                 _le(f"lagrange_hessian_norm_{j}", norm, cap, tol=1e-9 * max(1.0, cap))
             )
-        # The absolute affine interpolation matrix factors through the
-        # scaled displacement matrix Ls_hat, on which every solve runs:
-        # [1, y_i] = [1, (y_i - y0) / delta] [[1, y0^T], [0, delta I]].
-        points = sample_set.points
-        Ls_hat = design_matrix(kind, sample_set)
-        expected = np.zeros((p + 1, n + 1))
-        expected[:, 0] = 1.0
-        expected[1:, 1:] = Ls_hat
-        scale = np.diag([1.0] + [delta] * n)
-        scale[0, 1:] = sample_set.y0
-        Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
-        diff = float(np.abs(Ml - expected @ scale).max())
-        tol = 1e-12 * max(1.0, float(np.abs(points).max()))
-        checks.append(_le("shifted_factorization", diff, tol, tol=0.0))
+
+    # Every solve runs on the normalized points Y_hat = (Y - y0) / delta, so
+    # the absolute affine interpolation matrix must factor through them:
+    # [1, y_i] = [1, (y_i - y0) / delta] [[1, y0^T], [0, delta I]].
+    points = sample_set.points
+    expected = np.zeros((p + 1, n + 1))
+    expected[:, 0] = 1.0
+    expected[1:, 1:] = normalized_points(sample_set)[1:]
+    scale = np.diag([1.0] + [delta] * n)
+    scale[0, 1:] = sample_set.y0
+    Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
+    diff = float(np.abs(Ml - expected @ scale).max())
+    tol = 1e-12 * max(1.0, float(np.abs(points).max()))
+    checks.append(_le("shifted_factorization", diff, tol, tol=0.0))
 
     checks.extend(basis_floor_checks(n, count=floor_samples, seed=seed))
     return checks
@@ -399,20 +407,6 @@ def _center_draw(seed: int, dim: int) -> np.ndarray:
     return draw
 
 
-def _trial_center(fn: TestFunction, delta: float, seed: int) -> np.ndarray:
-    lo = fn.domain_box[:, 0]
-    hi = fn.domain_box[:, 1]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    center = mid + _center_draw(seed, fn.dim) * half
-    if (center - delta < lo - 1e-12).any() or (center + delta > hi + 1e-12).any():
-        raise ValueError(
-            f"ball of radius {delta} around the sampled center does not fit "
-            f"inside the domain box of {fn.name}"
-        )
-    return center
-
-
 def _first_primes(count: int) -> np.ndarray:
     """The first ``count`` primes, from a sieve doubled until it holds them."""
     limit = 16
@@ -473,16 +467,92 @@ def _unit_probe_block(n: int, count: int):
     return unit, corners
 
 
-def _probe_points(
-    center: np.ndarray, delta: float, count: int, extra: np.ndarray
-) -> np.ndarray:
-    n = center.size
+@dataclass(frozen=True)
+class _ProbePlan:
+    """What every trial at one (function, n, delta, seed, sample_count) probes.
+
+    ``center`` is the ball center, ``block`` the absolute probe points
+    [center + delta * U; center + delta / sqrt(n) * corners] (see
+    _unit_probe_block), and ``f`` and ``grad`` the objective on the block.
+    All four are read-only, since the trials of a campaign share them.
+    """
+
+    center: np.ndarray
+    block: np.ndarray
+    f: np.ndarray
+    grad: np.ndarray
+
+
+def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _ProbePlan:
+    """Build the probe plan of a trial key.
+
+    The center is the seed's draw scaled into the middle half of the domain
+    box; a ball of radius ``delta`` that does not fit the box raises.
+    """
+    lo = fn.domain_box[:, 0]
+    hi = fn.domain_box[:, 1]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    center = mid + _center_draw(seed, fn.dim) * half
+    if (center - delta < lo - 1e-12).any() or (center + delta > hi + 1e-12).any():
+        raise ValueError(
+            f"ball of radius {delta} around the sampled center does not fit "
+            f"inside the domain box of {fn.name}"
+        )
+    n = fn.dim
     unit, corners = _unit_probe_block(n, count)
-    blocks = [center + delta * unit]
+    block = center + delta * unit
     if corners is not None:
-        blocks.append(center + (delta / np.sqrt(n)) * corners)
-    blocks.append(extra)
-    return np.vstack(blocks)
+        block = np.vstack([block, center + (delta / np.sqrt(n)) * corners])
+    plan = _ProbePlan(center, block, fn.f(block), fn.grad(block))
+    for array in (plan.center, plan.block, plan.f, plan.grad):
+        array.setflags(write=False)
+    return plan
+
+
+# The running campaign's probe plans and, per plan key, how many of its
+# trials have yet to take the plan; unset outside one.  See _plan_memo.
+_PLANS: ContextVar[tuple] = ContextVar("_PLANS")
+
+
+def _plan_key(config: TrialConfig) -> tuple:
+    return (config.function, config.n, float(config.delta), config.seed, config.sample_count)
+
+
+@contextmanager
+def _plan_memo(trials):
+    """Let the trials in the block share one probe plan per plan key.
+
+    A key's plan is built when its first trial takes it and released when
+    its last one does; the memo is dropped when the block exits.
+    """
+    token = _PLANS.set(({}, collections.Counter(map(_plan_key, trials))))
+    try:
+        yield
+    finally:
+        _PLANS.reset(token)
+
+
+def _take_plan(fn: TestFunction, config: TrialConfig) -> _ProbePlan:
+    """The trial's probe plan: the memo's inside _plan_memo, else a fresh one.
+
+    A plan that cannot be built is not stored, so every trial of its key
+    raises the same error.
+    """
+    memo = _PLANS.get(None)
+    key = _plan_key(config)
+    if memo is None or key not in memo[1]:
+        return _probe_plan(fn, float(config.delta), config.seed, config.sample_count)
+    plans, uses = memo
+    plan = plans.pop(key, None)
+    if plan is None:
+        plan = _probe_plan(fn, float(config.delta), config.seed, config.sample_count)
+    uses[key] -= 1
+    if uses[key]:
+        plans[key] = plan
+    else:
+        del uses[key]
+    return plan
 
 
 def _margin(emp: float, cap: float) -> float:
@@ -495,14 +565,14 @@ def run_trial(config: TrialConfig) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held."""
     fn = resolve_function(config.function, config.n)
     delta = float(config.delta)
-    center = _trial_center(fn, delta, config.seed)
+    plan = _take_plan(fn, config)
     sample_set = generate_poised_set(
         config.n,
         config.p,
         delta,
         config.lambda_max,
         seed=config.seed,
-        center=center,
+        center=plan.center,
     )
     # The generator certified the set for the kind it inferred from (n, p),
     # which TrialConfig has checked is the kind the model needs.
@@ -530,17 +600,30 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
     report = error_bounds(config.kind, inputs)
 
-    X = _probe_points(center, delta, config.sample_count, sample_set.points)
+    # Probe the plan's block, the sample points and, for a quadratic
+    # objective, the exact worst point: its error is itself quadratic.
+    blocks = [plan.block, sample_set.points]
+    f_parts = [plan.f, values]
+    g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:
-        # The error of a quadratic objective is itself quadratic, so its
-        # worst point on the ball is found exactly.
-        _, arg = max_abs_on_ball(fn.quadratic - model, center, delta)
-        X = np.vstack([X, arg[None, :]])
-
-    f_err = np.abs(fn.f(X) - model.eval_batch(X))
-    g_err = _rownorm(fn.grad(X) - model.grad_batch(X), 1)
+        _, arg = max_abs_on_ball(fn.quadratic - model, plan.center, delta)
+        arg = arg[None, :]
+        blocks.append(arg)
+        f_parts.append(fn.f(arg))
+        g_parts.append(fn.grad(arg))
+    X = np.concatenate(blocks)
+    # model.eval_batch and model.grad_batch on X, sharing X @ H.
+    HX = X @ model.hessian
+    m_values = model.constant + X @ model.gradient + 0.5 * np.einsum("ij,ij->i", X, HX)
+    f_err = np.abs(np.concatenate(f_parts) - m_values)
+    g_err = np.concatenate(g_parts) - (model.gradient + HX)
+    # Squared row norms summed column by column: NumPy's per-row reduction
+    # costs several times the arithmetic on n columns.
+    g_sq = g_err[:, 0] * g_err[:, 0]
+    for k in range(1, config.n):
+        g_sq += g_err[:, k] * g_err[:, k]
     emp_f = float(f_err.max()) / (delta * delta)
-    emp_g = float(g_err.max()) / delta
+    emp_g = math.sqrt(g_sq.max()) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|.
     emp_H = float(np.abs(np.linalg.eigvalsh(model.hessian)).max())
 
@@ -684,8 +767,16 @@ def run_campaign(
     Every distinct shape is certified before the first trial, the
     improvement loops of one n in lockstep, and each trial places its own;
     the shapes are forgotten when the call returns.  So ``progress``, called
-    before each trial, first fires once the shapes exist.  Every row equals
-    the one its config gives when run alone.
+    before each trial, first fires once the shapes exist.
+
+    Trials that share (function, n, delta, seed, sample_count), such as the
+    kinds of one sweep point, share one probe plan: the ball center, the
+    probe block and the objective's values and gradients on it.  The first
+    of them builds it, and it is released when the last of them takes it;
+    all plans are forgotten when the call returns, even if it raises.  A
+    ball that does not fit the function's domain gets no plan, so each of
+    its trials fails with the same message.  Every row equals the one its
+    config gives when run alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
@@ -694,7 +785,7 @@ def run_campaign(
     rows = []
     failures = []
     results = []
-    with _shape_memo():
+    with _shape_memo(), _plan_memo(trials):
         _certify_shapes(
             (config.n, config.p, float(config.lambda_max), config.seed)
             for config in trials

@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +33,7 @@ from dfobounds.verify import (
     TrialResult,
     _first_primes,
     _halton_points,
-    _probe_points,
+    _probe_plan,
     _rosenbrock_lipschitz,
 )
 
@@ -190,16 +192,31 @@ def _probe_points_reference(center, delta, count, extra):
 
 class TestProbePoints:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
-    def test_equal_to_per_trial_formula(self, rng, n):
-        for center, delta in [
-            (np.zeros(n), 1.0),
-            (rng.uniform(-1.0, 1.0, n), 0.02),
-            (rng.uniform(-5.0, 5.0, n), 0.37),
-            (np.full(n, -0.0), 1e-3),
+    def test_equal_to_per_trial_formula(self, n):
+        # The plan's block is the probe formula at the plan's center, and
+        # its objective values are the function's on that block.
+        quartic = quartic_function(n)
+        wide = dataclasses.replace(
+            quartic, domain_box=np.column_stack([np.full(n, -5.0), np.full(n, 5.0)])
+        )
+        for fn, delta, seed in [
+            (wide, 1.0, 0),
+            (quartic, 0.02, 1),
+            (wide, 0.37, 2),
+            (quartic, 1e-3, 3),
         ]:
-            extra = center + delta * rng.uniform(-0.5, 0.5, (3, n))
-            got = _probe_points(center, delta, 50, extra)
-            assert np.array_equal(got, _probe_points_reference(center, delta, 50, extra))
+            plan = _probe_plan(fn, delta, seed, 50)
+            empty = np.zeros((0, n))
+            ref = _probe_points_reference(plan.center, delta, 50, empty)
+            assert np.array_equal(plan.block, ref)
+            assert np.array_equal(plan.f, fn.f(ref))
+            assert np.array_equal(plan.grad, fn.grad(ref))
+            for array in (plan.center, plan.block, plan.f, plan.grad):
+                assert not array.flags.writeable
+
+    def test_ball_must_fit_domain(self):
+        with pytest.raises(ValueError, match="ball of radius 1.2 around"):
+            _probe_plan(quartic_function(2), 1.2, 0, 50)
 
     def test_unit_block_shared_and_read_only(self):
         unit, corners = verify_module._unit_probe_block(3, 40)
@@ -217,6 +234,7 @@ class TestCheckTheory:
         inv = by_name["linear_inverse_norm"]
         assert np.isclose(inv.lhs, 1.0, atol=1e-12)
         assert np.isclose(inv.rhs, (1.0 + np.sqrt(2.0)) * np.sqrt(2.0))
+        assert "shifted_factorization" in by_name
         assert all(c.passed for c in checks)
 
     def test_collinear_emits_nothing(self):
@@ -287,6 +305,25 @@ class TestCheckTheory:
         ss = generate_poised_set(2, 5, 0.5, 30.0, seed=3)
         checks = check_theory(ss, PoisednessKind.QUADRATIC, floor_samples=20)
         assert any(c.name == "quadratic_inverse_norm" and c.passed for c in checks)
+        assert any(c.name == "shifted_factorization" and c.passed for c in checks)
+
+    @pytest.mark.parametrize("kind, p", [("linear", 2), ("quadratic", 5)])
+    def test_factorization_checked_for_every_kind(self, kind, p):
+        # Determined sets solve on their normalized points too, so their
+        # factorization is checked as well: it passes on the generated set
+        # and fails once its normalized copy disagrees with its points.
+        ss = generate_poised_set(2, p, 0.5, 30.0, seed=7, center=[3.0, -2.0])
+        good = {c.name: c for c in check_theory(ss, kind, floor_samples=5)}
+        assert good["shifted_factorization"].passed
+        bad = SampleSet(ss.points, ss.radius)
+        moved = geometry_module.normalized_points(ss).copy()
+        moved[1, 0] += 1e-3
+        moved.setflags(write=False)
+        object.__setattr__(bad, "_normalized", moved)
+        by_name = {c.name: c for c in check_theory(bad, kind, floor_samples=5)}
+        check = by_name["shifted_factorization"]
+        assert not check.passed
+        assert check.lhs > 100 * check.rhs
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_floors(self, n):
@@ -457,9 +494,10 @@ class TestTrialCenter:
         # The center is the seed's draw scaled into the middle half of the box.
         fn = rosenbrock_function()
         draw = np.random.default_rng(4).uniform(-0.5, 0.5, size=2)
-        center = verify_module._trial_center(fn, 0.1, 4)
+        center = _probe_plan(fn, 0.1, 4, 50).center
         assert np.array_equal(center, 0.0 + draw * 2.0)
-        assert center.flags.writeable
+        # Its own array, not the cached draw.
+        assert not np.shares_memory(center, verify_module._center_draw(4, 2))
 
 
 class TestCampaign:
@@ -722,3 +760,101 @@ class TestCampaign:
         b = run_campaign(trials, csv_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert a.rows == b.rows
+
+
+def _mixed_sweep():
+    # Quartic and Rosenbrock at n = 2, the quadratic at n = 4 and n = 8 with
+    # its exact-argmax probe, relaxed fits, two probe counts, and a radius
+    # that fits Rosenbrock's box for some seeds only.
+    trials = []
+    for kind, n, p in (("lin_det", 2, 2), ("quad_det", 2, 5), ("mfn", 2, 4)):
+        trials += expand_config(
+            {"function": ["quartic", "rosenbrock"], "kind": kind, "n": n, "p": p,
+             "delta": [0.1, 1.5], "kappa": 0.01, "seed": [0, 1, 2],
+             "sample_count": 200}
+        )
+    for kind, n, p in (("mfn", 4, 10), ("quad_det", 4, 14), ("lin_det", 8, 8),
+                       ("mfn", 8, 12)):
+        trials += expand_config(
+            {"function": "quadratic", "kind": kind, "n": n, "p": p, "delta": 0.2,
+             "kappa": 0.01, "lambda_max": 5.0, "seed": [0, 1],
+             "sample_count": [200, 300]}
+        )
+    return trials
+
+
+class TestProbePlans:
+    def test_rows_equal_trials_run_alone(self):
+        # Trials that share a plan key share its center, block and objective
+        # values; each row is still the one its config gives alone.
+        trials = _mixed_sweep()
+        report = run_campaign(trials)
+        assert report.failures and len(report.failures) < len(trials)
+        assert {f["type"] for f in report.failures} == {"ValueError"}
+        for trial_id, config in enumerate(trials):
+            try:
+                result = run_trial(config)
+            except ValueError:
+                result = None
+            alone = verify_module._result_columns(result)
+            row = report.rows[trial_id]
+            assert [str(row[c]) for c in alone] == [str(v) for v in alone.values()], trial_id
+
+    def test_block_objective_evaluated_once_per_key(self, monkeypatch):
+        # Sample sets have at most 13 points here, probe blocks at least 200.
+        evaluated = collections.Counter()
+        original = verify_module.resolve_function
+
+        def counted(name, n):
+            fn = original(name, n)
+
+            def wrap(tag, method):
+                def call(X):
+                    if len(X) >= 200:
+                        evaluated[tag, name, X.tobytes()] += 1
+                    return method(X)
+                return call
+
+            return dataclasses.replace(fn, f=wrap("f", fn.f), grad=wrap("grad", fn.grad))
+
+        monkeypatch.setattr(verify_module, "resolve_function", counted)
+        trials = _mixed_sweep()
+        report = run_campaign(trials)
+        failed = {f["trial_id"] for f in report.failures}
+        built = {
+            verify_module._plan_key(c) for i, c in enumerate(trials) if i not in failed
+        }
+        assert len(built) < len(trials) - len(failed)
+        assert set(evaluated.values()) == {1}
+        assert len(evaluated) == 2 * len(built)
+
+    def test_plans_released_after_their_last_trial(self):
+        trials = _mixed_sweep()
+        keys = [verify_module._plan_key(c) for c in trials]
+        held = []
+
+        def look(_message):
+            plans, _ = verify_module._PLANS.get()
+            held.append(set(plans))
+
+        run_campaign(trials, progress=look)
+        assert verify_module._PLANS.get(None) is None
+        assert len(held) == len(trials)
+        # Before trial i, only keys that trial i or a later one uses are held.
+        for i, plans in enumerate(held):
+            assert plans <= set(keys[i:]), i
+        assert max(map(len, held)) > 1
+
+    def test_plans_dropped_when_progress_raises(self):
+        trials = _mixed_sweep()
+        calls = []
+
+        def stop(message):
+            calls.append(message)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(trials, progress=stop)
+        assert verify_module._PLANS.get(None) is None
+        assert geometry_module._SHAPES.get(None) is None
