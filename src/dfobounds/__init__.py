@@ -4,132 +4,64 @@ Construction and certification of linear, quadratic, and minimum-norm
 interpolation models on sample sets in a ball, the error-bound constants
 that govern their accuracy, and empirical verification of those bounds on
 test functions.
+
+Each public name and each submodule is imported on first use (PEP 562), so
+``import dfobounds`` loads no submodule and the NumPy-free ``bounds`` module
+can be used without loading NumPy.
 """
 
-from .ball import (
-    BallExtremum,
-    BallSolution,
-    extremize_batch,
-    extremize_on_ball,
-    grid_oracle,
-    lipschitz_on_ball,
-    max_abs_on_ball,
-)
-from .bounds import (
-    BoundInputs,
-    BoundKind,
-    BoundReport,
-    c_delta_max,
-    closed_form_bounds,
-    constants_from_lambda,
-    error_bounds,
-    hessian_bound_mfn,
-)
-from .geometry import (
-    NotPoisedError,
-    PoisednessCertificate,
-    PoisednessKind,
-    SampleSet,
-    design_matrix,
-    generate_poised_set,
-    lagrange_determined,
-    lagrange_mfn,
-    lambda_poisedness,
-    mfn_poised,
-    normalized_points,
-)
-from .models import (
-    FitResult,
-    ModelKind,
-    RelaxationError,
-    RelaxationSpec,
-    fit_model,
-    fit_relaxed,
-    interpolation_residual,
-)
-from .poly import (
-    BasisPart,
-    BasisSelector,
-    QuadraticPolynomial,
-    basis_matrix,
-    natural_basis,
-    space_dim,
-)
-from .verify import (
-    CSV_COLUMNS,
-    CampaignReport,
-    InequalityCheck,
-    TestFunction,
-    TrialConfig,
-    TrialResult,
-    basis_floor_checks,
-    builtin_functions,
-    check_theory,
-    expand_config,
-    quadratic_function,
-    quartic_function,
-    resolve_function,
-    rosenbrock_function,
-    run_campaign,
-    run_trial,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_COLUMNS",
-    "BallExtremum",
-    "BallSolution",
-    "BasisPart",
-    "BasisSelector",
-    "BoundInputs",
-    "BoundKind",
-    "BoundReport",
-    "CampaignReport",
-    "FitResult",
-    "InequalityCheck",
-    "ModelKind",
-    "NotPoisedError",
-    "PoisednessCertificate",
-    "PoisednessKind",
-    "QuadraticPolynomial",
-    "RelaxationError",
-    "RelaxationSpec",
-    "SampleSet",
-    "TestFunction",
-    "TrialConfig",
-    "TrialResult",
-    "basis_floor_checks",
-    "basis_matrix",
-    "builtin_functions",
-    "c_delta_max",
-    "check_theory",
-    "closed_form_bounds",
-    "constants_from_lambda",
-    "design_matrix",
-    "error_bounds",
-    "expand_config",
-    "extremize_batch",
-    "extremize_on_ball",
-    "fit_model",
-    "fit_relaxed",
-    "generate_poised_set",
-    "grid_oracle",
-    "hessian_bound_mfn",
-    "interpolation_residual",
-    "lagrange_determined",
-    "lagrange_mfn",
-    "lambda_poisedness",
-    "lipschitz_on_ball",
-    "max_abs_on_ball",
-    "mfn_poised",
-    "natural_basis",
-    "normalized_points",
-    "quadratic_function",
-    "quartic_function",
-    "resolve_function",
-    "rosenbrock_function",
-    "run_campaign",
-    "run_trial",
-    "space_dim",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "ball": (
+        "BallExtremum", "BallSolution", "extremize_batch", "extremize_on_ball",
+        "grid_oracle", "lipschitz_on_ball", "max_abs_on_ball",
+    ),
+    "bounds": (
+        "BoundInputs", "BoundKind", "BoundReport", "ModelKind", "c_delta_max",
+        "closed_form_bounds", "constants_from_lambda", "error_bounds",
+        "hessian_bound_mfn",
+    ),
+    "cli": (),
+    "fileio": (),
+    "geometry": (
+        "NotPoisedError", "PoisednessCertificate", "PoisednessKind", "SampleSet",
+        "design_matrix", "generate_poised_set", "lagrange_determined", "lagrange_mfn",
+        "lambda_poisedness", "mfn_poised", "normalized_points",
+    ),
+    "models": (
+        "FitResult", "RelaxationError", "RelaxationSpec", "fit_model", "fit_relaxed",
+        "interpolation_residual",
+    ),
+    "poly": (
+        "BasisPart", "BasisSelector", "QuadraticPolynomial", "basis_matrix",
+        "natural_basis", "space_dim",
+    ),
+    "verify": (
+        "CSV_COLUMNS", "CampaignReport", "InequalityCheck", "TestFunction",
+        "TrialConfig", "TrialResult", "basis_floor_checks", "builtin_functions",
+        "check_theory", "expand_config", "quadratic_function", "quartic_function",
+        "resolve_function", "rosenbrock_function", "run_campaign", "run_trial",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import fileio
-from .ball import grid_oracle
+# Only the NumPy-free bounds module loads with the CLI; each command imports
+# the rest of what it runs, so `dfobounds bounds` never loads NumPy.
 from .bounds import BoundInputs, _require, error_bounds
-from .geometry import NotPoisedError, lambda_poisedness
-from .models import RelaxationError, RelaxationSpec, fit_model, fit_relaxed
-from .verify import expand_config, run_campaign
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -45,8 +41,8 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
@@ -149,7 +145,29 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
+# The commands call these through this module, where a caller may rebind
+# them; each loads its module, and NumPy, on first call.
+def lambda_poisedness(*args, **kwargs):
+    from .geometry import lambda_poisedness
+
+    return lambda_poisedness(*args, **kwargs)
+
+
+def fit_model(*args, **kwargs):
+    from .models import fit_model
+
+    return fit_model(*args, **kwargs)
+
+
+def fit_relaxed(*args, **kwargs):
+    from .models import fit_relaxed
+
+    return fit_relaxed(*args, **kwargs)
+
+
 def _cmd_poisedness(args) -> int:
+    from . import fileio
+
     sample_set, _ = fileio.read_points(args.points, delta=args.delta)
     certificate = lambda_poisedness(sample_set, args.kind)
     _emit(certificate.to_dict(), args.out)
@@ -157,6 +175,9 @@ def _cmd_poisedness(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import fileio
+    from .models import RelaxationSpec
+
     sample_set, values = fileio.read_points(args.points, delta=args.delta)
     if values is None:
         raise ValueError(f"{args.points}: fit requires an f column")
@@ -206,6 +227,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import fileio
+    from .verify import expand_config, run_campaign
+
     config = fileio.read_config(args.config)
     trials = expand_config(config)
     progress = None
@@ -221,6 +245,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import numpy as np
+
+    from . import fileio
+    from .ball import grid_oracle
+
     model = fileio.read_model(args.poly)
     if args.center is None:
         center = np.zeros(model.dim)
@@ -250,15 +279,26 @@ _DISPATCH = {
 }
 
 
+def _loaded(module: str, name: str) -> tuple:
+    """The exception class ``module.name`` as a 1-tuple, or ``()`` if that
+    module is not loaded: a command that never loaded it cannot raise it.
+
+    An except clause evaluates its expression only when an exception
+    reaches it, so ``except _loaded(...)`` imports nothing.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else (getattr(loaded, name),)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except NotPoisedError as exc:
+    except _loaded("geometry", "NotPoisedError") as exc:
         print(f"dfobounds: not poised: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except RelaxationError as exc:
+    except _loaded("models", "RelaxationError") as exc:
         print(f"dfobounds: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (OSError, ValueError) as exc:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .geometry import SampleSet
 from .poly import QuadraticPolynomial
+
+if TYPE_CHECKING:
+    from .geometry import SampleSet
 
 __all__ = [
     "sidecar_path",
@@ -55,6 +57,9 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
     The radius is taken from ``delta`` when given, otherwise from the JSON
     sidecar ``<stem>.json``.  Parse errors name the offending data row.
     """
+    # Imported here so that reading a model or a config loads no geometry.
+    from .geometry import SampleSet
+
     path = Path(path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -138,14 +143,40 @@ def model_to_dict(model: QuadraticPolynomial) -> dict:
     }
 
 
+def _nests_numbers(value, depth: int) -> bool:
+    """Whether value is depth levels of JSON arrays around numbers only."""
+    if depth:
+        return isinstance(value, list) and all(
+            _nests_numbers(item, depth - 1) for item in value
+        )
+    # JSON true and false load as bool, an int subclass; they are not numbers.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_array(payload: dict, key: str, depth: int) -> np.ndarray:
+    if not _nests_numbers(payload[key], depth):
+        what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+        raise ValueError(f'model JSON key "{key}" must be {what}')
+    try:
+        return np.asarray(payload[key], dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f'model JSON key "{key}" must be finite') from None
+    except ValueError:  # NumPy rejects rows of different lengths
+        raise ValueError(
+            f'model JSON key "{key}" has rows of different lengths'
+        ) from None
+
+
 def model_from_dict(payload: dict) -> QuadraticPolynomial:
     for key in ("n", "c", "g", "H"):
         if key not in payload:
             raise ValueError(f'model JSON is missing key "{key}"')
-    n = int(payload["n"])
-    c = float(payload["c"])
-    g = np.asarray(payload["g"], dtype=float)
-    H = np.asarray(payload["H"], dtype=float)
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'model JSON key "n" must be an integer, got {n!r}')
+    c = float(_model_array(payload, "c", 0))
+    g = _model_array(payload, "g", 1)
+    H = _model_array(payload, "H", 2)
     if g.shape != (n,):
         raise ValueError(f"model gradient has shape {g.shape}, expected ({n},)")
     if H.shape != (n, n):

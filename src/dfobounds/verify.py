@@ -624,8 +624,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
         g_sq += g_err[:, k] * g_err[:, k]
     emp_f = float(f_err.max()) / (delta * delta)
     emp_g = math.sqrt(g_sq.max()) / delta
-    # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|.
-    emp_H = float(np.abs(np.linalg.eigvalsh(model.hessian)).max())
+    # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|;
+    # a LIN_DET model's Hessian is exactly zero, whose norm needs no solve.
+    H = model.hessian
+    emp_H = float(np.abs(np.linalg.eigvalsh(H)).max()) if H.any() else 0.0
 
     margin_f = _margin(emp_f, report.C_f)
     margin_g = _margin(emp_g, report.C_g)

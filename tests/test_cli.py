@@ -242,6 +242,28 @@ class TestOracle:
         assert captured.out == ""
         assert '"g"' in captured.err
 
+    def test_string_entry_in_model_exits_1(self, capsys, tmp_path):
+        poly = tmp_path / "m.json"
+        poly.write_text(
+            '{"n": 2, "c": "1.5", "g": [0.0, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}'
+        )
+        code = main(
+            ["oracle", "--poly", str(poly), "--radius", "1", "--resolution", "0.01"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == 'dfobounds: error: model JSON key "c" must be a number\n'
+
+    def test_fit_model_round_trips_through_oracle(self, capsys, cross_csv, tmp_path):
+        model = tmp_path / "m.json"
+        argv = ["fit", cross_csv, "--kind", "mfn", "--out", str(model)]
+        code, fitted = run_json(capsys, argv)
+        assert code == 0
+        argv = ["oracle", "--poly", str(model), "--radius", "1", "--resolution", "0.01"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["max_abs"] >= abs(fitted["c"])
+
 
 class TestVerify:
     def test_three_trial_campaign(self, capsys, tmp_path):

@@ -106,6 +106,38 @@ def test_model_rejects_non_finite(key, value):
         model_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", 2.5, '"n" must be an integer'),
+        ("n", 2.0, '"n" must be an integer'),
+        ("n", True, '"n" must be an integer'),
+        ("n", "2", '"n" must be an integer'),
+        ("c", "1.5", '"c" must be a number'),
+        ("c", True, '"c" must be a number'),
+        ("c", [0.0], '"c" must be a number'),
+        pytest.param("c", 10**400, '"c" must be finite', id="c-int-beyond-float"),
+        ("g", ["1.0", 0.0], '"g" must be a list of numbers'),
+        ("g", [False, 0.0], '"g" must be a list of numbers'),
+        ("g", {"0": 1.0}, '"g" must be a list of numbers'),
+        ("H", [[0.0, None], [0.0, 0.0]], '"H" must be a list of lists of numbers'),
+        ("H", [[0.0, 0.0], [True, 0.0]], '"H" must be a list of lists of numbers'),
+        ("H", [0.0, 0.0], '"H" must be a list of lists of numbers'),
+        ("H", [[0.0, 0.0], [0.0]], '"H" has rows of different lengths'),
+    ],
+)
+def test_model_rejects_non_numbers(key, value, message):
+    payload = {"n": 2, "c": 0.0, "g": [1.0, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}
+    payload[key] = value
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(payload)
+
+
+def test_model_accepts_integer_entries():
+    model = model_from_dict({"n": 2, "c": 1, "g": [1, 0.5], "H": [[2, 0], [0, 2]]})
+    assert model.constant == 1.0 and model.hessian[0, 0] == 2.0
+
+
 def test_write_model_rejects_non_finite_before_opening(tmp_path):
     model = QuadraticPolynomial(2, float("nan"), np.zeros(2), np.zeros((2, 2)))
     path = tmp_path / "model.json"
