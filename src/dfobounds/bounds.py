@@ -278,10 +278,6 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
         lambda q, lam, delta_max: hessian_bound_mfn(L, kappa, lam, p, q, delta_max),
         ("q", "lam", "delta_max"),
     )
-    return _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov)
-
-
-def _underdetermined_report(kind, L, kappa, kappa_s, kappa_H, p, prov) -> BoundReport:
     bracket = L + kappa + 0.75 * kappa_H
     C_g = 2.0 * kappa_s * math.sqrt(p) * bracket
     C_f = 0.5 * (L + kappa_H) + kappa + C_g

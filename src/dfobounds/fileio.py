@@ -38,17 +38,27 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+def _read_json(path, what: str):
+    """The JSON document in the file at path; ValueError naming it if invalid."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON {what}: {exc}") from exc
+
+
 def _sidecar_delta(path) -> Optional[float]:
     side = sidecar_path(path)
     if not side.exists():
         return None
-    try:
-        payload = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{side}: invalid JSON sidecar: {exc}") from exc
+    payload = _read_json(side, "sidecar")
     if not isinstance(payload, dict) or "delta" not in payload:
         raise ValueError(f'{side}: sidecar must be an object with a "delta" key')
-    return float(payload["delta"])
+    if not _nests_numbers(payload["delta"], 0):
+        raise ValueError(f'{side}: sidecar "delta" must be a number')
+    try:
+        return float(payload["delta"])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f'{side}: sidecar "delta" must be finite') from None
 
 
 def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optional[np.ndarray]]:
@@ -188,10 +198,7 @@ def model_from_dict(payload: dict) -> QuadraticPolynomial:
 
 
 def read_model(path) -> QuadraticPolynomial:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path, "model")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model JSON must be an object")
     return model_from_dict(payload)
@@ -209,20 +216,17 @@ def write_model(path, model: QuadraticPolynomial, extra: Optional[dict] = None) 
 
 
 def read_gamma(path) -> np.ndarray:
+    payload = _read_json(path, "gamma file")
+    if not _nests_numbers(payload, 1):
+        raise ValueError(f"{path}: gamma file must be a JSON array of numbers")
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: gamma file must be a JSON array")
-    return np.asarray([float(x) for x in payload], dtype=float)
+        return np.asarray(payload, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path}: gamma values must be finite") from None
 
 
 def read_config(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path, "config")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return payload

@@ -22,6 +22,7 @@ runs) and reuses the shape's normalized points, basis and certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -401,24 +402,56 @@ def _unit_ball_points(rng: np.random.Generator, count: int, n: int) -> np.ndarra
     return u / norms * radii
 
 
-# The certified shapes of the running campaign by (n, p, lambda_max, seed);
-# unset outside one.  See _shape_memo.
-_SHAPES: ContextVar[dict] = ContextVar("_SHAPES")
+# The running campaign's memo: its values by key, and how many takes each
+# key has left; unset outside one.  See _campaign_memo.
+_MEMO: ContextVar[tuple] = ContextVar("_MEMO")
 
 
 @contextmanager
-def _shape_memo():
-    """Let generate_poised_set reuse each shape it certifies inside the block.
+def _campaign_memo(keys):
+    """Let each key in ``keys`` be built once inside the block and shared.
 
-    The memo is dropped when the block exits, so the next block, like the
-    next process, generates every shape afresh.  A failed generation is not
-    stored: a later call with the same key retries it and fails the same way.
+    ``keys`` lists a key once per take that will ask for it.  A key's value
+    is built by its first take (see ``_take``), or stored beforehand, and
+    dropped after its last take; the whole memo is dropped when the block
+    exits, even if it raises, so the next block builds everything afresh.
     """
-    token = _SHAPES.set({})
+    token = _MEMO.set(({}, Counter(keys)))
     try:
         yield
     finally:
-        _SHAPES.reset(token)
+        _MEMO.reset(token)
+
+
+def _take(key, build):
+    """The value of key: the running memo's if it expects key, else build().
+
+    ``build`` returns the value, or raises or returns the exception that
+    fails the key.  In the memo that exception is stored like a value, so
+    the key's build runs once and every take raises the same exception,
+    each with a fresh traceback.
+    """
+    memo = _MEMO.get(None)
+    if memo is None or key not in memo[1]:
+        value = build()
+    else:
+        values, uses = memo
+        if key not in values:
+            try:
+                values[key] = build()
+            except Exception as exc:
+                values[key] = exc
+        uses[key] -= 1
+        if uses[key]:
+            value = values[key]
+        else:
+            del uses[key]
+            value = values.pop(key)
+        if isinstance(value, Exception):
+            value = value.with_traceback(None)  # or each raise extends it
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def generate_poised_set(
@@ -451,7 +484,9 @@ def generate_poised_set(
     U as its normalized points, the Lagrange basis already solved for on it
     and its certificate, so later fits use exactly the certified geometry.
     """
-    kind = _shape_kind(n, p, lambda_max)
+    if lambda_max <= 1.0:
+        raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
+    kind = _kind_for_shape(n, p)
     delta = float(delta)
     if delta <= 0.0 or not np.isfinite(delta):
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -459,14 +494,10 @@ def generate_poised_set(
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
 
-    shapes = _SHAPES.get({})  # outside a campaign, a dict used once
     key = (n, p, float(lambda_max), seed)
-    if key not in shapes:
-        shape = _drive({key: _improve_shape(kind, n, p, lambda_max, seed)}, n)[key]
-        if isinstance(shape, Exception):
-            raise shape
-        shapes[key] = shape
-    shape = shapes[key]
+    shape = _take(
+        key, lambda: _drive({key: _improve_shape(kind, n, p, lambda_max, seed)}, n)[key]
+    )
     # The shape passed every SampleSet check; placing it only re-checks
     # what rounding can break, and shares the rest.
     points = center + delta * shape.points
@@ -483,37 +514,21 @@ def generate_poised_set(
     return placed
 
 
-def _shape_kind(n: int, p: int, lambda_max: float) -> ModelKind:
-    # The kind a shape of key (n, p, lambda_max, seed) is certified for;
-    # ValueError for a key generate_poised_set rejects.
-    if lambda_max <= 1.0:
-        raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
-    return _kind_for_shape(n, p)
-
-
 def _certify_shapes(keys) -> None:
     """Certify the shapes of (n, p, lambda_max, seed) keys into the running memo.
 
     The improvement loops of one n run in lockstep (see ``_drive``), so each
     step makes one ball solve per n, and every shape equals the one
-    ``generate_poised_set`` certifies for its key alone.  A key that fails,
-    or that ``generate_poised_set`` would reject, is not stored: its calls
-    generate it alone and raise as they would without this step.
+    ``generate_poised_set`` certifies for its key alone.  A key whose loop
+    fails stores its exception, which every take of the key raises.
     """
-    shapes = _SHAPES.get()
+    values = _MEMO.get()[0]
     loops = {}
     for key in dict.fromkeys(keys):
-        if key in shapes:
-            continue
-        try:
-            kind = _shape_kind(*key[:3])
-        except ValueError:
-            continue  # left to generate_poised_set, which raises it
-        loops.setdefault(key[0], {})[key] = _improve_shape(kind, *key)
+        n, p = key[:2]
+        loops.setdefault(n, {})[key] = _improve_shape(_kind_for_shape(n, p), *key)
     for n, group in loops.items():
-        for key, shape in _drive(group, n).items():
-            if not isinstance(shape, Exception):
-                shapes[key] = shape
+        values.update(_drive(group, n))
 
 
 def _drive(loops: dict, n: int) -> dict:

@@ -10,15 +10,12 @@ for the same config.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import itertools
 import json
 import math
 import numbers
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
@@ -34,9 +31,10 @@ from .geometry import (
     # Bound here so tracers that look the certifier up in this module keep
     # finding it.
     lambda_poisedness,  # noqa: F401
+    _campaign_memo,
     _certify,
     _certify_shapes,
-    _shape_memo,
+    _take,
     normalized_points,
 )
 from .models import (
@@ -422,15 +420,13 @@ def _first_primes(count: int) -> np.ndarray:
         limit *= 2
 
 
-@functools.lru_cache(maxsize=8)
 def _halton_points(d: int, count: int) -> np.ndarray:
     """The first ``count`` points of the unscrambled Halton sequence in [0, 1)^d.
 
     Coordinate k is the radical inverse of the point index 0, 1, 2, ... in
     the k-th prime base (Halton, Numer. Math. 2, 1960); digits are summed
     lowest first, so the points equal SciPy's ``qmc.Halton(d,
-    scramble=False).random(count)`` bit for bit.  The block is built once
-    per (d, count) and returned read-only, since every caller shares it.
+    scramble=False).random(count)`` bit for bit.
     """
     out = np.zeros((count, d))
     for k, base in enumerate(_first_primes(d)):
@@ -440,7 +436,6 @@ def _halton_points(d: int, count: int) -> np.ndarray:
             out[:, k] += (index % base) * scale
             scale /= base
             index //= base
-    out.setflags(write=False)
     return out
 
 
@@ -510,49 +505,8 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _Probe
     return plan
 
 
-# The running campaign's probe plans and, per plan key, how many of its
-# trials have yet to take the plan; unset outside one.  See _plan_memo.
-_PLANS: ContextVar[tuple] = ContextVar("_PLANS")
-
-
 def _plan_key(config: TrialConfig) -> tuple:
     return (config.function, config.n, float(config.delta), config.seed, config.sample_count)
-
-
-@contextmanager
-def _plan_memo(trials):
-    """Let the trials in the block share one probe plan per plan key.
-
-    A key's plan is built when its first trial takes it and released when
-    its last one does; the memo is dropped when the block exits.
-    """
-    token = _PLANS.set(({}, collections.Counter(map(_plan_key, trials))))
-    try:
-        yield
-    finally:
-        _PLANS.reset(token)
-
-
-def _take_plan(fn: TestFunction, config: TrialConfig) -> _ProbePlan:
-    """The trial's probe plan: the memo's inside _plan_memo, else a fresh one.
-
-    A plan that cannot be built is not stored, so every trial of its key
-    raises the same error.
-    """
-    memo = _PLANS.get(None)
-    key = _plan_key(config)
-    if memo is None or key not in memo[1]:
-        return _probe_plan(fn, float(config.delta), config.seed, config.sample_count)
-    plans, uses = memo
-    plan = plans.pop(key, None)
-    if plan is None:
-        plan = _probe_plan(fn, float(config.delta), config.seed, config.sample_count)
-    uses[key] -= 1
-    if uses[key]:
-        plans[key] = plan
-    else:
-        del uses[key]
-    return plan
 
 
 def _margin(emp: float, cap: float) -> float:
@@ -565,7 +519,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held."""
     fn = resolve_function(config.function, config.n)
     delta = float(config.delta)
-    plan = _take_plan(fn, config)
+    plan = _take(
+        _plan_key(config),
+        lambda: _probe_plan(fn, delta, config.seed, config.sample_count),
+    )
     sample_set = generate_poised_set(
         config.n,
         config.p,
@@ -767,17 +724,17 @@ def run_campaign(
 
     Trials that share (n, p, lambda_max, seed) share one sample-set shape.
     Every distinct shape is certified before the first trial, the
-    improvement loops of one n in lockstep, and each trial places its own;
-    the shapes are forgotten when the call returns.  So ``progress``, called
-    before each trial, first fires once the shapes exist.
+    improvement loops of one n in lockstep, and each trial places its own.
+    So ``progress``, called before each trial, first fires once the shapes
+    exist.  Trials that share (function, n, delta, seed, sample_count), such
+    as the kinds of one sweep point, share one probe plan: the ball center,
+    the probe block and the objective's values and gradients on it, built
+    by the first of them.
 
-    Trials that share (function, n, delta, seed, sample_count), such as the
-    kinds of one sweep point, share one probe plan: the ball center, the
-    probe block and the objective's values and gradients on it.  The first
-    of them builds it, and it is released when the last of them takes it;
-    all plans are forgotten when the call returns, even if it raises.  A
-    ball that does not fit the function's domain gets no plan, so each of
-    its trials fails with the same message.  Every row equals the one its
+    Each shape and plan is released when the last trial that uses it takes
+    it, and all are forgotten when the call returns, even if it raises.  A
+    shape or plan that cannot be built is tried once: each of its trials
+    fails with the same type and message.  Every row equals the one its
     config gives when run alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
@@ -787,11 +744,11 @@ def run_campaign(
     rows = []
     failures = []
     results = []
-    with _shape_memo(), _plan_memo(trials):
-        _certify_shapes(
-            (config.n, config.p, float(config.lambda_max), config.seed)
-            for config in trials
-        )
+    # Shape keys hold lambda_max as given, which a failed shape's message
+    # quotes; they have four fields and plan keys five, so none collide.
+    shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
+    with _campaign_memo(shape_keys + [_plan_key(c) for c in trials]):
+        _certify_shapes(shape_keys)
         for trial_id, config in enumerate(trials):
             if progress is not None:
                 progress(

@@ -58,6 +58,17 @@ class TestPoisedness:
         assert code == 0
         assert np.isclose(payload["lambda"], 1.0 + np.sqrt(2.0), atol=1e-9)
 
+    @pytest.mark.parametrize("delta", ["null", "true", '"0.5"', "[0.5]"])
+    def test_sidecar_delta_not_a_number_exits_1(self, tmp_path, capsys, delta):
+        path = tmp_path / "pts.csv"
+        write_points(path, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        (tmp_path / "pts.json").write_text(f'{{"delta": {delta}}}')
+        code = main(["poisedness", str(path), "--kind", "linear"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "pts.json" in captured.err
+        assert 'sidecar "delta" must be a number' in captured.err
+
     def test_out_file(self, capsys, simplex_csv, tmp_path):
         out = tmp_path / "cert.json"
         code, payload = run_json(
@@ -91,6 +102,20 @@ class TestFit:
         )
         assert code == 2
         assert "3" in capsys.readouterr().err  # offending index named
+
+    @pytest.mark.parametrize(
+        "gamma", ["[null, 0.0, 0.0, 1.0]", '["0", true, 0.0, 1.0]', "[[0.0], 0, 0, 1]"]
+    )
+    def test_gamma_not_numbers_exits_1(self, capsys, cross_csv, tmp_path, gamma):
+        path = tmp_path / "gamma.json"
+        path.write_text(gamma)
+        code = main(
+            ["fit", cross_csv, "--kind", "mfn", "--kappa", "0.01", "--gamma-file", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "gamma.json" in captured.err
+        assert "must be a JSON array of numbers" in captured.err
 
     def test_requires_values(self, capsys, simplex_csv):
         code = main(["fit", simplex_csv, "--delta", "1", "--kind", "lin_det"])

@@ -161,6 +161,19 @@ def test_gamma_and_config(tmp_path):
         read_config(cpath)
 
 
+def test_integers_beyond_float_range_rejected(tmp_path):
+    huge = "1" + "0" * 400
+    gpath = tmp_path / "gamma.json"
+    gpath.write_text(f"[{huge}, 0, 0]")
+    with pytest.raises(ValueError, match="gamma.json: gamma values must be finite"):
+        read_gamma(gpath)
+    ppath = tmp_path / "pts.csv"
+    write_points(ppath, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    (tmp_path / "pts.json").write_text(f'{{"delta": {huge}}}')
+    with pytest.raises(ValueError, match='pts.json: sidecar "delta" must be finite'):
+        read_points(ppath)
+
+
 def test_invalid_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

@@ -12,6 +12,7 @@ from dfobounds import (
     PoisednessKind,
     QuadraticPolynomial,
     SampleSet,
+    TrialConfig,
     basis_matrix,
     design_matrix,
     fit_model,
@@ -377,9 +378,10 @@ class TestPlacement:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5), (3, 6)])
     def test_placed_set_reuses_shape(self, n, p):
         center = np.linspace(-0.7, 0.9, n)
-        with geometry_module._shape_memo():
+        # Two takes expected, so the shape outlives the first.
+        with geometry_module._campaign_memo([(n, p, 20.0, 6)] * 2):
             placed = generate_poised_set(n, p, 0.03, 20.0, seed=6, center=center)
-            (shape,) = geometry_module._SHAPES.get().values()
+            (shape,) = _memo_values().values()
         assert not placed.points.flags.writeable
         assert placed.points.tobytes() == (center + 0.03 * shape.points).tobytes()
         assert placed.radius == 0.03
@@ -393,10 +395,10 @@ class TestSystemMemo:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5)])
     def test_placed_set_shares_shape_memo(self, n, p):
-        with geometry_module._shape_memo():
+        with geometry_module._campaign_memo([(n, p, 20.0, 4)] * 3):
             a = generate_poised_set(n, p, 0.5, 20.0, seed=4)
             b = generate_poised_set(n, p, 1e-3, 20.0, seed=4, center=[5.0, -3.0])
-            (shape,) = geometry_module._SHAPES.get().values()
+            (shape,) = _memo_values().values()
         assert shape._system is not None
         assert a._system is shape._system
         assert b._system is shape._system
@@ -525,11 +527,17 @@ def _loop(key):
     )
 
 
+def _memo_values():
+    # The running campaign memo's values by key.
+    return geometry_module._MEMO.get()[0]
+
+
 def _lockstep_shapes(keys):
-    # The shapes the campaign's lockstep pass certifies for keys.
-    with geometry_module._shape_memo():
+    # What the campaign's lockstep pass stores for keys: each key's shape,
+    # or the exception its loop raised.
+    with geometry_module._campaign_memo(keys):
         geometry_module._certify_shapes(keys)
-        return dict(geometry_module._SHAPES.get())
+        return dict(_memo_values())
 
 
 def _solves_alone(key):
@@ -619,7 +627,9 @@ class TestLockstep:
         with pytest.raises(ValueError, match=str(ended[bad])):
             generate_poised_set(2, 4, 0.5, 100.0, seed=1)
         shapes = _lockstep_shapes(keys)
-        assert set(shapes) == set(keys) - {bad}
+        assert set(shapes) == set(keys)
+        failed = shapes.pop(bad)
+        assert type(failed) is ValueError and str(failed) == str(ended[bad])
         for key, shape in shapes.items():
             assert np.array_equal(shape.points, reference[key].points)
             assert shape.certificate == reference[key].certificate
@@ -627,8 +637,60 @@ class TestLockstep:
 
     def test_keys_the_generator_rejects_are_left_to_it(self):
         # No interpolation kind for p = 6 at n = 2, and lambda_max <= 1:
-        # the lockstep pass skips both, and generate_poised_set raises.
-        assert _lockstep_shapes([(2, 6, 100.0, 0), (2, 4, 1.0, 0)]) == {}
+        # generate_poised_set rejects both, and so does TrialConfig, so no
+        # such key reaches a campaign's lockstep pass.
+        for p, kind, lambda_max in ((6, "mfn", 100.0), (4, "mfn", 1.0)):
+            with pytest.raises(ValueError):
+                generate_poised_set(2, p, 0.1, lambda_max, seed=0)
+            with pytest.raises(ValueError):
+                TrialConfig("quartic", kind, 2, p, 0.1, lambda_max=lambda_max)
+
+
+class TestCampaignMemo:
+    def test_value_built_once_and_dropped_after_last_take(self):
+        built = []
+
+        def build():
+            built.append(object())
+            return built[-1]
+
+        take = geometry_module._take
+        with geometry_module._campaign_memo(["a", "b", "a", "a"]):
+            first = take("a", build)
+            assert take("a", build) is first
+            assert set(_memo_values()) == {"a"}
+            assert take("a", build) is first
+            assert _memo_values() == {}
+            # A take past the last, or of a key the memo does not expect,
+            # builds afresh and stores nothing.
+            assert take("a", build) is not first
+            take("c", build)
+            assert _memo_values() == {}
+        assert len(built) == 3
+        assert geometry_module._MEMO.get(None) is None
+        take("a", build)
+        assert len(built) == 4
+
+    def test_failed_build_runs_once_and_fails_every_take(self):
+        builds = []
+
+        def build():
+            builds.append(None)
+            raise RuntimeError("no value")
+
+        depths = []
+        with geometry_module._campaign_memo(["k"] * 3 + ["r"]):
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="^no value$") as info:
+                    geometry_module._take("k", build)
+                depths.append(len(info.traceback))
+            # A build may also return the exception that fails its key.
+            with pytest.raises(ValueError, match="^returned$"):
+                geometry_module._take("r", lambda: ValueError("returned"))
+            assert _memo_values() == {}
+        assert len(builds) == 1
+        # Each take raises with a fresh traceback, not one grown per take.
+        assert len(set(depths)) == 1
 
 
 def test_interpolant_equals_composed_reference(rng):

@@ -165,12 +165,25 @@ class TestHalton:
                 expected = qmc.Halton(d=d, scramble=False).random(count)
                 assert np.array_equal(_halton_points(d, count), expected), (d, count)
 
-    def test_block_cached_read_only(self):
-        first = _halton_points(3, 50)
-        assert _halton_points(3, 50) is first
+    def test_block_cached_read_only(self, monkeypatch):
+        # The unit probe block caches the Halton points: they are built once
+        # per (n, count) and shared read-only inside it.
+        built = []
+        original = verify_module._halton_points
+
+        def counted(d, count):
+            built.append((d, count))
+            return original(d, count)
+
+        monkeypatch.setattr(verify_module, "_halton_points", counted)
+        verify_module._unit_probe_block.cache_clear()
+        first, _ = verify_module._unit_probe_block(3, 50)
+        assert verify_module._unit_probe_block(3, 50)[0] is first
+        assert built == [(3, 50)]
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
-        assert first[0, 0] == 0.0
+        # Halton point 0 maps to the cube corner -1, pushed onto the ball.
+        assert first[0, 0] == -1.0 / np.sqrt(3.0)
 
 
 def _probe_points_reference(center, delta, count, extra):
@@ -690,7 +703,7 @@ class TestCampaign:
         assert len(trials) == 90
         first = run_campaign(trials)
         assert len(keys) == len(set(keys)) == 15
-        assert geometry_module._SHAPES.get(None) is None
+        assert geometry_module._MEMO.get(None) is None
         second = run_campaign(trials)
         assert len(keys) == 30 and set(keys[15:]) == set(keys[:15])
         assert first.rows == second.rows and not first.failures
@@ -706,9 +719,9 @@ class TestCampaign:
             assert report.rows[trial_id] == alone, trial_id
 
     def test_failed_shape_fails_only_its_key(self, monkeypatch):
-        # A shape whose loop raises is not remembered: the campaign's
-        # lockstep pass drops it, every trial with its key tries again alone
-        # and fails with the same message; the others pass.
+        # A shape whose loop raises is tried once, in the campaign's
+        # lockstep pass: every trial with its key fails with the exception
+        # it stored; the others pass.
         calls = []
         original = geometry_module._improve_shape
 
@@ -727,11 +740,37 @@ class TestCampaign:
         assert [f["trial_id"] for f in report.failures] == bad
         assert {f["error"] for f in report.failures} == {"no shape for p=4 seed=1"}
         assert {f["type"] for f in report.failures} == {"RuntimeError"}
-        assert calls.count((2, 4, 1)) == 1 + 6
-        assert len(calls) == 6 + 6
+        assert calls.count((2, 4, 1)) == 1
+        assert len(calls) == 6
         for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
             if trial_id not in bad:
                 assert row == ref, trial_id
+
+    def test_unreachable_shape_runs_its_loop_once(self, monkeypatch):
+        # LIN_DET at n = 2 cannot get below lambda 1 + sqrt(2), so a key with
+        # lambda_max 2 fails after its loop's last step.  The campaign runs
+        # that loop once, and its six trials fail as the key does alone.
+        trials = expand_config(
+            {"function": ["quartic", "rosenbrock"], "kind": "lin_det", "n": 2,
+             "p": 2, "delta": [0.5, 0.1, 0.02], "lambda_max": 2.0}
+        )
+        solves = []
+        original = geometry_module.max_abs_on_ball
+
+        def counted(coeffs, center, radius):
+            solves.append(len(coeffs))
+            return original(coeffs, center, radius)
+
+        monkeypatch.setattr(geometry_module, "max_abs_on_ball", counted)
+        report = run_campaign(trials)
+        in_campaign = len(solves)
+        with pytest.raises(RuntimeError) as alone:
+            generate_poised_set(2, 2, 0.1, 2.0, seed=0)
+        assert in_campaign == len(solves) - in_campaign > 100
+        assert report.failures == [
+            {"trial_id": i, "type": "RuntimeError", "error": str(alone.value)}
+            for i in range(6)
+        ]
 
     def test_shapes_dropped_when_campaign_raises(self):
         def stop(_message):
@@ -740,7 +779,7 @@ class TestCampaign:
         trials = default_sweep(1)[:1]
         with pytest.raises(KeyboardInterrupt):
             run_campaign(trials, progress=stop)
-        assert geometry_module._SHAPES.get(None) is None
+        assert geometry_module._MEMO.get(None) is None
 
     def test_progress_callback(self):
         seen = []
@@ -791,11 +830,16 @@ class TestProbePlans:
         report = run_campaign(trials)
         assert report.failures and len(report.failures) < len(trials)
         assert {f["type"] for f in report.failures} == {"ValueError"}
+        failures = iter(report.failures)
         for trial_id, config in enumerate(trials):
             try:
                 result = run_trial(config)
-            except ValueError:
+            except ValueError as exc:
+                # The plan is built once, and each of its trials fails with
+                # the error it gives alone.
                 result = None
+                alone = {"trial_id": trial_id, "type": "ValueError", "error": str(exc)}
+                assert next(failures) == alone
             alone = verify_module._result_columns(result)
             row = report.rows[trial_id]
             assert [str(row[c]) for c in alone] == [str(v) for v in alone.values()], trial_id
@@ -829,21 +873,26 @@ class TestProbePlans:
         assert len(evaluated) == 2 * len(built)
 
     def test_plans_released_after_their_last_trial(self):
+        # Shapes are released like plans.  A trial whose ball does not fit
+        # the domain fails on its plan and never takes its shape, which then
+        # stays until the campaign returns.
         trials = _mixed_sweep()
+        shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
         keys = [verify_module._plan_key(c) for c in trials]
         held = []
 
         def look(_message):
-            plans, _ = verify_module._PLANS.get()
-            held.append(set(plans))
+            held.append(set(geometry_module._MEMO.get()[0]))
 
-        run_campaign(trials, progress=look)
-        assert verify_module._PLANS.get(None) is None
+        report = run_campaign(trials, progress=look)
+        assert geometry_module._MEMO.get(None) is None
         assert len(held) == len(trials)
+        untaken = {shape_keys[f["trial_id"]] for f in report.failures}
+        assert held[0] == set(shape_keys)
         # Before trial i, only keys that trial i or a later one uses are held.
-        for i, plans in enumerate(held):
-            assert plans <= set(keys[i:]), i
-        assert max(map(len, held)) > 1
+        for i, values in enumerate(held):
+            assert values <= set(keys[i:]) | set(shape_keys[i:]) | untaken, i
+        assert max(len(values - set(shape_keys)) for values in held) > 1
 
     def test_plans_dropped_when_progress_raises(self):
         trials = _mixed_sweep()
@@ -856,5 +905,4 @@ class TestProbePlans:
 
         with pytest.raises(KeyboardInterrupt):
             run_campaign(trials, progress=stop)
-        assert verify_module._PLANS.get(None) is None
-        assert geometry_module._SHAPES.get(None) is None
+        assert geometry_module._MEMO.get(None) is None
