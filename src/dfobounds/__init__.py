@@ -30,16 +30,12 @@ _EXPORTS = {
     "geometry": (
         "NotPoisedError", "PoisednessCertificate", "PoisednessKind", "SampleSet",
         "design_matrix", "generate_poised_set", "lagrange_determined", "lagrange_mfn",
-        "lambda_poisedness", "mfn_poised", "normalized_points",
+        "lambda_poisedness", "normalized_points",
     ),
     "models": (
         "FitResult", "RelaxationError", "RelaxationSpec", "fit_model", "fit_relaxed",
-        "interpolation_residual",
     ),
-    "poly": (
-        "BasisPart", "BasisSelector", "QuadraticPolynomial", "basis_matrix",
-        "natural_basis", "space_dim",
-    ),
+    "poly": ("QuadraticPolynomial", "basis_matrix", "space_dim"),
     "verify": (
         "CSV_COLUMNS", "CampaignReport", "InequalityCheck", "TestFunction",
         "TrialConfig", "TrialResult", "basis_floor_checks", "builtin_functions",

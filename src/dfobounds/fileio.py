@@ -56,9 +56,14 @@ def _sidecar_delta(path) -> Optional[float]:
     if not _nests_numbers(payload["delta"], 0):
         raise ValueError(f'{side}: sidecar "delta" must be a number')
     try:
-        return float(payload["delta"])
+        delta = float(payload["delta"])
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f'{side}: sidecar "delta" must be finite') from None
+    if not 0.0 < delta < float("inf"):
+        raise ValueError(
+            f'{side}: sidecar "delta" must be a positive finite number, got {delta}'
+        )
+    return delta
 
 
 def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optional[np.ndarray]]:

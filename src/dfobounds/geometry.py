@@ -32,14 +32,7 @@ import numpy as np
 
 from .ball import _rownorm, max_abs_on_ball
 from .bounds import ModelKind, constants_from_lambda
-from .poly import (
-    BasisPart,
-    BasisSelector,
-    QuadraticPolynomial,
-    _split_coeffs,
-    basis_matrix,
-    space_dim,
-)
+from .poly import QuadraticPolynomial, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
     "COND_THRESHOLD",
@@ -48,7 +41,6 @@ __all__ = [
     "PoisednessCertificate",
     "NotPoisedError",
     "design_matrix",
-    "mfn_poised",
     "lagrange_determined",
     "lagrange_mfn",
     "lambda_poisedness",
@@ -172,29 +164,16 @@ def design_matrix(kind, sample_set: SampleSet) -> np.ndarray:
     _kind_for_shape(sample_set.n, sample_set.p, kind)
     D = normalized_points(sample_set)[1:]
     if kind is ModelKind.QUAD_DET:
-        return basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), D)
+        return basis_matrix(D)[:, 1:]
     return D.copy()
 
 
 def _saddle_system(points: np.ndarray):
     """Quadratic block Mq and saddle matrix [[Mq Mq^T, Ml], [Ml^T, 0]] at points."""
     n = points.shape[1]
-    Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
-    Mq = basis_matrix(BasisSelector(2, BasisPart.QUADRATIC_PART), points)
+    M = basis_matrix(points)
+    Ml, Mq = M[:, : n + 1], M[:, n + 1 :]
     return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
-
-
-def mfn_poised(sample_set: SampleSet) -> bool:
-    """Whether the minimum-norm interpolation system is usable.
-
-    Checked on the shifted/scaled copy of the set so the verdict does not
-    depend on translation or on the size of the radius.
-    """
-    if sample_set.p < sample_set.n:
-        return False
-    _, F = _saddle_system(normalized_points(sample_set))
-    cond = float(np.linalg.cond(F))
-    return bool(np.isfinite(cond) and cond <= COND_THRESHOLD)
 
 
 def _kind_for_shape(n: int, p: int, kind: Optional[ModelKind] = None) -> ModelKind:
@@ -229,11 +208,11 @@ def _system(sample_set: SampleSet, kind: ModelKind):
 
     Column j of the read-only (q+1, p+1) coeffs holds the FULL degree-2
     coefficients of l_j on the normalized set.  The system matrix M is the
-    FULL degree-1 (LIN_DET) or degree-2 (QUAD_DET) basis at the normalized
-    points, or the saddle matrix (MFN).  The first call that passes the cond
-    check solves M for the identity and memoizes (coeffs, cond) on the set;
-    (n, p) admits one kind, so the memo needs no key.  A set that fails
-    raises NotPoisedError on every call.
+    affine block (LIN_DET) or all of the FULL degree-2 basis (QUAD_DET) at
+    the normalized points, or the saddle matrix (MFN).  The first call that
+    passes the cond check solves M for the identity and memoizes (coeffs,
+    cond) on the set; (n, p) admits one kind, so the memo needs no key.  A
+    set that fails raises NotPoisedError on every call.
     """
     _kind_for_shape(sample_set.n, sample_set.p, kind)
     if sample_set._system is not None:
@@ -243,8 +222,9 @@ def _system(sample_set: SampleSet, kind: ModelKind):
     if kind is ModelKind.MFN:
         Mq, M = _saddle_system(Yh)
     else:
-        degree = 1 if kind is ModelKind.LIN_DET else 2
-        M = basis_matrix(BasisSelector(degree, BasisPart.FULL), Yh)
+        M = basis_matrix(Yh)
+        if kind is ModelKind.LIN_DET:
+            M = M[:, : n + 1]
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
         system = "saddle" if kind is ModelKind.MFN else "interpolation"
@@ -435,23 +415,35 @@ def _take(key, build):
     if memo is None or key not in memo[1]:
         value = build()
     else:
-        values, uses = memo
+        values = memo[0]
         if key not in values:
             try:
                 values[key] = build()
             except Exception as exc:
                 values[key] = exc
-        uses[key] -= 1
-        if uses[key]:
-            value = values[key]
-        else:
-            del uses[key]
-            value = values.pop(key)
+        value = values[key]
+        _release(key)
         if isinstance(value, Exception):
             value = value.with_traceback(None)  # or each raise extends it
     if isinstance(value, Exception):
         raise value
     return value
+
+
+def _release(key) -> None:
+    """Count one take of key as made, building nothing; see ``_campaign_memo``.
+
+    The running memo drops key's value after its last take.  A caller that
+    fails before its take of key releases it instead, so the value does not
+    outlive the takes that use it.
+    """
+    memo = _MEMO.get(None)
+    if memo is not None and key in memo[1]:
+        values, uses = memo
+        uses[key] -= 1
+        if not uses[key]:
+            del uses[key]
+            values.pop(key, None)
 
 
 def generate_poised_set(

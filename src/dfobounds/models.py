@@ -27,7 +27,6 @@ __all__ = [
     "FitResult",
     "fit_model",
     "fit_relaxed",
-    "interpolation_residual",
 ]
 
 
@@ -84,17 +83,6 @@ def _check_values(sample_set: SampleSet, values) -> np.ndarray:
     return v
 
 
-def interpolation_residual(
-    model: QuadraticPolynomial, sample_set: SampleSet, values
-) -> float:
-    """max_j |model(y_j) - values_j|."""
-    return _residual(model, sample_set, _check_values(sample_set, values))
-
-
-def _residual(model: QuadraticPolynomial, sample_set: SampleSet, v) -> float:
-    return float(np.abs(model.eval_batch(sample_set.points) - v).max())
-
-
 def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
     # The kind's interpolant of rhs, with its residual against values; the
     # caller checked both.  Finite values can still overflow the expansion.
@@ -108,9 +96,8 @@ def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
         and np.isfinite(model.hessian).all()
     ):
         raise ValueError("values overflow the fit: its coefficients are not finite")
-    return FitResult(
-        model=model, residual=_residual(model, sample_set, values), condition=cond
-    )
+    residual = float(np.abs(model.eval_batch(sample_set.points) - values).max())
+    return FitResult(model=model, residual=residual, condition=cond)
 
 
 def fit_model(kind, sample_set: SampleSet, values) -> FitResult:

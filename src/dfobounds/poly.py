@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "BasisPart",
-    "BasisSelector",
     "QuadraticPolynomial",
     "space_dim",
-    "natural_basis",
     "basis_matrix",
 ]
 
@@ -29,46 +25,6 @@ def space_dim(degree: int, n: int) -> int:
     raise ValueError(f"degree must be 1 or 2, got {degree}")
 
 
-class BasisPart(Enum):
-    """Slice of the natural monomial basis.
-
-    FULL is 1, x_1..x_n, x_1^2/2, x_1 x_2, ..., x_n^2/2 (or just the affine
-    monomials at degree 1).  LINEAR_PART is the affine slice 1, x_1..x_n.
-    QUADRATIC_PART is the pure second-order slice.  AFFINE_FREE drops the
-    constant from FULL, i.e. x_1..x_n followed by the second-order slice.
-    """
-
-    FULL = "full"
-    LINEAR_PART = "linear_part"
-    QUADRATIC_PART = "quadratic_part"
-    AFFINE_FREE = "affine_free"
-
-
-@dataclass(frozen=True)
-class BasisSelector:
-    """Selects a slice of the natural basis; degree only matters for FULL."""
-
-    degree: int = 2
-    part: BasisPart = BasisPart.FULL
-
-    def __post_init__(self) -> None:
-        if self.degree not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        if not isinstance(self.part, BasisPart):
-            raise TypeError(f"part must be a BasisPart, got {self.part!r}")
-
-    def length(self, n: int) -> int:
-        """Number of basis functions for dimension n."""
-        q = space_dim(2, n) - 1
-        if self.part is BasisPart.FULL:
-            return space_dim(self.degree, n)
-        if self.part is BasisPart.LINEAR_PART:
-            return n + 1
-        if self.part is BasisPart.QUADRATIC_PART:
-            return q - n
-        return q
-
-
 @functools.lru_cache(maxsize=None)
 def _second_order_index(n: int):
     """Row i and column j of each second-order basis function, in basis order.
@@ -80,13 +36,6 @@ def _second_order_index(n: int):
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
-
-
-def _second_order_block(X: np.ndarray) -> np.ndarray:
-    rows, cols = _second_order_index(X.shape[1])
-    block = X[:, rows] * X[:, cols]
-    block[:, rows == cols] *= 0.5
-    return block
 
 
 def _split_coeffs(A: np.ndarray, n: int):
@@ -103,10 +52,12 @@ def _split_coeffs(A: np.ndarray, n: int):
     return A[:, 0], A[:, 1 : n + 1], H
 
 
-def basis_matrix(selector: BasisSelector, points: np.ndarray) -> np.ndarray:
-    """Evaluate the selected basis at each row of ``points``.
+def basis_matrix(points: np.ndarray) -> np.ndarray:
+    """The FULL degree-2 natural basis at each row of ``points``.
 
-    Returns an array of shape (len(points), selector.length(n)).
+    Row i is 1, x_1..x_n, x_1^2/2, x_1 x_2, ..., x_n^2/2 at points[i]; the
+    result has shape (len(points), q+1).  Columns 0..n are the affine block
+    and columns n+1.. the second-order block, which callers slice.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -114,22 +65,10 @@ def basis_matrix(selector: BasisSelector, points: np.ndarray) -> np.ndarray:
     m, n = X.shape
     if n < 1:
         raise ValueError("points must have at least one coordinate")
-    part = selector.part
-    if part is BasisPart.LINEAR_PART or (
-        part is BasisPart.FULL and selector.degree == 1
-    ):
-        return np.column_stack([np.ones(m), X])
-    if part is BasisPart.QUADRATIC_PART:
-        return _second_order_block(X)
-    if part is BasisPart.AFFINE_FREE:
-        return np.column_stack([X, _second_order_block(X)])
-    return np.column_stack([np.ones(m), X, _second_order_block(X)])
-
-
-def natural_basis(selector: BasisSelector, x: np.ndarray) -> np.ndarray:
-    """Evaluate the selected basis slice at a single point."""
-    x = np.asarray(x, dtype=float).ravel()
-    return basis_matrix(selector, x[None, :])[0]
+    rows, cols = _second_order_index(n)
+    second = X[:, rows] * X[:, cols]
+    second[:, rows == cols] *= 0.5
+    return np.column_stack([np.ones(m), X, second])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +101,6 @@ class QuadraticPolynomial:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "gradient", g)
         object.__setattr__(self, "hessian", H)
-
-    @classmethod
-    def zero(cls, n: int) -> "QuadraticPolynomial":
-        return cls(n, 0.0, np.zeros(n), np.zeros((n, n)))
 
     @classmethod
     def from_coeffs(cls, alpha: np.ndarray, n: int) -> "QuadraticPolynomial":
@@ -222,30 +157,3 @@ class QuadraticPolynomial:
         g = s * (self.gradient + self.hessian @ o)
         c = self.eval(o)
         return QuadraticPolynomial(self.dim, c, g, H)
-
-    def __add__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
-        if not isinstance(other, QuadraticPolynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return QuadraticPolynomial(
-            self.dim,
-            self.constant + other.constant,
-            self.gradient + other.gradient,
-            self.hessian + other.hessian,
-        )
-
-    def __sub__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
-        if not isinstance(other, QuadraticPolynomial):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __rmul__(self, w: float) -> "QuadraticPolynomial":
-        w = float(w)
-        return QuadraticPolynomial(
-            self.dim, w * self.constant, w * self.gradient, w * self.hessian
-        )
-
-    def __neg__(self) -> "QuadraticPolynomial":
-        return (-1.0) * self
-

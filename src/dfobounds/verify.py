@@ -34,6 +34,7 @@ from .geometry import (
     _campaign_memo,
     _certify,
     _certify_shapes,
+    _release,
     _take,
     normalized_points,
 )
@@ -43,14 +44,7 @@ from .models import (
     fit_model,
     fit_relaxed,
 )
-from .poly import (
-    BasisPart,
-    BasisSelector,
-    QuadraticPolynomial,
-    _split_coeffs,
-    basis_matrix,
-    space_dim,
-)
+from .poly import QuadraticPolynomial, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
     "TestFunction",
@@ -314,7 +308,7 @@ def check_theory(
     expected[1:, 1:] = normalized_points(sample_set)[1:]
     scale = np.diag([1.0] + [delta] * n)
     scale[0, 1:] = sample_set.y0
-    Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), points)
+    Ml = basis_matrix(points)[:, : n + 1]
     diff = float(np.abs(Ml - expected @ scale).max())
     tol = 1e-12 * max(1.0, float(np.abs(points).max()))
     checks.append(_le("shifted_factorization", diff, tol, tol=0.0))
@@ -509,6 +503,12 @@ def _plan_key(config: TrialConfig) -> tuple:
     return (config.function, config.n, float(config.delta), config.seed, config.sample_count)
 
 
+def _shape_key(config: TrialConfig) -> tuple:
+    # Holds lambda_max as given, which a failed shape's message quotes; it
+    # has four fields and a plan key five, so the two never collide.
+    return (config.n, config.p, config.lambda_max, config.seed)
+
+
 def _margin(emp: float, cap: float) -> float:
     if cap > 0.0:
         return emp / cap
@@ -517,12 +517,17 @@ def _margin(emp: float, cap: float) -> float:
 
 def run_trial(config: TrialConfig) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held."""
-    fn = resolve_function(config.function, config.n)
     delta = float(config.delta)
-    plan = _take(
-        _plan_key(config),
-        lambda: _probe_plan(fn, delta, config.seed, config.sample_count),
-    )
+    try:
+        fn = resolve_function(config.function, config.n)
+        plan = _take(
+            _plan_key(config),
+            lambda: _probe_plan(fn, delta, config.seed, config.sample_count),
+        )
+    except Exception:
+        # The trial fails before generate_poised_set takes its shape.
+        _release(_shape_key(config))
+        raise
     sample_set = generate_poised_set(
         config.n,
         config.p,
@@ -563,7 +568,14 @@ def run_trial(config: TrialConfig) -> TrialResult:
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:
-        _, arg = max_abs_on_ball(fn.quadratic - model, plan.center, delta)
+        q = fn.quadratic
+        error = QuadraticPolynomial(
+            config.n,
+            q.constant - model.constant,
+            q.gradient - model.gradient,
+            q.hessian - model.hessian,
+        )
+        _, arg = max_abs_on_ball(error, plan.center, delta)
         arg = arg[None, :]
         blocks.append(arg)
         f_parts.append(fn.f(arg))
@@ -732,10 +744,10 @@ def run_campaign(
     by the first of them.
 
     Each shape and plan is released when the last trial that uses it takes
-    it, and all are forgotten when the call returns, even if it raises.  A
-    shape or plan that cannot be built is tried once: each of its trials
-    fails with the same type and message.  Every row equals the one its
-    config gives when run alone.
+    it or fails before it does, and all are forgotten when the call
+    returns, even if it raises.  A shape or plan that cannot be built is
+    tried once: each of its trials fails with the same type and message.
+    Every row equals the one its config gives when run alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
@@ -744,9 +756,7 @@ def run_campaign(
     rows = []
     failures = []
     results = []
-    # Shape keys hold lambda_max as given, which a failed shape's message
-    # quotes; they have four fields and plan keys five, so none collide.
-    shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
+    shape_keys = [_shape_key(c) for c in trials]
     with _campaign_memo(shape_keys + [_plan_key(c) for c in trials]):
         _certify_shapes(shape_keys)
         for trial_id, config in enumerate(trials):

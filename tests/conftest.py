@@ -18,6 +18,11 @@ def random_quadratic(rng, n, scale=1.0):
     )
 
 
+def interpolation_residual(model, sample_set, values):
+    """max_j |model(y_j) - values_j| over the set's points."""
+    return float(np.abs(model.eval_batch(sample_set.points) - values).max())
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central-difference gradient of a scalar callable."""
     x = np.asarray(x, dtype=float)

@@ -154,7 +154,7 @@ def test_criterion_4_pseudoinverse_cap_and_factorization():
         # the absolute affine interpolation matrix factors as an elimination
         # product of the scaled displacement block, mapped back to absolute
         # coordinates by [[1, y0^T], [0, delta I]]
-        Ml = d.basis_matrix(d.BasisSelector(2, d.BasisPart.LINEAR_PART), ss.points)
+        Ml = d.basis_matrix(ss.points)[:, : ss.n + 1]
         Ls_hat = d.design_matrix(d.PoisednessKind.MFN, ss)
         E_inv = np.eye(ss.p + 1)
         E_inv[1:, 0] = 1.0

@@ -131,16 +131,16 @@ def test_lipschitz_affine_exact():
 
 
 def test_grid_oracle_guards():
-    m = QuadraticPolynomial.zero(5)
+    m = affine(5, 0.0, np.zeros(5))
     with pytest.raises(ValueError):
         grid_oracle(m, np.zeros(5), 1.0, 0.1)
-    m2 = QuadraticPolynomial.zero(4)
+    m2 = affine(4, 0.0, np.zeros(4))
     with pytest.raises(ValueError):
         grid_oracle(m2, np.zeros(4), 1.0, 1e-4)
 
 
 def test_bad_radius_raises():
-    m = QuadraticPolynomial.zero(2)
+    m = affine(2, 0.0, np.zeros(2))
     with pytest.raises(ValueError):
         extremize_on_ball(m, np.zeros(2), 0.0)
     with pytest.raises(ValueError):
@@ -187,9 +187,9 @@ def test_near_hard_case_certified_and_unbeaten(seed, n, repeated, log_component,
     g += 10.0**log_component * (E @ (u / np.linalg.norm(u)))
     center = rng.standard_normal(n)
     radius = float(rng.uniform(0.3, 2.0))
-    m = QuadraticPolynomial(n, float(rng.standard_normal()), g - H @ center, H)
-    if flip:
-        m = -m  # near-hard on the max side instead
+    c = float(rng.standard_normal())
+    s = -1.0 if flip else 1.0  # -1 puts the near-hard case on the max side
+    m = QuadraticPolynomial(n, s * c, s * (g - H @ center), s * H)
     ext = extremize_on_ball(m, center, radius)
     assert ext.solver_residual <= 1e-10
     vals = m.eval_batch(center + radius * ball_samples(rng, n, 20_000))

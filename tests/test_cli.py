@@ -69,6 +69,17 @@ class TestPoisedness:
         assert "pts.json" in captured.err
         assert 'sidecar "delta" must be a number' in captured.err
 
+    @pytest.mark.parametrize("delta", ["1e999", "-1", "0", "-0.0"])
+    def test_sidecar_delta_not_a_radius_exits_1(self, tmp_path, capsys, delta):
+        path = tmp_path / "pts.csv"
+        write_points(path, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        (tmp_path / "pts.json").write_text(f'{{"delta": {delta}}}')
+        code = main(["poisedness", str(path), "--kind", "linear"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "pts.json" in captured.err
+        assert 'sidecar "delta" must be a positive finite number, got' in captured.err
+
     def test_out_file(self, capsys, simplex_csv, tmp_path):
         out = tmp_path / "cert.json"
         code, payload = run_json(

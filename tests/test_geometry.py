@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 import dfobounds.geometry as geometry_module
 from dfobounds import (
-    BasisPart,
-    BasisSelector,
     ModelKind,
     NotPoisedError,
     PoisednessKind,
@@ -22,7 +20,6 @@ from dfobounds import (
     lagrange_mfn,
     lambda_poisedness,
     max_abs_on_ball,
-    mfn_poised,
     normalized_points,
     run_campaign,
     space_dim,
@@ -125,7 +122,7 @@ class TestDesignMatrices:
         pts = np.vstack([np.zeros(2), 0.5 * np.eye(2), -0.5 * np.eye(2),
                          [[0.5, 0.5]]])
         ss = SampleSet(pts, 2.0)
-        M = basis_matrix(BasisSelector(2, BasisPart.AFFINE_FREE), ss.shifted())
+        M = basis_matrix(ss.shifted())[:, 1:]
         Ms = design_matrix(ModelKind.QUAD_DET, ss)
         n, q = 2, space_dim(2, 2) - 1
         assert M.shape == (q, q)
@@ -173,11 +170,12 @@ class TestPoisedness:
         assert err.value.condition > 1e12
 
     def test_mfn_poised_flags(self, cross_set):
-        assert mfn_poised(cross_set)
+        assert np.isfinite(lambda_poisedness(cross_set, PoisednessKind.MFN).lam)
         collinear = SampleSet(
             np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0]]), 1.0
         )
-        assert not mfn_poised(collinear)
+        with pytest.raises(NotPoisedError, match="saddle system condition"):
+            lambda_poisedness(collinear, PoisednessKind.MFN)
 
     def test_certificate_dict_keys(self, simplex_set):
         payload = lambda_poisedness(simplex_set, PoisednessKind.LINEAR).to_dict()
@@ -198,7 +196,6 @@ class TestPoisedness:
             a = lambda_poisedness(base, PoisednessKind.MFN).lam
             b = lambda_poisedness(scaled, PoisednessKind.MFN).lam
             assert np.isclose(a, b, rtol=1e-6)
-            assert mfn_poised(scaled)
 
 
 class TestLagrange:
@@ -242,7 +239,7 @@ class TestRemarkFactorization:
         # to absolute coordinates by [[1, y0^T], [0, delta I]]
         for center in (None, [0.3, -1.2, 2.5]):
             ss = generate_poised_set(3, 6, 0.4, 30.0, seed=9, center=center)
-            Ml = basis_matrix(BasisSelector(2, BasisPart.LINEAR_PART), ss.points)
+            Ml = basis_matrix(ss.points)[:, : ss.n + 1]
             Ls_hat = design_matrix(ModelKind.MFN, ss)
             E_inv = np.eye(ss.p + 1)
             E_inv[1:, 0] = 1.0

@@ -13,14 +13,13 @@ from dfobounds import (
     fit_model,
     fit_relaxed,
     generate_poised_set,
-    interpolation_residual,
     lagrange_determined,
     lagrange_mfn,
     rosenbrock_function,
     space_dim,
 )
 
-from conftest import random_quadratic
+from conftest import interpolation_residual, random_quadratic
 
 
 def coeff_scale(poly):
@@ -142,7 +141,13 @@ class TestMfnFits:
         for _ in range(10):
             z = random_quadratic(rng, 2)
             null_fit = fit_model(ModelKind.MFN, ss, z.eval_batch(ss.points))
-            null_dir = z - null_fit.model
+            m = null_fit.model
+            null_dir = QuadraticPolynomial(
+                2,
+                z.constant - m.constant,
+                z.gradient - m.gradient,
+                z.hessian - m.hessian,
+            )
             assert interpolation_residual(null_dir, ss, np.zeros(5)) <= 1e-8
             alpha_null = null_dir.coeffs()[n1:]
             combined = np.linalg.norm(alpha_opt + alpha_null)

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfobounds import (
-    BasisPart,
-    BasisSelector,
-    QuadraticPolynomial,
-    basis_matrix,
-    natural_basis,
-    space_dim,
-)
+from dfobounds import QuadraticPolynomial, basis_matrix, space_dim
 
 from conftest import fd_gradient, random_quadratic
 
@@ -26,48 +19,31 @@ def test_space_dim(degree, n, expected):
 def test_natural_basis_order_n2():
     # column order is frozen: 1, x1, x2, x1^2/2, x1*x2, x2^2/2
     x = np.array([2.0, 3.0])
-    phi = natural_basis(BasisSelector(2, BasisPart.FULL), x)
+    phi = basis_matrix(x[None])[0]
     assert np.allclose(phi, [1.0, 2.0, 3.0, 2.0, 6.0, 4.5])
 
 
 def test_natural_basis_order_n3_cross_terms():
     # cross terms iterate as x1x2, x1x3, x2x3 between the halved squares
     x = np.array([2.0, 3.0, 5.0])
-    phi = natural_basis(BasisSelector(2, BasisPart.FULL), x)
+    phi = basis_matrix(x[None])[0]
     expected = [1.0, 2.0, 3.0, 5.0, 2.0, 6.0, 10.0, 4.5, 15.0, 12.5]
     assert np.allclose(phi, expected)
 
 
-def test_basis_parts_are_slices_of_full():
-    x = np.array([0.7, -1.2, 0.4])
-    full = natural_basis(BasisSelector(2, BasisPart.FULL), x)
-    lin = natural_basis(BasisSelector(2, BasisPart.LINEAR_PART), x)
-    quad = natural_basis(BasisSelector(2, BasisPart.QUADRATIC_PART), x)
-    free = natural_basis(BasisSelector(2, BasisPart.AFFINE_FREE), x)
-    n = 3
-    assert np.allclose(lin, full[: n + 1])
-    assert np.allclose(quad, full[n + 1 :])
-    assert np.allclose(free, full[1:])
-
-
-def test_selector_lengths():
-    n = 4
-    q1 = space_dim(2, n)
-    assert BasisSelector(2, BasisPart.FULL).length(n) == q1
-    assert BasisSelector(2, BasisPart.LINEAR_PART).length(n) == n + 1
-    assert BasisSelector(2, BasisPart.QUADRATIC_PART).length(n) == q1 - n - 1
-    assert BasisSelector(2, BasisPart.AFFINE_FREE).length(n) == q1 - 1
-    assert BasisSelector(1, BasisPart.FULL).length(n) == n + 1
-
-
 def test_basis_matrix_rows_match_pointwise(rng):
     pts = rng.standard_normal((7, 3))
-    for part in BasisPart:
-        sel = BasisSelector(2, part)
-        M = basis_matrix(sel, pts)
-        assert M.shape == (7, sel.length(3))
-        for i, x in enumerate(pts):
-            assert np.allclose(M[i], natural_basis(sel, x))
+    M = basis_matrix(pts)
+    assert M.shape == (7, space_dim(2, 3))
+    for i, x in enumerate(pts):
+        assert np.array_equal(M[i], basis_matrix(x[None])[0])
+
+
+def test_basis_matrix_rejects_bad_points():
+    with pytest.raises(ValueError, match="2-D"):
+        basis_matrix(np.ones(3))
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        basis_matrix(np.ones((2, 0)))
 
 
 def test_coeff_roundtrip(rng):
@@ -101,7 +77,7 @@ def test_coefficient_layout_matches_loop_reference(rng):
         assert np.array_equal(rebuilt.hessian, rebuilt.hessian.T)
         X = rng.standard_normal((4, n))
         rows = [[1.0, *x, *loop_second_order(np.outer(x, x), True)] for x in X]
-        assert np.array_equal(basis_matrix(BasisSelector(2, BasisPart.FULL), X), rows)
+        assert np.array_equal(basis_matrix(X), rows)
 
 
 def test_eval_equals_coeff_dot_basis(rng):
@@ -109,10 +85,9 @@ def test_eval_equals_coeff_dot_basis(rng):
     # must agree, pinning the coefficient <-> Hessian mapping
     for n in (1, 2, 4):
         m = random_quadratic(rng, n)
-        sel = BasisSelector(2, BasisPart.FULL)
         for _ in range(10):
             x = rng.standard_normal(n)
-            assert np.isclose(m(x), float(m.coeffs() @ natural_basis(sel, x)))
+            assert np.isclose(m(x), float(m.coeffs() @ basis_matrix(x[None])[0]))
 
 
 def test_halved_square_convention():
@@ -175,22 +150,6 @@ def test_compose_affine_roundtrip(rng):
     scale = 0.25
     back = m.compose_affine(offset, scale).compose_affine(-offset / scale, 1.0 / scale)
     assert np.allclose(back.coeffs(), m.coeffs(), atol=1e-12)
-
-
-def test_arithmetic_operators(rng):
-    m1 = random_quadratic(rng, 2)
-    m2 = random_quadratic(rng, 2)
-    x = rng.standard_normal(2)
-    assert np.isclose((m1 + m2)(x), m1(x) + m2(x))
-    assert np.isclose((m1 - m2)(x), m1(x) - m2(x))
-    assert np.isclose((2.5 * m1)(x), 2.5 * m1(x))
-    assert np.isclose((-m1)(x), -m1(x))
-
-
-def test_zero_polynomial():
-    z = QuadraticPolynomial.zero(3)
-    assert z(np.ones(3)) == 0.0
-    assert np.allclose(z.coeffs(), 0.0)
 
 
 def test_dimension_mismatch_raises(rng):

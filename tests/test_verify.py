@@ -874,8 +874,8 @@ class TestProbePlans:
 
     def test_plans_released_after_their_last_trial(self):
         # Shapes are released like plans.  A trial whose ball does not fit
-        # the domain fails on its plan and never takes its shape, which then
-        # stays until the campaign returns.
+        # the domain fails on its plan before it takes its shape, and gives
+        # that take up, so the shape does not outlive its last trial either.
         trials = _mixed_sweep()
         shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
         keys = [verify_module._plan_key(c) for c in trials]
@@ -887,12 +887,28 @@ class TestProbePlans:
         report = run_campaign(trials, progress=look)
         assert geometry_module._MEMO.get(None) is None
         assert len(held) == len(trials)
-        untaken = {shape_keys[f["trial_id"]] for f in report.failures}
+        assert any("does not fit" in f["error"] for f in report.failures)
         assert held[0] == set(shape_keys)
         # Before trial i, only keys that trial i or a later one uses are held.
         for i, values in enumerate(held):
-            assert values <= set(keys[i:]) | set(shape_keys[i:]) | untaken, i
+            assert values <= set(keys[i:]) | set(shape_keys[i:]), i
         assert max(len(values - set(shape_keys)) for values in held) > 1
+
+    def test_shape_released_by_a_trial_with_an_unknown_function(self):
+        # The first trial fails before it takes its plan or its shape; its
+        # shape, which no later trial uses, is dropped all the same.
+        trials = [
+            TrialConfig("nope", "lin_det", 2, 2, 0.1, seed=3),
+            TrialConfig("quartic", "lin_det", 2, 2, 0.1, seed=4),
+        ]
+        held = []
+
+        def look(_message):
+            held.append(set(geometry_module._MEMO.get()[0]))
+
+        report = run_campaign(trials, progress=look)
+        assert [f["trial_id"] for f in report.failures] == [0]
+        assert held[1] == {(2, 2, 100.0, 4)}
 
     def test_plans_dropped_when_progress_raises(self):
         trials = _mixed_sweep()
