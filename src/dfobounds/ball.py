@@ -26,8 +26,8 @@ that passes the certificate: mu >= max(0, -lambda_min), complementarity
 mu (r - ||z||) = 0 and stationarity, each to 1e-10 after scaling by the
 item's coefficient magnitude.  An item with no certified candidate raises.
 
-``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial, or a
-stack on one ball: a sequence of polynomials or a (k, q+1) array of FULL
+``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial, read as
+its coefficient row, or a stack on one ball: a (k, q+1) array of FULL
 degree-2 coefficients, such as the Lagrange basis of a sample set.  A stack
 is one batched solve for both signs, on one shared eigendecomposition.
 A brute-force lattice oracle is provided as an independent cross-check for
@@ -289,32 +289,21 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
     )
 
 
-def _stack(polys, center):
+def _stack(coeffs, center):
     """Coefficients of a stack and its gradients at center.
 
-    ``polys`` is a sequence of QuadraticPolynomial or an array of shape
-    (k, q+1) whose rows are coefficients over the FULL degree-2 basis.
+    ``coeffs`` is an array of shape (k, q+1) whose rows are coefficients
+    over the FULL degree-2 basis; the center fixes n.
     """
     center = np.asarray(center, dtype=float).ravel()
-    if isinstance(polys, np.ndarray):  # the center fixes n
-        if polys.ndim != 2 or polys.shape[1] != space_dim(2, center.size) or not len(polys):
-            raise ValueError(
-                f"need a (k, q+1) coefficient array, k >= 1, for a center in "
-                f"R^{center.size}, got shape {polys.shape}"
-            )
-        c, g, H = _split_coeffs(polys.astype(float, copy=False), center.size)
-    else:
-        polys = list(polys)
-        if not polys:
-            raise ValueError("need at least one polynomial")
-        n = polys[0].dim
-        if any(m.dim != n for m in polys):
-            raise ValueError("dimension mismatch among polynomials")
-        if center.shape != (n,):
-            raise ValueError(f"center must have shape ({n},), got {center.shape}")
-        c = np.array([m.constant for m in polys])
-        g = np.array([m.gradient for m in polys])
-        H = np.array([m.hessian for m in polys])
+    A = np.asarray(coeffs)
+    width = space_dim(2, center.size)
+    if A.ndim != 2 or A.shape[1] != width or not len(A):
+        raise ValueError(
+            f"need a (k, {width}) coefficient array, k >= 1, for a center in "
+            f"R^{center.size}, got shape {A.shape}"
+        )
+    c, g, H = _split_coeffs(A.astype(float, copy=False), center.size)
     if not (
         np.all(np.isfinite(c))
         and np.all(np.isfinite(g))
@@ -344,9 +333,9 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
 
     Parameters
     ----------
-    m : QuadraticPolynomial, a sequence of k of them, or an array of shape (k, q+1)
-        Array rows are coefficients over the FULL degree-2 basis, in the
-        coordinates of ``center``.  A stack is solved with one batched
+    m : QuadraticPolynomial or an array of shape (k, q+1)
+        A polynomial is read as its ``coeffs()`` row.  Rows are coefficients
+        over the FULL degree-2 basis, in the coordinates of ``center``.  A stack is solved with one batched
         eigendecomposition; every field of the result but
         ``solver_residual`` then has a leading axis of length k.
     center : array_like, shape (n,)
@@ -361,7 +350,7 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
         the largest over the whole solve.
     """
     single = isinstance(m, QuadraticPolynomial)
-    center, c, g, H, g0 = _stack([m] if single else m, center)
+    center, c, g, H, g0 = _stack(m.coeffs()[None, :] if single else m, center)
     r = _radius(radius)
     k = len(c)
     # eigh(-H) is eigh(H) with the eigenvalues negated and their order, and
@@ -383,13 +372,13 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
 def max_abs_on_ball(m, center, radius: float):
     """Maximum of |m| over the ball; returns (value, argument).
 
-    For a stack of k polynomials (a sequence, or a coefficient array as in
-    ``extremize_on_ball``), one batched solve returns arrays of shapes (k,)
-    and (k, n).  Ties between the max and min branches (1e-12
-    relative) are broken toward the lexicographically smaller argument.
+    For a (k, q+1) coefficient array as in ``extremize_on_ball``, one
+    batched solve returns arrays of shapes (k,) and (k, n).  Ties between
+    the max and min branches (1e-12 relative) are broken toward the
+    lexicographically smaller argument.
     """
     single = isinstance(m, QuadraticPolynomial)
-    ext = extremize_on_ball([m] if single else m, center, radius)
+    ext = extremize_on_ball(m.coeffs()[None, :] if single else m, center, radius)
     values, args = _pick_abs(ext.max_value, ext.argmax, ext.min_value, ext.argmin)
     if single:
         return float(values[0]), args[0]

@@ -11,7 +11,6 @@ record which path produced each number.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -135,8 +134,8 @@ class BoundInputs:
 
     lam is the measured poisedness constant; kappa_L/kappa_Q/kappa_s/kappa_H
     are raw matrix-norm constants that, when supplied, take precedence over
-    the lam-derived values.  q is the quadratic space size minus one for the
-    given n: it defaults to that value, and another q is rejected.
+    the lam-derived values.  q, the quadratic space size minus one, follows
+    from n.
     """
 
     L: float
@@ -148,16 +147,23 @@ class BoundInputs:
     kappa_H: Optional[float] = None
     n: Optional[int] = None
     p: Optional[int] = None
-    q: Optional[int] = None
     delta: Optional[float] = None
     delta_max: Optional[float] = None
 
     def __post_init__(self) -> None:
         _check_nonneg(L=self.L, kappa=self.kappa)
-        if self.lam is not None and self.lam < 1.0 - 1e-9:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+        for name in ("kappa_L", "kappa_Q", "kappa_s", "kappa_H"):
+            if getattr(self, name) is not None:
+                _check_nonneg(**{name: getattr(self, name)})
+        # A chained comparison is False for NaN, so NaN is rejected too.
+        if self.lam is not None and not 1.0 - 1e-9 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
+        for name in ("delta", "delta_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         # bool passes as Integral, so it is rejected explicitly.
-        for name in ("n", "p", "q"):
+        for name in ("n", "p"):
             value = getattr(self, name)
             if value is not None and (
                 not isinstance(value, numbers.Integral)
@@ -167,13 +173,6 @@ class BoundInputs:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.n is not None and self.p is not None and self.p < self.n:
             raise ValueError(f"p must be at least n = {self.n}, got {self.p}")
-        if self.n is not None:
-            q = (self.n * self.n + 3 * self.n) // 2
-            if self.q not in (None, q):
-                raise ValueError(
-                    f"q must be (n^2 + 3n)/2 = {q} for n = {self.n}, got {self.q}"
-                )
-            object.__setattr__(self, "q", q)
         if self.delta is not None and self.delta_max is None:
             object.__setattr__(self, "delta_max", float(self.delta))
         if (
@@ -184,6 +183,11 @@ class BoundInputs:
             raise ValueError(
                 f"delta {self.delta} exceeds delta_max {self.delta_max}"
             )
+
+    @property
+    def q(self) -> Optional[int]:
+        """(n^2 + 3n)/2, the quadratic space size minus one; None without n."""
+        return None if self.n is None else (self.n * self.n + 3 * self.n) // 2
 
 
 @dataclass(frozen=True)
@@ -205,16 +209,14 @@ class BoundReport:
             "provenance": dict(self.provenance),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-
 
 def _require(inputs: BoundInputs, *names: str):
     out = []
     for name in names:
         value = getattr(inputs, name)
         if value is None:
-            raise ValueError(f"bound computation needs {name}")
+            # q follows from n, so a missing q is a missing n.
+            raise ValueError(f"bound computation needs {'n' if name == 'q' else name}")
         out.append(value)
     return out
 

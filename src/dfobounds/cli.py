@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-H", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
     p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--delta-max", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
@@ -212,7 +211,6 @@ def _cmd_bounds(args) -> int:
         kappa_H=args.kappa_H,
         n=args.n,
         p=args.p,
-        q=args.q,
         delta=args.delta,
         delta_max=args.delta_max,
     )

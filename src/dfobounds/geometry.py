@@ -32,7 +32,7 @@ import numpy as np
 
 from .ball import _rownorm, max_abs_on_ball
 from .bounds import ModelKind, constants_from_lambda
-from .poly import QuadraticPolynomial, _split_coeffs, basis_matrix, space_dim
+from .poly import QuadraticPolynomial, basis_matrix, space_dim
 
 __all__ = [
     "COND_THRESHOLD",
@@ -115,10 +115,6 @@ class SampleSet:
     @property
     def y0(self) -> np.ndarray:
         return self.points[0]
-
-    def shifted(self) -> np.ndarray:
-        """Rows y^i - y0 for i = 1..p, shape (p, n)."""
-        return self.points[1:] - self.points[0]
 
 
 def _check_points(pts: np.ndarray, radius: float) -> None:
@@ -258,27 +254,19 @@ def _interpolate(sample_set: SampleSet, kind: ModelKind, values):
     return sol, cond
 
 
-def _interpolant(sample_set: SampleSet, coeffs) -> QuadraticPolynomial:
-    # coeffs are FULL degree-2 coefficients on the normalized set; return
-    # x -> m_hat((x - y0) / delta) in absolute coordinates, with the
-    # expressions of QuadraticPolynomial.compose_affine.
-    delta = sample_set.radius
-    c, g, H = (a[0] for a in _split_coeffs(coeffs[None, :], sample_set.n))
-    o = -sample_set.y0 / delta
-    s = 1.0 / delta
-    Ho = H @ o
-    return QuadraticPolynomial(
-        sample_set.n, float(c + g @ o + 0.5 * o @ Ho), s * (g + Ho), (s * s) * H
-    )
-
-
 def _lagrange_coeffs(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
     # Row j holds the FULL degree-2 coefficients of l_j on the normalized set.
     return _system(sample_set, kind)[0].T
 
 
 def _lagrange(sample_set: SampleSet, kind: ModelKind):
-    return [_interpolant(sample_set, c) for c in _lagrange_coeffs(sample_set, kind)]
+    # Each l_j pulled back from the normalized set: x -> l_j((x - y0) / delta).
+    n, delta = sample_set.n, sample_set.radius
+    offset = -sample_set.y0 / delta
+    return [
+        QuadraticPolynomial.from_coeffs(c, n).compose_affine(offset, 1.0 / delta)
+        for c in _lagrange_coeffs(sample_set, kind)
+    ]
 
 
 def lagrange_determined(sample_set: SampleSet, degree: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,7 +12,6 @@ import numpy as np
 from .bounds import ModelKind
 from .geometry import (
     SampleSet,
-    _interpolant,
     _interpolate,
     # Bound here so callers and tracers that look the Lagrange builders up
     # in this module keep finding them.
@@ -61,6 +61,12 @@ class RelaxationSpec:
             if not np.all(np.isfinite(g)):
                 raise ValueError("gamma values must be finite")
             object.__setattr__(self, "gamma", g)
+        # bool passes as Integral, so it is rejected explicitly.
+        seed = self.noise_seed
+        if seed is not None and (
+            not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
+        ):
+            raise ValueError(f"noise_seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,9 @@ def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
     kind = ModelKind(kind)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, cond = _interpolate(sample_set, kind, rhs)
-        model = _interpolant(sample_set, coeffs)
+        model = QuadraticPolynomial.from_coeffs(coeffs, sample_set.n).compose_affine(
+            -sample_set.y0 / sample_set.radius, 1.0 / sample_set.radius
+        )
     if not (
         math.isfinite(model.constant)
         and np.isfinite(model.gradient).all()

@@ -148,12 +148,14 @@ class QuadraticPolynomial:
     def compose_affine(self, offset, scale: float) -> "QuadraticPolynomial":
         """Polynomial x -> self(offset + scale * x).
 
-        Exact coefficient substitution; used to pull solutions computed on a
-        shifted and scaled sample set back to original coordinates.
+        Exact coefficient substitution, and the one pull-back: fits and
+        Lagrange builders solve on a shifted and scaled sample set and map
+        their polynomials back to original coordinates through it.
         """
         o = self._check_point(offset)
         s = float(scale)
-        H = (s * s) * self.hessian
-        g = s * (self.gradient + self.hessian @ o)
-        c = self.eval(o)
-        return QuadraticPolynomial(self.dim, c, g, H)
+        Ho = self.hessian @ o
+        c = self.constant + self.gradient @ o + 0.5 * o @ Ho
+        return QuadraticPolynomial(
+            self.dim, c, s * (self.gradient + Ho), (s * s) * self.hessian
+        )

@@ -203,7 +203,8 @@ def test_batch_matches_single_solves(rng):
         polys = [random_quadratic(rng, n) for _ in range(7)]
         polys.append(affine(n, 0.0, np.ones(n)))  # |max| = |min|: a tie
         center = rng.standard_normal(n)
-        values, args = max_abs_on_ball(polys, center, 0.8)
+        coeffs = np.array([m.coeffs() for m in polys])
+        values, args = max_abs_on_ball(coeffs, center, 0.8)
         for m, value, arg in zip(polys, values, args):
             single, single_arg = max_abs_on_ball(m, center, 0.8)
             assert np.isclose(value, single, rtol=1e-12, atol=1e-12)
@@ -235,17 +236,18 @@ def test_batch_bad_input_raises():
 
 
 def test_coefficient_array_matches_polynomials(rng):
-    # A (k, q+1) array of FULL-basis coefficients is the same stack as the
-    # polynomials built from its rows, and each value is |m| at its argument
-    # and beats every sampled point.
+    # A row of a (k, q+1) array of FULL-basis coefficients solves as the
+    # polynomial built from it, which the solver reads as its coefficient
+    # row; each value is |m| at its argument and beats every sampled point.
     for n in (1, 3, 6):
         polys = [random_quadratic(rng, n) for _ in range(5)]
         coeffs = np.array([m.coeffs() for m in polys])
         center = rng.standard_normal(n)
         values, args = max_abs_on_ball(coeffs, center, 0.7)
-        ref_values, ref_args = max_abs_on_ball(polys, center, 0.7)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(args, ref_args)
+        for m, value, arg in zip(polys, values, args):
+            ref_value, ref_arg = max_abs_on_ball(m, center, 0.7)
+            assert value == ref_value
+            assert np.array_equal(arg, ref_arg)
         samples = center + 0.7 * ball_samples(rng, n, 2000)
         for m, value, arg in zip(polys, values, args):
             assert np.isclose(value, abs(m(arg)), rtol=1e-12, atol=1e-12)
@@ -270,7 +272,7 @@ def test_shared_eigh_matches_separate_solves(rng, n, k):
     polys = [random_quadratic(rng, n) for _ in range(k)]
     polys.append(QuadraticPolynomial(n, 0.0, rng.standard_normal(n), np.eye(n)))
     center, radius = rng.standard_normal(n), 0.9
-    ext = extremize_on_ball(polys, center, radius)
+    ext = extremize_on_ball(np.array([m.coeffs() for m in polys]), center, radius)
     G = np.array([m.grad(center) for m in polys])
     H = np.array([m.hessian for m in polys])
     sol = extremize_batch(np.vstack([G, -G]), np.concatenate([H, -H]), radius)

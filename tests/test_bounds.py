@@ -135,8 +135,8 @@ class TestErrorBounds:
             ({"n": 2.0}, "n"),
             ({"n": True}, "n"),
             ({"p": 0}, "p"),
-            ({"q": 0}, "q"),
-            ({"q": "9"}, "q"),
+            ({"p": 2.5}, "p"),
+            ({"p": False}, "p"),
             ({"n": 3, "p": 2}, "p"),
         ],
     )
@@ -144,18 +144,45 @@ class TestErrorBounds:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             BoundInputs(L=1.0, lam=2.0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"kappa_L": -5.0}, "kappa_L"),
+            ({"kappa_Q": float("inf")}, "kappa_Q"),
+            ({"kappa_s": -1.0}, "kappa_s"),
+            ({"kappa_H": float("nan")}, "kappa_H"),
+            ({"delta": 0.0}, "delta"),
+            ({"delta": -0.5, "delta_max": 1.0}, "delta"),
+            ({"delta_max": float("inf")}, "delta_max"),
+            ({"delta": 0.5, "delta_max": 0.0}, "delta_max"),
+            ({"lam": float("nan")}, "lam"),
+            ({"lam": float("inf")}, "lam"),
+        ],
+    )
+    def test_meaningless_inputs_name_the_field(self, kwargs, field):
+        # Each would make the caps negative, NaN or infinite.
+        inputs = {"L": 1.0, "lam": 2.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BoundInputs(**inputs)
+
     def test_q_autofilled(self):
         inputs = BoundInputs(L=1.0, lam=2.0, n=3)
         assert inputs.q == 9
 
     @pytest.mark.parametrize("n,q", [(2, 9), (2, 4), (3, 5), (1, 9)])
     def test_q_contradicting_n_rejected(self, n, q):
-        with pytest.raises(ValueError, match=f"^q must be .*, got {q}$"):
+        # q follows from n, so no q can be given, contradicting or not.
+        with pytest.raises(TypeError, match="'q'"):
             BoundInputs(L=1.0, lam=2.0, n=n, q=q)
 
     def test_q_matching_n_or_without_n_accepted(self):
-        assert BoundInputs(L=1.0, lam=2.0, n=2, q=5).q == 5
-        assert BoundInputs(L=1.0, lam=2.0, q=9).q == 9
+        assert BoundInputs(L=1.0, lam=2.0, n=2).q == 5
+        assert BoundInputs(L=1.0, lam=2.0).q is None
+        for form in (error_bounds, closed_form_bounds):
+            with pytest.raises(ValueError, match="^bound computation needs n$"):
+                form(BoundKind.QUAD_DET, BoundInputs(L=1.0, lam=2.0))
+            with pytest.raises(ValueError, match="^bound computation needs n$"):
+                form(BoundKind.MFN, BoundInputs(L=1.0, lam=2.0, p=4, delta=0.5))
 
     def test_mfn_provenance_per_constant(self):
         inputs = BoundInputs(L=1.0, lam=2.0, kappa_s=3.0, n=2, p=4, delta=0.5)
@@ -171,7 +198,6 @@ class TestErrorBounds:
         payload = report.to_dict()
         assert payload["kind"] == "LIN_DET"
         assert set(payload) >= {"C_f", "C_g", "C_H", "provenance"}
-        assert isinstance(report.to_json(), str)
 
 
 def random_valid_inputs(rng):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ def cross_csv(tmp_path):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     write_points(path, pts, values=pts[:, 0] * pts[:, 1], delta=float(np.sqrt(2.0)))
     return str(path)
+
+
+# A 3-D minimum-norm set (3 < p = 6 < q = 9) with its sidecar, the model
+# that fit writes for it, and each command's stdout on them.
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def run_json(capsys, argv):
@@ -141,6 +147,14 @@ class TestFit:
         envelope = 0.05 * 2.0  # kappa * delta^2
         assert payload["residual"] <= envelope * (1 + 1e-9)
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_noise_seed_exits_1(self, capsys, cross_csv, seed):
+        code = main(["fit", cross_csv, "--kind", "mfn", "--kappa", "1", "--noise-seed", seed])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"noise_seed must be a nonnegative integer, got {seed}" in captured.err
+
     def test_overflowing_values_exit_1_without_out_file(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -205,14 +219,38 @@ class TestBounds:
         assert captured.out == ""
         assert f"argument {flag}: must be a finite number" in captured.err
 
-    def test_q_contradicting_n_exits_1(self, capsys):
-        code = main(
-            ["bounds", "--kind", "quad_det", "--L", "2", "--lam", "1", "--n", "2", "--q", "9"]
-        )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "lin_det", "--kappa-L", "-5", "--n", "2"], "kappa_L must be"),
+            (["--kind", "under", "--kappa-s", "-1", "--kappa-H", "2", "--p", "4"],
+             "kappa_s must be"),
+            (["--kind", "under", "--kappa-s", "1", "--kappa-H", "-2", "--p", "4"],
+             "kappa_H must be"),
+            (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--delta", "-0.5",
+              "--delta-max", "1"], "delta must be positive"),
+            (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--delta", "0"],
+             "delta must be positive"),
+            (["--kind", "quad_det", "--lam", "1"], "bound computation needs n"),
+        ],
+    )
+    def test_meaningless_inputs_exit_1(self, capsys, argv, message):
+        code = main(["bounds", "--L", "1"] + argv)
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "q must be" in captured.err
+        assert f"dfobounds: error: {message}" in captured.err
+
+    def test_q_contradicting_n_exits_1(self, capsys):
+        # bounds has no --q: q is (n^2 + 3n)/2 of --n.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["bounds", "--kind", "quad_det", "--L", "2", "--lam", "1", "--n", "2", "--q", "9"]
+            )
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --q 9" in captured.err
 
 
 class TestOracle:
@@ -380,3 +418,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["poisedness", simplex_csv, "--delta", "1", "--kind", "cubic"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("poisedness", ["poisedness", "points.csv", "--kind", "mfn"]),
+        ("fit", ["fit", "points.csv", "--kind", "mfn"]),
+        ("fit_relaxed", ["fit", "points.csv", "--kind", "mfn", "--kappa", "0.5",
+                         "--noise-seed", "3"]),
+        # --lam is the poisedness golden's lambda.
+        ("bounds", ["bounds", "--kind", "mfn", "--L", "12.0", "--lam", "3.1206662436382553",
+                    "--n", "3", "--p", "6", "--delta", "0.5"]),
+        ("oracle", ["oracle", "--poly", "model.json", "--center=0.1,-0.2,0.3",
+                    "--radius", "0.5", "--resolution", "0.05"]),
+    ],
+)
+def test_stdout_matches_golden(capsys, name, argv):
+    argv = [str(GOLDEN / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()

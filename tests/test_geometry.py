@@ -113,7 +113,7 @@ class TestSampleSetValidation:
 
 class TestDesignMatrices:
     def test_linear_rows_are_displacements(self, simplex_set):
-        M = simplex_set.shifted()
+        M = simplex_set.points[1:] - simplex_set.y0
         assert np.allclose(M, [[1.0, 0.0], [0.0, 1.0]])
         Ms = design_matrix(ModelKind.LIN_DET, simplex_set)
         assert np.allclose(Ms, M / simplex_set.radius)
@@ -122,7 +122,7 @@ class TestDesignMatrices:
         pts = np.vstack([np.zeros(2), 0.5 * np.eye(2), -0.5 * np.eye(2),
                          [[0.5, 0.5]]])
         ss = SampleSet(pts, 2.0)
-        M = basis_matrix(ss.shifted())[:, 1:]
+        M = basis_matrix(ss.points[1:] - ss.y0)[:, 1:]
         Ms = design_matrix(ModelKind.QUAD_DET, ss)
         n, q = 2, space_dim(2, 2) - 1
         assert M.shape == (q, q)
@@ -690,26 +690,6 @@ class TestCampaignMemo:
         assert len(set(depths)) == 1
 
 
-def test_interpolant_equals_composed_reference(rng):
-    # The pull-back builds one polynomial with compose_affine's expressions;
-    # it equals building the normalized polynomial and composing it.
-    for _ in range(300):
-        n = int(rng.integers(1, 7))
-        delta = float(10.0 ** rng.uniform(-4, 1))
-        center = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
-        u = rng.standard_normal((3, n))
-        u *= rng.uniform(0.1, 1.0, (3, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
-        ss = SampleSet(center + delta * np.vstack([np.zeros(n), u]), delta)
-        coeffs = rng.standard_normal(space_dim(2, n)) * 10.0 ** rng.uniform(-3, 3)
-        got = geometry_module._interpolant(ss, coeffs)
-        ref = QuadraticPolynomial.from_coeffs(coeffs, n).compose_affine(
-            -ss.y0 / delta, 1.0 / delta
-        )
-        assert got.constant == ref.constant
-        assert np.array_equal(got.gradient, ref.gradient)
-        assert np.array_equal(got.hessian, ref.hessian)
-
-
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_poisedness_shift_invariance(seed):
@@ -745,7 +725,9 @@ def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
     cert, coeffs = _certify(ss, kind)
     values, z = max_abs_on_ball(coeffs, np.zeros(n), 1.0)
     polys = lagrange_for(ss, kind)
-    ref_values, ref_args = max_abs_on_ball(polys, ss.y0, delta)
+    ref_values, ref_args = max_abs_on_ball(
+        np.array([m.coeffs() for m in polys]), ss.y0, delta
+    )
     # Evaluating a pulled-back polynomial in absolute coordinates cancels
     # terms of size |x|^2 ||H|| ~ 1e7 |l_j| here, so the reference itself
     # carries the roundoff of that sum; the normalized values do not.
@@ -767,5 +749,6 @@ def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
     # both paths agree to roundoff.
     ss = generate_poised_set(n, p, 1.0, 100.0, seed=1)
     cert, _ = _certify(ss, kind)
-    ref_values, _ = max_abs_on_ball(lagrange_for(ss, kind), ss.y0, 1.0)
+    polys = lagrange_for(ss, kind)
+    ref_values, _ = max_abs_on_ball(np.array([m.coeffs() for m in polys]), ss.y0, 1.0)
     assert np.allclose(cert.per_point_max, ref_values, rtol=1e-12, atol=0.0)

@@ -236,6 +236,11 @@ class TestRelaxedFits:
         with pytest.raises(ValueError):
             RelaxationSpec(kappa=0.1, gamma=np.array([np.nan]))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.float64(2.0)])
+    def test_noise_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^noise_seed must be a nonnegative integer"):
+            RelaxationSpec(kappa=1.0, noise_seed=seed)
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
@@ -272,3 +277,25 @@ def test_wrong_shape_names_rule(p, call, rule):
     ss = generate_poised_set(2, p, 0.5, 20.0, seed=4)
     with pytest.raises(ValueError, match=rule):
         call(ss, np.zeros(p + 1))
+
+
+def test_fits_and_lagrange_builders_pull_back_through_compose_affine(monkeypatch):
+    # compose_affine is the one pull-back from the normalized set: each fit
+    # calls it once, and a Lagrange builder once per polynomial.
+    calls = []
+    pull_back = QuadraticPolynomial.compose_affine
+
+    def counted(self, offset, scale):
+        calls.append(scale)
+        return pull_back(self, offset, scale)
+
+    monkeypatch.setattr(QuadraticPolynomial, "compose_affine", counted)
+    ss = generate_poised_set(2, 4, 0.5, 25.0, seed=0, center=[1.0, -2.0])
+    values = np.arange(5.0)
+    fit_model(ModelKind.MFN, ss, values)
+    assert calls == [2.0]
+    fit_relaxed(ModelKind.MFN, ss, values, RelaxationSpec(0.1, noise_seed=0))
+    assert calls == [2.0] * 2
+    basis = lagrange_mfn(ss)
+    assert calls == [2.0] * (2 + len(basis))
+    assert len(basis) == 5
