@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _number
 from .poly import QuadraticPolynomial, _split_coeffs, space_dim
 
 __all__ = [
@@ -117,17 +118,10 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
         raise ValueError(
             f"need G of shape (k, n) and H of shape (k, n, n), got {G.shape} and {H.shape}"
         )
-    r = _radius(radius)
+    r = _number("radius", radius, 0.0, strict=True)
     if not (np.isfinite(G).all() and np.isfinite(H).all()):
         raise ValueError("gradients and Hessians must be finite")
     return _extremize(G, H, r)
-
-
-def _radius(radius) -> float:
-    r = float(radius)
-    if not np.isfinite(r) or r <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {r}")
-    return r
 
 
 def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
@@ -351,7 +345,7 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     """
     single = isinstance(m, QuadraticPolynomial)
     center, c, g, H, g0 = _stack(m.coeffs()[None, :] if single else m, center)
-    r = _radius(radius)
+    r = _number("radius", radius, 0.0, strict=True)
     k = len(c)
     # eigh(-H) is eigh(H) with the eigenvalues negated and their order, and
     # the eigenvector columns with them, reversed.
@@ -409,12 +403,8 @@ def grid_oracle(m: QuadraticPolynomial, center, radius: float, resolution: float
     n = m.dim
     if n > GRID_MAX_DIM:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_DIM}, got n = {n}")
-    radius = float(radius)
-    resolution = float(resolution)
-    if radius <= 0.0 or not np.isfinite(radius):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if resolution <= 0.0 or not np.isfinite(resolution):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    radius = _number("radius", radius, 0.0, strict=True)
+    resolution = _number("resolution", resolution, 0.0, strict=True)
     center = np.asarray(center, dtype=float).ravel()
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")

@@ -12,7 +12,7 @@ record which path produced each number.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -68,11 +68,66 @@ class ModelKind(Enum):
 BoundKind = ModelKind
 
 
+# The least poisedness constant: 1, less room for roundoff in a measured one.
+_LAM_LOW = 1.0 - 1e-9
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least least; ValueError naming the field if not."""
+    # operator.index takes ints and NumPy integers; bool, an int, is no count.
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _number(name: str, value, low: float, strict: bool = False) -> float:
+    """value as a finite float > low (>= unless strict); ValueError naming the field if not."""
+    # The comparisons are False for NaN, raise TypeError for a str or None and
+    # ValueError for an array, and float() raises OverflowError for an int
+    # beyond the float range.
+    try:
+        if not isinstance(value, bool) and (low < value if strict else low <= value):
+            if value < math.inf:
+                return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    relation = ">" if strict else ">="
+    raise ValueError(f"{name} must be a finite number {relation} {low:g}, got {value!r}")
+
+
+def _kind_for_shape(n: int, p: int, kind: Optional[ModelKind] = None) -> ModelKind:
+    # The kind p + 1 points in R^n interpolate with: p = n is degree 1,
+    # p = q is degree 2, n < p < q is minimum-norm.  ValueError if there is
+    # none, or if kind is given and is not it.
+    q = (n * n + 3 * n) // 2
+    if p == n:
+        found = ModelKind.LIN_DET
+    elif p == q:
+        found = ModelKind.QUAD_DET
+    else:
+        found = ModelKind.MFN if n < p < q else None
+    if kind is None and found is None:
+        raise ValueError(
+            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
+        )
+    if kind is not None and found is not kind:
+        rule = {
+            ModelKind.LIN_DET: "p = n",
+            ModelKind.QUAD_DET: f"p = q = {q}",
+            ModelKind.MFN: "n < p < q",
+        }[kind]
+        raise ValueError(
+            f"{kind._label} interpolation needs {rule}, got n={n}, p={p}, q={q}"
+        )
+    return found
+
+
 def c_delta_max(delta_max: float) -> float:
     """min(1, 1/delta_max, 1/delta_max^2); the radius-cap normalizer."""
-    delta_max = float(delta_max)
-    if delta_max <= 0.0 or not math.isfinite(delta_max):
-        raise ValueError(f"delta_max must be positive and finite, got {delta_max}")
+    delta_max = _number("delta_max", delta_max, 0.0, strict=True)
     return min(1.0, 1.0 / delta_max, 1.0 / (delta_max * delta_max))
 
 
@@ -91,9 +146,10 @@ def constants_from_lambda(
     member or alias, such as PoisednessKind.LINEAR, or its name.
     """
     kind = ModelKind(kind)
-    lam = float(lam)
-    if lam < 1.0 - 1e-9:
-        raise ValueError(f"poisedness constant must be >= 1, got {lam}")
+    lam = _number("lam", lam, _LAM_LOW)
+    for name, value in (("n", n), ("p", p), ("q", q)):
+        if value is not None:
+            _integer(name, value, 1)
     if kind is ModelKind.LIN_DET:
         if n is None:
             raise ValueError("LINEAR needs n")
@@ -114,18 +170,13 @@ def hessian_bound_mfn(
 
     (kappa + L/2) * 4 lam (p+1) sqrt(2(q+1)) / c(delta_max)^2.
     """
-    _check_nonneg(L=L, kappa=kappa)
-    if lam < 1.0 - 1e-9:
-        raise ValueError(f"poisedness constant must be >= 1, got {lam}")
+    _number("L", L, 0.0)
+    _number("kappa", kappa, 0.0)
+    _number("lam", lam, _LAM_LOW)
+    _integer("p", p, 1)
+    _integer("q", q, 1)
     c = c_delta_max(delta_max)
     return (kappa + 0.5 * L) * 4.0 * lam * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
-
-
-def _check_nonneg(**named) -> None:
-    for key, value in named.items():
-        value = float(value)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{key} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,26 +202,18 @@ class BoundInputs:
     delta_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _check_nonneg(L=self.L, kappa=self.kappa)
-        for name in ("kappa_L", "kappa_Q", "kappa_s", "kappa_H"):
+        _number("L", self.L, 0.0)
+        _number("kappa", self.kappa, 0.0)
+        for name, low, strict in (
+            ("kappa_L", 0.0, False), ("kappa_Q", 0.0, False), ("kappa_s", 0.0, False),
+            ("kappa_H", 0.0, False), ("lam", _LAM_LOW, False),
+            ("delta", 0.0, True), ("delta_max", 0.0, True),
+        ):
             if getattr(self, name) is not None:
-                _check_nonneg(**{name: getattr(self, name)})
-        # A chained comparison is False for NaN, so NaN is rejected too.
-        if self.lam is not None and not 1.0 - 1e-9 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
-        for name in ("delta", "delta_max"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        # bool passes as Integral, so it is rejected explicitly.
+                _number(name, getattr(self, name), low, strict)
         for name in ("n", "p"):
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, numbers.Integral)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name), 1)
         if self.n is not None and self.p is not None and self.p < self.n:
             raise ValueError(f"p must be at least n = {self.n}, got {self.p}")
         if self.delta is not None and self.delta_max is None:

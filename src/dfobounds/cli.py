@@ -20,7 +20,7 @@ from typing import Optional
 
 # Only the NumPy-free bounds module loads with the CLI; each command imports
 # the rest of what it runs, so `dfobounds bounds` never loads NumPy.
-from .bounds import BoundInputs, _require, error_bounds
+from .bounds import BoundInputs, ModelKind, _kind_for_shape, _require, error_bounds
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -217,6 +217,8 @@ def _cmd_bounds(args) -> int:
     if args.kind == "under":
         # UNDER is MFN with both matrix constants supplied.
         _require(inputs, "p", "kappa_s", "kappa_H")
+    if args.n is not None and args.p is not None:
+        _kind_for_shape(args.n, args.p, ModelKind(args.kind))
     payload = error_bounds(args.kind, inputs).to_dict()
     # The document names the kind as requested, so UNDER stays UNDER.
     payload["kind"] = args.kind.upper()

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .ball import _rownorm, max_abs_on_ball
-from .bounds import ModelKind, constants_from_lambda
+from .bounds import ModelKind, _integer, _kind_for_shape, _number, constants_from_lambda
 from .poly import QuadraticPolynomial, basis_matrix, space_dim
 
 __all__ = [
@@ -93,9 +93,7 @@ class SampleSet:
             raise ValueError("need at least two sample points")
         if pts.shape[1] < 1:
             raise ValueError("points need at least one coordinate")
-        radius = float(self.radius)
-        if not np.isfinite(radius) or radius <= 0.0:
-            raise ValueError(f"radius must be positive and finite, got {radius}")
+        radius = _number("radius", self.radius, 0.0, strict=True)
         _check_points(pts, radius)
         normalized = (pts - pts[0]) / radius
         pts.setflags(write=False)
@@ -170,33 +168,6 @@ def _saddle_system(points: np.ndarray):
     M = basis_matrix(points)
     Ml, Mq = M[:, : n + 1], M[:, n + 1 :]
     return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
-
-
-def _kind_for_shape(n: int, p: int, kind: Optional[ModelKind] = None) -> ModelKind:
-    # The kind p + 1 points in R^n interpolate with: p = n is degree 1,
-    # p = q is degree 2, n < p < q is minimum-norm.  ValueError if there is
-    # none, or if kind is given and is not it.
-    q = space_dim(2, n) - 1
-    if p == n:
-        found = ModelKind.LIN_DET
-    elif p == q:
-        found = ModelKind.QUAD_DET
-    else:
-        found = ModelKind.MFN if n < p < q else None
-    if kind is None and found is None:
-        raise ValueError(
-            f"p={p} fits no interpolation kind for n={n} (p=n, p={q}, or n<p<{q})"
-        )
-    if kind is not None and found is not kind:
-        rule = {
-            ModelKind.LIN_DET: "p = n",
-            ModelKind.QUAD_DET: f"p = q = {q}",
-            ModelKind.MFN: "n < p < q",
-        }[kind]
-        raise ValueError(
-            f"{kind._label} interpolation needs {rule}, got n={n}, p={p}, q={q}"
-        )
-    return found
 
 
 def _system(sample_set: SampleSet, kind: ModelKind):
@@ -464,12 +435,10 @@ def generate_poised_set(
     U as its normalized points, the Lagrange basis already solved for on it
     and its certificate, so later fits use exactly the certified geometry.
     """
-    if lambda_max <= 1.0:
-        raise ValueError(f"lambda_max must exceed 1, got {lambda_max}")
+    n, p, seed = _integer("n", n, 1), _integer("p", p, 1), _integer("seed", seed, 0)
+    delta = _number("delta", delta, 0.0, strict=True)
+    _number("lambda_max", lambda_max, 1.0, strict=True)
     kind = _kind_for_shape(n, p)
-    delta = float(delta)
-    if delta <= 0.0 or not np.isfinite(delta):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float).ravel()
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")

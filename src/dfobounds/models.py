@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bounds import ModelKind
+from .bounds import ModelKind, _integer, _number
 from .geometry import (
     SampleSet,
     _interpolate,
@@ -52,21 +51,14 @@ class RelaxationSpec:
     noise_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        kappa = float(self.kappa)
-        if not np.isfinite(kappa) or kappa < 0.0:
-            raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _number("kappa", self.kappa, 0.0))
         if self.gamma is not None:
             g = np.asarray(self.gamma, dtype=float).ravel()
             if not np.all(np.isfinite(g)):
                 raise ValueError("gamma values must be finite")
             object.__setattr__(self, "gamma", g)
-        # bool passes as Integral, so it is rejected explicitly.
-        seed = self.noise_seed
-        if seed is not None and (
-            not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
-        ):
-            raise ValueError(f"noise_seed must be a nonnegative integer, got {seed!r}")
+        if self.noise_seed is not None:
+            _integer("noise_seed", self.noise_seed, 0)
 
 
 @dataclass(frozen=True)

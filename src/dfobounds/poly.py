@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _integer
+
 __all__ = [
     "QuadraticPolynomial",
     "space_dim",
@@ -16,8 +18,7 @@ __all__ = [
 
 def space_dim(degree: int, n: int) -> int:
     """Dimension of the space of polynomials of the given degree over R^n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer("n", n, 1)
     if degree == 1:
         return n + 1
     if degree == 2:
@@ -84,9 +85,7 @@ class QuadraticPolynomial:
     hessian: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.dim)
-        if n < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        n = _integer("dim", self.dim, 1)
         c = float(self.constant)
         g = np.array(self.gradient, dtype=float).reshape(-1)
         H = np.array(self.hessian, dtype=float)

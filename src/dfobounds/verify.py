@@ -15,18 +15,18 @@ import functools
 import itertools
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .ball import max_abs_on_ball
-from .bounds import BoundInputs, ModelKind, c_delta_max, error_bounds
+from .bounds import (
+    BoundInputs, ModelKind, _integer, _kind_for_shape, _number, c_delta_max, error_bounds
+)
 from .geometry import (
     SampleSet,
-    _kind_for_shape,
     generate_poised_set,
     # Bound here so tracers that look the certifier up in this module keep
     # finding it.
@@ -231,6 +231,7 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     reaches at least 1; a degree-1 one with unit Euclidean coefficient norm
     reaches at least 1/sqrt(n+1).
     """
+    count = _integer("count", count, 1)
     rng = np.random.default_rng(seed)
     dim_quad = space_dim(2, n)
     # Rows of FULL degree-2 coefficients; affine rows end in zeros.
@@ -335,41 +336,24 @@ class TrialConfig:
     kappa: float = 0.0
     lambda_max: float = 100.0
     seed: int = 0
-    sample_count: int = 1000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ModelKind(self.kind))
-        # bool passes as Integral and Real, so it is rejected explicitly.
-        for name, least in (("n", 1), ("p", 1), ("sample_count", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name, least in (("n", 1), ("p", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), least)
         # The generator infers the interpolation kind from (n, p); it must be
         # the model kind.
         _kind_for_shape(self.n, self.p, self.kind)
-        for name in ("delta", "delta_max", "kappa", "lambda_max"):
-            value = getattr(self, name)
-            if name == "delta_max" and value is None:
-                continue
-            if (
-                not isinstance(value, numbers.Real)
-                or isinstance(value, bool)
-                or not np.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        # The same rule BoundInputs applies to the radius cap.
-        if self.delta_max is not None and self.delta > self.delta_max * (1.0 + 1e-12):
-            raise ValueError(
-                f"delta_max must be at least delta {self.delta}, got {self.delta_max}"
-            )
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.lambda_max <= 1.0:
-            raise ValueError(f"lambda_max must exceed 1, got {self.lambda_max}")
+        _number("delta", self.delta, 0.0, strict=True)
+        if self.delta_max is not None:
+            _number("delta_max", self.delta_max, 0.0, strict=True)
+            # The same rule BoundInputs applies to the radius cap.
+            if self.delta > self.delta_max * (1.0 + 1e-12):
+                raise ValueError(
+                    f"delta_max must be at least delta {self.delta}, got {self.delta_max}"
+                )
+        _number("kappa", self.kappa, 0.0)
+        _number("lambda_max", self.lambda_max, 1.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -433,6 +417,9 @@ def _halton_points(d: int, count: int) -> np.ndarray:
     return out
 
 
+_PROBE_COUNT = 1000  # Halton points in every trial's probe block
+
+
 @functools.lru_cache(maxsize=8)
 def _unit_probe_block(n: int, count: int):
     """The probe points on the unit ball at the origin, built once per (n, count).
@@ -458,7 +445,7 @@ def _unit_probe_block(n: int, count: int):
 
 @dataclass(frozen=True)
 class _ProbePlan:
-    """What every trial at one (function, n, delta, seed, sample_count) probes.
+    """What every trial at one (function, n, delta, seed) probes.
 
     ``center`` is the ball center, ``block`` the absolute probe points
     [center + delta * U; center + delta / sqrt(n) * corners] (see
@@ -500,12 +487,13 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _Probe
 
 
 def _plan_key(config: TrialConfig) -> tuple:
-    return (config.function, config.n, float(config.delta), config.seed, config.sample_count)
+    return (config.function, config.n, float(config.delta), config.seed)
 
 
 def _shape_key(config: TrialConfig) -> tuple:
-    # Holds lambda_max as given, which a failed shape's message quotes; it
-    # has four fields and a plan key five, so the two never collide.
+    # Holds lambda_max as given, which a failed shape's message quotes.  It
+    # starts with the int n and a plan key with the str function, so the
+    # two never collide.
     return (config.n, config.p, config.lambda_max, config.seed)
 
 
@@ -522,7 +510,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         fn = resolve_function(config.function, config.n)
         plan = _take(
             _plan_key(config),
-            lambda: _probe_plan(fn, delta, config.seed, config.sample_count),
+            lambda: _probe_plan(fn, delta, config.seed, _PROBE_COUNT),
         )
     except Exception:
         # The trial fails before generate_poised_set takes its shape.
@@ -652,6 +640,10 @@ def expand_config(config: dict):
     unknown = sorted(set(config) - set(names))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    required = (f.name for f in fields(TrialConfig) if f.default is MISSING)
+    missing = sorted(name for name in required if name not in config)
+    if missing:
+        raise ValueError(f"config is missing keys: {', '.join(missing)}")
     axes = []
     for name in names:
         if name in config:
@@ -735,7 +727,7 @@ def run_campaign(
     Every distinct shape is certified before the first trial, the
     improvement loops of one n in lockstep, and each trial places its own.
     So ``progress``, called before each trial, first fires once the shapes
-    exist.  Trials that share (function, n, delta, seed, sample_count), such
+    exist.  Trials that share (function, n, delta, seed), such
     as the kinds of one sweep point, share one probe plan: the ball center,
     the probe block and the objective's values and gradients on it, built
     by the first of them.

@@ -7,11 +7,19 @@ from dfobounds import (
     BoundInputs,
     BoundKind,
     PoisednessKind,
+    QuadraticPolynomial,
+    RelaxationSpec,
+    SampleSet,
+    basis_floor_checks,
     c_delta_max,
     closed_form_bounds,
     constants_from_lambda,
     error_bounds,
+    generate_poised_set,
+    grid_oracle,
     hessian_bound_mfn,
+    max_abs_on_ball,
+    space_dim,
 )
 
 
@@ -157,6 +165,11 @@ class TestErrorBounds:
             ({"delta": 0.5, "delta_max": 0.0}, "delta_max"),
             ({"lam": float("nan")}, "lam"),
             ({"lam": float("inf")}, "lam"),
+            ({"L": 10**400}, "L"),
+            ({"L": "2"}, "L"),
+            ({"L": True}, "L"),
+            ({"lam": "2"}, "lam"),
+            ({"kappa": True}, "kappa"),
         ],
     )
     def test_meaningless_inputs_name_the_field(self, kwargs, field):
@@ -198,6 +211,64 @@ class TestErrorBounds:
         payload = report.to_dict()
         assert payload["kind"] == "LIN_DET"
         assert set(payload) >= {"C_f", "C_g", "C_H", "provenance"}
+
+
+NAN = float("nan")
+_POLY = QuadraticPolynomial(2, 0.5, [1.0, -1.0], [[2.0, 0.0], [0.0, -1.0]])
+_TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: generate_poised_set(4, 10, 0.1, NAN, seed=0), "lambda_max",
+                     id="generate-lambda_max-nan"),
+        pytest.param(lambda: generate_poised_set(2, 4, 0.1, float("inf"), seed=0),
+                     "lambda_max", id="generate-lambda_max-inf"),
+        pytest.param(lambda: generate_poised_set(2, 4, 0.1, 10.0, seed=-1), "seed",
+                     id="generate-seed-negative"),
+        pytest.param(lambda: generate_poised_set(2, 4, 0.1, 10.0, seed=1.5), "seed",
+                     id="generate-seed-float"),
+        pytest.param(lambda: generate_poised_set(2, 4, 0.1, 10.0, seed=True), "seed",
+                     id="generate-seed-bool"),
+        pytest.param(lambda: generate_poised_set(2, 4.0, 0.1, 10.0, seed=0), "p",
+                     id="generate-p-float"),
+        pytest.param(lambda: SampleSet(_TRIANGLE, True), "radius", id="sampleset-radius-bool"),
+        pytest.param(lambda: SampleSet(_TRIANGLE, np.array([1.0, 2.0])), "radius",
+                     id="sampleset-radius-array"),
+        pytest.param(lambda: RelaxationSpec(kappa=True), "kappa", id="relaxation-kappa-bool"),
+        pytest.param(lambda: max_abs_on_ball(_POLY, [0.0, 0.0], True), "radius",
+                     id="max_abs-radius-bool"),
+        pytest.param(lambda: max_abs_on_ball(_POLY, [0.0, 0.0], "0.5"), "radius",
+                     id="max_abs-radius-str"),
+        pytest.param(lambda: grid_oracle(_POLY, [0.0, 0.0], True, 0.1), "radius",
+                     id="grid-radius-bool"),
+        pytest.param(lambda: grid_oracle(_POLY, [0.0, 0.0], 1.0, "0.1"), "resolution",
+                     id="grid-resolution-str"),
+        pytest.param(lambda: c_delta_max(True), "delta_max", id="c_delta_max-bool"),
+        pytest.param(lambda: c_delta_max(10**400), "delta_max", id="c_delta_max-huge"),
+        pytest.param(lambda: constants_from_lambda("linear", NAN, n=2), "lam",
+                     id="constants-lam-nan"),
+        pytest.param(lambda: constants_from_lambda("linear", 2.0, n=-2), "n",
+                     id="constants-n-negative"),
+        pytest.param(lambda: constants_from_lambda("quadratic", 2.0, q=5.0), "q",
+                     id="constants-q-float"),
+        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, NAN, 4, 5, 0.1), "lam",
+                     id="hessian-lam-nan"),
+        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, 2.0, 4, -7, 0.1), "q",
+                     id="hessian-q-negative"),
+        pytest.param(lambda: hessian_bound_mfn(True, 0.0, 2.0, 4, 5, 0.1), "L",
+                     id="hessian-L-bool"),
+        pytest.param(lambda: basis_floor_checks(2, count=0), "count", id="floor-count-zero"),
+        pytest.param(lambda: space_dim(2, True), "n", id="space_dim-n-bool"),
+        pytest.param(lambda: QuadraticPolynomial(2.5, 0.0, [0.0, 0.0], np.zeros((2, 2))),
+                     "dim", id="poly-dim-float"),
+    ],
+)
+def test_entry_points_name_the_bad_field(call, field):
+    # Every public entry point applies the one rule for its scalar inputs.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call()
 
 
 def random_valid_inputs(rng):

@@ -153,7 +153,7 @@ class TestFit:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"noise_seed must be a nonnegative integer, got {seed}" in captured.err
+        assert f"noise_seed must be an integer of at least 0, got {seed}\n" in captured.err
 
     def test_overflowing_values_exit_1_without_out_file(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
@@ -198,6 +198,15 @@ class TestBounds:
             (["--kind", "quad_det", "--n", "0"], "n must be an integer of at least 1"),
             (["--kind", "mfn", "--n", "3", "--p", "2", "--delta", "0.1"],
              "p must be at least n"),
+            # Shapes that no kind admits, or another kind than the one asked for.
+            (["--kind", "mfn", "--n", "2", "--p", "7", "--delta", "0.1"],
+             "MFN interpolation needs n < p < q, got n=2, p=7, q=5"),
+            (["--kind", "quad_det", "--n", "2", "--p", "3"],
+             "QUADRATIC interpolation needs p = q = 5, got n=2, p=3, q=5"),
+            (["--kind", "lin_det", "--n", "2", "--p", "4"],
+             "LINEAR interpolation needs p = n, got n=2, p=4, q=5"),
+            (["--kind", "under", "--kappa-s", "1", "--kappa-H", "2", "--n", "2", "--p", "2"],
+             "MFN interpolation needs n < p < q, got n=2, p=2, q=5"),
         ],
     )
     def test_bad_dimension_exits_1(self, capsys, argv, message):
@@ -228,9 +237,9 @@ class TestBounds:
             (["--kind", "under", "--kappa-s", "1", "--kappa-H", "-2", "--p", "4"],
              "kappa_H must be"),
             (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--delta", "-0.5",
-              "--delta-max", "1"], "delta must be positive"),
+              "--delta-max", "1"], "delta must be a finite number > 0, got -0.5"),
             (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--delta", "0"],
-             "delta must be positive"),
+             "delta must be a finite number > 0, got 0.0"),
             (["--kind", "quad_det", "--lam", "1"], "bound computation needs n"),
         ],
     )
@@ -394,6 +403,18 @@ class TestVerify:
         assert code == 1
         assert captured.out == ""
         assert "n must be an integer" in captured.err
+
+    def test_missing_key_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"function": "quartic", "kind": "mfn", "n": 2}))
+        code = main(
+            ["verify", "--config", str(cfg), "--csv", str(tmp_path / "o.csv"),
+             "--json", str(tmp_path / "o.json"), "--quiet"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "dfobounds: error: config is missing keys: delta, p\n"
 
     def test_failing_trial_exits_2(self, capsys, tmp_path):
         # radius larger than the quartic domain can host

@@ -174,7 +174,7 @@ def test_campaign_kind_labels(tmp_path):
     for kind, p in SHAPES.items():
         trials += expand_config(
             {"function": "quartic", "kind": kind.value, "n": 2, "p": p,
-             "delta": 0.1, "sample_count": 20}
+             "delta": 0.1}
         )
     report = run_campaign(
         trials, csv_path=tmp_path / "c.csv", json_path=tmp_path / "s.json"

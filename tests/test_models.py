@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,7 +240,8 @@ class TestRelaxedFits:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.float64(2.0)])
     def test_noise_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError, match="^noise_seed must be a nonnegative integer"):
+        message = f"^noise_seed must be an integer of at least 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
             RelaxationSpec(kappa=1.0, noise_seed=seed)
 
 

@@ -433,8 +433,6 @@ class TestTrials:
             ("n", 2.5),
             ("n", True),
             ("p", 4.0),
-            ("sample_count", "x"),
-            ("sample_count", 0),
             ("seed", 1.5),
             ("seed", -1),
             ("delta", True),
@@ -444,6 +442,8 @@ class TestTrials:
             ("delta_max", float("inf")),
             ("delta_max", 0.05),
             ("delta_max", True),
+            pytest.param("delta", 10**400, id="delta-int-beyond-float"),
+            pytest.param("kappa", 10**400, id="kappa-int-beyond-float"),
             # Shapes the generator would certify for another kind, or none.
             ("p", 6),
             pytest.param("p", {"kind": "lin_det", "n": 3, "p": 5}, id="p-lin_det-n3-p5"),
@@ -479,6 +479,14 @@ class TestExpandConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             expand_config({"function": "quartic", "radius": 1.0})
+        # The probe count is fixed; it is no config key.
+        with pytest.raises(ValueError, match="^unknown config keys: sample_count$"):
+            expand_config({"function": "quartic", "kind": "mfn", "n": 2, "p": 4,
+                           "delta": 0.1, "sample_count": 200})
+
+    def test_missing_key_named(self):
+        with pytest.raises(ValueError, match="^config is missing keys: delta, p$"):
+            expand_config({"function": "quartic", "kind": "mfn", "n": 2})
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -803,21 +811,19 @@ class TestCampaign:
 
 def _mixed_sweep():
     # Quartic and Rosenbrock at n = 2, the quadratic at n = 4 and n = 8 with
-    # its exact-argmax probe, relaxed fits, two probe counts, and a radius
-    # that fits Rosenbrock's box for some seeds only.
+    # its exact-argmax probe and two radii per shape, relaxed fits, and a
+    # radius that fits Rosenbrock's box for some seeds only.
     trials = []
     for kind, n, p in (("lin_det", 2, 2), ("quad_det", 2, 5), ("mfn", 2, 4)):
         trials += expand_config(
             {"function": ["quartic", "rosenbrock"], "kind": kind, "n": n, "p": p,
-             "delta": [0.1, 1.5], "kappa": 0.01, "seed": [0, 1, 2],
-             "sample_count": 200}
+             "delta": [0.1, 1.5], "kappa": 0.01, "seed": [0, 1, 2]}
         )
     for kind, n, p in (("mfn", 4, 10), ("quad_det", 4, 14), ("lin_det", 8, 8),
                        ("mfn", 8, 12)):
         trials += expand_config(
-            {"function": "quadratic", "kind": kind, "n": n, "p": p, "delta": 0.2,
-             "kappa": 0.01, "lambda_max": 5.0, "seed": [0, 1],
-             "sample_count": [200, 300]}
+            {"function": "quadratic", "kind": kind, "n": n, "p": p,
+             "delta": [0.2, 0.1], "kappa": 0.01, "lambda_max": 5.0, "seed": [0, 1]}
         )
     return trials
 
