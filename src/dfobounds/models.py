@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,17 +61,40 @@ class RelaxationSpec:
             _integer("noise_seed", self.noise_seed, 0)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted model, worst re-substitution residual, condition estimate."""
+_OVERFLOW = "values overflow the fit: its coefficients are not finite"
 
-    model: QuadraticPolynomial
-    residual: float
+
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    """A fit: its read-only FULL degree-2 ``coeffs`` on the normalized set.
+
+    The absolute ``model`` (ValueError if it overflows) and its worst
+    re-substitution ``residual`` are built on first read.
+    """
+
+    coeffs: np.ndarray
     condition: float
+    _sample_set: SampleSet = field(repr=False)
+    _values: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def model(self) -> QuadraticPolynomial:
+        ss = self._sample_set
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = QuadraticPolynomial.from_coeffs(self.coeffs, ss.n).compose_affine(
+                -ss.y0 / ss.radius, 1.0 / ss.radius
+            )
+            if not np.isfinite(model.coeffs()).all():
+                raise ValueError(_OVERFLOW)
+        return model
+
+    @functools.cached_property
+    def residual(self) -> float:
+        return float(np.abs(self.model.eval_batch(self._sample_set.points) - self._values).max())
 
 
 def _check_values(sample_set: SampleSet, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float).ravel()
+    v = np.array(values, dtype=float).ravel()  # a copy: residuals read it later
     if v.shape != (sample_set.p + 1,):
         raise ValueError(
             f"expected {sample_set.p + 1} values, got {v.shape[0]}"
@@ -82,22 +105,14 @@ def _check_values(sample_set: SampleSet, values) -> np.ndarray:
 
 
 def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
-    # The kind's interpolant of rhs, with its residual against values; the
-    # caller checked both.  Finite values can still overflow the expansion.
+    # The caller checked rhs and values; finite ones can still overflow.
     kind = ModelKind(kind)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, cond = _interpolate(sample_set, kind, rhs)
-        model = QuadraticPolynomial.from_coeffs(coeffs, sample_set.n).compose_affine(
-            -sample_set.y0 / sample_set.radius, 1.0 / sample_set.radius
-        )
-    if not (
-        math.isfinite(model.constant)
-        and np.isfinite(model.gradient).all()
-        and np.isfinite(model.hessian).all()
-    ):
-        raise ValueError("values overflow the fit: its coefficients are not finite")
-    residual = float(np.abs(model.eval_batch(sample_set.points) - values).max())
-    return FitResult(model=model, residual=residual, condition=cond)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(_OVERFLOW)
+    coeffs.setflags(write=False)
+    return FitResult(coeffs, cond, sample_set, values)
 
 
 def fit_model(kind, sample_set: SampleSet, values) -> FitResult:

@@ -38,12 +38,7 @@ from .geometry import (
     _take,
     normalized_points,
 )
-from .models import (
-    FitResult,
-    RelaxationSpec,
-    fit_model,
-    fit_relaxed,
-)
+from .models import RelaxationSpec, fit_model, fit_relaxed
 from .poly import QuadraticPolynomial, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
@@ -232,7 +227,7 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     reaches at least 1/sqrt(n+1).
     """
     count = _integer("count", count, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     dim_quad = space_dim(2, n)
     # Rows of FULL degree-2 coefficients; affine rows end in zeros.
     zeros = np.zeros(dim_quad - n - 1)
@@ -278,19 +273,22 @@ def check_theory(
     absolute affine matrix through the normalized points
     (``shifted_factorization``) and the basis floors; MFN also gets one
     Hessian cap per Lagrange polynomial.  ``kind`` is anything
-    ``ModelKind`` takes.  Raises NotPoisedError for degenerate sets (no
+    ``ModelKind`` takes.  ``delta_max`` defaults to the set's radius and
+    may not be below it.  Raises NotPoisedError for degenerate sets (no
     inequalities are emitted in that case).
     """
+    floor_samples = _integer("floor_samples", floor_samples, 1)
     kind = ModelKind(kind)
+    delta = sample_set.radius
+    # BoundInputs' rule for the radius cap, which it defaults to delta.
+    delta_max = BoundInputs(L=0.0, delta=delta, delta_max=delta_max).delta_max
     cert, coeffs = _certify(sample_set, kind)
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
-    delta = sample_set.radius
     checks = [_le(kind._norm_check, cert.matrix_norm, cert.norm_bound)]
 
     if kind is ModelKind.MFN:
-        dm = delta if delta_max is None else float(delta_max)
-        c = c_delta_max(dm)
+        c = c_delta_max(delta_max)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
         # The absolute Hessian of l_j is the normalized one over delta^2.
         H_hat = _split_coeffs(coeffs, n)[2]
@@ -345,13 +343,8 @@ class TrialConfig:
         # the model kind.
         _kind_for_shape(self.n, self.p, self.kind)
         _number("delta", self.delta, 0.0, strict=True)
-        if self.delta_max is not None:
-            _number("delta_max", self.delta_max, 0.0, strict=True)
-            # The same rule BoundInputs applies to the radius cap.
-            if self.delta > self.delta_max * (1.0 + 1e-12):
-                raise ValueError(
-                    f"delta_max must be at least delta {self.delta}, got {self.delta_max}"
-                )
+        # The radius cap follows BoundInputs' rule.
+        BoundInputs(L=0.0, delta=self.delta, delta_max=self.delta_max)
         _number("kappa", self.kappa, 0.0)
         _number("lambda_max", self.lambda_max, 1.0, strict=True)
 
@@ -529,7 +522,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     cert = sample_set.certificate
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
-        fit: FitResult = fit_relaxed(
+        fit = fit_relaxed(
             config.kind,
             sample_set,
             values,
@@ -537,7 +530,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
         )
     else:
         fit = fit_model(config.kind, sample_set, values)
-    model = fit.model
 
     inputs = BoundInputs(
         L=fn.lipschitz_L,
@@ -550,38 +542,39 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
     report = error_bounds(config.kind, inputs)
 
-    # Probe the plan's block, the sample points and, for a quadratic
-    # objective, the exact worst point: its error is itself quadratic.
-    blocks = [plan.block, sample_set.points]
+    # The fit is scored where it was solved, at u = (x - center) / delta (the
+    # set's base point and radius): on the block's unit rows, the sample
+    # points and, for a quadratic objective, the exact worst point, as its
+    # error is itself quadratic.  Absolute gradients are the normalized ones
+    # over delta, and the absolute Hessian the normalized one over delta^2.
+    n = config.n
+    unit, corners = _unit_probe_block(n, _PROBE_COUNT)
+    rows = [unit] if corners is None else [unit, corners / math.sqrt(n)]
+    rows.append(normalized_points(sample_set))
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:
-        q = fn.quadratic
-        error = QuadraticPolynomial(
-            config.n,
-            q.constant - model.constant,
-            q.gradient - model.gradient,
-            q.hessian - model.hessian,
-        )
-        _, arg = max_abs_on_ball(error, plan.center, delta)
-        arg = arg[None, :]
-        blocks.append(arg)
-        f_parts.append(fn.f(arg))
-        g_parts.append(fn.grad(arg))
-    X = np.concatenate(blocks)
-    f_err = np.abs(np.concatenate(f_parts) - model.eval_batch(X))
-    g_err = np.concatenate(g_parts) - model.grad_batch(X)
+        error = fn.quadratic.compose_affine(plan.center, delta).coeffs() - fit.coeffs
+        arg = max_abs_on_ball(error[None, :], np.zeros(n), 1.0)[1]
+        rows.append(arg)
+        worst = plan.center + delta * arg
+        f_parts.append(fn.f(worst))
+        g_parts.append(fn.grad(worst))
+    U = np.concatenate(rows)
+    fitted = QuadraticPolynomial.from_coeffs(fit.coeffs, n)
+    f_err = np.abs(np.concatenate(f_parts) - fitted.eval_batch(U))
+    g_err = np.concatenate(g_parts) - fitted.grad_batch(U) / delta
     # Squared row norms summed column by column: NumPy's per-row reduction
     # costs several times the arithmetic on n columns.
     g_sq = g_err[:, 0] * g_err[:, 0]
-    for k in range(1, config.n):
+    for k in range(1, n):
         g_sq += g_err[:, k] * g_err[:, k]
     emp_f = float(f_err.max()) / (delta * delta)
     emp_g = math.sqrt(g_sq.max()) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|;
     # a LIN_DET model's Hessian is exactly zero, whose norm needs no solve.
-    H = model.hessian
-    emp_H = float(np.abs(np.linalg.eigvalsh(H)).max()) if H.any() else 0.0
+    H = fitted.hessian
+    emp_H = float(np.abs(np.linalg.eigvalsh(H)).max()) / (delta * delta) if H.any() else 0.0
 
     margin_f = _margin(emp_f, report.C_f)
     margin_g = _margin(emp_g, report.C_g)
@@ -698,15 +691,25 @@ def _quantiles(margins: np.ndarray) -> dict:
     """q50, q90 and max of each row of the (3, m) margins, keyed by margin.
 
     m >= 1, since a kind is summarized only when some trial of it ran.
+    The quantiles are np.quantile's default linear rule, bit for bit, on
+    one sort: position (m - 1) q between the sorted neighbours lo and hi,
+    interpolated from the nearer end.
     """
-    with np.errstate(invalid="ignore"):  # interpolating between infinities
-        q50, q90 = np.quantile(margins, [0.5, 0.9], axis=1)
-    top = margins.max(axis=1)
+    s = np.sort(margins, axis=1)
+    m = s.shape[1]
+    out = {"max": s[:, -1]}  # NaN sorts last, so a row with one has NaN here
+    for key, q in (("q50", 0.5), ("q90", 0.9)):
+        lo = math.floor((m - 1) * q)
+        t = (m - 1) * q - lo
+        a, b = s[:, lo], s[:, min(lo + 1, m - 1)]
+        with np.errstate(invalid="ignore"):  # interpolating between infinities
+            out[key] = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+        out[key][np.isnan(out["max"])] = np.nan
     # Strict JSON has no infinity: a non-finite margin is written as null.
     return {
         name: {
-            key: float(v) if np.isfinite(v) else None
-            for key, v in (("q50", q50[i]), ("q90", q90[i]), ("max", top[i]))
+            key: float(out[key][i]) if np.isfinite(out[key][i]) else None
+            for key in ("q50", "q90", "max")
         }
         for i, name in enumerate(_MARGINS)
     }

@@ -12,6 +12,7 @@ from dfobounds import (
     SampleSet,
     basis_floor_checks,
     c_delta_max,
+    check_theory,
     closed_form_bounds,
     constants_from_lambda,
     error_bounds,
@@ -260,6 +261,19 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
         pytest.param(lambda: hessian_bound_mfn(True, 0.0, 2.0, 4, 5, 0.1), "L",
                      id="hessian-L-bool"),
         pytest.param(lambda: basis_floor_checks(2, count=0), "count", id="floor-count-zero"),
+        pytest.param(lambda: basis_floor_checks(2, seed=-1), "seed", id="floor-seed-negative"),
+        pytest.param(lambda: basis_floor_checks(2, seed=1.5), "seed", id="floor-seed-float"),
+        pytest.param(lambda: basis_floor_checks(2, seed=True), "seed", id="floor-seed-bool"),
+        pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", floor_samples=0),
+                     "floor_samples", id="theory-floor_samples-zero"),
+        pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", seed=-1),
+                     "seed", id="theory-seed-negative"),
+        pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", seed=1.5),
+                     "seed", id="theory-seed-float"),
+        pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", seed=True),
+                     "seed", id="theory-seed-bool"),
+        pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", delta_max=NAN),
+                     "delta_max", id="theory-delta_max-nan"),
         pytest.param(lambda: space_dim(2, True), "n", id="space_dim-n-bool"),
         pytest.param(lambda: QuadraticPolynomial(2.5, 0.0, [0.0, 0.0], np.zeros((2, 2))),
                      "dim", id="poly-dim-float"),

@@ -283,8 +283,9 @@ def test_wrong_shape_names_rule(p, call, rule):
 
 
 def test_fits_and_lagrange_builders_pull_back_through_compose_affine(monkeypatch):
-    # compose_affine is the one pull-back from the normalized set: each fit
-    # calls it once, and a Lagrange builder once per polynomial.
+    # compose_affine is the one pull-back from the normalized set: a fit
+    # calls it only when its model is first read, and a Lagrange builder
+    # once per polynomial.
     calls = []
     pull_back = QuadraticPolynomial.compose_affine
 
@@ -295,10 +296,45 @@ def test_fits_and_lagrange_builders_pull_back_through_compose_affine(monkeypatch
     monkeypatch.setattr(QuadraticPolynomial, "compose_affine", counted)
     ss = generate_poised_set(2, 4, 0.5, 25.0, seed=0, center=[1.0, -2.0])
     values = np.arange(5.0)
-    fit_model(ModelKind.MFN, ss, values)
+    fit = fit_model(ModelKind.MFN, ss, values)
+    relaxed = fit_relaxed(ModelKind.MFN, ss, values, RelaxationSpec(0.1, noise_seed=0))
+    assert calls == []
+    model = fit.model
     assert calls == [2.0]
-    fit_relaxed(ModelKind.MFN, ss, values, RelaxationSpec(0.1, noise_seed=0))
+    assert fit.model is model
+    assert calls == [2.0]
+    # The residual reads the model, which is built once for both.
+    assert relaxed.residual <= 0.1 * 0.5**2 * (1.0 + 1e-9)
+    relaxed.model
     assert calls == [2.0] * 2
     basis = lagrange_mfn(ss)
     assert calls == [2.0] * (2 + len(basis))
     assert len(basis) == 5
+
+
+def test_fit_keeps_normalized_coefficients(rng):
+    # coeffs is the fit on the normalized points, read-only, and the model
+    # is that polynomial pulled back: both agree at every sample point.
+    ss = generate_poised_set(2, 5, 0.3, 25.0, seed=2, center=[0.4, -0.7])
+    values = rng.standard_normal(6)
+    fit = fit_model(ModelKind.QUAD_DET, ss, values)
+    assert not fit.coeffs.flags.writeable
+    normalized = QuadraticPolynomial.from_coeffs(fit.coeffs, 2)
+    unit = (ss.points - ss.y0) / ss.radius
+    assert np.allclose(normalized.eval_batch(unit), values, atol=1e-12)
+    assert np.allclose(fit.model.eval_batch(ss.points), values, atol=1e-12)
+    assert fit.residual == float(np.abs(fit.model.eval_batch(ss.points) - values).max())
+
+
+def test_pull_back_overflow_raises_on_first_model_read():
+    # A radius of 1e-160 keeps the normalized coefficients finite, but the
+    # absolute Hessian is the normalized one over 1e-320, which overflows.
+    pts = 1e-160 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    ss = SampleSet(pts, 1e-160)
+    fit = fit_model(ModelKind.MFN, ss, [0.0, 1.0, 1.0, 1.0, 1.0])
+    assert np.isfinite(fit.coeffs).all() and np.isfinite(fit.condition)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="values overflow the fit"):
+            fit.model
+    with pytest.raises(ValueError, match="values overflow the fit"):
+        fit.residual

@@ -12,14 +12,19 @@ from dfobounds import (
     CSV_COLUMNS,
     NotPoisedError,
     PoisednessKind,
+    QuadraticPolynomial,
+    RelaxationSpec,
     SampleSet,
     TrialConfig,
     basis_floor_checks,
     builtin_functions,
     check_theory,
     expand_config,
+    fit_model,
+    fit_relaxed,
     generate_poised_set,
     lagrange_mfn,
+    max_abs_on_ball,
     quadratic_function,
     quartic_function,
     resolve_function,
@@ -338,6 +343,14 @@ class TestCheckTheory:
         assert not check.passed
         assert check.lhs > 100 * check.rhs
 
+    @pytest.mark.parametrize("kind, p", [("lin_det", 2), ("mfn", 4)])
+    def test_delta_max_below_radius_rejected(self, kind, p):
+        # The radius cap follows BoundInputs' rule, for every kind.
+        ss = generate_poised_set(2, p, 0.5, 25.0, seed=0)
+        with pytest.raises(ValueError, match="^delta 0.5 exceeds delta_max 0.1$"):
+            check_theory(ss, kind, delta_max=0.1, floor_samples=5)
+        assert all(c.passed for c in check_theory(ss, kind, delta_max=0.5, floor_samples=5))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_floors(self, n):
         checks = basis_floor_checks(n, count=200, seed=0)
@@ -407,6 +420,86 @@ class TestTrials:
 
         monkeypatch.setattr(verify_module, "lambda_poisedness", recertify)
         assert run_trial(cfg) == expected
+
+    @staticmethod
+    def _absolute_errors(config):
+        # emp_f, emp_g and emp_H as the fit's absolute model gives them: its
+        # values and gradients on the plan's block, at the sample points and,
+        # for a quadratic objective, at the absolute exact worst point.
+        fn = resolve_function(config.function, config.n)
+        delta = config.delta
+        plan = _probe_plan(fn, delta, config.seed, verify_module._PROBE_COUNT)
+        ss = generate_poised_set(
+            config.n, config.p, delta, config.lambda_max, seed=config.seed,
+            center=plan.center,
+        )
+        values = fn.f(ss.points)
+        if config.kappa > 0.0:
+            spec = RelaxationSpec(kappa=config.kappa, noise_seed=config.seed)
+            model = fit_relaxed(config.kind, ss, values, spec).model
+        else:
+            model = fit_model(config.kind, ss, values).model
+        X = [plan.block, ss.points]
+        F = [plan.f, values]
+        G = [plan.grad, fn.grad(ss.points)]
+        if fn.quadratic is not None:
+            q = fn.quadratic
+            error = QuadraticPolynomial(
+                config.n, q.constant - model.constant, q.gradient - model.gradient,
+                q.hessian - model.hessian,
+            )
+            arg = max_abs_on_ball(error, plan.center, delta)[1][None, :]
+            X.append(arg)
+            F.append(fn.f(arg))
+            G.append(fn.grad(arg))
+        X = np.concatenate(X)
+        f_err = np.abs(np.concatenate(F) - model.eval_batch(X)).max()
+        g_err = np.linalg.norm(np.concatenate(G) - model.grad_batch(X), axis=1).max()
+        H_norm = np.abs(np.linalg.eigvalsh(model.hessian)).max()
+        return f_err / delta**2, g_err / delta, H_norm
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01])
+    @pytest.mark.parametrize(
+        "kind, n, p, lambda_max",
+        [
+            ("lin_det", 2, 2, 100.0),
+            ("quad_det", 2, 5, 100.0),
+            ("mfn", 2, 4, 100.0),
+            ("lin_det", 8, 8, 5.0),
+            ("mfn", 4, 10, 5.0),
+            ("mfn", 6, 20, 5.0),
+            ("mfn", 8, 30, 5.0),
+            ("quad_det", 4, 14, 5.0),
+            ("quad_det", 6, 27, 5.0),
+        ],
+    )
+    def test_normalized_scores_match_absolute_model(self, kind, n, p, lambda_max, kappa):
+        # Trials score their fits in normalized coordinates; the errors must
+        # be the absolute model's to 1e-9 relative.  The shapes and radii
+        # are the campaign_n2 and campaign_highdim sweeps'.  An exact fit of
+        # the quadratic by QUAD_DET has only roundoff errors, so there both
+        # sides must be roundoff instead.  The quadratic skips delta 0.02,
+        # where its values dwarf an error of order delta^2 and the absolute
+        # model's own roundoff nears 1e-9 of it.
+        functions = ["quadratic", "quartic"] + (["rosenbrock"] if n == 2 else [])
+        deltas = [0.5, 0.1, 0.02] if n == 2 else [0.2]
+        for function, delta, seed in itertools.product(functions, deltas, [0, 7]):
+            if function == "quadratic" and delta == 0.02:
+                continue
+            config = TrialConfig(
+                function=function, kind=kind, n=n, p=p, delta=delta, kappa=kappa,
+                lambda_max=lambda_max, seed=seed,
+            )
+            result = run_trial(config)
+            expected = self._absolute_errors(config)
+            got = (result.emp_f, result.emp_g, result.emp_H)
+            exact = function == "quadratic" and kind == "quad_det" and kappa == 0.0
+            for name, a, b in zip(("emp_f", "emp_g", "emp_H"), got, expected):
+                if exact and name != "emp_H":
+                    assert max(a, b) <= 1e-9, (function, delta, seed, name)
+                else:
+                    rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
+                    assert rel <= 1e-9, (function, delta, seed, name, rel)
 
     def test_mismatched_kind_recertifies(self):
         # p = 4 would make the generator certify a minimum-norm set, which a
@@ -566,6 +659,52 @@ class TestCampaign:
         capsys.readouterr()
         golden = ROOT / "tests" / "data" / "default_sweep_summary.json"
         assert (tmp_path / "campaign_summary.json").read_bytes() == golden.read_bytes()
+
+    def test_default_sweep_summary_agrees_with_golden_csv(self):
+        # The summary golden was regenerated when trials moved to normalized
+        # coordinates, which moved its last bits.  Its quantiles must be
+        # those of the margins in the default sweep's golden CSV, which was
+        # not regenerated, to 1e-9 relative.
+        with open(ROOT / "tests" / "data" / "default_sweep.csv", newline="") as handle:
+            rows = [row for row in csv.DictReader(handle) if row["lambda"] != ""]
+        golden = ROOT / "tests" / "data" / "default_sweep_summary.json"
+        per_kind = json.loads(golden.read_text())["per_kind"]
+        assert sorted(per_kind) == sorted({row["kind"] for row in rows})
+        for kind, entry in per_kind.items():
+            picked = [row for row in rows if row["kind"] == kind]
+            assert entry["trials"] == len(picked)
+            for name in ("margin_f", "margin_g", "margin_H"):
+                margins = np.array([float(row[name]) for row in picked])
+                q50, q90 = np.quantile(margins, [0.5, 0.9])
+                for key, value in (("q50", q50), ("q90", q90), ("max", margins.max())):
+                    got = entry[name][key]
+                    assert got is not None and math.isfinite(value), (kind, name, key)
+                    assert abs(got - value) <= 1e-9 * max(abs(got), abs(value)), (
+                        kind, name, key
+                    )
+
+    def test_summary_quantiles_match_numpy(self):
+        # The summary's one-sort quantiles are np.quantile's default linear
+        # rule, bit for bit, on margin-like rows: nonnegative, with ties,
+        # infinities and the odd NaN.
+        rng = np.random.default_rng(19)
+        for m, _ in itertools.product(range(1, 80), range(30)):
+            margins = rng.uniform(0.0, 2.0, size=(3, m))
+            ties = rng.random((3, m)) < 0.3
+            margins[ties] = rng.choice([0.0, 0.5, 1.0], size=int(ties.sum()))
+            margins[rng.random((3, m)) < 0.05] = np.inf
+            margins[rng.random((3, m)) < 0.005] = np.nan
+            with np.errstate(invalid="ignore"):
+                q50, q90 = np.quantile(margins, [0.5, 0.9], axis=1)
+            top = margins.max(axis=1)
+            expected = {
+                name: {
+                    key: float(v[i]) if np.isfinite(v[i]) else None
+                    for key, v in (("q50", q50), ("q90", q90), ("max", top))
+                }
+                for i, name in enumerate(("margin_f", "margin_g", "margin_H"))
+            }
+            assert verify_module._quantiles(margins) == expected, margins
 
     def test_empty_sweep(self, tmp_path):
         report = run_campaign(
