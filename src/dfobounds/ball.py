@@ -126,7 +126,7 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
 
 def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
     # np.linalg.norm(x, axis=axis) for real x, without its dispatch.
-    return np.sqrt((x * x).sum(axis=axis))
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
 def _extremize(G, H, r: float, eig=None) -> BallSolution:
@@ -139,7 +139,7 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
     w, Q = np.linalg.eigh(H) if eig is None else eig
     gh = np.einsum("kji,kj->ki", Q, G)
     lam = w[:, 0]
-    h_scale = np.abs(w).max(axis=1)
+    h_scale = np.maximum.reduce(np.abs(w), axis=1)
     g_norm = _rownorm(G, 1)
     scale = np.maximum(_TINY, g_norm + h_scale * r)
     mu_lo = np.maximum(0.0, -lam)
@@ -169,27 +169,31 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
     in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
     ok_int = (
         (lam >= -pos_tol)
-        & (pos | in_range).all(axis=1)
+        & np.logical_and.reduce(pos | in_range, axis=1)
         & (n_int <= r * (1.0 + 1e-12))
     )
 
     # Boundary candidate.  ||z(mu)|| >= |gh_i| / (w_i + mu) for every i, so
     # the root lies right of every |gh_i| / r - w_i; start at the largest.
-    bound = np.where(active, np.abs(gh_eff) / r - w, -np.inf).max(axis=1)
+    bound = np.maximum.reduce(np.where(active, np.abs(gh_eff) / r - w, -np.inf), axis=1)
     mu = np.maximum(mu_lo, bound)
     pole = ~degenerate & (mu <= -lam)
     mu = np.where(pole, -lam + np.maximum(4.0 * _EPS * np.abs(lam), 1e-300), mu)
     t, d = step(mu)
-    live = ((d > 0.0) | ~active).all(axis=1) & active.any(axis=1)
+    live = np.logical_and.reduce((d > 0.0) | ~active, axis=1)
+    live &= np.logical_or.reduce(active, axis=1)
     ok_bnd = live.copy()
+    # One floating-point state for the Newton and completion steps: a step at
+    # or past the pole divides by zero or overflows, and the finiteness and
+    # certificate checks reject its candidate.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
-            if not live.any():
+            if not np.logical_or.reduce(live):
                 break
             tt = t * t
-            s2 = tt.sum(axis=1)
+            s2 = np.add.reduce(tt, axis=1)
             s = np.sqrt(s2)
-            slope = (tt / d).sum(axis=1)
+            slope = np.add.reduce(tt / d, axis=1)
             delta = np.maximum((s - r) / r * s2 / slope, 0.0)
             finite = np.isfinite(delta)
             ok_bnd &= finite | ~live
@@ -202,22 +206,20 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
         # candidate covers the item; a step short of the sphere is not
         # offered as a boundary one.
         reached = _rownorm(t, 1) >= r * (1.0 - _TOL)
-    mu_bnd = mu
+        mu_bnd = mu
 
-    # Completion on the extreme eigenspace, from the boundary multiplier when
-    # there is one and from the pole otherwise.
-    base = np.where(ok_bnd, mu_bnd, mu_lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # Completion on the extreme eigenspace, from the boundary multiplier
+        # when there is one and from the pole otherwise.
+        base = np.where(ok_bnd, mu_bnd, mu_lo)
         t_rest, _ = step(base)
-    t_rest[cluster] = 0.0
-    tau2 = r * r - (t_rest * t_rest).sum(axis=1)
-    ok_cmp = tau2 > 0.0
-    tau = np.sqrt(np.maximum(tau2, 0.0))
-    unit = np.where(g_cluster > 0.0, g_cluster, 1.0)
-    direction = np.where(cluster, -gh, 0.0) / unit[:, None]
-    direction[degenerate, :] = 0.0
-    direction[degenerate, 0] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+        t_rest[cluster] = 0.0
+        tau2 = r * r - np.add.reduce(t_rest * t_rest, axis=1)
+        ok_cmp = tau2 > 0.0
+        tau = np.sqrt(np.maximum(tau2, 0.0))
+        unit = np.where(g_cluster > 0.0, g_cluster, 1.0)
+        direction = np.where(cluster, -gh, 0.0) / unit[:, None]
+        direction[degenerate, :] = 0.0
+        direction[degenerate, 0] = 1.0
         mu_cmp = np.maximum(0.0, -lam + np.where(g_cluster > 0.0, g_cluster / tau, 0.0))
     ok_cmp &= np.isfinite(mu_cmp)
 
@@ -258,8 +260,8 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
     completed_better = residual[:, 1] <= residual[:, 3]
     certified[:, 3] &= ~(both & completed_better)
     certified[:, 1:3] &= ~(both & ~completed_better)[:, None]
-    uncertified = ~certified.any(axis=1)
-    if uncertified.any():
+    uncertified = ~np.logical_or.reduce(certified, axis=1)
+    if np.logical_or.reduce(uncertified):
         i = int(np.flatnonzero(uncertified)[0])
         worst = np.where(ok[i], residual[i], np.inf)
         raise RuntimeError(
@@ -269,10 +271,10 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
 
     value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
     value = np.where(certified, value, np.inf)
-    best = value.min(axis=1)
+    best = np.minimum.reduce(value, axis=1)
     tied = value <= (best + 1e-14 * np.maximum(np.abs(best), scale * r))[:, None]
     choice = tied.argmax(axis=1)
-    for i in np.flatnonzero(tied.sum(axis=1) > 1):
+    for i in np.flatnonzero(np.add.reduce(tied, axis=1) > 1):
         choice[i] = min(np.flatnonzero(tied[i]), key=lambda c: tuple(Z[i, c]))
     rows = np.arange(k)
     return BallSolution(
@@ -297,14 +299,14 @@ def _stack(coeffs, center):
             f"need a (k, {width}) coefficient array, k >= 1, for a center in "
             f"R^{center.size}, got shape {A.shape}"
         )
-    c, g, H = _split_coeffs(A.astype(float, copy=False), center.size)
+    A = A.astype(float, copy=False)
+    # The Hessians copy the second-order coefficients, so one check covers them.
     if not (
-        np.all(np.isfinite(c))
-        and np.all(np.isfinite(g))
-        and np.all(np.isfinite(H))
-        and np.all(np.isfinite(center))
+        np.logical_and.reduce(np.isfinite(A), axis=None)
+        and np.logical_and.reduce(np.isfinite(center))
     ):
         raise ValueError("polynomial coefficients and center must be finite")
+    c, g, H = _split_coeffs(A, center.size)
     return center, c, g, H, g + H @ center
 
 
@@ -357,7 +359,7 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     values = (
         c2 + np.einsum("ki,ki->k", g2, X) + 0.5 * np.einsum("ki,kij,kj->k", X, H2, X)
     )
-    residual = float(max(sol.stationarity.max(), sol.complementarity.max()))
+    residual = float(np.maximum.reduce(np.maximum(sol.stationarity, sol.complementarity)))
     if single:
         return BallExtremum(float(values[1]), X[1], float(values[0]), X[0], residual)
     return BallExtremum(values[k:], X[k:], values[:k], X[:k], residual)

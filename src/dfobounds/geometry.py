@@ -506,7 +506,8 @@ def _drive(loops: dict, n: int) -> dict:
     while stacks:
         step = list(stacks.items())
         stacks.clear()
-        for (key, _), reply in zip(step, _solve_stacks([c for _, c in step], origin)):
+        replies = _solve_stacks([c for _, c in step], origin, max_abs_on_ball)
+        for (key, _), reply in zip(step, replies):
             if isinstance(reply, Exception):
                 loops[key].close()
                 ended[key] = reply
@@ -515,17 +516,18 @@ def _drive(loops: dict, n: int) -> dict:
     return ended
 
 
-def _solve_stacks(stacks, origin):
+def _solve_stacks(stacks, origin, solve):
     # (values, args) of max |l_j| over the unit ball for each coefficient
-    # stack, from one solve.  If that raises, each stack is solved alone, and
-    # one that raises gets its exception: a failure belongs to the loop whose
-    # stack caused it, not to the other loops or the caller.
+    # stack, from one call of solve (max_abs_on_ball, as its caller binds
+    # it).  If that raises, each stack is solved alone, and one that raises
+    # gets its exception: a failure belongs to the stack that caused it, not
+    # to the others or the caller.
     try:
-        values, args = max_abs_on_ball(np.vstack(stacks), origin, 1.0)
+        values, args = solve(np.vstack(stacks), origin, 1.0)
     except Exception as exc:
         if len(stacks) == 1:
             return [exc]
-        return [_solve_stacks([c], origin)[0] for c in stacks]
+        return [_solve_stacks([c], origin, solve)[0] for c in stacks]
     cuts = np.cumsum([len(c) for c in stacks[:-1]])
     return list(zip(np.split(values, cuts), np.split(args, cuts)))
 

@@ -26,6 +26,7 @@ from .bounds import (
     BoundInputs, ModelKind, _integer, _kind_for_shape, _number, c_delta_max, error_bounds
 )
 from .geometry import (
+    _MEMO,
     SampleSet,
     generate_poised_set,
     # Bound here so tracers that look the certifier up in this module keep
@@ -35,6 +36,7 @@ from .geometry import (
     _certify,
     _certify_shapes,
     _release,
+    _solve_stacks,
     _take,
     normalized_points,
 )
@@ -336,6 +338,9 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A campaign keys its memo by configs, and an unhashable name breaks it.
+        if not isinstance(self.function, str):
+            raise ValueError(f"function must be a string, got {self.function!r}")
         object.__setattr__(self, "kind", ModelKind(self.kind))
         for name, least in (("n", 1), ("p", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)
@@ -496,11 +501,11 @@ def _margin(emp: float, cap: float) -> float:
     return 0.0 if emp <= 1e-12 else np.inf
 
 
-def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one verification trial; margins <= 1 mean the theory held."""
+def _fit_trial(fn: TestFunction, config: TrialConfig):
+    # The trial up to its scoring: its plan, placed set, values there, fit
+    # and caps, through the names this module binds.
     delta = float(config.delta)
     try:
-        fn = resolve_function(config.function, config.n)
         plan = _take(
             _plan_key(config),
             lambda: _probe_plan(fn, delta, config.seed, _PROBE_COUNT),
@@ -517,9 +522,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
         seed=config.seed,
         center=plan.center,
     )
-    # The generator certified the set for the kind it inferred from (n, p),
-    # which TrialConfig has checked is the kind the model needs.
-    cert = sample_set.certificate
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
         fit = fit_relaxed(
@@ -534,13 +536,66 @@ def run_trial(config: TrialConfig) -> TrialResult:
     inputs = BoundInputs(
         L=fn.lipschitz_L,
         kappa=config.kappa,
-        lam=cert.lam,
+        lam=sample_set.certificate.lam,
         n=config.n,
         p=config.p,
         delta=delta,
         delta_max=config.delta_max,
     )
-    report = error_bounds(config.kind, inputs)
+    return plan, sample_set, values, fit, error_bounds(config.kind, inputs)
+
+
+def _fit_quadratics(configs) -> dict:
+    # Each config's state, _fit_trial's plus the unit point where the fit's
+    # error peaks on the unit ball, or the exception that fails the trial.
+    # The error rows of one n go to one solve (see _solve_stacks).  A
+    # repeated config shares its first copy's state and gives up its takes.
+    fitted, stacks = {}, {}
+    for config in configs:
+        if config in fitted:
+            _release(_plan_key(config))
+            _release(_shape_key(config))
+            continue
+        fn = resolve_function(config.function, config.n)
+        try:
+            plan, _, _, fit, _ = fitted[config] = _fit_trial(fn, config)
+            exact = fn.quadratic.compose_affine(plan.center, float(config.delta))
+            stacks.setdefault(config.n, {})[config] = (exact.coeffs() - fit.coeffs)[None]
+        except Exception as exc:
+            fitted[config] = exc
+    for n, rows in stacks.items():
+        replies = _solve_stacks(list(rows.values()), np.zeros(n), max_abs_on_ball)
+        for config, reply in zip(rows, replies):
+            fitted[config] = reply if isinstance(reply, Exception) else (*fitted[config], reply[1])
+    return fitted
+
+
+def _has_quadratic_objective(config: TrialConfig) -> bool:
+    try:
+        return resolve_function(config.function, config.n).quadratic is not None
+    except Exception:
+        return False  # the trial fails on its function alone
+
+
+def run_trial(config: TrialConfig) -> TrialResult:
+    """Run one verification trial; margins <= 1 mean the theory held."""
+    try:
+        fn = resolve_function(config.function, config.n)
+    except Exception:
+        # The trial fails before generate_poised_set takes its shape.
+        _release(_shape_key(config))
+        raise
+    if fn.quadratic is None:
+        plan, sample_set, values, fit, report = _fit_trial(fn, config)
+    else:
+        # A campaign fits these trials before its first and stores each state.
+        plan, sample_set, values, fit, report, arg = _take(
+            config, lambda: _fit_quadratics([config])[config]
+        )
+    delta = float(config.delta)
+    # The generator certified the set for the kind it inferred from (n, p),
+    # which TrialConfig has checked is the kind the model needs.
+    cert = sample_set.certificate
 
     # The fit is scored where it was solved, at u = (x - center) / delta (the
     # set's base point and radius): on the block's unit rows, the sample
@@ -554,8 +609,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:
-        error = fn.quadratic.compose_affine(plan.center, delta).coeffs() - fit.coeffs
-        arg = max_abs_on_ball(error[None, :], np.zeros(n), 1.0)[1]
         rows.append(arg)
         worst = plan.center + delta * arg
         f_parts.append(fn.f(worst))
@@ -729,17 +782,20 @@ def run_campaign(
     Trials that share (n, p, lambda_max, seed) share one sample-set shape.
     Every distinct shape is certified before the first trial, the
     improvement loops of one n in lockstep, and each trial places its own.
-    So ``progress``, called before each trial, first fires once the shapes
-    exist.  Trials that share (function, n, delta, seed), such
-    as the kinds of one sweep point, share one probe plan: the ball center,
-    the probe block and the objective's values and gradients on it, built
-    by the first of them.
+    Trials that share (function, n, delta, seed), such as the kinds of one
+    sweep point, share one probe plan: the ball center, the probe block and
+    the objective's values and gradients on it, built by the first of them.
+    Trials of a quadratic objective are then fitted, and the exact worst
+    points of their errors on the ball come from one solve per n; a solve
+    that fails fails only its own trial, as it does alone.  So
+    ``progress``, called before each trial, first fires once the shapes
+    and the worst points exist.
 
-    Each shape and plan is released when the last trial that uses it takes
-    it or fails before it does, and all are forgotten when the call
-    returns, even if it raises.  A shape or plan that cannot be built is
-    tried once: each of its trials fails with the same type and message.
-    Every row equals the one its config gives when run alone.
+    Each shape, plan and fitted trial is released when the last trial that
+    uses it takes it or fails before it does, and all are forgotten when
+    the call returns, even if it raises.  A shape or plan that cannot be
+    built is tried once: each of its trials fails with the same type and
+    message.  Every row equals the one its config gives when run alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
@@ -749,8 +805,10 @@ def run_campaign(
     failures = []
     results = []
     shape_keys = [_shape_key(c) for c in trials]
-    with _campaign_memo(shape_keys + [_plan_key(c) for c in trials]):
+    exact = [c for c in trials if _has_quadratic_objective(c)]
+    with _campaign_memo(shape_keys + [_plan_key(c) for c in trials] + exact):
         _certify_shapes(shape_keys)
+        _MEMO.get()[0].update(_fit_quadratics(exact))
         for trial_id, config in enumerate(trials):
             if progress is not None:
                 progress(

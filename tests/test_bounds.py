@@ -10,12 +10,14 @@ from dfobounds import (
     QuadraticPolynomial,
     RelaxationSpec,
     SampleSet,
+    TrialConfig,
     basis_floor_checks,
     c_delta_max,
     check_theory,
     closed_form_bounds,
     constants_from_lambda,
     error_bounds,
+    expand_config,
     generate_poised_set,
     grid_oracle,
     hessian_bound_mfn,
@@ -274,6 +276,15 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
                      "seed", id="theory-seed-bool"),
         pytest.param(lambda: check_theory(SampleSet(_TRIANGLE, 0.5), "lin_det", delta_max=NAN),
                      "delta_max", id="theory-delta_max-nan"),
+        pytest.param(lambda: TrialConfig({"x": 1}, "mfn", 2, 4, 0.1), "function",
+                     id="trial-function-dict"),
+        pytest.param(lambda: expand_config({"function": [["quartic"]], "kind": "mfn",
+                                            "n": 2, "p": 4, "delta": 0.1}),
+                     "function", id="trial-function-list-in-sweep"),
+        pytest.param(lambda: TrialConfig(3, "mfn", 2, 4, 0.1), "function",
+                     id="trial-function-int"),
+        pytest.param(lambda: TrialConfig(None, "mfn", 2, 4, 0.1), "function",
+                     id="trial-function-null"),
         pytest.param(lambda: space_dim(2, True), "n", id="space_dim-n-bool"),
         pytest.param(lambda: QuadraticPolynomial(2.5, 0.0, [0.0, 0.0], np.zeros((2, 2))),
                      "dim", id="poly-dim-float"),

@@ -404,6 +404,24 @@ class TestVerify:
         assert captured.out == ""
         assert "n must be an integer" in captured.err
 
+    @pytest.mark.parametrize("function", [{"x": 1}, [["quartic"]], 3, None])
+    def test_function_not_a_string_exits_1(self, capsys, tmp_path, function):
+        # A dict or a list in a sweep used to escape as a TypeError traceback,
+        # and a number or null ran as a trial of an unknown function.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"function": function, "kind": "lin_det", "n": 2, "p": 2, "delta": 0.1}
+        ))
+        code = main(
+            ["verify", "--config", str(cfg), "--csv", str(tmp_path / "o.csv"),
+             "--json", str(tmp_path / "o.json"), "--quiet"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("dfobounds: error: function must be a string, got ")
+        assert "Traceback" not in captured.err
+
     def test_missing_key_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"function": "quartic", "kind": "mfn", "n": 2}))

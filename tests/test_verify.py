@@ -1021,9 +1021,17 @@ class TestProbePlans:
         # Shapes are released like plans.  A trial whose ball does not fit
         # the domain fails on its plan before it takes its shape, and gives
         # that take up, so the shape does not outlive its last trial either.
+        # The quadratic-objective trials are fitted before the first one:
+        # they take their plans and shapes then, and each trial's state,
+        # keyed by its config, is held until that trial takes it.
         trials = _mixed_sweep()
         shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
         keys = [verify_module._plan_key(c) for c in trials]
+        exact = [c.function == "quadratic" for c in trials]
+        takes = [
+            {c} if is_exact else {plan, shape}
+            for c, plan, shape, is_exact in zip(trials, keys, shape_keys, exact)
+        ]
         held = []
 
         def look(_message):
@@ -1033,11 +1041,15 @@ class TestProbePlans:
         assert geometry_module._MEMO.get(None) is None
         assert len(held) == len(trials)
         assert any("does not fit" in f["error"] for f in report.failures)
-        assert held[0] == set(shape_keys)
-        # Before trial i, only keys that trial i or a later one uses are held.
+        assert 0 < sum(exact) < len(trials)
+        assert held[0] == {
+            key for c, shape, is_exact in zip(trials, shape_keys, exact)
+            for key in ([c] if is_exact else [shape])
+        }
+        # Before trial i, only keys that trial i or a later one takes are held.
         for i, values in enumerate(held):
-            assert values <= set(keys[i:]) | set(shape_keys[i:]), i
-        assert max(len(values - set(shape_keys)) for values in held) > 1
+            assert values <= set().union(*takes[i:]), i
+        assert max(len(values & set(keys)) for values in held) > 1
 
     def test_shape_released_by_a_trial_with_an_unknown_function(self):
         # The first trial fails before it takes its plan or its shape; its
@@ -1067,3 +1079,98 @@ class TestProbePlans:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(trials, progress=stop)
         assert geometry_module._MEMO.get(None) is None
+
+
+class TestExactWorstPoints:
+    """A campaign finds the exact worst points of one n in one solve."""
+
+    @staticmethod
+    def _exact(trials, n):
+        return [c for c in trials if c.function == "quadratic" and c.n == n]
+
+    def test_one_worst_point_solve_per_n(self, monkeypatch):
+        solves = []
+        original = verify_module.max_abs_on_ball
+
+        def counted(coeffs, center, radius):
+            solves.append((len(center), len(coeffs)))
+            return original(coeffs, center, radius)
+
+        monkeypatch.setattr(verify_module, "max_abs_on_ball", counted)
+        trials = _mixed_sweep()
+        report = run_campaign(trials)
+        assert not any(trials[f["trial_id"]].function == "quadratic" for f in report.failures)
+        # Quartic and Rosenbrock trials make no worst-point solve.
+        assert solves == [(4, len(self._exact(trials, 4))), (8, len(self._exact(trials, 8)))]
+
+    def test_failed_solve_fails_only_its_trial(self, monkeypatch):
+        # The solver is handed a NaN row in place of one trial's error row,
+        # so the batched solve raises and each row of that n is solved alone.
+        trials = _mixed_sweep()
+        clean = run_campaign(trials)
+        target = self._exact(trials, 4)[2]
+        bad = trials.index(target)
+        rows = []
+        original = verify_module.max_abs_on_ball
+
+        def recording(coeffs, center, radius):
+            rows.append(coeffs.copy())
+            return original(coeffs, center, radius)
+
+        monkeypatch.setattr(verify_module, "max_abs_on_ball", recording)
+        run_trial(target)
+        poisoned = rows[-1][0]
+        calls = []
+
+        def flaky(coeffs, center, radius):
+            calls.append(len(coeffs))
+            hit = np.array([np.array_equal(row, poisoned) for row in coeffs])
+            return original(np.where(hit[:, None], np.nan, coeffs), center, radius)
+
+        monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
+        report = run_campaign(trials)
+        with pytest.raises(ValueError) as alone:
+            run_trial(target)
+        assert report.failures[-1] == {
+            "trial_id": bad, "type": "ValueError", "error": str(alone.value)
+        }
+        assert str(alone.value) == "polynomial coefficients and center must be finite"
+        assert report.failures[:-1] == clean.failures
+        # The n = 4 batch raises and its rows are solved alone; n = 8 is one
+        # batch; the last call is the trial run alone.
+        k4, k8 = len(self._exact(trials, 4)), len(self._exact(trials, 8))
+        assert calls == [k4] + [1] * k4 + [k8, 1]
+        for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
+            if trial_id != bad:
+                assert row == ref, trial_id
+
+    def test_repeated_config_releases_every_key(self, monkeypatch):
+        # The quadratic config runs twice and shares its shape with the
+        # quartic trial after it.  After each trial, the memo holds and
+        # counts only what later trials take.
+        q = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0, seed=1)
+        quartic = dataclasses.replace(q, function="quartic")
+        trials = [q, q, quartic]
+        shape, plan = (4, 10, 5.0, 1), verify_module._plan_key(quartic)
+        after = []
+        original = verify_module.run_trial
+
+        def spied(config):
+            try:
+                return original(config)
+            finally:
+                values, uses = geometry_module._MEMO.get()
+                after.append((set(values), dict(uses)))
+
+        monkeypatch.setattr(verify_module, "run_trial", spied)
+        report = run_campaign(trials)
+        assert not report.failures
+        assert report.rows[0] == {**report.rows[1], "trial_id": 0}
+        assert after == [
+            ({q, shape}, {q: 1, shape: 1, plan: 1}),
+            ({shape}, {shape: 1, plan: 1}),
+            (set(), {}),
+        ]
+        assert geometry_module._MEMO.get(None) is None
+        alone = verify_module._result_columns(original(q))
+        assert {k: report.rows[0][k] for k in alone} == alone
