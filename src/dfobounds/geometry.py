@@ -22,9 +22,6 @@ runs) and reuses the shape's normalized points, basis and certificate.
 
 from __future__ import annotations
 
-from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -341,70 +338,6 @@ def _unit_ball_points(rng: np.random.Generator, count: int, n: int) -> np.ndarra
     return u / norms * radii
 
 
-# The running campaign's memo: its values by key, and how many takes each
-# key has left; unset outside one.  See _campaign_memo.
-_MEMO: ContextVar[tuple] = ContextVar("_MEMO")
-
-
-@contextmanager
-def _campaign_memo(keys):
-    """Let each key in ``keys`` be built once inside the block and shared.
-
-    ``keys`` lists a key once per take that will ask for it.  A key's value
-    is built by its first take (see ``_take``), or stored beforehand, and
-    dropped after its last take; the whole memo is dropped when the block
-    exits, even if it raises, so the next block builds everything afresh.
-    """
-    token = _MEMO.set(({}, Counter(keys)))
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def _take(key, build):
-    """The value of key: the running memo's if it expects key, else build().
-
-    ``build`` returns the value, or raises or returns the exception that
-    fails the key.  In the memo that exception is stored like a value, so
-    the key's build runs once and every take raises the same exception,
-    each with a fresh traceback.
-    """
-    memo = _MEMO.get(None)
-    if memo is None or key not in memo[1]:
-        value = build()
-    else:
-        values = memo[0]
-        if key not in values:
-            try:
-                values[key] = build()
-            except Exception as exc:
-                values[key] = exc
-        value = values[key]
-        _release(key)
-        if isinstance(value, Exception):
-            value = value.with_traceback(None)  # or each raise extends it
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
-def _release(key) -> None:
-    """Count one take of key as made, building nothing; see ``_campaign_memo``.
-
-    The running memo drops key's value after its last take.  A caller that
-    fails before its take of key releases it instead, so the value does not
-    outlive the takes that use it.
-    """
-    memo = _MEMO.get(None)
-    if memo is not None and key in memo[1]:
-        values, uses = memo
-        uses[key] -= 1
-        if not uses[key]:
-            del uses[key]
-            values.pop(key, None)
-
-
 def generate_poised_set(
     n: int,
     p: int,
@@ -412,6 +345,8 @@ def generate_poised_set(
     lambda_max: float,
     seed: int,
     center=None,
+    *,
+    shape: Optional[SampleSet] = None,
 ) -> SampleSet:
     """Draw a sample set in the ball and improve it until it certifies.
 
@@ -434,6 +369,9 @@ def generate_poised_set(
     message SampleSet gives).  The placed set reuses the certified unit set
     U as its normalized points, the Lagrange basis already solved for on it
     and its certificate, so later fits use exactly the certified geometry.
+
+    ``shape``, when given, is the unit shape ``_certify_shapes`` certified
+    for (n, p, lambda_max, seed), and is placed without running the loop.
     """
     n, p, seed = _integer("n", n, 1), _integer("p", p, 1), _integer("seed", seed, 0)
     delta = _number("delta", delta, 0.0, strict=True)
@@ -443,12 +381,16 @@ def generate_poised_set(
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
 
-    key = (n, p, float(lambda_max), seed)
-    shape = _take(
-        key, lambda: _drive({key: _improve_shape(kind, n, p, lambda_max, seed)}, n)[key]
-    )
-    # The shape passed every SampleSet check; placing it only re-checks
-    # what rounding can break, and shares the rest.
+    if shape is None:
+        shape = _drive({0: _improve_shape(kind, n, p, lambda_max, seed)}, n)[0]
+        if isinstance(shape, Exception):
+            raise shape
+    return _place(shape, center, delta)
+
+
+def _place(shape: SampleSet, center: np.ndarray, delta: float) -> SampleSet:
+    # The unit shape at center + delta * U.  It passed every SampleSet check;
+    # placing it only re-checks what rounding can break, and shares the rest.
     points = center + delta * shape.points
     _check_points(points, delta)
     points.setflags(write=False)
@@ -463,21 +405,22 @@ def generate_poised_set(
     return placed
 
 
-def _certify_shapes(keys) -> None:
-    """Certify the shapes of (n, p, lambda_max, seed) keys into the running memo.
+def _certify_shapes(keys) -> dict:
+    """Certify the shapes of (n, p, lambda_max, seed) keys, once per key.
 
     The improvement loops of one n run in lockstep (see ``_drive``), so each
     step makes one ball solve per n, and every shape equals the one
-    ``generate_poised_set`` certifies for its key alone.  A key whose loop
-    fails stores its exception, which every take of the key raises.
+    ``generate_poised_set`` certifies for its key alone.  Returns each
+    key's unit shape, or the exception its loop raised.
     """
-    values = _MEMO.get()[0]
     loops = {}
     for key in dict.fromkeys(keys):
         n, p = key[:2]
         loops.setdefault(n, {})[key] = _improve_shape(_kind_for_shape(n, p), *key)
+    shapes = {}
     for n, group in loops.items():
-        values.update(_drive(group, n))
+        shapes.update(_drive(group, n))
+    return shapes
 
 
 def _drive(loops: dict, n: int) -> dict:

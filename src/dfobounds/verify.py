@@ -26,18 +26,14 @@ from .bounds import (
     BoundInputs, ModelKind, _integer, _kind_for_shape, _number, c_delta_max, error_bounds
 )
 from .geometry import (
-    _MEMO,
     SampleSet,
     generate_poised_set,
     # Bound here so tracers that look the certifier up in this module keep
     # finding it.
     lambda_poisedness,  # noqa: F401
-    _campaign_memo,
     _certify,
     _certify_shapes,
-    _release,
     _solve_stacks,
-    _take,
     normalized_points,
 )
 from .models import RelaxationSpec, fit_model, fit_relaxed
@@ -338,7 +334,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # A campaign keys its memo by configs, and an unhashable name breaks it.
+        # A campaign keys its stage values by configs and their fields, and
+        # an unhashable name breaks that.
         if not isinstance(self.function, str):
             raise ValueError(f"function must be a string, got {self.function!r}")
         object.__setattr__(self, "kind", ModelKind(self.kind))
@@ -347,11 +344,15 @@ class TrialConfig:
         # The generator infers the interpolation kind from (n, p); it must be
         # the model kind.
         _kind_for_shape(self.n, self.p, self.kind)
-        _number("delta", self.delta, 0.0, strict=True)
+        # The reals are stored as floats, so that configs equal as numbers
+        # (lambda_max 2 and 2.0) run and report alike.
+        for name, low, strict in (("delta", 0.0, True), ("kappa", 0.0, False),
+                                  ("lambda_max", 1.0, True)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), low, strict))
         # The radius cap follows BoundInputs' rule.
         BoundInputs(L=0.0, delta=self.delta, delta_max=self.delta_max)
-        _number("kappa", self.kappa, 0.0)
-        _number("lambda_max", self.lambda_max, 1.0, strict=True)
+        if self.delta_max is not None:
+            object.__setattr__(self, "delta_max", float(self.delta_max))
 
 
 @dataclass(frozen=True)
@@ -485,13 +486,10 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _Probe
 
 
 def _plan_key(config: TrialConfig) -> tuple:
-    return (config.function, config.n, float(config.delta), config.seed)
+    return (config.function, config.n, config.delta, config.seed)
 
 
 def _shape_key(config: TrialConfig) -> tuple:
-    # Holds lambda_max as given, which a failed shape's message quotes.  It
-    # starts with the int n and a plan key with the str function, so the
-    # two never collide.
     return (config.n, config.p, config.lambda_max, config.seed)
 
 
@@ -501,26 +499,29 @@ def _margin(emp: float, cap: float) -> float:
     return 0.0 if emp <= 1e-12 else np.inf
 
 
-def _fit_trial(fn: TestFunction, config: TrialConfig):
-    # The trial up to its scoring: its plan, placed set, values there, fit
-    # and caps, through the names this module binds.
-    delta = float(config.delta)
-    try:
-        plan = _take(
-            _plan_key(config),
-            lambda: _probe_plan(fn, delta, config.seed, _PROBE_COUNT),
-        )
-    except Exception:
-        # The trial fails before generate_poised_set takes its shape.
-        _release(_shape_key(config))
-        raise
+def _read(store: dict, key):
+    # A stage value.  A key that failed holds its exception, which each
+    # reader raises with a fresh traceback, not one grown per raise.
+    value = store[key]
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
+
+
+def _fit_trial(fn: TestFunction, config: TrialConfig, shapes: dict, plans: dict):
+    # The trial up to its scoring: its plan (built by the first trial that
+    # reads it), placed set, values there, fit and caps, through the names
+    # this module binds.
+    key = _plan_key(config)
+    if key not in plans:
+        try:
+            plans[key] = _probe_plan(fn, config.delta, config.seed, _PROBE_COUNT)
+        except Exception as exc:
+            plans[key] = exc
+    plan = _read(plans, key)
     sample_set = generate_poised_set(
-        config.n,
-        config.p,
-        delta,
-        config.lambda_max,
-        seed=config.seed,
-        center=plan.center,
+        config.n, config.p, config.delta, config.lambda_max, seed=config.seed,
+        center=plan.center, shape=_read(shapes, _shape_key(config)),
     )
     values = fn.f(sample_set.points)
     if config.kappa > 0.0:
@@ -539,27 +540,28 @@ def _fit_trial(fn: TestFunction, config: TrialConfig):
         lam=sample_set.certificate.lam,
         n=config.n,
         p=config.p,
-        delta=delta,
+        delta=config.delta,
         delta_max=config.delta_max,
     )
     return plan, sample_set, values, fit, error_bounds(config.kind, inputs)
 
 
-def _fit_quadratics(configs) -> dict:
-    # Each config's state, _fit_trial's plus the unit point where the fit's
-    # error peaks on the unit ball, or the exception that fails the trial.
-    # The error rows of one n go to one solve (see _solve_stacks).  A
-    # repeated config shares its first copy's state and gives up its takes.
+def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
+    # The state of each config of a quadratic objective: _fit_trial's plus
+    # the unit point where the fit's error peaks on the unit ball, or the
+    # exception that fails the trial.  The error rows of one n go to one
+    # solve (see _solve_stacks).
     fitted, stacks = {}, {}
-    for config in configs:
-        if config in fitted:
-            _release(_plan_key(config))
-            _release(_shape_key(config))
-            continue
-        fn = resolve_function(config.function, config.n)
+    for config in dict.fromkeys(configs):
         try:
-            plan, _, _, fit, _ = fitted[config] = _fit_trial(fn, config)
-            exact = fn.quadratic.compose_affine(plan.center, float(config.delta))
+            fn = resolve_function(config.function, config.n)
+        except Exception:
+            continue  # the trial fails on its function alone
+        if fn.quadratic is None:
+            continue
+        try:
+            plan, _, _, fit, _ = fitted[config] = _fit_trial(fn, config, shapes, plans)
+            exact = fn.quadratic.compose_affine(plan.center, config.delta)
             stacks.setdefault(config.n, {})[config] = (exact.coeffs() - fit.coeffs)[None]
         except Exception as exc:
             fitted[config] = exc
@@ -570,29 +572,35 @@ def _fit_quadratics(configs) -> dict:
     return fitted
 
 
-def _has_quadratic_objective(config: TrialConfig) -> bool:
-    try:
-        return resolve_function(config.function, config.n).quadratic is not None
-    except Exception:
-        return False  # the trial fails on its function alone
+def _stages(trials: list) -> tuple:
+    # What run_campaign's first two stages give trials, keyed as their
+    # readers look it up: the shapes, the plans built so far and the
+    # quadratic-objective trials' fitted states.  A key that failed holds
+    # its exception, which each reader raises afresh (see _read); the frames
+    # it was first raised in would hold other keys' values.
+    shapes = _certify_shapes([_shape_key(c) for c in trials])
+    plans = {}
+    fits = _fit_quadratics(trials, shapes, plans)
+    for value in (*shapes.values(), *fits.values()):
+        if isinstance(value, Exception):
+            value.__traceback__ = value.__context__ = None
+    return shapes, plans, fits
 
 
-def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one verification trial; margins <= 1 mean the theory held."""
-    try:
-        fn = resolve_function(config.function, config.n)
-    except Exception:
-        # The trial fails before generate_poised_set takes its shape.
-        _release(_shape_key(config))
-        raise
+def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResult:
+    """Run one verification trial; margins <= 1 mean the theory held.
+
+    ``stages`` is a campaign's (shapes, plans, fits), built for its trials
+    (see ``run_campaign``).  Without it the trial builds its own, as a
+    campaign of this one trial, so a campaign's row equals its config's alone.
+    """
+    fn = resolve_function(config.function, config.n)
+    shapes, plans, fits = _stages([config]) if stages is None else stages
     if fn.quadratic is None:
-        plan, sample_set, values, fit, report = _fit_trial(fn, config)
+        plan, sample_set, values, fit, report = _fit_trial(fn, config, shapes, plans)
     else:
-        # A campaign fits these trials before its first and stores each state.
-        plan, sample_set, values, fit, report, arg = _take(
-            config, lambda: _fit_quadratics([config])[config]
-        )
-    delta = float(config.delta)
+        plan, sample_set, values, fit, report, arg = _read(fits, config)
+    delta = config.delta
     # The generator certified the set for the kind it inferred from (n, p),
     # which TrialConfig has checked is the kind the model needs.
     cert = sample_set.certificate
@@ -721,9 +729,9 @@ def _config_columns(trial_id: int, config: TrialConfig) -> dict:
         "kind": config.kind.name,
         "n": config.n,
         "p": config.p,
-        "delta": float(config.delta),
-        "delta_max": float(config.delta) if config.delta_max is None else float(config.delta_max),
-        "kappa": float(config.kappa),
+        "delta": config.delta,
+        "delta_max": config.delta if config.delta_max is None else config.delta_max,
+        "kappa": config.kappa,
         "seed": config.seed,
     }
 
@@ -779,36 +787,34 @@ def run_campaign(
     A trial that raises is recorded as ``{"trial_id", "type", "error"}``:
     the exception's class name and message.
 
-    Trials that share (n, p, lambda_max, seed) share one sample-set shape.
-    Every distinct shape is certified before the first trial, the
-    improvement loops of one n in lockstep, and each trial places its own.
+    The trials run in three stages, whose values are each built once and
+    dropped after the last trial that reads them, or when the call returns
+    or raises.  (1) Every distinct sample-set shape, one per (n, p,
+    lambda_max, seed), is certified, the improvement loops of one n in
+    lockstep.  (2) The trials of a quadratic objective are fitted, and the
+    exact worst points of their errors on the ball come from one solve per
+    n; a solve that fails fails only its own trial.  (3) Each trial in turn,
+    after ``progress`` gets its line, is run by ``run_trial`` on those
+    values: it places its shape, fits and is scored.
     Trials that share (function, n, delta, seed), such as the kinds of one
     sweep point, share one probe plan: the ball center, the probe block and
     the objective's values and gradients on it, built by the first of them.
-    Trials of a quadratic objective are then fitted, and the exact worst
-    points of their errors on the ball come from one solve per n; a solve
-    that fails fails only its own trial, as it does alone.  So
-    ``progress``, called before each trial, first fires once the shapes
-    and the worst points exist.
 
-    Each shape, plan and fitted trial is released when the last trial that
-    uses it takes it or fails before it does, and all are forgotten when
-    the call returns, even if it raises.  A shape or plan that cannot be
-    built is tried once: each of its trials fails with the same type and
-    message.  Every row equals the one its config gives when run alone.
+    A shape or plan that cannot be built is tried once: each of its trials
+    fails with the same type and message.  ``run_trial`` run alone builds
+    the stages for its one config, so every row equals the one its config
+    gives alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
     """
     trials = list(trials)
-    rows = []
-    failures = []
-    results = []
-    shape_keys = [_shape_key(c) for c in trials]
-    exact = [c for c in trials if _has_quadratic_objective(c)]
-    with _campaign_memo(shape_keys + [_plan_key(c) for c in trials] + exact):
-        _certify_shapes(shape_keys)
-        _MEMO.get()[0].update(_fit_quadratics(exact))
+    rows, failures, results = [], [], []
+    stages = _stages(trials)
+    # What each trial reads, as (stage, key), and the last trial to read it.
+    reads = [tuple(enumerate((_shape_key(c), _plan_key(c), c))) for c in trials]
+    last = {read: i for i, keys in enumerate(reads) for read in keys}
+    try:
         for trial_id, config in enumerate(trials):
             if progress is not None:
                 progress(
@@ -818,15 +824,24 @@ def run_campaign(
                 )
             row = _config_columns(trial_id, config)
             try:
-                result = run_trial(config)
+                result = run_trial(config, stages)
                 results.append((config, result))
             except Exception as exc:  # record per-trial failure, keep going
                 result = None
                 failures.append(
                     {"trial_id": trial_id, "type": type(exc).__name__, "error": str(exc)}
                 )
+                # A failed key's exception is raised again by its later
+                # trials; until then its traceback would hold this trial's.
+                exc.__traceback__ = None
             row.update(_result_columns(result))
             rows.append(row)
+            for stage, key in reads[trial_id]:
+                if last[stage, key] == trial_id:
+                    stages[stage].pop(key, None)
+    finally:
+        for store in stages:
+            store.clear()
 
     per_kind = {}
     for kind in sorted({config.kind.name for config, _ in results}):

@@ -375,10 +375,11 @@ class TestPlacement:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5), (3, 6)])
     def test_placed_set_reuses_shape(self, n, p):
         center = np.linspace(-0.7, 0.9, n)
-        # Two takes expected, so the shape outlives the first.
-        with geometry_module._campaign_memo([(n, p, 20.0, 6)] * 2):
-            placed = generate_poised_set(n, p, 0.03, 20.0, seed=6, center=center)
-            (shape,) = _memo_values().values()
+        key = (n, p, 20.0, 6)
+        shape = geometry_module._certify_shapes([key])[key]
+        placed = geometry_module._place(shape, center, 0.03)
+        alone = generate_poised_set(n, p, 0.03, 20.0, seed=6, center=center)
+        assert placed.points.tobytes() == alone.points.tobytes()
         assert not placed.points.flags.writeable
         assert placed.points.tobytes() == (center + 0.03 * shape.points).tobytes()
         assert placed.radius == 0.03
@@ -392,10 +393,10 @@ class TestSystemMemo:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5)])
     def test_placed_set_shares_shape_memo(self, n, p):
-        with geometry_module._campaign_memo([(n, p, 20.0, 4)] * 3):
-            a = generate_poised_set(n, p, 0.5, 20.0, seed=4)
-            b = generate_poised_set(n, p, 1e-3, 20.0, seed=4, center=[5.0, -3.0])
-            (shape,) = _memo_values().values()
+        key = (n, p, 20.0, 4)
+        shape = geometry_module._certify_shapes([key])[key]
+        a = geometry_module._place(shape, np.zeros(2), 0.5)
+        b = geometry_module._place(shape, np.array([5.0, -3.0]), 1e-3)
         assert shape._system is not None
         assert a._system is shape._system
         assert b._system is shape._system
@@ -524,17 +525,10 @@ def _loop(key):
     )
 
 
-def _memo_values():
-    # The running campaign memo's values by key.
-    return geometry_module._MEMO.get()[0]
-
-
 def _lockstep_shapes(keys):
-    # What the campaign's lockstep pass stores for keys: each key's shape,
-    # or the exception its loop raised.
-    with geometry_module._campaign_memo(keys):
-        geometry_module._certify_shapes(keys)
-        return dict(_memo_values())
+    # What the campaign's lockstep pass gives keys: each key's shape, or the
+    # exception its loop raised.
+    return geometry_module._certify_shapes(keys)
 
 
 def _solves_alone(key):
@@ -641,53 +635,6 @@ class TestLockstep:
                 generate_poised_set(2, p, 0.1, lambda_max, seed=0)
             with pytest.raises(ValueError):
                 TrialConfig("quartic", kind, 2, p, 0.1, lambda_max=lambda_max)
-
-
-class TestCampaignMemo:
-    def test_value_built_once_and_dropped_after_last_take(self):
-        built = []
-
-        def build():
-            built.append(object())
-            return built[-1]
-
-        take = geometry_module._take
-        with geometry_module._campaign_memo(["a", "b", "a", "a"]):
-            first = take("a", build)
-            assert take("a", build) is first
-            assert set(_memo_values()) == {"a"}
-            assert take("a", build) is first
-            assert _memo_values() == {}
-            # A take past the last, or of a key the memo does not expect,
-            # builds afresh and stores nothing.
-            assert take("a", build) is not first
-            take("c", build)
-            assert _memo_values() == {}
-        assert len(built) == 3
-        assert geometry_module._MEMO.get(None) is None
-        take("a", build)
-        assert len(built) == 4
-
-    def test_failed_build_runs_once_and_fails_every_take(self):
-        builds = []
-
-        def build():
-            builds.append(None)
-            raise RuntimeError("no value")
-
-        depths = []
-        with geometry_module._campaign_memo(["k"] * 3 + ["r"]):
-            for _ in range(3):
-                with pytest.raises(RuntimeError, match="^no value$") as info:
-                    geometry_module._take("k", build)
-                depths.append(len(info.traceback))
-            # A build may also return the exception that fails its key.
-            with pytest.raises(ValueError, match="^returned$"):
-                geometry_module._take("r", lambda: ValueError("returned"))
-            assert _memo_values() == {}
-        assert len(builds) == 1
-        # Each take raises with a fresh traceback, not one grown per take.
-        assert len(set(depths)) == 1
 
 
 @settings(max_examples=15, deadline=None)

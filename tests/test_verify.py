@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -551,6 +553,32 @@ class TestTrials:
         with pytest.raises(ValueError, match=field):
             TrialConfig(**kwargs)
 
+    def test_reals_stored_as_floats(self):
+        # A config's reals are floats, so configs equal as numbers report
+        # alike: lambda_max 2 and 2.0 share a shape that cannot be
+        # certified, and each trial's failure is the one it gives alone.
+        a = TrialConfig("quadratic", "lin_det", 2, 2, 1, lambda_max=2, kappa=0, delta_max=1)
+        b = dataclasses.replace(a, delta=0.5, lambda_max=2.0)
+        for name in ("delta", "delta_max", "kappa", "lambda_max"):
+            assert type(getattr(a, name)) is float, name
+        report = run_campaign([a, b])
+        for failure, config in zip(report.failures, (a, b)):
+            with pytest.raises(RuntimeError) as alone:
+                run_trial(config)
+            assert failure["error"] == str(alone.value)
+            assert failure["error"].startswith("could not reach lambda <= 2.0 in")
+        assert len(report.failures) == 2
+
+    def test_unknown_function_raises_before_any_shape_work(self, monkeypatch):
+        # Run alone, a trial resolves its function before it certifies its
+        # shape, so an unknown name costs no improvement loop.
+        def no_loop(*args):
+            raise AssertionError("improvement loop ran")
+
+        monkeypatch.setattr(geometry_module, "_improve_shape", no_loop)
+        with pytest.raises(ValueError, match="^unknown test function 'nope'"):
+            run_trial(TrialConfig("nope", "lin_det", 2, 2, 0.1, lambda_max=2.0))
+
     def test_kind_coercion_and_validation(self):
         cfg = TrialConfig(function="quartic", kind="LIN_DET", n=2, p=2, delta=0.1)
         assert cfg.kind.name == "LIN_DET"
@@ -612,6 +640,81 @@ class TestTrialCenter:
         assert np.array_equal(center, 0.0 + draw * 2.0)
         # Its own array, not the cached draw.
         assert not np.shares_memory(center, verify_module._center_draw(4, 2))
+
+
+class StageValues:
+    """Weak references to the stage values a campaign builds, by (stage, key).
+
+    Wraps the builders ``run_campaign`` calls: the shape certifier, the
+    probe-plan builder and the quadratic-objective fitter.  A shape is its
+    unit ``SampleSet``, a plan its ``_ProbePlan`` and a fitted quadratic
+    trial its ``FitResult``; a key that fails is counted as built but has no
+    value to watch.
+    """
+
+    def __init__(self, monkeypatch):
+        self.builds = collections.Counter()
+        self.refs = {}
+        certify = verify_module._certify_shapes
+        probe_plan = verify_module._probe_plan
+        fit_quadratics = verify_module._fit_quadratics
+
+        def shapes(keys):
+            built = certify(keys)
+            for key, shape in built.items():
+                self._track("shape", key, shape)
+            return built
+
+        def plan(fn, delta, seed, count):
+            key = (fn.name, fn.dim, delta, seed)
+            self.builds["plan", key] += 1  # counted before it can raise
+            value = probe_plan(fn, delta, seed, count)
+            self.refs["plan", key] = weakref.ref(value)
+            return value
+
+        def fits(configs, *stores):
+            fitted = fit_quadratics(configs, *stores)
+            for config, state in fitted.items():
+                self._track("fit", config, state if isinstance(state, Exception) else state[3])
+            return fitted
+
+        monkeypatch.setattr(verify_module, "_certify_shapes", shapes)
+        monkeypatch.setattr(verify_module, "_probe_plan", plan)
+        monkeypatch.setattr(verify_module, "_fit_quadratics", fits)
+
+    def _track(self, stage, key, value):
+        self.builds[stage, key] += 1
+        if not isinstance(value, Exception):
+            self.refs[stage, key] = weakref.ref(value)
+
+    def alive(self) -> set:
+        return {key for key, ref in self.refs.items() if ref() is not None}
+
+    @staticmethod
+    def last_readers(trials) -> dict:
+        """The index of the last trial that reads each (stage, key)."""
+        last = {}
+        for i, c in enumerate(trials):
+            last["shape", (c.n, c.p, c.lambda_max, c.seed)] = i
+            last["plan", (c.function, c.n, c.delta, c.seed)] = i
+            last["fit", c] = i
+        return last
+
+    def watch(self, trials, also=None):
+        """A progress callback that checks, before trial i, that no value
+        whose last reader came before i is alive; it then calls ``also``."""
+        last = self.last_readers(trials)
+        self.seen = []
+
+        def progress(message):
+            i = len(self.seen)
+            self.seen.append(self.alive())
+            stale = {key for key in self.seen[-1] if last[key] < i}
+            assert not stale, (i, stale)
+            if also is not None:
+                also(message)
+
+        return progress
 
 
 class TestCampaign:
@@ -787,7 +890,7 @@ class TestCampaign:
             lam=1.0, C_f=0.0, C_g=1.0, C_H=1.0, emp_f=1.0, emp_g=0.5, emp_H=0.5,
             margin_f=margin, margin_g=0.5, margin_H=0.5, passed=False,
         )
-        monkeypatch.setattr(verify_module, "run_trial", lambda config: result)
+        monkeypatch.setattr(verify_module, "run_trial", lambda config, *stages: result)
         trials = expand_config(
             {"function": "quartic", "kind": "lin_det", "n": 2, "p": 2, "delta": 0.1}
         )
@@ -821,7 +924,7 @@ class TestCampaign:
              "delta": [0.1, 0.2]}
         )
 
-        def fake_trial(config):
+        def fake_trial(config, *stages):
             if config.delta == 0.2:
                 raise ValueError("this trial fails")
             return TrialResult(**values)
@@ -838,6 +941,7 @@ class TestCampaign:
         # 90 trials share 15 (n, p, lambda_max, seed) keys, each improved
         # by one loop.  The shapes live only as long as one run_campaign
         # call, so a second call generates them all again.
+        values = StageValues(monkeypatch)
         keys = []
         original = geometry_module._improve_shape
 
@@ -850,7 +954,8 @@ class TestCampaign:
         assert len(trials) == 90
         first = run_campaign(trials)
         assert len(keys) == len(set(keys)) == 15
-        assert geometry_module._MEMO.get(None) is None
+        assert len([k for k in values.refs if k[0] == "shape"]) == 15
+        assert not values.alive()
         second = run_campaign(trials)
         assert len(keys) == 30 and set(keys[15:]) == set(keys[:15])
         assert first.rows == second.rows and not first.failures
@@ -919,14 +1024,19 @@ class TestCampaign:
             for i in range(6)
         ]
 
-    def test_shapes_dropped_when_campaign_raises(self):
+    def test_shapes_dropped_when_campaign_raises(self, monkeypatch):
         def stop(_message):
             raise KeyboardInterrupt
 
+        values = StageValues(monkeypatch)
         trials = default_sweep(1)[:1]
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(trials, progress=stop)
-        assert geometry_module._MEMO.get(None) is None
+        # The exception, held here, holds the campaign's frames.
+        with pytest.raises(KeyboardInterrupt) as stopped:
+            run_campaign(trials, progress=values.watch(trials, also=stop))
+        assert stopped.tb is not None
+        c = trials[0]
+        assert values.seen == [{("shape", (c.n, c.p, c.lambda_max, c.seed))}]
+        assert not values.alive()
 
     def test_progress_callback(self):
         seen = []
@@ -1017,57 +1127,48 @@ class TestProbePlans:
         assert set(evaluated.values()) == {1}
         assert len(evaluated) == 2 * len(built)
 
-    def test_plans_released_after_their_last_trial(self):
-        # Shapes are released like plans.  A trial whose ball does not fit
-        # the domain fails on its plan before it takes its shape, and gives
-        # that take up, so the shape does not outlive its last trial either.
-        # The quadratic-objective trials are fitted before the first one:
-        # they take their plans and shapes then, and each trial's state,
-        # keyed by its config, is held until that trial takes it.
+    def test_plans_released_after_their_last_trial(self, monkeypatch):
+        # Shapes and fitted states are released like plans: each is dropped
+        # once the last trial that reads it has run (checked before every
+        # trial by StageValues.watch).  A trial whose ball does not fit the
+        # domain fails on its plan before it reads its shape, and that shape
+        # does not outlive its last trial either.  The shapes and the
+        # quadratic-objective trials' fits exist before the first trial; a
+        # plan is built by the first trial that reads it.
         trials = _mixed_sweep()
-        shape_keys = [(c.n, c.p, c.lambda_max, c.seed) for c in trials]
-        keys = [verify_module._plan_key(c) for c in trials]
-        exact = [c.function == "quadratic" for c in trials]
-        takes = [
-            {c} if is_exact else {plan, shape}
-            for c, plan, shape, is_exact in zip(trials, keys, shape_keys, exact)
-        ]
-        held = []
-
-        def look(_message):
-            held.append(set(geometry_module._MEMO.get()[0]))
-
-        report = run_campaign(trials, progress=look)
-        assert geometry_module._MEMO.get(None) is None
-        assert len(held) == len(trials)
+        values = StageValues(monkeypatch)
+        report = run_campaign(trials, progress=values.watch(trials))
+        assert len(values.seen) == len(trials)
         assert any("does not fit" in f["error"] for f in report.failures)
-        assert 0 < sum(exact) < len(trials)
-        assert held[0] == {
-            key for c, shape, is_exact in zip(trials, shape_keys, exact)
-            for key in ([c] if is_exact else [shape])
-        }
-        # Before trial i, only keys that trial i or a later one takes are held.
-        for i, values in enumerate(held):
-            assert values <= set().union(*takes[i:]), i
-        assert max(len(values & set(keys)) for values in held) > 1
+        assert set(values.builds.values()) == {1}
+        stages = collections.Counter(stage for stage, _ in values.refs)
+        assert stages["shape"] and stages["plan"] and stages["fit"]
+        assert {key for key in values.refs if key[0] != "plan"} <= values.seen[0]
+        assert not values.alive()
+        # Some plan is shared: built by one trial and still held for another.
+        assert any(
+            sum(key in alive for alive in values.seen) > 1
+            for key in values.refs
+            if key[0] == "plan"
+        )
 
-    def test_shape_released_by_a_trial_with_an_unknown_function(self):
-        # The first trial fails before it takes its plan or its shape; its
+    def test_shape_released_by_a_trial_with_an_unknown_function(self, monkeypatch):
+        # The first trial fails before it reads its plan or its shape; its
         # shape, which no later trial uses, is dropped all the same.
         trials = [
             TrialConfig("nope", "lin_det", 2, 2, 0.1, seed=3),
             TrialConfig("quartic", "lin_det", 2, 2, 0.1, seed=4),
         ]
-        held = []
-
-        def look(_message):
-            held.append(set(geometry_module._MEMO.get()[0]))
-
-        report = run_campaign(trials, progress=look)
+        values = StageValues(monkeypatch)
+        report = run_campaign(trials, progress=values.watch(trials))
         assert [f["trial_id"] for f in report.failures] == [0]
-        assert held[1] == {(2, 2, 100.0, 4)}
+        assert values.seen == [
+            {("shape", (2, 2, 100.0, 3)), ("shape", (2, 2, 100.0, 4))},
+            {("shape", (2, 2, 100.0, 4))},
+        ]
+        assert not values.alive()
 
-    def test_plans_dropped_when_progress_raises(self):
+    def test_plans_dropped_when_progress_raises(self, monkeypatch):
         trials = _mixed_sweep()
         calls = []
 
@@ -1076,9 +1177,14 @@ class TestProbePlans:
             if len(calls) == 4:
                 raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(trials, progress=stop)
-        assert geometry_module._MEMO.get(None) is None
+        values = StageValues(monkeypatch)
+        # The exception, held here, holds the campaign's frames.
+        with pytest.raises(KeyboardInterrupt) as stopped:
+            run_campaign(trials, progress=values.watch(trials, also=stop))
+        assert stopped.tb is not None
+        assert len(values.seen) == 4
+        assert any(key[0] == "plan" for key in values.seen[-1])
+        assert not values.alive()
 
 
 class TestExactWorstPoints:
@@ -1128,7 +1234,9 @@ class TestExactWorstPoints:
             return original(np.where(hit[:, None], np.nan, coeffs), center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
-        report = run_campaign(trials)
+        values = StageValues(monkeypatch)
+        report = run_campaign(trials, progress=values.watch(trials))
+        assert not values.alive()
         with pytest.raises(ValueError) as alone:
             run_trial(target)
         assert report.failures[-1] == {
@@ -1146,31 +1254,93 @@ class TestExactWorstPoints:
 
     def test_repeated_config_releases_every_key(self, monkeypatch):
         # The quadratic config runs twice and shares its shape with the
-        # quartic trial after it.  After each trial, the memo holds and
-        # counts only what later trials take.
+        # quartic trial after it.  Before each trial, only what that trial
+        # or a later one reads is held, and each key is built once.
         q = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0, seed=1)
         quartic = dataclasses.replace(q, function="quartic")
         trials = [q, q, quartic]
-        shape, plan = (4, 10, 5.0, 1), verify_module._plan_key(quartic)
-        after = []
-        original = verify_module.run_trial
-
-        def spied(config):
-            try:
-                return original(config)
-            finally:
-                values, uses = geometry_module._MEMO.get()
-                after.append((set(values), dict(uses)))
-
-        monkeypatch.setattr(verify_module, "run_trial", spied)
-        report = run_campaign(trials)
+        shape, plan = ("shape", (4, 10, 5.0, 1)), ("plan", ("quadratic", 4, 0.2, 1))
+        values = StageValues(monkeypatch)
+        report = run_campaign(trials, progress=values.watch(trials))
         assert not report.failures
         assert report.rows[0] == {**report.rows[1], "trial_id": 0}
-        assert after == [
-            ({q, shape}, {q: 1, shape: 1, plan: 1}),
-            ({shape}, {shape: 1, plan: 1}),
-            (set(), {}),
-        ]
-        assert geometry_module._MEMO.get(None) is None
-        alone = verify_module._result_columns(original(q))
+        assert values.seen == [{("fit", q), shape, plan}] * 2 + [{shape}]
+        assert set(values.builds.values()) == {1}
+        assert ("plan", ("quartic", 4, 0.2, 1)) in values.refs
+        assert not values.alive()
+        alone = verify_module._result_columns(run_trial(q))
         assert {k: report.rows[0][k] for k in alone} == alone
+
+
+class TestStoredFailures:
+    """A key that fails keeps its exception, which each of its trials raises."""
+
+    @staticmethod
+    def _trials():
+        # The three kinds at n = 2 share the plan of a ball of radius 1.5,
+        # which does not fit the quartic's box.  LIN_DET at n = 2 cannot
+        # certify lambda 2, so its shapes fail: that of seed 0 for two
+        # quartic trials, read in turn, and that of seed 1 for two trials
+        # of the quadratic, whose fits are made before the first trial,
+        # after that of a quadratic trial that passes.
+        trials = [
+            TrialConfig("quartic", kind, 2, p, 1.5)
+            for kind, p in (("lin_det", 2), ("quad_det", 5), ("mfn", 4))
+        ]
+        trials.append(TrialConfig("quadratic", "lin_det", 2, 2, 0.5, seed=2))
+        for function, seed in (("quartic", 0), ("quadratic", 1)):
+            trials += expand_config(
+                {"function": function, "kind": "lin_det", "n": 2, "p": 2,
+                 "delta": [0.5, 0.1], "lambda_max": 2.0, "seed": seed}
+            )
+        return trials
+
+    def test_failing_key_built_once(self, monkeypatch):
+        trials = self._trials()
+        loops = []
+        original = geometry_module._improve_shape
+
+        def counted(kind, n, p, lambda_max, seed):
+            loops.append((n, p, lambda_max, seed))
+            return original(kind, n, p, lambda_max, seed)
+
+        monkeypatch.setattr(geometry_module, "_improve_shape", counted)
+        values = StageValues(monkeypatch)
+        report = run_campaign(trials, progress=values.watch(trials))
+        assert len(loops) == len(set(loops)) == 6
+        assert set(values.builds.values()) == {1}
+        # A kept exception holds no stage value alive through its traceback.
+        assert not values.alive()
+        assert ("plan", ("quartic", 2, 1.5, 0)) in values.builds
+        assert ("plan", ("quartic", 2, 1.5, 0)) not in values.refs
+        monkeypatch.undo()
+        alone = []
+        for trial_id, config in enumerate(trials):
+            try:
+                run_trial(config)
+            except Exception as exc:
+                alone.append(
+                    {"trial_id": trial_id, "type": type(exc).__name__, "error": str(exc)}
+                )
+        assert len(alone) == len(trials) - 1
+        assert report.failures == alone
+
+    def test_each_reraise_has_a_fresh_traceback(self, monkeypatch):
+        # A stored exception raised again would extend its own traceback;
+        # each trial of a failed key raises it with a traceback of one depth.
+        depths = collections.defaultdict(list)
+        original = verify_module.run_trial
+
+        def spied(config, *stages):
+            try:
+                return original(config, *stages)
+            except Exception as exc:
+                depth = len(traceback.extract_tb(exc.__traceback__))
+                depths[str(exc), config.function].append(depth)
+                raise
+
+        monkeypatch.setattr(verify_module, "run_trial", spied)
+        report = run_campaign(self._trials())
+        assert len(report.failures) == 7
+        assert sorted(len(d) for d in depths.values()) == [2, 2, 3]
+        assert all(len(set(d)) == 1 for d in depths.values()), dict(depths)
