@@ -14,27 +14,26 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule and the public names it defines.
+# Each submodule and the public names it defines.  The two errors live in
+# the NumPy-free bounds; geometry and models raise them.
 _EXPORTS = {
     "ball": (
         "BallExtremum", "BallSolution", "extremize_batch", "extremize_on_ball",
         "grid_oracle", "lipschitz_on_ball", "max_abs_on_ball",
     ),
     "bounds": (
-        "BoundInputs", "BoundKind", "BoundReport", "ModelKind", "c_delta_max",
-        "closed_form_bounds", "constants_from_lambda", "error_bounds",
-        "hessian_bound_mfn",
+        "BoundInputs", "BoundKind", "BoundReport", "ModelKind", "NotPoisedError",
+        "RelaxationError", "c_delta_max", "closed_form_bounds", "constants_from_lambda",
+        "error_bounds", "hessian_bound_mfn",
     ),
     "cli": (),
     "fileio": (),
     "geometry": (
-        "NotPoisedError", "PoisednessCertificate", "PoisednessKind", "SampleSet",
-        "design_matrix", "generate_poised_set", "lagrange_determined", "lagrange_mfn",
+        "PoisednessCertificate", "PoisednessKind", "SampleSet", "design_matrix",
+        "generate_poised_set", "lagrange_determined", "lagrange_mfn",
         "lambda_poisedness", "normalized_points",
     ),
-    "models": (
-        "FitResult", "RelaxationError", "RelaxationSpec", "fit_model", "fit_relaxed",
-    ),
+    "models": ("FitResult", "RelaxationSpec", "fit_model", "fit_relaxed"),
     "poly": ("QuadraticPolynomial", "basis_matrix", "space_dim"),
     "verify": (
         "CSV_COLUMNS", "CampaignReport", "InequalityCheck", "TestFunction",

@@ -27,7 +27,27 @@ __all__ = [
     "hessian_bound_mfn",
     "error_bounds",
     "closed_form_bounds",
+    "NotPoisedError",
+    "RelaxationError",
 ]
+
+
+# The library's two mathematical failures live here, in the module without
+# NumPy, so the CLI can catch them by name without loading what raises them.
+class NotPoisedError(Exception):
+    """The interpolation system is singular or numerically unusable."""
+
+    def __init__(self, message: str, condition: float = math.inf):
+        super().__init__(message)
+        self.condition = float(condition)
+
+
+class RelaxationError(ValueError):
+    """A supplied relaxed value leaves the kappa delta^2 envelope."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = int(index)
 
 
 class ModelKind(Enum):

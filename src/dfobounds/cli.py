@@ -19,8 +19,12 @@ import sys
 from typing import Optional
 
 # Only the NumPy-free bounds module loads with the CLI; each command imports
-# the rest of what it runs, so `dfobounds bounds` never loads NumPy.
-from .bounds import BoundInputs, ModelKind, _kind_for_shape, _require, error_bounds
+# the rest of what it runs, so `dfobounds bounds` never loads NumPy.  main
+# catches the two mathematical failures, defined there too, by name.
+from .bounds import (
+    BoundInputs, ModelKind, NotPoisedError, RelaxationError, _kind_for_shape, _require,
+    error_bounds,
+)
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -81,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kappa",
         type=_finite_float,
-        default=None,
-        help="relaxation envelope multiplier; 0 or omitted fits exactly",
+        default=0.0,
+        help="relaxation envelope multiplier; 0 (the default) fits exactly",
     )
     p.add_argument(
         "--gamma-file",
@@ -181,15 +185,10 @@ def _cmd_fit(args) -> int:
     if values is None:
         raise ValueError(f"{args.points}: fit requires an f column")
     gamma = fileio.read_gamma(args.gamma_file) if args.gamma_file else None
-    kappa = args.kappa
-    if gamma is None and (kappa is None or kappa == 0.0):
+    if gamma is None and args.kappa == 0.0:
         fit = fit_model(args.kind, sample_set, values)
     else:
-        spec = RelaxationSpec(
-            kappa=0.0 if kappa is None else kappa,
-            gamma=gamma,
-            noise_seed=args.noise_seed,
-        )
+        spec = RelaxationSpec(kappa=args.kappa, gamma=gamma, noise_seed=args.noise_seed)
         fit = fit_relaxed(args.kind, sample_set, values, spec)
     payload = fileio.write_model(
         args.out,
@@ -279,26 +278,15 @@ _DISPATCH = {
 }
 
 
-def _loaded(module: str, name: str) -> tuple:
-    """The exception class ``module.name`` as a 1-tuple, or ``()`` if that
-    module is not loaded: a command that never loaded it cannot raise it.
-
-    An except clause evaluates its expression only when an exception
-    reaches it, so ``except _loaded(...)`` imports nothing.
-    """
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return () if loaded is None else (getattr(loaded, name),)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _loaded("geometry", "NotPoisedError") as exc:
+    except NotPoisedError as exc:
         print(f"dfobounds: not poised: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except _loaded("models", "RelaxationError") as exc:
+    except RelaxationError as exc:
         print(f"dfobounds: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (OSError, ValueError) as exc:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
+from .bounds import _integer, _number
 from .poly import QuadraticPolynomial
 
 if TYPE_CHECKING:
@@ -53,24 +55,15 @@ def _sidecar_delta(path) -> Optional[float]:
     payload = _read_json(side, "sidecar")
     if not isinstance(payload, dict) or "delta" not in payload:
         raise ValueError(f'{side}: sidecar must be an object with a "delta" key')
-    if not _nests_numbers(payload["delta"], 0):
-        raise ValueError(f'{side}: sidecar "delta" must be a number')
-    try:
-        delta = float(payload["delta"])
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f'{side}: sidecar "delta" must be finite') from None
-    if not 0.0 < delta < float("inf"):
-        raise ValueError(
-            f'{side}: sidecar "delta" must be a positive finite number, got {delta}'
-        )
-    return delta
+    return _number(f'{side}: sidecar "delta"', payload["delta"], 0.0, strict=True)
 
 
 def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optional[np.ndarray]]:
     """Read a point-set CSV; returns the sample set and values if present.
 
     The radius is taken from ``delta`` when given, otherwise from the JSON
-    sidecar ``<stem>.json``.  Parse errors name the offending data row.
+    sidecar ``<stem>.json``.  Parse errors, and cells that are not finite
+    numbers, name the offending data row.
     """
     # Imported here so that reading a model or a config loads no geometry.
     from .geometry import SampleSet
@@ -100,12 +93,16 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
                     f"{path}: data row {index} has {len(row)} fields, expected "
                     f"{len(header)}"
                 )
+            # float() takes "nan" and "inf", which no point or value may be.
             try:
                 numbers = [float(cell) for cell in row]
             except ValueError:
+                numbers = [math.nan]
+            if not all(map(math.isfinite, numbers)):
                 raise ValueError(
-                    f"{path}: data row {index} contains a non-numeric field"
-                ) from None
+                    f"{path}: data row {index} contains a field that is not a "
+                    "finite number"
+                )
             if has_values:
                 rows.append(numbers[:-1])
                 values.append(numbers[-1])
@@ -113,14 +110,13 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
                 rows.append(numbers)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 points, got {len(rows)}")
-    if delta is None:
-        delta = _sidecar_delta(path)
+    delta = _sidecar_delta(path) if delta is None else _number("delta", delta, 0.0, strict=True)
     if delta is None:
         raise ValueError(
             f"{path}: no radius given and no JSON sidecar {sidecar_path(path).name} "
             "found"
         )
-    sample_set = SampleSet(np.asarray(rows, dtype=float), float(delta))
+    sample_set = SampleSet(np.asarray(rows, dtype=float), delta)
     return sample_set, (np.asarray(values, dtype=float) if has_values else None)
 
 
@@ -168,37 +164,37 @@ def _nests_numbers(value, depth: int) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _model_array(payload: dict, key: str, depth: int) -> np.ndarray:
-    if not _nests_numbers(payload[key], depth):
+def _finite_array(value, depth: int, name: str) -> np.ndarray:
+    """value, depth levels of JSON arrays around numbers, as a finite array.
+
+    ValueError naming ``name``, the file or the key, if it is anything else,
+    has rows of different lengths, or holds NaN, an infinity or an integer
+    beyond the float range.
+    """
+    if not _nests_numbers(value, depth):
         what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
-        raise ValueError(f'model JSON key "{key}" must be {what}')
+        raise ValueError(f"{name} must be {what}")
     try:
-        return np.asarray(payload[key], dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f'model JSON key "{key}" must be finite') from None
+        array = np.asarray(value, dtype=float)
     except ValueError:  # NumPy rejects rows of different lengths
-        raise ValueError(
-            f'model JSON key "{key}" has rows of different lengths'
-        ) from None
+        raise ValueError(f"{name} has rows of different lengths") from None
+    except OverflowError:  # an integer beyond the float range
+        array = None
+    if array is None or not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
 
 
 def model_from_dict(payload: dict) -> QuadraticPolynomial:
     for key in ("n", "c", "g", "H"):
         if key not in payload:
             raise ValueError(f'model JSON is missing key "{key}"')
-    n = payload["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f'model JSON key "n" must be an integer, got {n!r}')
-    c = float(_model_array(payload, "c", 0))
-    g = _model_array(payload, "g", 1)
-    H = _model_array(payload, "H", 2)
-    if g.shape != (n,):
-        raise ValueError(f"model gradient has shape {g.shape}, expected ({n},)")
-    if H.shape != (n, n):
-        raise ValueError(f"model Hessian has shape {H.shape}, expected ({n}, {n})")
-    for key, value in (("c", c), ("g", g), ("H", H)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f'model JSON key "{key}" must be finite')
+    n = _integer('model JSON key "n"', payload["n"], 1)
+    c, g, H = (
+        _finite_array(payload[key], depth, f'model JSON key "{key}"')
+        for depth, key in enumerate("cgH")
+    )
+    # The polynomial checks that g and H have the shapes n gives them.
     return QuadraticPolynomial(n, c, g, H)
 
 
@@ -221,13 +217,7 @@ def write_model(path, model: QuadraticPolynomial, extra: Optional[dict] = None) 
 
 
 def read_gamma(path) -> np.ndarray:
-    payload = _read_json(path, "gamma file")
-    if not _nests_numbers(payload, 1):
-        raise ValueError(f"{path}: gamma file must be a JSON array of numbers")
-    try:
-        return np.asarray(payload, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{path}: gamma values must be finite") from None
+    return _finite_array(_read_json(path, "gamma file"), 1, f"{path}: gamma values")
 
 
 def read_config(path) -> dict:

@@ -28,7 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .ball import _rownorm, max_abs_on_ball
-from .bounds import ModelKind, _integer, _kind_for_shape, _number, constants_from_lambda
+from .bounds import (
+    ModelKind, NotPoisedError, _integer, _kind_for_shape, _number, constants_from_lambda
+)
 from .poly import QuadraticPolynomial, basis_matrix, space_dim
 
 __all__ = [
@@ -50,14 +52,6 @@ _MAX_ITERS = 200  # improvement steps generate_poised_set takes before it gives 
 
 # The model kinds by their poisedness names: LINEAR, QUADRATIC and MFN.
 PoisednessKind = ModelKind
-
-
-class NotPoisedError(Exception):
-    """The interpolation system is singular or numerically unusable."""
-
-    def __init__(self, message: str, condition: float = np.inf):
-        super().__init__(message)
-        self.condition = float(condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,15 +289,10 @@ def lambda_poisedness(sample_set: SampleSet, kind) -> PoisednessCertificate:
     implied by the measured constant.  ``kind`` is anything ``ModelKind``
     takes, such as PoisednessKind.LINEAR or "linear".
     """
-    return _certify(sample_set, ModelKind(kind))[0]
-
-
-def _certify(sample_set: SampleSet, kind: ModelKind):
-    # The certificate together with the normalized Lagrange coefficients it
-    # was measured on, one row per polynomial.
+    kind = ModelKind(kind)
     coeffs = _lagrange_coeffs(sample_set, kind)
     values, _ = max_abs_on_ball(coeffs, np.zeros(sample_set.n), 1.0)
-    return _certificate(sample_set, kind, values), coeffs
+    return _certificate(sample_set, kind, values)
 
 
 def _certificate(

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import ModelKind, _integer, _number
+from .bounds import ModelKind, RelaxationError, _integer, _number
 from .geometry import (
     SampleSet,
     _interpolate,
@@ -27,14 +27,6 @@ __all__ = [
     "fit_model",
     "fit_relaxed",
 ]
-
-
-class RelaxationError(ValueError):
-    """A supplied relaxed value leaves the kappa delta^2 envelope."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = int(index)
 
 
 @dataclass(frozen=True)

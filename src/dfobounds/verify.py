@@ -28,11 +28,9 @@ from .bounds import (
 from .geometry import (
     SampleSet,
     generate_poised_set,
-    # Bound here so tracers that look the certifier up in this module keep
-    # finding it.
-    lambda_poisedness,  # noqa: F401
-    _certify,
+    lambda_poisedness,
     _certify_shapes,
+    _lagrange_coeffs,
     _solve_stacks,
     normalized_points,
 )
@@ -280,7 +278,7 @@ def check_theory(
     delta = sample_set.radius
     # BoundInputs' rule for the radius cap, which it defaults to delta.
     delta_max = BoundInputs(L=0.0, delta=delta, delta_max=delta_max).delta_max
-    cert, coeffs = _certify(sample_set, kind)
+    cert = lambda_poisedness(sample_set, kind)
     n, p = sample_set.n, sample_set.p
     q = space_dim(2, n) - 1
     checks = [_le(kind._norm_check, cert.matrix_norm, cert.norm_bound)]
@@ -288,8 +286,9 @@ def check_theory(
     if kind is ModelKind.MFN:
         c = c_delta_max(delta_max)
         cap = 4.0 * cert.lam * np.sqrt(2.0 * (q + 1.0)) / (delta * delta * c * c)
-        # The absolute Hessian of l_j is the normalized one over delta^2.
-        H_hat = _split_coeffs(coeffs, n)[2]
+        # The absolute Hessian of l_j is the normalized one over delta^2; the
+        # coefficients are the set's memoized basis, which cert was measured on.
+        H_hat = _split_coeffs(_lagrange_coeffs(sample_set, kind), n)[2]
         norms = np.linalg.norm(H_hat, 2, axis=(1, 2)) / (delta * delta)
         for j, norm in enumerate(norms):
             checks.append(
@@ -424,8 +423,9 @@ def _unit_probe_block(n: int, count: int):
     """The probe points on the unit ball at the origin, built once per (n, count).
 
     Returns the block that scales by delta (the Halton points, the origin
-    and the +-axes) and the +-1 corners, which scale by delta / sqrt(n), or
-    None when n > 6.  Both are read-only, since every trial shares them.
+    and the +-axes) and the +-1 corners, which scale by delta / sqrt(n) and
+    are an empty (0, n) block when n > 6.  Both are read-only, since every
+    trial shares them.
     """
     # Low-discrepancy cube points pushed radially onto the ball; boundary
     # coverage matters because the worst errors tend to sit there.
@@ -435,9 +435,8 @@ def _unit_probe_block(n: int, count: int):
     z[outside] /= norms[outside][:, None]
     unit = np.vstack([z, np.zeros((1, n)), np.eye(n), -np.eye(n)])
     unit.setflags(write=False)
-    if n > 6:
-        return unit, None
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    cube = itertools.product((-1.0, 1.0), repeat=n) if n <= 6 else ()
+    corners = np.array(list(cube)).reshape(-1, n)
     corners.setflags(write=False)
     return unit, corners
 
@@ -476,9 +475,7 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _Probe
         )
     n = fn.dim
     unit, corners = _unit_probe_block(n, count)
-    block = center + delta * unit
-    if corners is not None:
-        block = np.vstack([block, center + (delta / np.sqrt(n)) * corners])
+    block = np.vstack([center + delta * unit, center + (delta / np.sqrt(n)) * corners])
     plan = _ProbePlan(center, block, fn.f(block), fn.grad(block))
     for array in (plan.center, plan.block, plan.f, plan.grad):
         array.setflags(write=False)
@@ -612,8 +609,7 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     # over delta, and the absolute Hessian the normalized one over delta^2.
     n = config.n
     unit, corners = _unit_probe_block(n, _PROBE_COUNT)
-    rows = [unit] if corners is None else [unit, corners / math.sqrt(n)]
-    rows.append(normalized_points(sample_set))
+    rows = [unit, corners / math.sqrt(n), normalized_points(sample_set)]
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:

@@ -73,7 +73,7 @@ class TestPoisedness:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "pts.json" in captured.err
-        assert 'sidecar "delta" must be a number' in captured.err
+        assert 'sidecar "delta" must be a finite number > 0, got' in captured.err
 
     @pytest.mark.parametrize("delta", ["1e999", "-1", "0", "-0.0"])
     def test_sidecar_delta_not_a_radius_exits_1(self, tmp_path, capsys, delta):
@@ -84,7 +84,16 @@ class TestPoisedness:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "pts.json" in captured.err
-        assert 'sidecar "delta" must be a positive finite number, got' in captured.err
+        assert 'sidecar "delta" must be a finite number > 0, got' in captured.err
+
+    @pytest.mark.parametrize("delta", ["0", "-1"])
+    def test_delta_flag_not_a_radius_exits_1(self, capsys, simplex_csv, delta):
+        code = main(["poisedness", simplex_csv, "--delta", delta, "--kind", "linear"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"dfobounds: error: delta must be a finite number > 0, got {float(delta)}\n"
+        )
 
     def test_out_file(self, capsys, simplex_csv, tmp_path):
         out = tmp_path / "cert.json"
@@ -121,7 +130,12 @@ class TestFit:
         assert "3" in capsys.readouterr().err  # offending index named
 
     @pytest.mark.parametrize(
-        "gamma", ["[null, 0.0, 0.0, 1.0]", '["0", true, 0.0, 1.0]', "[[0.0], 0, 0, 1]"]
+        "gamma",
+        [
+            "[null, 0.0, 0.0, 1.0]", '["0", true, 0.0, 1.0]', "[[0.0], 0, 0, 1]",
+            # Python's JSON reader loads these as NaN or an infinity.
+            "[NaN, 0.0, 0.0, 1.0]", "[Infinity, 0.0, 0.0, 1.0]", "[1e999, 0.0, 0.0, 1.0]",
+        ],
     )
     def test_gamma_not_numbers_exits_1(self, capsys, cross_csv, tmp_path, gamma):
         path = tmp_path / "gamma.json"
@@ -131,8 +145,9 @@ class TestFit:
         )
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "gamma.json" in captured.err
-        assert "must be a JSON array of numbers" in captured.err
+        what = "finite" if gamma.startswith(("[NaN", "[Inf", "[1e999")) else "a list of numbers"
+        assert captured.err.startswith("dfobounds: error: ")
+        assert captured.err.endswith(f"gamma.json: gamma values must be {what}\n")
 
     def test_requires_values(self, capsys, simplex_csv):
         code = main(["fit", simplex_csv, "--delta", "1", "--kind", "lin_det"])
@@ -477,3 +492,27 @@ def test_stdout_matches_golden(capsys, name, argv):
     argv = [str(GOLDEN / a) if a.endswith((".csv", ".json")) else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+@pytest.mark.parametrize(
+    "module, name", [("geometry", "NotPoisedError"), ("models", "RelaxationError")]
+)
+def test_math_errors_live_in_bounds_and_exit_2(monkeypatch, capsys, simplex_csv, module, name):
+    # Each error is defined once, in the NumPy-free bounds, and re-exported
+    # unchanged; main catches it by name and exits 2.
+    import importlib
+
+    import dfobounds
+    from dfobounds import bounds, cli
+
+    error = getattr(bounds, name)
+    home = importlib.import_module(f"dfobounds.{module}")
+    assert getattr(dfobounds, name) is getattr(home, name) is error
+
+    def fail(*args, **kwargs):
+        raise error("injected failure", 0)
+
+    monkeypatch.setattr(cli, "lambda_poisedness", fail)
+    assert main(["poisedness", simplex_csv, "--delta", "1", "--kind", "linear"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "injected failure" in captured.err

@@ -68,6 +68,13 @@ def test_error_names_offending_row(tmp_path):
     path.write_text("y1,y2\n0.0,0.0\n1.0\n")
     with pytest.raises(ValueError, match="row 2"):
         read_points(path, delta=1.0)
+    # float() takes these cells; the row loop refuses them.
+    path.write_text("y1,y2\n0.0,0.0\n1.0,nan\n")
+    with pytest.raises(ValueError, match="pts.csv: data row 2 contains a field that is not"):
+        read_points(path, delta=1.0)
+    path.write_text("y1,y2,f\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,inf\n")
+    with pytest.raises(ValueError, match="pts.csv: data row 3 contains a field that is not"):
+        read_points(path, delta=1.0)
 
 
 def test_too_few_points(tmp_path):
@@ -124,6 +131,8 @@ def test_model_rejects_non_finite(key, value):
         ("H", [[0.0, 0.0], [True, 0.0]], '"H" must be a list of lists of numbers'),
         ("H", [0.0, 0.0], '"H" must be a list of lists of numbers'),
         ("H", [[0.0, 0.0], [0.0]], '"H" has rows of different lengths'),
+        ("n", 0, '"n" must be an integer of at least 1, got 0'),
+        ("n", -1, '"n" must be an integer of at least 1, got -1'),
     ],
 )
 def test_model_rejects_non_numbers(key, value, message):
@@ -151,7 +160,7 @@ def test_gamma_and_config(tmp_path):
     gpath.write_text("[1.0, 2.0, 3.0]")
     assert np.allclose(read_gamma(gpath), [1.0, 2.0, 3.0])
     gpath.write_text('{"not": "a list"}')
-    with pytest.raises(ValueError, match="array"):
+    with pytest.raises(ValueError, match="gamma.json: gamma values must be a list of numbers"):
         read_gamma(gpath)
     cpath = tmp_path / "cfg.json"
     cpath.write_text('{"function": "quartic"}')
@@ -170,7 +179,7 @@ def test_integers_beyond_float_range_rejected(tmp_path):
     ppath = tmp_path / "pts.csv"
     write_points(ppath, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     (tmp_path / "pts.json").write_text(f'{{"delta": {huge}}}')
-    with pytest.raises(ValueError, match='pts.json: sidecar "delta" must be finite'):
+    with pytest.raises(ValueError, match='pts.json: sidecar "delta" must be a finite number'):
         read_points(ppath)
 
 

@@ -664,13 +664,13 @@ def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
     # Sets are certified on their normalized Lagrange coefficients on the
     # unit ball; the constant, the per-point maxima and the maximizers must
     # be those of the pulled-back polynomials on the ball itself.
-    from dfobounds.geometry import _certify
+    from dfobounds.geometry import _lagrange_coeffs
 
     center = np.where(np.arange(n) % 2 == 0, 5.0, -3.0)
     delta = 1e-3
     ss = generate_poised_set(n, p, delta, 100.0, seed=1, center=center)
-    cert, coeffs = _certify(ss, kind)
-    values, z = max_abs_on_ball(coeffs, np.zeros(n), 1.0)
+    cert = lambda_poisedness(ss, kind)
+    values, z = max_abs_on_ball(_lagrange_coeffs(ss, kind), np.zeros(n), 1.0)
     polys = lagrange_for(ss, kind)
     ref_values, ref_args = max_abs_on_ball(
         np.array([m.coeffs() for m in polys]), ss.y0, delta
@@ -695,7 +695,7 @@ def test_normalized_certificate_matches_pulled_back_basis(kind, n, p):
     # Centred at the origin with radius 1 the pull-back is the identity and
     # both paths agree to roundoff.
     ss = generate_poised_set(n, p, 1.0, 100.0, seed=1)
-    cert, _ = _certify(ss, kind)
+    cert = lambda_poisedness(ss, kind)
     polys = lagrange_for(ss, kind)
     ref_values, _ = max_abs_on_ball(np.array([m.coeffs() for m in polys]), ss.y0, 1.0)
     assert np.allclose(cert.per_point_max, ref_values, rtol=1e-12, atol=0.0)

@@ -244,7 +244,7 @@ class TestProbePoints:
         assert unit.shape == (40 + 1 + 6, 3) and corners.shape == (8, 3)
         with pytest.raises(ValueError):
             unit[0, 0] = 1.0
-        assert verify_module._unit_probe_block(7, 40)[1] is None
+        assert verify_module._unit_probe_block(7, 40)[1].shape == (0, 7)
 
 
 class TestCheckTheory:
