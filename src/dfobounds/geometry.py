@@ -6,10 +6,12 @@ origin).  This keeps conditioning independent of where the set sits and how
 small delta is.  The poisedness constant is invariant under the map, so sets
 are certified on the stack of normalized Lagrange coefficients on the unit
 ball; only fitted models and the public Lagrange builders' polynomials are
-pulled back through the exact affine substitution.  Each set is solved once:
-its Lagrange basis, and its condition number, are memoized on the set, and
-every fit (sum_j f(y_j) l_j), Lagrange builder, weight vector and certificate
-of that set reads that basis.  The generator works on the unit ball and only
+pulled back through the exact affine substitution.  Each set is solved once,
+for the identity: the inverse decides the condition guard through a
+Frobenius-norm bound on the condition number, which is computed exactly
+(by an SVD) only when that bound is not small enough.  The Lagrange basis
+is memoized on the set, and every fit (sum_j f(y_j) l_j), Lagrange
+builder, weight vector and certificate of that set reads it.  The generator works on the unit ball and only
 places its certified shape at the end; the placed set shares the shape's
 basis.  Its improvement loop is a generator that yields each candidate's
 Lagrange stack for the ball solver; one driver runs such loops of one n in
@@ -22,6 +24,7 @@ runs) and reuses the shape's normalized points, basis and certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,9 +75,9 @@ class SampleSet:
     # The points mapped to (y - y0) / radius, which every solve uses.  A
     # generated set keeps the exact unit set it was certified on.
     _normalized: np.ndarray = field(default=None, init=False, repr=False)
-    # (Lagrange coefficients, cond), set by the first _system call that
-    # passes the condition check.  A generated set shares its shape's.
-    _system: Optional[tuple] = field(default=None, init=False, repr=False)
+    # The Lagrange coefficients, set by the first _system call that passes
+    # the condition guard.  A generated set shares its shape's.
+    _system: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -153,72 +156,95 @@ def design_matrix(kind, sample_set: SampleSet) -> np.ndarray:
     return D.copy()
 
 
-def _saddle_system(points: np.ndarray):
-    """Quadratic block Mq and saddle matrix [[Mq Mq^T, Ml], [Ml^T, 0]] at points."""
+def _matrix(points: np.ndarray, kind: ModelKind):
+    """(Mq, M): the kind's system matrix M at points, and MFN's quadratic block.
+
+    M is the affine block (LIN_DET) or all (QUAD_DET) of the FULL degree-2
+    basis at the points, with Mq None, or MFN's saddle matrix
+    [[Mq Mq^T, Ml], [Ml^T, 0]] built from the basis's affine block Ml and
+    quadratic block Mq.
+    """
     n = points.shape[1]
     M = basis_matrix(points)
     Ml, Mq = M[:, : n + 1], M[:, n + 1 :]
+    if kind is ModelKind.LIN_DET:
+        return None, Ml
+    if kind is ModelKind.QUAD_DET:
+        return None, M
     return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
 
 
-def _system(sample_set: SampleSet, kind: ModelKind):
-    """The kind's normalized Lagrange basis and the condition of its system.
-
-    Column j of the read-only (q+1, p+1) coeffs holds the FULL degree-2
-    coefficients of l_j on the normalized set.  The system matrix M is the
-    affine block (LIN_DET) or all of the FULL degree-2 basis (QUAD_DET) at
-    the normalized points, or the saddle matrix (MFN).  The first call that
-    passes the cond check solves M for the identity and memoizes (coeffs,
-    cond) on the set; (n, p) admits one kind, so the memo needs no key.  A
-    set that fails raises NotPoisedError on every call.
-    """
-    _kind_for_shape(sample_set.n, sample_set.p, kind)
-    if sample_set._system is not None:
-        return sample_set._system
-    Yh = normalized_points(sample_set)
-    n, p = sample_set.n, sample_set.p
-    if kind is ModelKind.MFN:
-        Mq, M = _saddle_system(Yh)
-    else:
-        M = basis_matrix(Yh)
-        if kind is ModelKind.LIN_DET:
-            M = M[:, : n + 1]
+def _condition(M: np.ndarray, kind: ModelKind) -> float:
+    """cond_2(M) from its SVD; NotPoisedError if it exceeds COND_THRESHOLD."""
     cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
+    if not cond <= COND_THRESHOLD:
         system = "saddle" if kind is ModelKind.MFN else "interpolation"
         raise NotPoisedError(
             f"{system} system condition {cond:.3e} exceeds {COND_THRESHOLD:.1e}",
             condition=cond,
         )
-    # The saddle solution is the multipliers, which Mq^T maps to the
-    # second-order coefficients, then the affine coefficients; LIN_DET pads.
-    sol = np.linalg.solve(M, np.eye(M.shape[0], p + 1))
+    return cond
+
+
+def _system(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
+    """The kind's normalized Lagrange basis, solved once per set.
+
+    Column j of the read-only (q+1, p+1) result holds the FULL degree-2
+    coefficients of l_j on the normalized set.  The system matrix M (see
+    ``_matrix``) is solved for the identity, and the condition guard reads
+    that inverse: ||M||_F ||M^-1||_F bounds cond_2(M) from above, so a set
+    whose bound is at most half of COND_THRESHOLD passes without an SVD.
+    The half covers the computed inverse's relative error, about N eps
+    cond for an N-by-N M near the threshold.  Otherwise, and when M is
+    exactly singular, the exact cond decides (``_condition``), so a set
+    that fails raises NotPoisedError with its exact cond on every call.  A
+    set that passes memoizes its basis, not M; (n, p) admits one kind, so
+    the memo needs no key.
+    """
+    _kind_for_shape(sample_set.n, sample_set.p, kind)
+    if sample_set._system is not None:
+        return sample_set._system
+    p = sample_set.p
+    Mq, M = _matrix(normalized_points(sample_set), kind)
+    try:
+        inv = np.linalg.solve(M, np.eye(M.shape[0]))
+    except np.linalg.LinAlgError:
+        _condition(M, kind)
+        raise
+    # Python floats: a product that overflows is inf, without a warning.
+    bound = math.sqrt(float(np.vdot(M, M)) * float(np.vdot(inv, inv)))
+    if not bound <= 0.5 * COND_THRESHOLD:
+        _condition(M, kind)
+    # The saddle solution's first p+1 rows are the multipliers, which Mq^T
+    # maps to the second-order coefficients, and the rest the affine
+    # coefficients; LIN_DET pads.
+    sol = inv[:, : p + 1]
     if kind is ModelKind.MFN:
         sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
     elif kind is ModelKind.LIN_DET:
+        n = sample_set.n
         sol = np.concatenate([sol, np.zeros((space_dim(2, n) - n - 1, p + 1))])
     sol.setflags(write=False)
-    object.__setattr__(sample_set, "_system", (sol, cond))
-    return sample_set._system
+    object.__setattr__(sample_set, "_system", sol)
+    return sol
 
 
-def _interpolate(sample_set: SampleSet, kind: ModelKind, values):
+def _interpolate(sample_set: SampleSet, kind: ModelKind, values) -> np.ndarray:
     """The kind's interpolant of values, as the Lagrange expansion.
 
     Returns its FULL degree-2 coefficients on the normalized set, read off
-    the set's memoized basis (see ``_system``), and the system's cond.  Each
-    kind reproduces constants (sum_j l_j = 1), so the expansion is taken
-    about values_0 and a constant is fitted exactly.
+    the set's memoized basis (see ``_system``).  Each kind reproduces
+    constants (sum_j l_j = 1), so the expansion is taken about values_0
+    and a constant is fitted exactly.
     """
-    coeffs, cond = _system(sample_set, kind)
-    sol = coeffs @ (values - values[0])
+    sol = _system(sample_set, kind) @ (values - values[0])
     sol[0] += values[0]
-    return sol, cond
+    return sol
 
 
 def _lagrange_coeffs(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
     # Row j holds the FULL degree-2 coefficients of l_j on the normalized set.
-    return _system(sample_set, kind)[0].T
+    return _system(sample_set, kind).T
 
 
 def _lagrange(sample_set: SampleSet, kind: ModelKind):

@@ -11,7 +11,10 @@ import numpy as np
 from .bounds import ModelKind, RelaxationError, _integer, _number
 from .geometry import (
     SampleSet,
+    _condition,
     _interpolate,
+    _matrix,
+    normalized_points,
     # Bound here so callers and tracers that look the Lagrange builders up
     # in this module keep finding them.
     lagrange_determined,  # noqa: F401
@@ -60,14 +63,22 @@ _OVERFLOW = "values overflow the fit: its coefficients are not finite"
 class FitResult:
     """A fit: its read-only FULL degree-2 ``coeffs`` on the normalized set.
 
-    The absolute ``model`` (ValueError if it overflows) and its worst
-    re-substitution ``residual`` are built on first read.
+    The absolute ``model`` (ValueError if it overflows), its worst
+    re-substitution ``residual`` and the 2-norm ``condition`` of the
+    kind's normalized system are computed on first read; the fit itself
+    reads the set's memoized basis and needs none of them.
     """
 
     coeffs: np.ndarray
-    condition: float
     _sample_set: SampleSet = field(repr=False)
     _values: np.ndarray = field(repr=False)
+    _kind: ModelKind = field(repr=False)
+
+    @functools.cached_property
+    def condition(self) -> float:
+        # The set passed the guard when it was fitted, so this cannot raise.
+        M = _matrix(normalized_points(self._sample_set), self._kind)[1]
+        return _condition(M, self._kind)
 
     @functools.cached_property
     def model(self) -> QuadraticPolynomial:
@@ -100,11 +111,11 @@ def _fit(kind, sample_set: SampleSet, rhs, values) -> FitResult:
     # The caller checked rhs and values; finite ones can still overflow.
     kind = ModelKind(kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, cond = _interpolate(sample_set, kind, rhs)
+        coeffs = _interpolate(sample_set, kind, rhs)
     if not np.isfinite(coeffs).all():
         raise ValueError(_OVERFLOW)
     coeffs.setflags(write=False)
-    return FitResult(coeffs, cond, sample_set, values)
+    return FitResult(coeffs, sample_set, values, kind)
 
 
 def fit_model(kind, sample_set: SampleSet, values) -> FitResult:

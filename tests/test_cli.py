@@ -51,6 +51,27 @@ class TestPoisedness:
         assert code == 2
         assert "not poised" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, kind, points, system",
+        [
+            ("poisedness", "linear", [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], "interpolation"),
+            ("fit", "lin_det", [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], "interpolation"),
+            ("poisedness", "mfn", [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0]], "saddle"),
+            ("fit", "mfn", [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0]], "saddle"),
+        ],
+    )
+    def test_singular_set_exits_2(self, tmp_path, capsys, command, kind, points, system):
+        # An exactly singular system is reported with its exact cond, inf.
+        path = tmp_path / "singular.csv"
+        pts = np.array(points)
+        write_points(path, pts, values=pts[:, 0], delta=1.0)
+        assert main([command, str(path), "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"dfobounds: not poised: {system} system condition inf exceeds 1.0e+12\n"
+        )
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["poisedness", str(tmp_path / "nope.csv"), "--delta", "1", "--kind", "linear"]

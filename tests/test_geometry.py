@@ -400,11 +400,12 @@ class TestSystemMemo:
         assert shape._system is not None
         assert a._system is shape._system
         assert b._system is shape._system
-        coeffs, cond = shape._system
+        coeffs = shape._system
         assert not coeffs.flags.writeable
         assert coeffs.shape == (6, p + 1)  # FULL degree-2 basis at n = 2
         kind = {2: ModelKind.LIN_DET, 4: ModelKind.MFN, 5: ModelKind.QUAD_DET}[p]
-        assert cond == fit_model(kind, b, np.ones(p + 1)).condition
+        M = geometry_module._matrix(normalized_points(shape), kind)[1]
+        assert fit_model(kind, b, np.ones(p + 1)).condition == np.linalg.cond(M)
 
     def test_system_built_once_per_generator_iteration(self, monkeypatch):
         # Over the default sweep every system is built by the generator's
@@ -511,6 +512,106 @@ class TestSystemMemo:
         system = geometry_module._system(simplex_set, PoisednessKind.LINEAR)
         with pytest.raises(TypeError):
             SampleSet(simplex_set.points, 1.0, _system=system)
+
+
+# Exactly singular sets: collinear points in the plane leave the second
+# coordinate's column of the affine block zero.
+SINGULAR = {
+    ModelKind.LIN_DET: ([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], "interpolation"),
+    ModelKind.MFN: ([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0]], "saddle"),
+}
+
+
+def _eager_condition(sample_set, kind):
+    # The system matrix and its cond as they were computed before the guard
+    # read the inverse, built here without the library's helpers.
+    Yh = normalized_points(sample_set)
+    n = sample_set.n
+    M = basis_matrix(Yh)
+    Ml, Mq = M[:, : n + 1], M[:, n + 1 :]
+    if kind is ModelKind.LIN_DET:
+        M = Ml
+    elif kind is ModelKind.MFN:
+        M = np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
+    return float(np.linalg.cond(M))
+
+
+class TestConditionGuard:
+    """The guard reads the inverse; the exact cond decides when it must."""
+
+    @pytest.mark.parametrize("kind", list(SINGULAR), ids=lambda k: k.name)
+    def test_singular_set_raises_with_infinite_condition(self, kind):
+        points, system = SINGULAR[kind]
+        ss = SampleSet(np.array(points), 1.0)
+        M = geometry_module._matrix(normalized_points(ss), kind)[1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, np.eye(M.shape[0]))
+        message = f"{system} system condition inf exceeds 1.0e+12"
+        for call in (
+            lambda: lambda_poisedness(ss, kind),
+            lambda: fit_model(kind, ss, np.arange(ss.p + 1.0)),
+        ):
+            with pytest.raises(NotPoisedError) as err:
+                call()
+            assert str(err.value) == message
+            assert err.value.condition == np.inf
+            assert ss._system is None
+
+    @pytest.mark.parametrize("kind", [ModelKind.LIN_DET, ModelKind.QUAD_DET, ModelKind.MFN])
+    def test_exact_condition_decides_above_the_bound(self, monkeypatch, kind):
+        p = {ModelKind.LIN_DET: 2, ModelKind.QUAD_DET: 5, ModelKind.MFN: 4}[kind]
+        points = generate_poised_set(2, p, 1.0, 20.0, seed=3).points
+        M = geometry_module._matrix(normalized_points(SampleSet(points, 1.0)), kind)[1]
+        exact = float(np.linalg.cond(M))
+        bound = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+        assert exact < bound
+        # Between the exact cond and the bound the inverse cannot pass the
+        # set, so the exact cond must, and does.
+        threshold = float(np.sqrt(exact * bound))
+        monkeypatch.setattr(geometry_module, "COND_THRESHOLD", threshold)
+        fit = fit_model(kind, SampleSet(points, 1.0), np.ones(p + 1))
+        assert fit.condition == exact
+        # Just below the exact cond it fails, with the exact cond.
+        threshold = exact * (1.0 - 1e-9)
+        monkeypatch.setattr(geometry_module, "COND_THRESHOLD", threshold)
+        with pytest.raises(NotPoisedError) as err:
+            lambda_poisedness(SampleSet(points, 1.0), kind)
+        assert err.value.condition == exact
+        system = "saddle" if kind is ModelKind.MFN else "interpolation"
+        assert str(err.value) == (
+            f"{system} system condition {exact:.3e} exceeds {threshold:.1e}"
+        )
+
+    def test_campaign_takes_no_svd_for_the_guard(self, monkeypatch):
+        calls = []
+        original = np.linalg.cond
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        report = run_campaign(default_sweep(5))
+        assert not report.failures
+        assert calls == []
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5), (3, 6), (4, 10), (8, 8)])
+    def test_fit_condition_lazy_and_unchanged(self, monkeypatch, n, p):
+        kind = geometry_module._kind_for_shape(n, p)
+        placed = generate_poised_set(n, p, 0.1, 20.0, seed=3, center=np.linspace(-0.3, 0.4, n))
+        fresh = SampleSet(placed.points, placed.radius)
+        calls = []
+        original = np.linalg.cond
+        monkeypatch.setattr(
+            np.linalg, "cond", lambda M: calls.append(M.shape) or original(M)
+        )
+        for ss in (placed, fresh):
+            fit = fit_model(kind, ss, np.cos(ss.points).sum(axis=1))
+            assert calls == []
+            assert fit.condition == _eager_condition(ss, kind)
+            assert len(calls) == 2  # the fit's, then the check's own
+            assert fit.condition is fit.condition
+            calls.clear()
 
 
 # The (n, p) shapes of the high-dimensional benchmark sweep, certified to

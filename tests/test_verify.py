@@ -292,7 +292,8 @@ class TestCheckTheory:
 
     def test_mfn_basis_built_once(self, monkeypatch):
         # The certificate and the Lagrange Hessian checks share one basis:
-        # one solve of the saddle system, for the identity right-hand side.
+        # one solve of the saddle system, for the identity right-hand side,
+        # whose inverse also decides the condition guard.
         # A generated set reuses the basis the generator solved for.
         ss = generate_poised_set(2, 4, 0.5, 30.0, seed=7)
         fresh = SampleSet(ss.points, ss.radius)
@@ -308,7 +309,7 @@ class TestCheckTheory:
         assert solves == []
         assert fresh._system is None
         checks = check_theory(fresh, PoisednessKind.MFN, floor_samples=10)
-        assert solves == [((8, 8), (8, 5))]  # saddle system of p + n + 2 rows
+        assert solves == [((8, 8), (8, 8))]  # saddle system of p + n + 2 rows
         assert fresh._system is not None
         assert any(c.name.startswith("lagrange_hessian_norm_") for c in checks)
 
