@@ -299,7 +299,9 @@ def _stack(coeffs, center):
             f"need a (k, {width}) coefficient array, k >= 1, for a center in "
             f"R^{center.size}, got shape {A.shape}"
         )
-    A = A.astype(float, copy=False)
+    # C order, so each row's sums run in one order whatever the caller's
+    # layout: a row's result does not depend on the stack it sits in.
+    A = np.ascontiguousarray(A, dtype=float)
     # The Hessians copy the second-order coefficients, so one check covers them.
     if not (
         np.logical_and.reduce(np.isfinite(A), axis=None)

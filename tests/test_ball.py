@@ -1,16 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfobounds import (
+    ModelKind,
     QuadraticPolynomial,
     extremize_batch,
     extremize_on_ball,
+    generate_poised_set,
     grid_oracle,
     lipschitz_on_ball,
     max_abs_on_ball,
+    space_dim,
 )
+from dfobounds.bounds import _kind_for_shape
+from dfobounds.geometry import _lagrange_coeffs
 
 from conftest import random_quadratic
 
@@ -284,3 +291,49 @@ def test_shared_eigh_matches_separate_solves(rng, n, k):
     assert np.all(np.abs(ext.max_value - values[m:]) <= 1e-12 * scale[m:])
     assert np.allclose(ext.argmin, X[:m], rtol=0.0, atol=1e-12)
     assert np.allclose(ext.argmax, X[m:], rtol=0.0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange_rows(n):
+    # Real Lagrange stacks of dimension n, every kind n admits (QUAD_DET for
+    # n <= 3 only, to keep the sets small), and each row's solve alone.
+    q = space_dim(2, n) - 1
+    shapes = [n, q] if n <= 3 else [n]
+    if n >= 2:
+        shapes.append((n + q) // 2)
+    A = np.vstack(
+        [
+            _lagrange_coeffs(generate_poised_set(n, p, 1.0, 50.0, seed=n), _kind_for_shape(n, p))
+            for p in shapes
+        ]
+    )
+    alone = [max_abs_on_ball(A[j : j + 1], np.zeros(n), 1.0) for j in range(len(A))]
+    return A, alone
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_row_result_independent_of_stack_and_layout(n, data):
+    # A row gives the same bits alone, in any subset of rows and in C or
+    # Fortran order (Lagrange stacks are transposed views).
+    A, alone = _lagrange_rows(n)
+    rows = data.draw(st.lists(st.integers(0, len(A) - 1), min_size=1, max_size=len(A)))
+    order = data.draw(st.sampled_from("CF"))
+    stack = np.asarray(A[rows], order=order)
+    values, args = max_abs_on_ball(stack, np.zeros(n), 1.0)
+    for i, j in enumerate(rows):
+        assert values[i].tobytes() == alone[j][0][0].tobytes()
+        assert args[i].tobytes() == alone[j][1][0].tobytes()
+
+
+def test_fortran_stack_row_matches_row_alone():
+    # Row 6 of this MFN stack, a Fortran-ordered view, once came out 1 ulp
+    # off its solve alone.
+    ss = generate_poised_set(3, 7, 1.0, 8.0, seed=5, center=np.full(3, 0.25))
+    A = _lagrange_coeffs(ss, ModelKind.MFN)
+    assert A.flags.f_contiguous and not A.flags.c_contiguous
+    values, args = max_abs_on_ball(A, np.zeros(3), 1.0)
+    for j in range(len(A)):
+        value, arg = max_abs_on_ball(A[j : j + 1], np.zeros(3), 1.0)
+        assert value[0].tobytes() == values[j].tobytes()
+        assert arg[0].tobytes() == args[j].tobytes()
