@@ -185,16 +185,24 @@ def _finite_array(value, depth: int, name: str) -> np.ndarray:
     return array
 
 
-def model_from_dict(payload: dict) -> QuadraticPolynomial:
+def model_from_dict(payload: dict, name: str = "model JSON") -> QuadraticPolynomial:
+    """The model a JSON object describes; ValueError naming the bad key.
+
+    ``name`` opens each message; ``read_model`` puts the file in it.
+    """
     for key in ("n", "c", "g", "H"):
         if key not in payload:
-            raise ValueError(f'model JSON is missing key "{key}"')
-    n = _integer('model JSON key "n"', payload["n"], 1)
+            raise ValueError(f'{name} is missing key "{key}"')
+    n = _integer(f'{name} key "n"', payload["n"], 1)
     c, g, H = (
-        _finite_array(payload[key], depth, f'model JSON key "{key}"')
+        _finite_array(payload[key], depth, f'{name} key "{key}"')
         for depth, key in enumerate("cgH")
     )
-    # The polynomial checks that g and H have the shapes n gives them.
+    for key, what, array, shape in (("g", "gradient", g, (n,)), ("H", "Hessian", H, (n, n))):
+        if array.shape != shape:
+            raise ValueError(
+                f'{name} key "{key}" (the {what}) must have shape {shape}, got {array.shape}'
+            )
     return QuadraticPolynomial(n, c, g, H)
 
 
@@ -202,7 +210,7 @@ def read_model(path) -> QuadraticPolynomial:
     payload = _read_json(path, "model")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model JSON must be an object")
-    return model_from_dict(payload)
+    return model_from_dict(payload, f"{path}: model JSON")
 
 
 def write_model(path, model: QuadraticPolynomial, extra: Optional[dict] = None) -> dict:

@@ -7,15 +7,14 @@ small delta is.  The poisedness constant is invariant under the map, so sets
 are certified on the stack of normalized Lagrange coefficients on the unit
 ball; only fitted models and the public Lagrange builders' polynomials are
 pulled back through the exact affine substitution.  Each set is solved once,
-for the identity: the inverse decides the condition guard through a
-Frobenius-norm bound on the condition number, which is computed exactly
-(by an SVD) only when that bound is not small enough.  The Lagrange basis
-is memoized on the set, and every fit (sum_j f(y_j) l_j), Lagrange
-builder, weight vector and certificate of that set reads it.  The generator works on the unit ball and only
-places its certified shape at the end; the placed set shares the shape's
-basis.  Its improvement loop is a generator that yields each candidate's
-Lagrange stack for the ball solver; one driver runs such loops of one n in
-lockstep, with one solve per step for all of them, so a campaign certifies
+for the identity; that inverse bounds the condition number, which only a
+set near the guard's threshold computes exactly.  The Lagrange basis is
+memoized on the set, and every fit (sum_j f(y_j) l_j), Lagrange builder,
+weight vector and certificate of that set reads it.  The generator works on
+the unit ball and only places its certified shape at the end; the placed
+set shares the shape's basis.  Its improvement loop is a generator that
+yields each candidate's Lagrange stack for the ball solver; one driver runs
+such loops of one n in lockstep, with one solve per step for all of them, so a campaign certifies
 its shapes together and each equals the shape certified alone.  Placing a
 shape re-checks only what rounding can break (the placed points stay
 finite, pairwise distinct and inside the ball, the checks every SampleSet
@@ -159,10 +158,8 @@ def design_matrix(kind, sample_set: SampleSet) -> np.ndarray:
 def _matrix(points: np.ndarray, kind: ModelKind):
     """(Mq, M): the kind's system matrix M at points, and MFN's quadratic block.
 
-    M is the affine block (LIN_DET) or all (QUAD_DET) of the FULL degree-2
-    basis at the points, with Mq None, or MFN's saddle matrix
-    [[Mq Mq^T, Ml], [Ml^T, 0]] built from the basis's affine block Ml and
-    quadratic block Mq.
+    M is the affine block Ml (LIN_DET) or the FULL degree-2 basis (QUAD_DET),
+    with Mq None, or the saddle matrix [[Mq Mq^T, Ml], [Ml^T, 0]] (MFN).
     """
     n = points.shape[1]
     M = basis_matrix(points)
@@ -190,21 +187,18 @@ def _system(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
     """The kind's normalized Lagrange basis, solved once per set.
 
     Column j of the read-only (q+1, p+1) result holds the FULL degree-2
-    coefficients of l_j on the normalized set.  The system matrix M (see
-    ``_matrix``) is solved for the identity, and the condition guard reads
-    that inverse: ||M||_F ||M^-1||_F bounds cond_2(M) from above, so a set
-    whose bound is at most half of COND_THRESHOLD passes without an SVD.
-    The half covers the computed inverse's relative error, about N eps
-    cond for an N-by-N M near the threshold.  Otherwise, and when M is
-    exactly singular, the exact cond decides (``_condition``), so a set
-    that fails raises NotPoisedError with its exact cond on every call.  A
-    set that passes memoizes its basis, not M; (n, p) admits one kind, so
-    the memo needs no key.
+    coefficients of l_j on the normalized set.  M (see ``_matrix``) is
+    solved for the identity, and ||M||_F ||M^-1||_F >= cond_2(M) passes the
+    guard without an SVD when at most half of COND_THRESHOLD; the half
+    covers the computed inverse's relative error, about N eps cond for an
+    N-by-N M.  Otherwise, or if M is singular, the exact cond decides, so a
+    failing set raises NotPoisedError with it on every call.  A set that
+    passes memoizes its basis; (n, p) admits one kind, so it needs no key.
     """
     _kind_for_shape(sample_set.n, sample_set.p, kind)
     if sample_set._system is not None:
         return sample_set._system
-    p = sample_set.p
+    n, p = sample_set.n, sample_set.p
     Mq, M = _matrix(normalized_points(sample_set), kind)
     try:
         inv = np.linalg.solve(M, np.eye(M.shape[0]))
@@ -222,7 +216,6 @@ def _system(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
     if kind is ModelKind.MFN:
         sol = np.concatenate([sol[p + 1 :], Mq.T @ sol[: p + 1]])
     elif kind is ModelKind.LIN_DET:
-        n = sample_set.n
         sol = np.concatenate([sol, np.zeros((space_dim(2, n) - n - 1, p + 1))])
     sol.setflags(write=False)
     object.__setattr__(sample_set, "_system", sol)

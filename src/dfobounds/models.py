@@ -11,7 +11,6 @@ import numpy as np
 from .bounds import ModelKind, RelaxationError, _integer, _number
 from .geometry import (
     SampleSet,
-    _condition,
     _interpolate,
     _matrix,
     normalized_points,
@@ -76,9 +75,7 @@ class FitResult:
 
     @functools.cached_property
     def condition(self) -> float:
-        # The set passed the guard when it was fitted, so this cannot raise.
-        M = _matrix(normalized_points(self._sample_set), self._kind)[1]
-        return _condition(M, self._kind)
+        return float(np.linalg.cond(_matrix(normalized_points(self._sample_set), self._kind)[1]))
 
     @functools.cached_property
     def model(self) -> QuadraticPolynomial:

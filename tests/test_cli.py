@@ -372,7 +372,21 @@ class TestOracle:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == 'dfobounds: error: model JSON key "c" must be a number\n'
+        assert captured.err == f'dfobounds: error: {poly}: model JSON key "c" must be a number\n'
+
+    def test_wrong_length_gradient_names_file_and_key(self, capsys, tmp_path):
+        poly = tmp_path / "m.json"
+        poly.write_text('{"n": 2, "c": 0.0, "g": [1.0], "H": [[0.0, 0.0], [0.0, 0.0]]}')
+        code = main(
+            ["oracle", "--poly", str(poly), "--radius", "1", "--resolution", "0.01"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f'dfobounds: error: {poly}: model JSON key "g" (the gradient) must have '
+            "shape (2,), got (1,)\n"
+        )
 
     def test_fit_model_round_trips_through_oracle(self, capsys, cross_csv, tmp_path):
         model = tmp_path / "m.json"

@@ -103,6 +103,28 @@ def test_model_shape_validation():
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("g", [1.0], '"g" (the gradient) must have shape (2,), got (1,)'),
+        ("g", [1.0, 0.0, 0.0], '"g" (the gradient) must have shape (2,), got (3,)'),
+        ("H", [[0.0]], '"H" (the Hessian) must have shape (2, 2), got (1, 1)'),
+        ("H", [[0.0, 0.0, 0.0]] * 3, '"H" (the Hessian) must have shape (2, 2), got (3, 3)'),
+    ],
+)
+def test_model_wrong_shape_names_file_and_key(tmp_path, key, value, message):
+    payload = {"n": 2, "c": 0.0, "g": [1.0, 0.0], "H": [[0.0, 0.0], [0.0, 0.0]]}
+    payload[key] = value
+    with pytest.raises(ValueError) as info:
+        model_from_dict(payload)
+    assert str(info.value) == f"model JSON key {message}"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    assert str(info.value) == f"{path}: model JSON key {message}"
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("c", float("nan")), ("g", [0.0, float("inf")]), ("H", [[0.0, 0.0], [float("nan"), 0.0]])],
 )
