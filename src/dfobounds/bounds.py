@@ -118,11 +118,16 @@ def _number(name: str, value, low: float, strict: bool = False) -> float:
     raise ValueError(f"{name} must be a finite number {relation} {low:g}, got {value!r}")
 
 
+def _q(n: int) -> int:
+    # (n^2 + 3n)/2, the quadratic space size in R^n minus one.
+    return (n * n + 3 * n) // 2
+
+
 def _kind_for_shape(n: int, p: int, kind: Optional[ModelKind] = None) -> ModelKind:
     # The kind p + 1 points in R^n interpolate with: p = n is degree 1,
     # p = q is degree 2, n < p < q is minimum-norm.  ValueError if there is
     # none, or if kind is given and is not it.
-    q = (n * n + 3 * n) // 2
+    q = _q(n)
     if p == n:
         found = ModelKind.LIN_DET
     elif p == q:
@@ -151,52 +156,42 @@ def c_delta_max(delta_max: float) -> float:
     return min(1.0, 1.0 / delta_max, 1.0 / (delta_max * delta_max))
 
 
-def constants_from_lambda(
-    kind,
-    lam: float,
-    n: Optional[int] = None,
-    p: Optional[int] = None,
-    q: Optional[int] = None,
-) -> float:
+def constants_from_lambda(kind, lam: float, n: int, p: Optional[int] = None) -> float:
     """Scaled-matrix norm constant implied by the poisedness constant.
 
     LINEAR gives the inverse-norm cap lam * sqrt(n); QUADRATIC gives
     4 lam sqrt((q+1)^3); MFN gives the pseudoinverse cap
     lam sqrt(2(n+1)) (p+1).  ``kind`` is anything ``ModelKind`` takes: a
-    member or alias, such as PoisednessKind.LINEAR, or its name.
+    member or alias, such as PoisednessKind.LINEAR, or its name.  Given p,
+    it must be the kind p + 1 points in R^n interpolate with.
     """
     kind = ModelKind(kind)
     lam = _number("lam", lam, _LAM_LOW)
-    for name, value in (("n", n), ("p", p), ("q", q)):
-        if value is not None:
-            _integer(name, value, 1)
+    _integer("n", n, 1)
+    if p is not None:
+        _kind_for_shape(n, _integer("p", p, 1), kind)
     if kind is ModelKind.LIN_DET:
-        if n is None:
-            raise ValueError("LINEAR needs n")
         return lam * math.sqrt(n)
     if kind is ModelKind.QUAD_DET:
-        if q is None:
-            raise ValueError("QUADRATIC needs q")
-        return 4.0 * lam * math.sqrt((q + 1.0) ** 3)
-    if n is None or p is None:
-        raise ValueError("MFN needs n and p")
+        return 4.0 * lam * math.sqrt((_q(n) + 1.0) ** 3)
+    if p is None:
+        raise ValueError("MFN needs p")
     return lam * math.sqrt(2.0 * (n + 1.0)) * (p + 1.0)
 
 
 def hessian_bound_mfn(
-    L: float, kappa: float, lam: float, p: int, q: int, delta_max: float
+    L: float, kappa: float, lam: float, *, n: int, p: int, delta_max: float
 ) -> float:
     """Cap on the model Hessian norm of a relaxed minimum-norm fit.
 
-    (kappa + L/2) * 4 lam (p+1) sqrt(2(q+1)) / c(delta_max)^2.
+    (kappa + L/2) * 4 lam (p+1) sqrt(2(q+1)) / c(delta_max)^2, for n < p < q.
     """
     _number("L", L, 0.0)
     _number("kappa", kappa, 0.0)
     _number("lam", lam, _LAM_LOW)
-    _integer("p", p, 1)
-    _integer("q", q, 1)
+    _kind_for_shape(_integer("n", n, 1), _integer("p", p, 1), ModelKind.MFN)
     c = c_delta_max(delta_max)
-    return (kappa + 0.5 * L) * 4.0 * lam * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    return (kappa + 0.5 * L) * 4.0 * lam * (p + 1.0) * math.sqrt(2.0 * (_q(n) + 1.0)) / (c * c)
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ class BoundInputs:
     @property
     def q(self) -> Optional[int]:
         """(n^2 + 3n)/2, the quadratic space size minus one; None without n."""
-        return None if self.n is None else (self.n * self.n + 3 * self.n) // 2
+        return None if self.n is None else _q(self.n)
 
 
 @dataclass(frozen=True)
@@ -278,10 +273,17 @@ def _require(inputs: BoundInputs, *names: str):
     for name in names:
         value = getattr(inputs, name)
         if value is None:
-            # q follows from n, so a missing q is a missing n.
-            raise ValueError(f"bound computation needs {'n' if name == 'q' else name}")
+            raise ValueError(f"bound computation needs {name}")
         out.append(value)
     return out
+
+
+def _checked_kind(kind, inputs: BoundInputs) -> ModelKind:
+    # The kind, which must be the one the inputs' n and p admit if given.
+    kind = ModelKind(kind)
+    if inputs.n is not None and inputs.p is not None:
+        _kind_for_shape(inputs.n, inputs.p, kind)
+    return kind
 
 
 def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
@@ -291,9 +293,9 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     matrix constant comes from kappa_L/kappa_Q when supplied, otherwise from
     the poisedness constant.  MFN takes kappa_s and kappa_H when supplied
     and derives each missing one from the poisedness constant; UNDER is MFN
-    with both supplied.
+    with both supplied.  Inputs holding n and p must have the kind's shape.
     """
-    kind = ModelKind(kind)
+    kind = _checked_kind(kind, inputs)
     L, kappa = inputs.L, inputs.kappa
     prov: dict = {}
 
@@ -318,9 +320,9 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
         return BoundReport(kind, C_f, C_g, C_H, prov)
 
     if kind is ModelKind.QUAD_DET:
-        (q,) = _require(inputs, "q")
+        (n, q) = _require(inputs, "n", "q")
         kappa_Q = constant(
-            "kappa_Q", lambda lam: constants_from_lambda(kind, lam, q=q), ("lam",)
+            "kappa_Q", lambda lam: constants_from_lambda(kind, lam, n=n), ("lam",)
         )
         C_H = 2.0 * kappa_Q * math.sqrt(2.0 * q) * (kappa + L)
         C_g = 2.0 * kappa_Q * math.sqrt(q) * (1.0 + math.sqrt(2.0)) * (kappa + L)
@@ -340,8 +342,8 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     )
     kappa_H = constant(
         "kappa_H",
-        lambda q, lam, delta_max: hessian_bound_mfn(L, kappa, lam, p, q, delta_max),
-        ("q", "lam", "delta_max"),
+        lambda n, lam, dm: hessian_bound_mfn(L, kappa, lam, n=n, p=p, delta_max=dm),
+        ("n", "lam", "delta_max"),
     )
     bracket = L + kappa + 0.75 * kappa_H
     C_g = 2.0 * kappa_s * math.sqrt(p) * bracket
@@ -360,7 +362,7 @@ def closed_form_bounds(kind, inputs: BoundInputs) -> BoundReport:
     ``error_bounds`` up to floating-point roundoff and used to cross-check
     the composition.
     """
-    kind = ModelKind(kind)
+    kind = _checked_kind(kind, inputs)
     L, kappa = inputs.L, inputs.kappa
     prov = {"form": "closed"}
 
@@ -370,7 +372,7 @@ def closed_form_bounds(kind, inputs: BoundInputs) -> BoundReport:
         return BoundReport(kind, 0.5 * L + kappa + term, L + term, 0.0, prov)
 
     if kind is ModelKind.QUAD_DET:
-        (q, lam) = _require(inputs, "q", "lam")
+        (n, q, lam) = _require(inputs, "n", "q", "lam")
         root = math.sqrt(q * (q + 1.0) ** 3)
         C_H = 8.0 * lam * math.sqrt(2.0 * q * (q + 1.0) ** 3) * (kappa + L)
         C_g = 8.0 * lam * root * (1.0 + math.sqrt(2.0)) * (kappa + L)

@@ -21,10 +21,7 @@ from typing import Optional
 # Only the NumPy-free bounds module loads with the CLI; each command imports
 # the rest of what it runs, so `dfobounds bounds` never loads NumPy.  main
 # catches the two mathematical failures, defined there too, by name.
-from .bounds import (
-    BoundInputs, ModelKind, NotPoisedError, RelaxationError, _kind_for_shape, _require,
-    error_bounds,
-)
+from .bounds import BoundInputs, NotPoisedError, RelaxationError, _integer, _require, error_bounds
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -184,6 +181,7 @@ def _cmd_fit(args) -> int:
     sample_set, values = fileio.read_points(args.points, delta=args.delta)
     if values is None:
         raise ValueError(f"{args.points}: fit requires an f column")
+    _integer("noise_seed", args.noise_seed, 0)
     gamma = fileio.read_gamma(args.gamma_file) if args.gamma_file else None
     if gamma is None and args.kappa == 0.0:
         fit = fit_model(args.kind, sample_set, values)
@@ -216,8 +214,6 @@ def _cmd_bounds(args) -> int:
     if args.kind == "under":
         # UNDER is MFN with both matrix constants supplied.
         _require(inputs, "p", "kappa_s", "kappa_H")
-    if args.n is not None and args.p is not None:
-        _kind_for_shape(args.n, args.p, ModelKind(args.kind))
     payload = error_bounds(args.kind, inputs).to_dict()
     # The document names the kind as requested, so UNDER stays UNDER.
     payload["kind"] = args.kind.upper()

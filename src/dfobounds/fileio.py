@@ -62,8 +62,8 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
     """Read a point-set CSV; returns the sample set and values if present.
 
     The radius is taken from ``delta`` when given, otherwise from the JSON
-    sidecar ``<stem>.json``.  Parse errors, and cells that are not finite
-    numbers, name the offending data row.
+    sidecar ``<stem>.json``.  Errors in its content name the file; parse
+    errors, and cells that are not finite numbers, name the data row too.
     """
     # Imported here so that reading a model or a config loads no geometry.
     from .geometry import SampleSet
@@ -116,7 +116,10 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
             f"{path}: no radius given and no JSON sidecar {sidecar_path(path).name} "
             "found"
         )
-    sample_set = SampleSet(np.asarray(rows, dtype=float), delta)
+    try:
+        sample_set = SampleSet(np.asarray(rows, dtype=float), delta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return sample_set, (np.asarray(values, dtype=float) if has_values else None)
 
 

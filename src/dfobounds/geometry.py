@@ -322,12 +322,11 @@ def _certificate(
     lam = max(per_point)
 
     n, p = sample_set.n, sample_set.p
-    q = space_dim(2, n) - 1
     M = design_matrix(kind, sample_set)
     sv = np.linalg.svd(M, compute_uv=False)
     smin = float(sv[-1])
     matrix_norm = np.inf if smin == 0.0 else 1.0 / smin
-    norm_bound = constants_from_lambda(kind, lam, n=n, p=p, q=q)
+    norm_bound = constants_from_lambda(kind, lam, n=n, p=p)
     return PoisednessCertificate(
         kind=kind,
         lam=float(lam),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ball import max_abs_on_ball
 from .bounds import (
-    BoundInputs, ModelKind, _integer, _kind_for_shape, _number, c_delta_max, error_bounds
+    BoundInputs, ModelKind, _integer, _kind_for_shape, _number, _q, c_delta_max, error_bounds
 )
 from .geometry import (
     SampleSet,
@@ -280,7 +280,7 @@ def check_theory(
     delta_max = BoundInputs(L=0.0, delta=delta, delta_max=delta_max).delta_max
     cert = lambda_poisedness(sample_set, kind)
     n, p = sample_set.n, sample_set.p
-    q = space_dim(2, n) - 1
+    q = _q(n)
     checks = [_le(kind._norm_check, cert.matrix_norm, cert.norm_bound)]
 
     if kind is ModelKind.MFN:
@@ -419,8 +419,8 @@ _PROBE_COUNT = 1000  # Halton points in every trial's probe block
 
 
 @functools.lru_cache(maxsize=8)
-def _unit_probe_block(n: int, count: int):
-    """The probe points on the unit ball at the origin, built once per (n, count).
+def _unit_probe_block(n: int):
+    """The probe points on the unit ball at the origin, built once per n.
 
     Returns the block that scales by delta (the Halton points, the origin
     and the +-axes) and the +-1 corners, which scale by delta / sqrt(n) and
@@ -429,7 +429,7 @@ def _unit_probe_block(n: int, count: int):
     """
     # Low-discrepancy cube points pushed radially onto the ball; boundary
     # coverage matters because the worst errors tend to sit there.
-    z = 2.0 * _halton_points(n, count) - 1.0
+    z = 2.0 * _halton_points(n, _PROBE_COUNT) - 1.0
     norms = np.linalg.norm(z, axis=1)
     outside = norms > 1.0
     z[outside] /= norms[outside][:, None]
@@ -445,19 +445,18 @@ def _unit_probe_block(n: int, count: int):
 class _ProbePlan:
     """What every trial at one (function, n, delta, seed) probes.
 
-    ``center`` is the ball center, ``block`` the absolute probe points
-    [center + delta * U; center + delta / sqrt(n) * corners] (see
-    _unit_probe_block), and ``f`` and ``grad`` the objective on the block.
-    All four are read-only, since the trials of a campaign share them.
+    ``center`` is the ball center, and ``f`` and ``grad`` the objective on
+    the probe points [center + delta * U; center + delta / sqrt(n) * corners]
+    (see _unit_probe_block).  All three are read-only, since the trials of a
+    campaign share them.
     """
 
     center: np.ndarray
-    block: np.ndarray
     f: np.ndarray
     grad: np.ndarray
 
 
-def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _ProbePlan:
+def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
     """Build the probe plan of a trial key.
 
     The center is the seed's draw scaled into the middle half of the domain
@@ -474,10 +473,10 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int, count: int) -> _Probe
             f"inside the domain box of {fn.name}"
         )
     n = fn.dim
-    unit, corners = _unit_probe_block(n, count)
+    unit, corners = _unit_probe_block(n)
     block = np.vstack([center + delta * unit, center + (delta / np.sqrt(n)) * corners])
-    plan = _ProbePlan(center, block, fn.f(block), fn.grad(block))
-    for array in (plan.center, plan.block, plan.f, plan.grad):
+    plan = _ProbePlan(center, fn.f(block), fn.grad(block))
+    for array in (plan.center, plan.f, plan.grad):
         array.setflags(write=False)
     return plan
 
@@ -512,7 +511,7 @@ def _fit_trial(fn: TestFunction, config: TrialConfig, shapes: dict, plans: dict)
     key = _plan_key(config)
     if key not in plans:
         try:
-            plans[key] = _probe_plan(fn, config.delta, config.seed, _PROBE_COUNT)
+            plans[key] = _probe_plan(fn, config.delta, config.seed)
         except Exception as exc:
             plans[key] = exc
     plan = _read(plans, key)
@@ -608,7 +607,7 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     # error is itself quadratic.  Absolute gradients are the normalized ones
     # over delta, and the absolute Hessian the normalized one over delta^2.
     n = config.n
-    unit, corners = _unit_probe_block(n, _PROBE_COUNT)
+    unit, corners = _unit_probe_block(n)
     rows = [unit, corners / math.sqrt(n), normalized_points(sample_set)]
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
@@ -793,8 +792,8 @@ def run_campaign(
     after ``progress`` gets its line, is run by ``run_trial`` on those
     values: it places its shape, fits and is scored.
     Trials that share (function, n, delta, seed), such as the kinds of one
-    sweep point, share one probe plan: the ball center, the probe block and
-    the objective's values and gradients on it, built by the first of them.
+    sweep point, share one probe plan: the ball center and the objective's
+    values and gradients on the probe block, built by the first of them.
 
     A shape or plan that cannot be built is tried once: each of its trials
     fails with the same type and message.  ``run_trial`` run alone builds

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with pytest -s or in the
 captured output) and asserts the same condition.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_criterion_5_hessian_caps():
             d.RelaxationSpec(kappa=kappa, noise_seed=i),
         )
         cap = d.hessian_bound_mfn(
-            L=fn.lipschitz_L, kappa=kappa, lam=cert.lam, p=p, q=q, delta_max=delta
+            L=fn.lipschitz_L, kappa=kappa, lam=cert.lam, n=n, p=p, delta_max=delta
         )
         violations += float(np.linalg.norm(fit.model.hessian, 2)) > cap * (1.0 + 1e-9)
         trials += 1
@@ -330,9 +331,14 @@ def test_criterion_9_table_consistency():
             delta=delta,
             delta_max=delta * float(rng.uniform(1.0, 2.0)),
         )
-        for kind in (d.BoundKind.LIN_DET, d.BoundKind.QUAD_DET, d.BoundKind.MFN):
-            a = d.error_bounds(kind, inputs)
-            b = d.closed_form_bounds(kind, inputs)
+        # Each kind at its own shape; the determined kinds' caps do not
+        # read p, and n = 1 has no MFN shape.
+        shapes = {d.BoundKind.LIN_DET: n, d.BoundKind.QUAD_DET: q, d.BoundKind.MFN: p}
+        for kind, p_kind in shapes.items():
+            if kind is d.BoundKind.MFN and n == 1:
+                continue
+            a = d.error_bounds(kind, dataclasses.replace(inputs, p=p_kind))
+            b = d.closed_form_bounds(kind, dataclasses.replace(inputs, p=p_kind))
             for x, y in ((a.C_f, b.C_f), (a.C_g, b.C_g), (a.C_H, b.C_H)):
                 scale = max(abs(x), abs(y), 1e-300)
                 worst = max(worst, abs(x - y) / scale)

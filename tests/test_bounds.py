@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from dfobounds import (
     max_abs_on_ball,
     space_dim,
 )
+from dfobounds.bounds import _kind_for_shape
 
 
 @pytest.mark.parametrize("dm,expected", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.25), (1.5, 1.0 / 2.25)])
@@ -43,7 +47,7 @@ class TestConstantsFromLambda:
         assert np.isclose(constants_from_lambda(PoisednessKind.LINEAR, 2.0, n=9), 6.0)
 
     def test_quadratic(self):
-        value = constants_from_lambda(PoisednessKind.QUADRATIC, 1.0, q=5)
+        value = constants_from_lambda(PoisednessKind.QUADRATIC, 1.0, n=2)
         assert np.isclose(value, 4.0 * np.sqrt(216.0))
 
     def test_mfn(self):
@@ -57,21 +61,24 @@ class TestConstantsFromLambda:
         constants_from_lambda(PoisednessKind.LINEAR, 1.0 - 1e-12, n=2)
 
     def test_missing_shape(self):
-        with pytest.raises(ValueError):
+        # n is required; MFN needs p as well.
+        with pytest.raises(TypeError, match="'n'"):
             constants_from_lambda(PoisednessKind.QUADRATIC, 2.0)
+        with pytest.raises(ValueError, match="^MFN needs p$"):
+            constants_from_lambda(PoisednessKind.MFN, 2.0, n=2)
 
 
 class TestHessianBound:
     def test_worked_example(self):
-        value = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, p=4, q=5, delta_max=1.0)
+        value = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, n=2, p=4, delta_max=1.0)
         assert np.isclose(value, 20.0 * np.sqrt(12.0))
 
     def test_zero_numerator(self):
-        assert hessian_bound_mfn(L=0.0, kappa=0.0, lam=1.0, p=4, q=5, delta_max=1.0) == 0.0
+        assert hessian_bound_mfn(L=0.0, kappa=0.0, lam=1.0, n=2, p=4, delta_max=1.0) == 0.0
 
     def test_large_radius_inflation(self):
-        base = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, p=4, q=5, delta_max=1.0)
-        big = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, p=4, q=5, delta_max=2.0)
+        base = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, n=2, p=4, delta_max=1.0)
+        big = hessian_bound_mfn(L=2.0, kappa=0.0, lam=1.0, n=2, p=4, delta_max=2.0)
         assert np.isclose(big, 16.0 * base)
         assert np.isclose(big, 320.0 * np.sqrt(12.0))
 
@@ -205,7 +212,7 @@ class TestErrorBounds:
         report = error_bounds(BoundKind.MFN, inputs)
         assert report.provenance["kappa_s"] == "supplied"
         assert report.provenance["kappa_H"] == "from_lambda"
-        assert report.C_H == hessian_bound_mfn(1.0, 0.0, 2.0, 4, 5, 0.5)
+        assert report.C_H == hessian_bound_mfn(1.0, 0.0, 2.0, n=2, p=4, delta_max=0.5)
         with pytest.raises(ValueError, match="^bound computation needs delta_max$"):
             error_bounds(BoundKind.MFN, BoundInputs(L=1.0, lam=2.0, n=2, p=4))
 
@@ -254,13 +261,13 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
                      id="constants-lam-nan"),
         pytest.param(lambda: constants_from_lambda("linear", 2.0, n=-2), "n",
                      id="constants-n-negative"),
-        pytest.param(lambda: constants_from_lambda("quadratic", 2.0, q=5.0), "q",
-                     id="constants-q-float"),
-        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, NAN, 4, 5, 0.1), "lam",
+        pytest.param(lambda: constants_from_lambda("mfn", 2.0, n=2, p=4.0), "p",
+                     id="constants-p-float"),
+        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, NAN, n=2, p=4, delta_max=0.1), "lam",
                      id="hessian-lam-nan"),
-        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, 2.0, 4, -7, 0.1), "q",
-                     id="hessian-q-negative"),
-        pytest.param(lambda: hessian_bound_mfn(True, 0.0, 2.0, 4, 5, 0.1), "L",
+        pytest.param(lambda: hessian_bound_mfn(1.0, 0.0, 2.0, n=2, p=-7, delta_max=0.1), "p",
+                     id="hessian-p-negative"),
+        pytest.param(lambda: hessian_bound_mfn(True, 0.0, 2.0, n=2, p=4, delta_max=0.1), "L",
                      id="hessian-L-bool"),
         pytest.param(lambda: basis_floor_checks(2, count=0), "count", id="floor-count-zero"),
         pytest.param(lambda: basis_floor_checks(2, seed=-1), "seed", id="floor-seed-negative"),
@@ -297,6 +304,7 @@ def test_entry_points_name_the_bad_field(call, field):
 
 
 def random_valid_inputs(rng):
+    # p is an MFN size, except at n = 1, where p = 2 = q and no MFN size exists.
     n = int(rng.integers(1, 6))
     q = (n * n + 3 * n) // 2
     p = int(rng.integers(n + 1, q)) if q > n + 1 else n + 1
@@ -312,10 +320,21 @@ def random_valid_inputs(rng):
     )
 
 
+def shaped(inputs, kind):
+    """The inputs with the p of the kind's shape: n for LIN_DET, q for
+    QUAD_DET, the drawn p for MFN; None for MFN at n = 1."""
+    if kind is BoundKind.MFN:
+        return None if inputs.n == 1 else inputs
+    p = inputs.n if kind is BoundKind.LIN_DET else inputs.q
+    return dataclasses.replace(inputs, p=p)
+
+
 def test_mfn_composition_identity(rng):
     # the one-line printed constants are the composed pipeline, verbatim
     for _ in range(200):
-        inputs = random_valid_inputs(rng)
+        inputs = shaped(random_valid_inputs(rng), BoundKind.MFN)
+        if inputs is None:
+            continue
         composed = error_bounds(BoundKind.MFN, inputs)
         closed = closed_form_bounds(BoundKind.MFN, inputs)
         for a, b in [
@@ -358,8 +377,100 @@ def test_monotone_in_l_kappa_lambda(seed):
         delta_max=base.delta_max,
     )
     for kind in (BoundKind.LIN_DET, BoundKind.QUAD_DET, BoundKind.MFN):
-        lo = error_bounds(kind, base)
-        hi = error_bounds(kind, bumped)
+        if shaped(base, kind) is None:
+            continue
+        lo = error_bounds(kind, shaped(base, kind))
+        hi = error_bounds(kind, shaped(bumped, kind))
         assert hi.C_f >= lo.C_f - 1e-12
         assert hi.C_g >= lo.C_g - 1e-12
         assert hi.C_H >= lo.C_H - 1e-12
+
+
+# The caps as the formulas print them, with q = (n^2 + 3n)/2, in the
+# arithmetic order the library used when it took q as an input.
+_L, _KAPPA, _LAM, _DELTA, _DELTA_MAX = 1.7, 0.03, 3.1, 0.4, 1.3
+
+
+def _printed_caps(kind, n, p):
+    L, kappa, lam, dm = _L, _KAPPA, _LAM, _DELTA_MAX
+    q = (n * n + 3 * n) // 2
+    c = min(1.0, 1.0 / dm, 1.0 / (dm * dm))
+    if kind is BoundKind.LIN_DET:
+        norm = lam * math.sqrt(n)
+        term = (0.5 * L + 2.0 * kappa) * norm * math.sqrt(n)
+        composed = (0.5 * L + kappa + term, L + term, 0.0)
+        term = (0.5 * L + 2.0 * kappa) * lam * n
+        return norm, None, composed, (0.5 * L + kappa + term, L + term, 0.0)
+    if kind is BoundKind.QUAD_DET:
+        norm = 4.0 * lam * math.sqrt((q + 1.0) ** 3)
+        composed = (
+            0.5 * L + kappa + norm * math.sqrt(q) * (2.0 + 3.0 * math.sqrt(2.0)) * (kappa + L),
+            2.0 * norm * math.sqrt(q) * (1.0 + math.sqrt(2.0)) * (kappa + L),
+            2.0 * norm * math.sqrt(2.0 * q) * (kappa + L),
+        )
+        root = math.sqrt(q * (q + 1.0) ** 3)
+        closed = (
+            0.5 * L + kappa + 4.0 * lam * root * (2.0 + 3.0 * math.sqrt(2.0)) * (kappa + L),
+            8.0 * lam * root * (1.0 + math.sqrt(2.0)) * (kappa + L),
+            8.0 * lam * math.sqrt(2.0 * q * (q + 1.0) ** 3) * (kappa + L),
+        )
+        return norm, None, composed, closed
+    norm = lam * math.sqrt(2.0 * (n + 1.0)) * (p + 1.0)
+    hess = (kappa + 0.5 * L) * 4.0 * lam * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    C_g = 2.0 * norm * math.sqrt(p) * (L + kappa + 0.75 * hess)
+    composed = (0.5 * (L + hess) + kappa + C_g, C_g, hess)
+    hess = (kappa + 0.5 * L) * lam * 4.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    inner = (kappa + 0.5 * L) * lam * 3.0 * (p + 1.0) * math.sqrt(2.0 * (q + 1.0)) / (c * c)
+    C_g = 2.0 * lam * math.sqrt(2.0 * p * (n + 1.0)) * (p + 1.0) * (L + kappa + inner)
+    return norm, composed[2], composed, (0.5 * (L + hess) + kappa + C_g, C_g, hess)
+
+
+def _caps(report):
+    return report.C_f, report.C_g, report.C_H
+
+
+@pytest.mark.parametrize("kind", [BoundKind.LIN_DET, BoundKind.QUAD_DET, BoundKind.MFN])
+@pytest.mark.parametrize(
+    "n, p", [(n, p) for n in range(1, 9) for p in range(1, (n * n + 3 * n) // 2 + 2)]
+)
+def test_entry_points_apply_the_shape_rule(n, p, kind):
+    # Each entry point that sees n and p accepts exactly the shapes the
+    # rule admits for the kind, and there gives the printed caps bit for bit.
+    try:
+        _kind_for_shape(n, p, kind)
+        rule = None
+    except ValueError as exc:
+        rule = str(exc)
+    norm, hess, composed, closed = _printed_caps(kind, n, p)
+    calls = [(lambda: constants_from_lambda(kind, _LAM, n=n, p=p), norm)]
+    if kind is BoundKind.MFN:
+        cap = lambda: hessian_bound_mfn(_L, _KAPPA, _LAM, n=n, p=p, delta_max=_DELTA_MAX)
+        calls.append((cap, hess))
+    if p < n:
+        # BoundInputs refuses the shape first, by its own rule.
+        with pytest.raises(ValueError, match=f"^p must be at least n = {n}, got {p}$"):
+            BoundInputs(L=_L, n=n, p=p)
+    else:
+        inputs = BoundInputs(
+            L=_L, kappa=_KAPPA, lam=_LAM, n=n, p=p, delta=_DELTA, delta_max=_DELTA_MAX
+        )
+        calls.append((lambda: _caps(error_bounds(kind, inputs)), composed))
+        calls.append((lambda: _caps(closed_form_bounds(kind, inputs)), closed))
+    for call, expected in calls:
+        if rule is None:
+            assert call() == expected
+        else:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == rule
+
+
+def test_shape_is_n_and_p_only():
+    # q follows from n: no entry point takes it, and the keyword-only
+    # hessian_bound_mfn refuses the old positional (p, q, delta_max) call.
+    with pytest.raises(TypeError, match="'q'"):
+        constants_from_lambda("quadratic", 2.0, n=2, q=5)
+    with pytest.raises(TypeError, match="'q'"):
+        hessian_bound_mfn(1.0, 0.0, 2.0, n=2, p=4, q=5, delta_max=0.5)
+    with pytest.raises(TypeError):
+        hessian_bound_mfn(1.0, 0.0, 2.0, 4, 5, 0.5)

@@ -185,11 +185,15 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_noise_seed_exits_1(self, capsys, cross_csv, seed):
-        code = main(["fit", cross_csv, "--kind", "mfn", "--kappa", "1", "--noise-seed", seed])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"noise_seed must be an integer of at least 0, got {seed}\n" in captured.err
+        # Refused by the exact fit, which draws no noise, as by the relaxed one.
+        for kappa in ("0", "1"):
+            argv = ["fit", cross_csv, "--kind", "mfn", "--kappa", kappa, "--noise-seed", seed]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"dfobounds: error: noise_seed must be an integer of at least 0, got {seed}\n"
+            )
 
     def test_overflowing_values_exit_1_without_out_file(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

@@ -77,6 +77,24 @@ def test_error_names_offending_row(tmp_path):
         read_points(path, delta=1.0)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.0,0.0\n1.0,0.0\n1.0,0.0\n", "sample points must be pairwise distinct"),
+        ("0.0,0.0\n3.0,4.0\n0.0,1.0\n",
+         "point 1 lies at distance 5 from the base point, outside the ball of radius 1"),
+    ],
+)
+def test_set_errors_name_the_file(tmp_path, rows, message):
+    # The sample set's own checks run after parsing; their errors name the
+    # file as the reader's do.
+    path = tmp_path / "pts.csv"
+    path.write_text("y1,y2\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        read_points(path, delta=1.0)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_too_few_points(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("y1\n0.0\n")

@@ -26,7 +26,6 @@ from dfobounds import (
     generate_poised_set,
     lambda_poisedness,
     run_campaign,
-    space_dim,
 )
 from dfobounds.cli import build_parser, main
 from dfobounds.fileio import write_points
@@ -75,9 +74,7 @@ ENTRY_POINTS = {
     "fit_relaxed": lambda kind, ss: _model(
         fit_relaxed(kind, ss, _values(ss), RelaxationSpec(0.5, noise_seed=1))
     ),
-    "constants_from_lambda": lambda kind, ss: constants_from_lambda(
-        kind, 2.0, n=ss.n, p=ss.p, q=space_dim(2, ss.n) - 1
-    ),
+    "constants_from_lambda": lambda kind, ss: constants_from_lambda(kind, 2.0, n=ss.n, p=ss.p),
     "error_bounds": lambda kind, ss: error_bounds(kind, _inputs(ss)).to_dict(),
     "closed_form_bounds": lambda kind, ss: closed_form_bounds(kind, _inputs(ss)).to_dict(),
     "TrialConfig": lambda kind, ss: TrialConfig(

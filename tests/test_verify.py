@@ -174,7 +174,7 @@ class TestHalton:
 
     def test_block_cached_read_only(self, monkeypatch):
         # The unit probe block caches the Halton points: they are built once
-        # per (n, count) and shared read-only inside it.
+        # per n and shared read-only inside it.
         built = []
         original = verify_module._halton_points
 
@@ -184,9 +184,9 @@ class TestHalton:
 
         monkeypatch.setattr(verify_module, "_halton_points", counted)
         verify_module._unit_probe_block.cache_clear()
-        first, _ = verify_module._unit_probe_block(3, 50)
-        assert verify_module._unit_probe_block(3, 50)[0] is first
-        assert built == [(3, 50)]
+        first, _ = verify_module._unit_probe_block(3)
+        assert verify_module._unit_probe_block(3)[0] is first
+        assert built == [(3, verify_module._PROBE_COUNT)]
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
         # Halton point 0 maps to the cube corner -1, pushed onto the ball.
@@ -213,8 +213,8 @@ def _probe_points_reference(center, delta, count, extra):
 class TestProbePoints:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
     def test_equal_to_per_trial_formula(self, n):
-        # The plan's block is the probe formula at the plan's center, and
-        # its objective values are the function's on that block.
+        # The plan's objective values and gradients are the function's on the
+        # probe formula at the plan's center.
         quartic = quartic_function(n)
         wide = dataclasses.replace(
             quartic, domain_box=np.column_stack([np.full(n, -5.0), np.full(n, 5.0)])
@@ -225,26 +225,28 @@ class TestProbePoints:
             (wide, 0.37, 2),
             (quartic, 1e-3, 3),
         ]:
-            plan = _probe_plan(fn, delta, seed, 50)
+            plan = _probe_plan(fn, delta, seed)
             empty = np.zeros((0, n))
-            ref = _probe_points_reference(plan.center, delta, 50, empty)
-            assert np.array_equal(plan.block, ref)
+            ref = _probe_points_reference(
+                plan.center, delta, verify_module._PROBE_COUNT, empty
+            )
             assert np.array_equal(plan.f, fn.f(ref))
             assert np.array_equal(plan.grad, fn.grad(ref))
-            for array in (plan.center, plan.block, plan.f, plan.grad):
+            for array in (plan.center, plan.f, plan.grad):
                 assert not array.flags.writeable
 
     def test_ball_must_fit_domain(self):
         with pytest.raises(ValueError, match="ball of radius 1.2 around"):
-            _probe_plan(quartic_function(2), 1.2, 0, 50)
+            _probe_plan(quartic_function(2), 1.2, 0)
 
     def test_unit_block_shared_and_read_only(self):
-        unit, corners = verify_module._unit_probe_block(3, 40)
-        assert verify_module._unit_probe_block(3, 40)[0] is unit
-        assert unit.shape == (40 + 1 + 6, 3) and corners.shape == (8, 3)
+        unit, corners = verify_module._unit_probe_block(3)
+        assert verify_module._unit_probe_block(3)[0] is unit
+        assert unit.shape == (verify_module._PROBE_COUNT + 1 + 6, 3)
+        assert corners.shape == (8, 3)
         with pytest.raises(ValueError):
             unit[0, 0] = 1.0
-        assert verify_module._unit_probe_block(7, 40)[1].shape == (0, 7)
+        assert verify_module._unit_probe_block(7)[1].shape == (0, 7)
 
 
 class TestCheckTheory:
@@ -427,11 +429,11 @@ class TestTrials:
     @staticmethod
     def _absolute_errors(config):
         # emp_f, emp_g and emp_H as the fit's absolute model gives them: its
-        # values and gradients on the plan's block, at the sample points and,
+        # values and gradients on the probe block, at the sample points and,
         # for a quadratic objective, at the absolute exact worst point.
         fn = resolve_function(config.function, config.n)
         delta = config.delta
-        plan = _probe_plan(fn, delta, config.seed, verify_module._PROBE_COUNT)
+        plan = _probe_plan(fn, delta, config.seed)
         ss = generate_poised_set(
             config.n, config.p, delta, config.lambda_max, seed=config.seed,
             center=plan.center,
@@ -442,7 +444,10 @@ class TestTrials:
             model = fit_relaxed(config.kind, ss, values, spec).model
         else:
             model = fit_model(config.kind, ss, values).model
-        X = [plan.block, ss.points]
+        block = _probe_points_reference(
+            plan.center, delta, verify_module._PROBE_COUNT, np.zeros((0, config.n))
+        )
+        X = [block, ss.points]
         F = [plan.f, values]
         G = [plan.grad, fn.grad(ss.points)]
         if fn.quadratic is not None:
@@ -637,7 +642,7 @@ class TestTrialCenter:
         # The center is the seed's draw scaled into the middle half of the box.
         fn = rosenbrock_function()
         draw = np.random.default_rng(4).uniform(-0.5, 0.5, size=2)
-        center = _probe_plan(fn, 0.1, 4, 50).center
+        center = _probe_plan(fn, 0.1, 4).center
         assert np.array_equal(center, 0.0 + draw * 2.0)
         # Its own array, not the cached draw.
         assert not np.shares_memory(center, verify_module._center_draw(4, 2))
@@ -666,10 +671,10 @@ class StageValues:
                 self._track("shape", key, shape)
             return built
 
-        def plan(fn, delta, seed, count):
+        def plan(fn, delta, seed):
             key = (fn.name, fn.dim, delta, seed)
             self.builds["plan", key] += 1  # counted before it can raise
-            value = probe_plan(fn, delta, seed, count)
+            value = probe_plan(fn, delta, seed)
             self.refs["plan", key] = weakref.ref(value)
             return value
 
