@@ -193,7 +193,7 @@ def _cmd_fit(args) -> int:
         fit.model,
         extra={"residual": fit.residual, "condition": fit.condition},
     )
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    _emit(payload, None)
     return EXIT_OK
 
 
@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
     report = run_campaign(
         trials, csv_path=args.csv, json_path=args.json, progress=progress
     )
-    print(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False))
+    _emit(report.summary, None)
     if report.summary["n_failed"] > 0 or not report.summary["all_passed"]:
         return EXIT_MATH
     return EXIT_OK

@@ -63,7 +63,8 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
 
     The radius is taken from ``delta`` when given, otherwise from the JSON
     sidecar ``<stem>.json``.  Errors in its content name the file; parse
-    errors, and cells that are not finite numbers, name the data row too.
+    errors, cells that are not finite numbers and a point outside the ball
+    name the data row too.
     """
     # Imported here so that reading a model or a config loads no geometry.
     from .geometry import SampleSet
@@ -119,7 +120,11 @@ def read_points(path, delta: Optional[float] = None) -> Tuple[SampleSet, Optiona
     try:
         sample_set = SampleSet(np.asarray(rows, dtype=float), delta)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        message = str(exc)
+        if hasattr(exc, "index"):
+            # The set numbers its points from 0, the file its data rows from 1.
+            message = message.replace(f"point {exc.index}", f"data row {exc.index + 1}", 1)
+        raise ValueError(f"{path}: {message}") from None
     return sample_set, (np.asarray(values, dtype=float) if has_values else None)
 
 

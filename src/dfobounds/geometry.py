@@ -14,11 +14,13 @@ weight vector and certificate of that set reads it.  The generator works on
 the unit ball and only places its certified shape at the end; the placed
 set shares the shape's basis.  Its improvement loop is a generator that
 yields each candidate's Lagrange stack for the ball solver; one driver runs
-such loops of one n in lockstep, with one solve per step for all of them, so a campaign certifies
-its shapes together and each equals the shape certified alone.  Placing a
-shape re-checks only what rounding can break (the placed points stay
-finite, pairwise distinct and inside the ball, the checks every SampleSet
-runs) and reuses the shape's normalized points, basis and certificate.
+such loops of one n in lockstep, with one solve per step for all of them.
+A campaign certifies its shapes together, a single ``generate_poised_set``
+call is a campaign of one shape, and each shape equals the one certified
+alone.  Placing a shape re-checks only what rounding can break (the placed
+points stay finite, pairwise distinct and inside the ball, the checks every
+SampleSet runs) and reuses the shape's normalized points, basis and
+certificate.
 """
 
 from __future__ import annotations
@@ -122,10 +124,12 @@ def _check_points(pts: np.ndarray, radius: float) -> None:
     dist = _rownorm(pts - pts[0], 1)
     if (dist > radius * (1.0 + 1e-9)).any():
         worst = int(dist.argmax())
-        raise ValueError(
+        error = ValueError(
             f"point {worst} lies at distance {dist[worst]:.6g} from the "
             f"base point, outside the ball of radius {radius:.6g}"
         )
+        error.index = worst  # the row, for a reader that numbers rows its own way
+        raise error
 
 
 def normalized_points(sample_set: SampleSet) -> np.ndarray:
@@ -383,13 +387,14 @@ def generate_poised_set(
     n, p, seed = _integer("n", n, 1), _integer("p", p, 1), _integer("seed", seed, 0)
     delta = _number("delta", delta, 0.0, strict=True)
     _number("lambda_max", lambda_max, 1.0, strict=True)
-    kind = _kind_for_shape(n, p)
+    _kind_for_shape(n, p)
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float).ravel()
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
 
     if shape is None:
-        shape = _drive({0: _improve_shape(kind, n, p, lambda_max, seed)}, n)[0]
+        key = (n, p, lambda_max, seed)
+        shape = _certify_shapes([key])[key]
         if isinstance(shape, Exception):
             raise shape
     return _place(shape, center, delta)
@@ -415,54 +420,38 @@ def _place(shape: SampleSet, center: np.ndarray, delta: float) -> SampleSet:
 def _certify_shapes(keys) -> dict:
     """Certify the shapes of (n, p, lambda_max, seed) keys, once per key.
 
-    The improvement loops of one n run in lockstep (see ``_drive``), so each
-    step makes one ball solve per n, and every shape equals the one
-    ``generate_poised_set`` certifies for its key alone.  Returns each
-    key's unit shape, or the exception its loop raised.
+    The one driver of ``_improve_shape`` loops; ``generate_poised_set``
+    runs it on its single key.  The loops of one n run in lockstep: each
+    step stacks the Lagrange coefficients of every loop still improving
+    into one ``max_abs_on_ball`` call and sends each loop its own rows.
+    The solver treats rows independently, so every shape equals the one
+    its key certifies alone.  Returns each key's unit shape, or the
+    exception its loop raised.
     """
     loops = {}
     for key in dict.fromkeys(keys):
         n, p = key[:2]
         loops.setdefault(n, {})[key] = _improve_shape(_kind_for_shape(n, p), *key)
-    shapes = {}
-    for n, group in loops.items():
-        shapes.update(_drive(group, n))
-    return shapes
-
-
-def _drive(loops: dict, n: int) -> dict:
-    """Run the improvement loops of one n in lockstep until each ends.
-
-    ``loops`` maps keys to fresh ``_improve_shape`` generators.  Each step
-    stacks the Lagrange coefficients of every loop still improving into one
-    ``max_abs_on_ball`` call and sends each loop its own rows; the solver
-    treats rows independently, so a loop takes the same steps as alone.
-    Returns each key's certified shape, or the exception its loop raised.
-    """
-    origin = np.zeros(n)
     ended = {}
-    stacks = {}
-
-    def advance(key, reply):
-        try:
-            stacks[key] = loops[key].send(reply)
-        except StopIteration as stop:
-            ended[key] = stop.value
-        except Exception as exc:
-            ended[key] = exc
-
-    for key in loops:
-        advance(key, None)
-    while stacks:
-        step = list(stacks.items())
-        stacks.clear()
-        replies = _solve_stacks([c for _, c in step], origin, max_abs_on_ball)
-        for (key, _), reply in zip(step, replies):
-            if isinstance(reply, Exception):
-                loops[key].close()
-                ended[key] = reply
-            else:
-                advance(key, reply)
+    for n, group in loops.items():
+        replies = dict.fromkeys(group)  # None starts a loop
+        while True:
+            stacks = {}
+            for key, reply in replies.items():
+                if isinstance(reply, Exception):
+                    group[key].close()
+                    ended[key] = reply
+                    continue
+                try:
+                    stacks[key] = group[key].send(reply)
+                except StopIteration as stop:
+                    ended[key] = stop.value
+                except Exception as exc:
+                    ended[key] = exc
+            if not stacks:
+                break
+            solved = _solve_stacks(list(stacks.values()), np.zeros(n), max_abs_on_ball)
+            replies = dict(zip(stacks, solved))
     return ended
 
 

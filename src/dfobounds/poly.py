@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _integer
+from .bounds import _integer, _q
 
 __all__ = [
     "QuadraticPolynomial",
@@ -22,7 +22,7 @@ def space_dim(degree: int, n: int) -> int:
     if degree == 1:
         return n + 1
     if degree == 2:
-        return (n * n + 3 * n) // 2 + 1
+        return _q(n) + 1
     raise ValueError(f"degree must be 1 or 2, got {degree}")
 
 

@@ -382,18 +382,14 @@ def _center_draw(seed: int, dim: int) -> np.ndarray:
 
 
 def _first_primes(count: int) -> np.ndarray:
-    """The first ``count`` primes, from a sieve doubled until it holds them."""
-    limit = 16
-    while True:
-        sieve = np.ones(limit, dtype=bool)
-        sieve[:2] = False
-        for i in range(2, int(limit**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = False
-        primes = np.flatnonzero(sieve)
-        if primes.size >= count:
-            return primes[:count]
-        limit *= 2
+    """The first ``count`` primes, by trial division by the primes found so far."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % prime for prime in primes if prime * prime <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return np.array(primes, dtype=np.intp)
 
 
 def _halton_points(d: int, count: int) -> np.ndarray:

@@ -82,7 +82,7 @@ def test_error_names_offending_row(tmp_path):
     [
         ("0.0,0.0\n1.0,0.0\n1.0,0.0\n", "sample points must be pairwise distinct"),
         ("0.0,0.0\n3.0,4.0\n0.0,1.0\n",
-         "point 1 lies at distance 5 from the base point, outside the ball of radius 1"),
+         "data row 2 lies at distance 5 from the base point, outside the ball of radius 1"),
     ],
 )
 def test_set_errors_name_the_file(tmp_path, rows, message):

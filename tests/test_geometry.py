@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfobounds.geometry as geometry_module
+import dfobounds.verify as verify_module
 from dfobounds import (
     ModelKind,
     NotPoisedError,
@@ -412,7 +413,7 @@ class TestSystemMemo:
         # driver, one per candidate set it tries; the trials' fits only
         # reuse them.
         original_system = geometry_module._system
-        original_drive = geometry_module._drive
+        original_certify = geometry_module._certify_shapes
         generating = []
         candidates = []
         builds = []  # (set, inside the generator)
@@ -429,16 +430,19 @@ class TestSystemMemo:
             (builds if empty else reuses).append((sample_set, bool(generating)))
             return original_system(sample_set, kind)
 
-        def counted_drive(*args):
+        def counted_certify(*args):
             generating.append(True)
             try:
-                return original_drive(*args)
+                return original_certify(*args)
             finally:
                 generating.pop()
 
         monkeypatch.setattr(geometry_module, "SampleSet", CountedSet)
         monkeypatch.setattr(geometry_module, "_system", counted_system)
-        monkeypatch.setattr(geometry_module, "_drive", counted_drive)
+        # A campaign calls the driver through verify, a lone
+        # generate_poised_set through geometry.
+        monkeypatch.setattr(geometry_module, "_certify_shapes", counted_certify)
+        monkeypatch.setattr(verify_module, "_certify_shapes", counted_certify)
         trials = default_sweep(5)
         report = run_campaign(trials)
         assert not report.failures
@@ -454,7 +458,7 @@ class TestSystemMemo:
         # _system, one per system it builds, all for generator candidates;
         # the trials' fits expand values in those bases and solve nothing.
         original_system = geometry_module._system
-        original_drive = geometry_module._drive
+        original_certify = geometry_module._certify_shapes
         original_solve = np.linalg.solve
         generating = []
         builds = []  # inside the generator
@@ -471,15 +475,16 @@ class TestSystemMemo:
             solves.append(bool(generating))
             return original_solve(a, b)
 
-        def counted_drive(*args):
+        def counted_certify(*args):
             generating.append(True)
             try:
-                return original_drive(*args)
+                return original_certify(*args)
             finally:
                 generating.pop()
 
         monkeypatch.setattr(geometry_module, "_system", counted_system)
-        monkeypatch.setattr(geometry_module, "_drive", counted_drive)
+        monkeypatch.setattr(geometry_module, "_certify_shapes", counted_certify)
+        monkeypatch.setattr(verify_module, "_certify_shapes", counted_certify)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         report = run_campaign(default_sweep(5))
         assert not report.failures
@@ -714,7 +719,7 @@ class TestLockstep:
         keys = [(2, p, 100.0, seed) for p in (2, 4, 5) for seed in range(3)]
         reference = _lockstep_shapes(keys)
         monkeypatch.setattr(geometry_module, "_improve_shape", poisoned)
-        ended = geometry_module._drive({key: _loop(key) for key in keys}, 2)
+        ended = geometry_module._certify_shapes(keys)
         assert isinstance(ended[bad], ValueError)
         with pytest.raises(ValueError, match=str(ended[bad])):
             generate_poised_set(2, 4, 0.5, 100.0, seed=1)
@@ -726,6 +731,35 @@ class TestLockstep:
             assert np.array_equal(shape.points, reference[key].points)
             assert shape.certificate == reference[key].certificate
             assert ended[key].certificate == shape.certificate
+
+    @pytest.mark.parametrize(
+        "key",
+        [(2, 2, 5.0, 0), (2, 4, 5.0, 1), (2, 5, 2.0, 2), (*HIGHDIM_SHAPES[0], 5.0, 0)],
+    )
+    def test_generator_alone_is_a_campaign_of_one(self, monkeypatch, key):
+        # generate_poised_set certifies through the campaigns' driver: one
+        # _certify_shapes call for its key, making the ball solves of its
+        # loop run alone and no more.
+        steps = _solves_alone(key)
+        solves = []
+        calls = []
+        original_solve = geometry_module.max_abs_on_ball
+        original_certify = geometry_module._certify_shapes
+
+        def counted_solve(coeffs, center, radius):
+            solves.append(len(coeffs))
+            return original_solve(coeffs, center, radius)
+
+        def counted_certify(keys):
+            calls.append(list(keys))
+            return original_certify(keys)
+
+        monkeypatch.setattr(geometry_module, "max_abs_on_ball", counted_solve)
+        monkeypatch.setattr(geometry_module, "_certify_shapes", counted_certify)
+        n, p, lambda_max, seed = key
+        generate_poised_set(n, p, 0.5, lambda_max, seed=seed)
+        assert len(solves) == steps
+        assert calls == [[key]]
 
     def test_keys_the_generator_rejects_are_left_to_it(self):
         # No interpolation kind for p = 6 at n = 2, and lambda_max <= 1:
