@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Optional
 
 # Only the NumPy-free bounds module loads with the CLI; each command imports
@@ -198,23 +199,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    inputs = BoundInputs(
-        L=args.L,
-        kappa=args.kappa,
-        lam=args.lam,
-        kappa_L=args.kappa_L,
-        kappa_Q=args.kappa_Q,
-        kappa_s=args.kappa_s,
-        kappa_H=args.kappa_H,
-        n=args.n,
-        p=args.p,
-        delta=args.delta,
-        delta_max=args.delta_max,
-    )
+    # Each flag's dest is the BoundInputs field it sets.
+    inputs = BoundInputs(**{f.name: getattr(args, f.name) for f in fields(BoundInputs)})
     if args.kind == "under":
         # UNDER is MFN with both matrix constants supplied.
         _require(inputs, "p", "kappa_s", "kappa_H")
     payload = error_bounds(args.kind, inputs).to_dict()
+    for name in ("kappa_L", "kappa_Q", "kappa_s", "kappa_H"):
+        if getattr(inputs, name) is not None and name not in payload["provenance"]:
+            raise ValueError(f"--kind {args.kind} does not read --{name.replace('_', '-')}")
     # The document names the kind as requested, so UNDER stays UNDER.
     payload["kind"] = args.kind.upper()
     _emit(payload, args.out)

@@ -394,10 +394,17 @@ def generate_poised_set(
 
     if shape is None:
         key = (n, p, lambda_max, seed)
-        shape = _certify_shapes([key])[key]
-        if isinstance(shape, Exception):
-            raise shape
+        shape = _read(_certify_shapes([key]), key)
     return _place(shape, center, delta)
+
+
+def _read(store: dict, key):
+    # A stage value.  A key that failed holds its exception, which each
+    # reader raises with a fresh traceback, not one grown per raise.
+    value = store[key]
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
 
 
 def _place(shape: SampleSet, center: np.ndarray, delta: float) -> SampleSet:
@@ -438,12 +445,11 @@ def _certify_shapes(keys) -> dict:
         while True:
             stacks = {}
             for key, reply in replies.items():
-                if isinstance(reply, Exception):
-                    group[key].close()
-                    ended[key] = reply
-                    continue
+                # A failed solve is thrown into its loop, which it ends.
+                loop = group[key]
+                advance = loop.throw if isinstance(reply, Exception) else loop.send
                 try:
-                    stacks[key] = group[key].send(reply)
+                    stacks[key] = advance(reply)
                 except StopIteration as stop:
                     ended[key] = stop.value
                 except Exception as exc:

@@ -31,6 +31,7 @@ from .geometry import (
     lambda_poisedness,
     _certify_shapes,
     _lagrange_coeffs,
+    _read,
     _solve_stacks,
     normalized_points,
 )
@@ -225,29 +226,22 @@ def basis_floor_checks(n: int, count: int = 200, seed: int = 0):
     count = _integer("count", count, 1)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     dim_quad = space_dim(2, n)
-    # Rows of FULL degree-2 coefficients; affine rows end in zeros.
-    zeros = np.zeros(dim_quad - n - 1)
-    quad, lin, unit = [], [], []
-    for _ in range(count):
-        u = rng.uniform(-1.0, 1.0, size=dim_quad)
-        scale = np.max(np.abs(u))
-        if scale == 0.0:
-            continue
-        quad.append(u / scale)
-
-        u = rng.uniform(-1.0, 1.0, size=n + 1)
-        scale = np.max(np.abs(u))
-        if scale == 0.0:
-            continue
-        lin.append(np.concatenate([u / scale, zeros]))
-
-        u = rng.standard_normal(n + 1)
-        unit.append(np.concatenate([u / np.linalg.norm(u), zeros]))
+    # The three families' draws interleave, one of each per sample.
+    quad, lin, unit = map(np.array, zip(*[
+        (rng.uniform(-1.0, 1.0, size=dim_quad), rng.uniform(-1.0, 1.0, size=n + 1),
+         rng.standard_normal(n + 1))
+        for _ in range(count)
+    ]))
+    # Rows of FULL degree-2 coefficients; affine rows end in zeros.  Each
+    # unit row takes its own norm, which a batched norm would round apart.
+    zeros = np.zeros((count, dim_quad - n - 1))
+    quad /= np.abs(quad).max(axis=1, keepdims=True)
+    lin = np.hstack([lin / np.abs(lin).max(axis=1, keepdims=True), zeros])
+    unit = np.hstack([unit / np.array([[np.linalg.norm(u)] for u in unit]), zeros])
     origin = np.zeros(n)
     # One batched ball solve per family.
     worst_quad, worst_lin, worst_unit = (
-        np.min(max_abs_on_ball(np.array(family), origin, 1.0)[0]) if family else np.inf
-        for family in (quad, lin, unit)
+        np.min(max_abs_on_ball(family, origin, 1.0)[0]) for family in (quad, lin, unit)
     )
     return [
         _ge("quadratic_basis_floor", worst_quad, 0.25),
@@ -415,13 +409,11 @@ _PROBE_COUNT = 1000  # Halton points in every trial's probe block
 
 
 @functools.lru_cache(maxsize=8)
-def _unit_probe_block(n: int):
+def _unit_probe_block(n: int) -> np.ndarray:
     """The probe points on the unit ball at the origin, built once per n.
 
-    Returns the block that scales by delta (the Halton points, the origin
-    and the +-axes) and the +-1 corners, which scale by delta / sqrt(n) and
-    are an empty (0, n) block when n > 6.  Both are read-only, since every
-    trial shares them.
+    Rows are the Halton points, the origin, the +-axes and, when n <= 6,
+    the +-1 corners over sqrt(n).  Read-only, since every trial shares it.
     """
     # Low-discrepancy cube points pushed radially onto the ball; boundary
     # coverage matters because the worst errors tend to sit there.
@@ -429,12 +421,11 @@ def _unit_probe_block(n: int):
     norms = np.linalg.norm(z, axis=1)
     outside = norms > 1.0
     z[outside] /= norms[outside][:, None]
-    unit = np.vstack([z, np.zeros((1, n)), np.eye(n), -np.eye(n)])
-    unit.setflags(write=False)
     cube = itertools.product((-1.0, 1.0), repeat=n) if n <= 6 else ()
-    corners = np.array(list(cube)).reshape(-1, n)
-    corners.setflags(write=False)
-    return unit, corners
+    corners = np.array(list(cube)).reshape(-1, n) / np.sqrt(n)
+    unit = np.vstack([z, np.zeros((1, n)), np.eye(n), -np.eye(n), corners])
+    unit.setflags(write=False)
+    return unit
 
 
 @dataclass(frozen=True)
@@ -442,9 +433,8 @@ class _ProbePlan:
     """What every trial at one (function, n, delta, seed) probes.
 
     ``center`` is the ball center, and ``f`` and ``grad`` the objective on
-    the probe points [center + delta * U; center + delta / sqrt(n) * corners]
-    (see _unit_probe_block).  All three are read-only, since the trials of a
-    campaign share them.
+    the probe points center + delta * U (see _unit_probe_block).  All three
+    are read-only, since the trials of a campaign share them.
     """
 
     center: np.ndarray
@@ -468,9 +458,7 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
             f"ball of radius {delta} around the sampled center does not fit "
             f"inside the domain box of {fn.name}"
         )
-    n = fn.dim
-    unit, corners = _unit_probe_block(n)
-    block = np.vstack([center + delta * unit, center + (delta / np.sqrt(n)) * corners])
+    block = center + delta * _unit_probe_block(fn.dim)
     plan = _ProbePlan(center, fn.f(block), fn.grad(block))
     for array in (plan.center, plan.f, plan.grad):
         array.setflags(write=False)
@@ -489,15 +477,6 @@ def _margin(emp: float, cap: float) -> float:
     if cap > 0.0:
         return emp / cap
     return 0.0 if emp <= 1e-12 else np.inf
-
-
-def _read(store: dict, key):
-    # A stage value.  A key that failed holds its exception, which each
-    # reader raises with a fresh traceback, not one grown per raise.
-    value = store[key]
-    if isinstance(value, Exception):
-        raise value.with_traceback(None)
-    return value
 
 
 def _fit_trial(fn: TestFunction, config: TrialConfig, shapes: dict, plans: dict):
@@ -603,8 +582,7 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     # error is itself quadratic.  Absolute gradients are the normalized ones
     # over delta, and the absolute Hessian the normalized one over delta^2.
     n = config.n
-    unit, corners = _unit_probe_block(n)
-    rows = [unit, corners / math.sqrt(n), normalized_points(sample_set)]
+    rows = [_unit_probe_block(n), normalized_points(sample_set)]
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
     if fn.quadratic is not None:

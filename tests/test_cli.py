@@ -1,10 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfobounds.cli import main
+from dfobounds.bounds import BoundInputs
+from dfobounds.cli import build_parser, main
 from dfobounds.fileio import write_points
 
 
@@ -226,6 +228,29 @@ class TestBounds:
         )
         assert code == 0
         assert np.isclose(payload["C_g"], 10.0)
+
+    def test_every_input_is_a_flag(self):
+        # _cmd_bounds reads each BoundInputs field from the flag of that dest.
+        args = build_parser().parse_args(["bounds", "--kind", "mfn", "--L", "1"])
+        assert {f.name for f in dataclasses.fields(BoundInputs)} <= set(vars(args))
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kind", "lin_det", "--lam", "1", "--n", "2", "--kappa-Q", "5"], "--kappa-Q"),
+            (["--kind", "quad_det", "--lam", "1", "--n", "2", "--kappa-L", "5"], "--kappa-L"),
+            (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--delta", "0.5",
+              "--kappa-L", "5"], "--kappa-L"),
+            (["--kind", "under", "--p", "4", "--kappa-s", "1", "--kappa-H", "2",
+              "--kappa-Q", "5"], "--kappa-Q"),
+        ],
+    )
+    def test_unread_constant_exits_1(self, capsys, argv, flag):
+        code = main(["bounds", "--L", "1"] + argv)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dfobounds: error: --kind {argv[1]} does not read {flag}\n"
 
     def test_missing_constants_exit_1(self, capsys):
         code = main(["bounds", "--kind", "lin_det", "--L", "2"])

@@ -184,8 +184,8 @@ class TestHalton:
 
         monkeypatch.setattr(verify_module, "_halton_points", counted)
         verify_module._unit_probe_block.cache_clear()
-        first, _ = verify_module._unit_probe_block(3)
-        assert verify_module._unit_probe_block(3)[0] is first
+        first = verify_module._unit_probe_block(3)
+        assert verify_module._unit_probe_block(3) is first
         assert built == [(3, verify_module._PROBE_COUNT)]
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
@@ -195,7 +195,7 @@ class TestHalton:
 
 def _probe_points_reference(center, delta, count, extra):
     # The probe formula written out per trial, as it was before the unit
-    # block was cached.
+    # block was cached; the corners are the block's, over sqrt(n).
     n = center.size
     z = 2.0 * _halton_points(n, count) - 1.0
     norms = np.linalg.norm(z, axis=1)
@@ -205,7 +205,7 @@ def _probe_points_reference(center, delta, count, extra):
     blocks = [center + delta * z, center[None, :], center + axes, center - axes]
     if n <= 6:
         corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        blocks.append(center + delta * corners / np.sqrt(n))
+        blocks.append(center + delta * (corners / np.sqrt(n)))
     blocks.append(extra)
     return np.vstack(blocks)
 
@@ -240,13 +240,15 @@ class TestProbePoints:
             _probe_plan(quartic_function(2), 1.2, 0)
 
     def test_unit_block_shared_and_read_only(self):
-        unit, corners = verify_module._unit_probe_block(3)
-        assert verify_module._unit_probe_block(3)[0] is unit
-        assert unit.shape == (verify_module._PROBE_COUNT + 1 + 6, 3)
-        assert corners.shape == (8, 3)
+        unit = verify_module._unit_probe_block(3)
+        assert verify_module._unit_probe_block(3) is unit
         with pytest.raises(ValueError):
             unit[0, 0] = 1.0
-        assert verify_module._unit_probe_block(7)[1].shape == (0, 7)
+        # Halton points, origin, +-axes and, up to n = 6, the 2^n corners.
+        for n in range(1, 8):
+            corners = 2**n if n <= 6 else 0
+            rows = verify_module._PROBE_COUNT + 1 + 2 * n + corners
+            assert verify_module._unit_probe_block(n).shape == (rows, n)
 
 
 class TestCheckTheory:
