@@ -26,6 +26,12 @@ that passes the certificate: mu >= max(0, -lambda_min), complementarity
 mu (r - ||z||) = 0 and stationarity, each to 1e-10 after scaling by the
 item's coefficient magnitude.  An item with no certified candidate raises.
 
+An item whose Hessian is all exact zeros is affine, and its minimizer is
+known in closed form: z = -r g / ||g|| with mu = ||g|| / r, or the center
+with mu = 0 when g = 0 (Cauchy-Schwarz).  Such items skip the
+eigendecomposition and the Newton iteration; their residuals are reported
+like the others'.
+
 ``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial, read as
 its coefficient row, or a stack on one ball: a (k, q+1) array of FULL
 degree-2 coefficients, such as the Lagrange basis of a sample set.  A stack
@@ -129,14 +135,57 @@ def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-def _extremize(G, H, r: float, eig=None) -> BallSolution:
-    # extremize_batch on checked float arrays and radius, given the
-    # eigendecomposition (w, Q) of H with w ascending per item, or computing
-    # it when eig is None.
-    k, n = G.shape
+def _extremize(G, H, r: float, both: bool = False) -> BallSolution:
+    # extremize_batch on checked float arrays and radius.  With both, the
+    # rows of (-G, -H) follow those of (G, H).  A row whose Hessian is all
+    # exact zeros takes the closed form (_affine); the others share one
+    # eigendecomposition, which no call of affine rows alone runs.
+    curved = np.logical_or.reduce(H != 0.0, axis=(1, 2))
+    every = np.logical_and.reduce(curved)
+    if both:
+        G = np.vstack([G, -G])
+    if not every:
+        # Every row in closed form; the curved rows' answers are replaced.
+        flat = _affine(G, r)
+        if not np.logical_or.reduce(curved):
+            return flat
+        H = H[curved]
+    # Ascending eigenvalues, eigenvectors in columns.  eigh(-H) is eigh(H)
+    # with the eigenvalues negated and their order, and the eigenvector
+    # columns with them, reversed.
+    w, Q = np.linalg.eigh(H)
+    if both:
+        w, Q = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
+        H, curved = np.concatenate([H, -H]), np.concatenate([curved, curved])
+    if every:
+        return _certified(G, H, r, w, Q)
+    bent = _certified(G[curved], H, r, w, Q)
+    for name in ("z", "mu", "complementarity", "stationarity"):
+        getattr(flat, name)[curved] = getattr(bent, name)
+    return flat
 
-    # Ascending eigenvalues, eigenvectors in columns.
-    w, Q = np.linalg.eigh(H) if eig is None else eig
+
+def _affine(G, r: float) -> BallSolution:
+    # Minimizers of g.z over ||z|| <= r in closed form: z = -r g / ||g||
+    # with mu = ||g|| / r, or z = 0 and mu = 0 where g = 0.  ||g|| is taken
+    # of g over its largest |g_i|, so no square under- or overflows.
+    top = np.maximum.reduce(np.abs(G), axis=1)
+    g_norm = top * _rownorm(G / np.where(top > 0.0, top, 1.0)[:, None], 1)
+    Z = (G / np.where(g_norm > 0.0, g_norm, 1.0)[:, None]) * -r
+    mu = g_norm / r
+    scale = np.maximum(_TINY, g_norm)
+    return BallSolution(
+        z=Z,
+        mu=mu,
+        complementarity=np.abs(mu * (r - _rownorm(Z, 1))) / scale,
+        stationarity=_rownorm(mu[:, None] * Z + G, 1) / scale,
+    )
+
+
+def _certified(G, H, r: float, w, Q) -> BallSolution:
+    # _extremize's general solve, given the eigendecomposition (w, Q) of H
+    # with w ascending per item.
+    k, n = G.shape
     gh = np.einsum("kji,kj->ki", Q, G)
     lam = w[:, 0]
     h_scale = np.maximum.reduce(np.abs(w), axis=1)
@@ -161,17 +210,18 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
         d = w_act + mu[:, None]
         return gh_eff / d, d
 
-    # Interior candidate: H positive semidefinite and g in its range.
+    # Interior candidate: H positive semidefinite and g in its range.  Where
+    # no item is, the candidate is never offered and its block is skipped.
     pos_tol = 1e-13 * h_scale
-    pos = w > pos_tol[:, None]
-    z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
-    n_int = _rownorm(z_int, 1)
-    in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
-    ok_int = (
-        (lam >= -pos_tol)
-        & np.logical_and.reduce(pos | in_range, axis=1)
-        & (n_int <= r * (1.0 + 1e-12))
-    )
+    ok_int = lam >= -pos_tol
+    if np.logical_or.reduce(ok_int):
+        pos = w > pos_tol[:, None]
+        z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
+        n_int = _rownorm(z_int, 1)
+        in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
+        ok_int &= np.logical_and.reduce(pos | in_range, axis=1) & (n_int <= r * (1.0 + 1e-12))
+    else:
+        z_int = np.zeros_like(gh)
 
     # Boundary candidate.  ||z(mu)|| >= |gh_i| / (w_i + mu) for every i, so
     # the root lies right of every |gh_i| / r - w_i; start at the largest.
@@ -193,14 +243,14 @@ def _extremize(G, H, r: float, eig=None) -> BallSolution:
             tt = t * t
             s2 = np.add.reduce(tt, axis=1)
             s = np.sqrt(s2)
-            slope = np.add.reduce(tt / d, axis=1)
+            slope = np.add.reduce(np.divide(tt, d, out=tt), axis=1)
             delta = np.maximum((s - r) / r * s2 / slope, 0.0)
             finite = np.isfinite(delta)
             ok_bnd &= finite | ~live
             live &= finite
-            mu = np.where(live, mu + delta, mu)
+            np.add(mu, delta, out=mu, where=live)
             live &= delta > 2.0 * _EPS * mu
-            t, d = step(mu)
+            np.divide(gh_eff, np.add(w_act, mu[:, None], out=d), out=t)
         # Where Newton stopped inside the sphere (mu = 0 with an interior
         # minimizer, or past the root at the pole) the interior or completed
         # candidate covers the item; a step short of the sphere is not
@@ -320,9 +370,11 @@ def _pick_abs(vmax, argmax, vmin, argmin):
     """
     amax, amin = np.abs(vmax), np.abs(vmin)
     gap = 1e-12 * np.maximum(1.0, np.maximum(amax, amin))
-    take_min = amin > amax + gap
-    for i in np.flatnonzero((amax <= amin + gap) & (amin <= amax + gap)):
-        take_min[i] = tuple(argmin[i]) < tuple(argmax[i])
+    # Two arguments compare at the first coordinate where they differ.
+    first = (argmin != argmax).argmax(axis=1)
+    rows = np.arange(len(first))
+    smaller = argmin[rows, first] < argmax[rows, first]
+    take_min = (amin > amax + gap) | ((amax <= amin + gap) & (amin <= amax + gap) & smaller)
     return np.where(take_min, amin, amax), np.where(take_min[:, None], argmin, argmax)
 
 
@@ -351,11 +403,7 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     center, c, g, H, g0 = _stack(m.coeffs()[None, :] if single else m, center)
     r = _number("radius", radius, 0.0, strict=True)
     k = len(c)
-    # eigh(-H) is eigh(H) with the eigenvalues negated and their order, and
-    # the eigenvector columns with them, reversed.
-    w, Q = np.linalg.eigh(H)
-    eig = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
-    sol = _extremize(np.vstack([g0, -g0]), np.concatenate([H, -H]), r, eig)
+    sol = _extremize(g0, H, r, both=True)
     X = center + sol.z
     c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
     values = (

@@ -170,12 +170,19 @@ def constants_from_lambda(kind, lam: float, n: int, p: Optional[int] = None) -> 
     _integer("n", n, 1)
     if p is not None:
         _kind_for_shape(n, _integer("p", p, 1), kind)
+    elif kind is ModelKind.MFN:
+        raise ValueError("MFN needs p")
+    return _constants_from_lambda(kind, lam, n, p)
+
+
+def _constants_from_lambda(kind: ModelKind, lam: float, n: int, p: Optional[int]) -> float:
+    # constants_from_lambda on checked inputs of the kind's shape.  lam is
+    # made a float, as the public form's check makes it, whatever its type.
+    lam = float(lam)
     if kind is ModelKind.LIN_DET:
         return lam * math.sqrt(n)
     if kind is ModelKind.QUAD_DET:
         return 4.0 * lam * math.sqrt((_q(n) + 1.0) ** 3)
-    if p is None:
-        raise ValueError("MFN needs p")
     return lam * math.sqrt(2.0 * (n + 1.0)) * (p + 1.0)
 
 
@@ -190,6 +197,11 @@ def hessian_bound_mfn(
     _number("kappa", kappa, 0.0)
     _number("lam", lam, _LAM_LOW)
     _kind_for_shape(_integer("n", n, 1), _integer("p", p, 1), ModelKind.MFN)
+    return _hessian_bound_mfn(L, kappa, lam, n, p, delta_max)
+
+
+def _hessian_bound_mfn(L, kappa, lam, n: int, p: int, delta_max) -> float:
+    # hessian_bound_mfn on checked inputs of an MFN shape.
     c = c_delta_max(delta_max)
     return (kappa + 0.5 * L) * 4.0 * lam * (p + 1.0) * math.sqrt(2.0 * (_q(n) + 1.0)) / (c * c)
 
@@ -298,6 +310,8 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     kind = _checked_kind(kind, inputs)
     L, kappa = inputs.L, inputs.kappa
     prov: dict = {}
+    # BoundInputs checked every field and _checked_kind the shape, so the
+    # constants come from the helpers' unchecked forms.
 
     def constant(name, derive, needs):
         # The supplied matrix constant, else derive() of the inputs in needs.
@@ -310,7 +324,7 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     if kind is ModelKind.LIN_DET:
         (n,) = _require(inputs, "n")
         kappa_L = constant(
-            "kappa_L", lambda lam: constants_from_lambda(kind, lam, n=n), ("lam",)
+            "kappa_L", lambda lam: _constants_from_lambda(kind, lam, n, None), ("lam",)
         )
         term = (0.5 * L + 2.0 * kappa) * kappa_L * math.sqrt(n)
         C_g = L + term
@@ -322,7 +336,7 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     if kind is ModelKind.QUAD_DET:
         (n, q) = _require(inputs, "n", "q")
         kappa_Q = constant(
-            "kappa_Q", lambda lam: constants_from_lambda(kind, lam, n=n), ("lam",)
+            "kappa_Q", lambda lam: _constants_from_lambda(kind, lam, n, None), ("lam",)
         )
         C_H = 2.0 * kappa_Q * math.sqrt(2.0 * q) * (kappa + L)
         C_g = 2.0 * kappa_Q * math.sqrt(q) * (1.0 + math.sqrt(2.0)) * (kappa + L)
@@ -337,12 +351,12 @@ def error_bounds(kind, inputs: BoundInputs) -> BoundReport:
     (p,) = _require(inputs, "p")
     kappa_s = constant(
         "kappa_s",
-        lambda n, lam: constants_from_lambda(kind, lam, n=n, p=p),
+        lambda n, lam: _constants_from_lambda(kind, lam, n, p),
         ("n", "lam"),
     )
     kappa_H = constant(
         "kappa_H",
-        lambda n, lam, dm: hessian_bound_mfn(L, kappa, lam, n=n, p=p, delta_max=dm),
+        lambda n, lam, dm: _hessian_bound_mfn(L, kappa, lam, n, p, dm),
         ("n", "lam", "delta_max"),
     )
     bracket = L + kappa + 0.75 * kappa_H

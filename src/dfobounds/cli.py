@@ -205,9 +205,19 @@ def _cmd_bounds(args) -> int:
         # UNDER is MFN with both matrix constants supplied.
         _require(inputs, "p", "kappa_s", "kappa_H")
     payload = error_bounds(args.kind, inputs).to_dict()
-    for name in ("kappa_L", "kappa_Q", "kappa_s", "kappa_H"):
-        if getattr(inputs, name) is not None and name not in payload["provenance"]:
-            raise ValueError(f"--kind {args.kind} does not read --{name.replace('_', '-')}")
+    # The provenance names each matrix constant the kind read.  A constant
+    # derived from lambda reads lam, and kappa_H derived so reads delta_max,
+    # which --delta sets when it is not given.  Every kind reads L, kappa,
+    # and n and p for its shape.
+    prov = payload["provenance"]
+    read = {"L", "kappa", "n", "p", *prov}
+    if "from_lambda" in prov.values():
+        read.add("lam")
+    if prov.get("kappa_H") == "from_lambda":
+        read.update(("delta", "delta_max"))
+    for f in fields(BoundInputs):
+        if getattr(args, f.name) is not None and f.name not in read:
+            raise ValueError(f"--kind {args.kind} does not read --{f.name.replace('_', '-')}")
     # The document names the kind as requested, so UNDER stays UNDER.
     payload["kind"] = args.kind.upper()
     _emit(payload, args.out)

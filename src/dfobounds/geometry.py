@@ -473,8 +473,11 @@ def _solve_stacks(stacks, origin, solve):
         if len(stacks) == 1:
             return [exc]
         return [_solve_stacks([c], origin, solve)[0] for c in stacks]
-    cuts = np.cumsum([len(c) for c in stacks[:-1]])
-    return list(zip(np.split(values, cuts), np.split(args, cuts)))
+    out, start = [], 0
+    for c in stacks:
+        out.append((values[start : start + len(c)], args[start : start + len(c)]))
+        start += len(c)
+    return out
 
 
 def _improve_shape(kind: ModelKind, n: int, p: int, lambda_max: float, seed: int):

@@ -41,6 +41,79 @@ def test_affine_witness_grid():
     assert abs(value - (1.0 + np.sqrt(2.0))) <= 1e-3
 
 
+def _affine_stack(rng, k, n):
+    # Rows c + g.x with c > 0 and ||g|| from 1e-12 to 1e3, except that row 0
+    # has g = 0 and row 1 a g whose squares underflow.
+    g = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-12, 3, size=(k, 1))
+    g[0] = 0.0
+    g[1] *= 1e-200 / np.abs(g[1]).max()
+    c = np.abs(rng.standard_normal(k))
+    A = np.zeros((k, space_dim(2, n)))
+    A[:, 0], A[:, 1 : n + 1] = c, g
+    return A, c, g
+
+
+def test_affine_stack_takes_no_eigendecomposition(monkeypatch, rng):
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for n in (1, 3, 8):
+        A, _, g = _affine_stack(rng, 9, n)
+        max_abs_on_ball(A, np.zeros(n), 0.5)
+        extremize_on_ball(A, rng.standard_normal(n), 2.0)
+        extremize_batch(g, np.zeros((9, n, n)), 0.5)
+    assert calls == []
+    # One curved row brings the eigendecomposition back, for that row alone.
+    A[3, -1] = 1.0
+    max_abs_on_ball(A, np.zeros(8), 0.5)
+    assert [a[0].shape for a in calls] == [(1, 8, 8)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_affine_rows_in_closed_form(rng, n):
+    # Each value is |c + g.center| + r ||g||, at center +- r g / ||g||; the
+    # center of every row lies in the orthant of g, so no term cancels.
+    A, c, g = _affine_stack(rng, 40, n)
+    top = np.abs(g[1:]).max(axis=1, keepdims=True)
+    unit = (g[1:] / top) / np.linalg.norm(g[1:] / top, axis=1, keepdims=True)
+    for r in 10.0 ** rng.uniform(-3, 3, size=4):
+        center = np.abs(rng.standard_normal((40, n))) * np.sign(g)
+        for i in range(40):
+            ext = extremize_on_ball(A[i : i + 1], center[i], r)
+            assert ext.solver_residual <= 1e-15
+            expected = c[i] + g[i] @ center[i] + r * (g[i] @ unit[i - 1] if i else 0.0)
+            assert abs(ext.max_value[0] - expected) <= 4.0 * np.spacing(expected)
+            if i == 0:
+                # g = 0: the center, at |c|.
+                value, arg = max_abs_on_ball(A[:1], center[0], r)
+                assert arg[0].tobytes() == center[0].tobytes() and value[0] == c[0]
+                continue
+            tol = 4.0 * np.finfo(float).eps * (np.abs(center[i]) + r)
+            assert np.all(np.abs(ext.argmax[0] - (center[i] + r * unit[i - 1])) <= tol)
+            assert np.all(np.abs(ext.argmin[0] - (center[i] - r * unit[i - 1])) <= tol)
+
+
+def test_affine_row_same_in_batch_and_on_ball(rng):
+    n, r = 4, 0.8
+    A, _, g = _affine_stack(rng, 12, n)
+    center = rng.standard_normal(n)
+    ext = extremize_on_ball(A, center, r)
+    low = extremize_batch(g, np.zeros((12, n, n)), r)
+    high = extremize_batch(-g, np.zeros((12, n, n)), r)
+    assert np.array_equal(ext.argmin, center + low.z)
+    assert np.array_equal(ext.argmax, center + high.z)
+    for sol in (low, high):
+        assert np.all(sol.mu == low.mu)
+        assert np.allclose(np.linalg.norm(sol.z[1:], axis=1), r, rtol=4e-16, atol=0.0)
+        assert np.all(sol.complementarity <= 1e-15) and np.all(sol.stationarity <= 1e-15)
+    # An affine row in a stack of curved rows gives the same answer.
+    mixed = np.vstack([A[:1], rng.standard_normal((3, A.shape[1])), A[1:]])
+    both = extremize_on_ball(mixed, center, r)
+    keep = [0] + list(range(4, 15))
+    assert np.array_equal(both.argmin[keep], ext.argmin)
+    assert np.array_equal(both.max_value[keep], ext.max_value)
+
+
 def test_pure_quadratic_indefinite():
     # x'Hx/2 with H = diag(2, -4): max 1 at +-e1, min -2 at +-e2
     m = QuadraticPolynomial(2, 0.0, np.zeros(2), np.diag([2.0, -4.0]))

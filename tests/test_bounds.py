@@ -474,3 +474,32 @@ def test_shape_is_n_and_p_only():
         hessian_bound_mfn(1.0, 0.0, 2.0, n=2, p=4, q=5, delta_max=0.5)
     with pytest.raises(TypeError):
         hessian_bound_mfn(1.0, 0.0, 2.0, 4, 5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        dict(lam=_LAM, n=2, p=4, delta=_DELTA),
+        dict(lam=_LAM, n=8, p=30, delta=_DELTA, delta_max=_DELTA_MAX),
+        dict(lam=_LAM, n=3, p=6, kappa_s=2.0, delta=_DELTA),
+        dict(n=2, p=4, kappa_s=1.0, kappa_H=2.0),
+    ],
+)
+def test_mfn_error_bounds_apply_the_shape_rule_once(monkeypatch, inputs):
+    # error_bounds checks the shape once and derives its constants through
+    # the helpers' unchecked forms; test_entry_points_apply_the_shape_rule
+    # checks their bits.
+    import dfobounds.bounds as bounds
+
+    calls = []
+    real = bounds._kind_for_shape
+    monkeypatch.setattr(
+        bounds, "_kind_for_shape", lambda *args: calls.append(args) or real(*args)
+    )
+    report = error_bounds(BoundKind.MFN, BoundInputs(L=_L, kappa=_KAPPA, **inputs))
+    assert len(calls) == 1
+    if "kappa_H" not in inputs:
+        dm = inputs.get("delta_max", _DELTA)
+        assert report.C_H == hessian_bound_mfn(
+            _L, _KAPPA, _LAM, n=inputs["n"], p=inputs["p"], delta_max=dm
+        )

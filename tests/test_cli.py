@@ -243,6 +243,18 @@ class TestBounds:
               "--kappa-L", "5"], "--kappa-L"),
             (["--kind", "under", "--p", "4", "--kappa-s", "1", "--kappa-H", "2",
               "--kappa-Q", "5"], "--kappa-Q"),
+            # Scalar inputs: no kind but mfn reads the radii, and under
+            # derives nothing from lam.
+            (["--kind", "lin_det", "--lam", "1", "--n", "2", "--delta", "0.5",
+              "--delta-max", "0.7"], "--delta"),
+            (["--kind", "quad_det", "--lam", "1", "--n", "2", "--delta-max", "0.7"],
+             "--delta-max"),
+            (["--kind", "under", "--lam", "50", "--p", "4", "--kappa-s", "1",
+              "--kappa-H", "2"], "--lam"),
+            # A constant supplied in place of its lambda-derived value.
+            (["--kind", "lin_det", "--kappa-L", "2", "--lam", "1", "--n", "2"], "--lam"),
+            (["--kind", "mfn", "--lam", "1", "--n", "2", "--p", "4", "--kappa-H", "3",
+              "--delta", "0.5"], "--delta"),
         ],
     )
     def test_unread_constant_exits_1(self, capsys, argv, flag):
