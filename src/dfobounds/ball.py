@@ -433,11 +433,22 @@ def max_abs_on_ball(m, center, radius: float):
 
 def lipschitz_on_ball(m: QuadraticPolynomial, center, radius: float) -> float:
     """Lipschitz constant of m on the ball: ||g|| + ||H|| (||center|| + radius)."""
-    center = np.asarray(center, dtype=float).ravel()
+    radius = _number("radius", radius, 0.0, strict=True)
+    center = _center(center, m.dim)
     return float(
         np.linalg.norm(m.gradient)
-        + np.linalg.norm(m.hessian, 2) * (np.linalg.norm(center) + float(radius))
+        + np.linalg.norm(m.hessian, 2) * (np.linalg.norm(center) + radius)
     )
+
+
+def _center(center, n: int) -> np.ndarray:
+    # center as a finite float vector in R^n; ValueError naming it if not.
+    center = np.asarray(center, dtype=float).ravel()
+    if center.shape != (n,):
+        raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
+    return center
 
 
 def grid_oracle(m: QuadraticPolynomial, center, radius: float, resolution: float):
@@ -457,9 +468,7 @@ def grid_oracle(m: QuadraticPolynomial, center, radius: float, resolution: float
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_DIM}, got n = {n}")
     radius = _number("radius", radius, 0.0, strict=True)
     resolution = _number("resolution", resolution, 0.0, strict=True)
-    center = np.asarray(center, dtype=float).ravel()
-    if center.shape != (n,):
-        raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    center = _center(center, n)
 
     k = int(np.floor(radius / resolution + 1e-12))
     side = 2 * k + 1

@@ -13,14 +13,14 @@ memoized on the set, and every fit (sum_j f(y_j) l_j), Lagrange builder,
 weight vector and certificate of that set reads it.  The generator works on
 the unit ball and only places its certified shape at the end; the placed
 set shares the shape's basis.  Its improvement loop is a generator that
-yields each candidate's Lagrange stack for the ball solver; one driver runs
-such loops of one n in lockstep, with one solve per step for all of them.
-A campaign certifies its shapes together, a single ``generate_poised_set``
-call is a campaign of one shape, and each shape equals the one certified
-alone.  Placing a shape re-checks only what rounding can break (the placed
-points stay finite, pairwise distinct and inside the ball, the checks every
-SampleSet runs) and reuses the shape's normalized points, basis and
-certificate.
+yields each candidate's Lagrange stack for the ball solver; ``_drive`` runs
+such loops of one n in lockstep, one solve per step for all of them, and a
+campaign's worst-point loops the same way.  A campaign certifies its shapes
+together, a single ``generate_poised_set`` call is a campaign of one shape,
+and each shape equals the one certified alone.  Placing a shape re-checks
+only what rounding can break (the placed points stay finite, pairwise
+distinct and inside the ball, the checks every SampleSet runs) and reuses
+the shape's normalized points, basis and certificate.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def lagrange_determined(sample_set: SampleSet, degree: int):
     Reads the set's basis, solved for on the shifted/scaled set, and pulls
     each polynomial back; l_j(y^i) = delta_ij by construction.
     """
-    if degree not in (1, 2):
+    if _integer("degree", degree, 1) not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     kind = ModelKind.LIN_DET if degree == 1 else ModelKind.QUAD_DET
     return _lagrange(sample_set, kind)
@@ -425,27 +425,31 @@ def _place(shape: SampleSet, center: np.ndarray, delta: float) -> SampleSet:
 
 
 def _certify_shapes(keys) -> dict:
-    """Certify the shapes of (n, p, lambda_max, seed) keys, once per key.
-
-    The one driver of ``_improve_shape`` loops; ``generate_poised_set``
-    runs it on its single key.  The loops of one n run in lockstep: each
-    step stacks the Lagrange coefficients of every loop still improving
-    into one ``max_abs_on_ball`` call and sends each loop its own rows.
-    The solver treats rows independently, so every shape equals the one
-    its key certifies alone.  Returns each key's unit shape, or the
-    exception its loop raised.
-    """
+    """Each (n, p, lambda_max, seed) key's certified unit shape, or its exception."""
     loops = {}
     for key in dict.fromkeys(keys):
         n, p = key[:2]
         loops.setdefault(n, {})[key] = _improve_shape(_kind_for_shape(n, p), *key)
+    return _drive(loops, max_abs_on_ball)
+
+
+def _drive(loops: dict, solve) -> dict:
+    """Run the stage loops {n: {key: loop}} and return each key's value.
+
+    A loop yields coefficient stacks on the unit ball in R^n, receives their
+    (values, args) of max |l_j| and returns its key's value.  The loops of
+    one n run in lockstep, with one call of ``solve`` (``max_abs_on_ball``,
+    as the caller binds it) per step for all their rows, so each value
+    equals its loop's alone.  A failed solve is thrown into its own loop
+    (see ``_solve_stacks``).  A loop that raises leaves its exception without
+    the traceback and context, whose frames would hold other keys' values.
+    """
     ended = {}
     for n, group in loops.items():
         replies = dict.fromkeys(group)  # None starts a loop
         while True:
             stacks = {}
             for key, reply in replies.items():
-                # A failed solve is thrown into its loop, which it ends.
                 loop = group[key]
                 advance = loop.throw if isinstance(reply, Exception) else loop.send
                 try:
@@ -453,20 +457,20 @@ def _certify_shapes(keys) -> dict:
                 except StopIteration as stop:
                     ended[key] = stop.value
                 except Exception as exc:
+                    exc.__traceback__ = exc.__context__ = None
                     ended[key] = exc
             if not stacks:
                 break
-            solved = _solve_stacks(list(stacks.values()), np.zeros(n), max_abs_on_ball)
+            solved = _solve_stacks(list(stacks.values()), np.zeros(n), solve)
             replies = dict(zip(stacks, solved))
     return ended
 
 
 def _solve_stacks(stacks, origin, solve):
     # (values, args) of max |l_j| over the unit ball for each coefficient
-    # stack, from one call of solve (max_abs_on_ball, as its caller binds
-    # it).  If that raises, each stack is solved alone, and one that raises
-    # gets its exception: a failure belongs to the stack that caused it, not
-    # to the others or the caller.
+    # stack, from one call of solve.  If that raises, each stack is solved
+    # alone, and one that raises gets its exception: a failure belongs to
+    # the stack that caused it, not to the others or the caller.
     try:
         values, args = solve(np.vstack(stacks), origin, 1.0)
     except Exception as exc:

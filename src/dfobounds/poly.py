@@ -19,7 +19,7 @@ __all__ = [
 def space_dim(degree: int, n: int) -> int:
     """Dimension of the space of polynomials of the given degree over R^n."""
     n = _integer("n", n, 1)
-    if degree == 1:
+    if _integer("degree", degree, 1) == 1:
         return n + 1
     if degree == 2:
         return _q(n) + 1

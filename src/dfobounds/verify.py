@@ -30,9 +30,9 @@ from .geometry import (
     generate_poised_set,
     lambda_poisedness,
     _certify_shapes,
+    _drive,
     _lagrange_coeffs,
     _read,
-    _solve_stacks,
     normalized_points,
 )
 from .models import RelaxationSpec, fit_model, fit_relaxed
@@ -182,12 +182,17 @@ def builtin_functions() -> dict:
     }
 
 
-@functools.lru_cache(maxsize=64)
 def resolve_function(name: str, n: int) -> TestFunction:
     """The named builtin test function in R^n.
 
     Built once per (name, n) and shared, so its arrays are read-only.
     """
+    # n is checked before the cache, which takes True and 1.0 for 1.
+    return _resolve(name, _integer("n", n, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _resolve(name: str, n: int) -> TestFunction:
     registry = builtin_functions()
     if name not in registry:
         raise ValueError(
@@ -520,42 +525,33 @@ def _fit_trial(fn: TestFunction, config: TrialConfig, shapes: dict, plans: dict)
 def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
     # The state of each config of a quadratic objective: _fit_trial's plus
     # the unit point where the fit's error peaks on the unit ball, or the
-    # exception that fails the trial.  The error rows of one n go to one
-    # solve (see _solve_stacks).
-    fitted, stacks = {}, {}
+    # exception that fails the trial.  Each config's loop yields its error
+    # row once, and the rows of one n go to one solve (see _drive).
+    def loop(fn, config):
+        state = plan, _, _, fit, _ = _fit_trial(fn, config, shapes, plans)
+        exact = fn.quadratic.compose_affine(plan.center, config.delta)
+        _, args = yield (exact.coeffs() - fit.coeffs)[None]
+        return (*state, args)
+
+    loops = {}
     for config in dict.fromkeys(configs):
         try:
             fn = resolve_function(config.function, config.n)
         except Exception:
             continue  # the trial fails on its function alone
-        if fn.quadratic is None:
-            continue
-        try:
-            plan, _, _, fit, _ = fitted[config] = _fit_trial(fn, config, shapes, plans)
-            exact = fn.quadratic.compose_affine(plan.center, config.delta)
-            stacks.setdefault(config.n, {})[config] = (exact.coeffs() - fit.coeffs)[None]
-        except Exception as exc:
-            fitted[config] = exc
-    for n, rows in stacks.items():
-        replies = _solve_stacks(list(rows.values()), np.zeros(n), max_abs_on_ball)
-        for config, reply in zip(rows, replies):
-            fitted[config] = reply if isinstance(reply, Exception) else (*fitted[config], reply[1])
-    return fitted
+        if fn.quadratic is not None:
+            loops.setdefault(config.n, {})[config] = loop(fn, config)
+    return _drive(loops, max_abs_on_ball)
 
 
 def _stages(trials: list) -> tuple:
     # What run_campaign's first two stages give trials, keyed as their
     # readers look it up: the shapes, the plans built so far and the
     # quadratic-objective trials' fitted states.  A key that failed holds
-    # its exception, which each reader raises afresh (see _read); the frames
-    # it was first raised in would hold other keys' values.
+    # its exception, which each reader raises afresh (see _read).
     shapes = _certify_shapes([_shape_key(c) for c in trials])
     plans = {}
-    fits = _fit_quadratics(trials, shapes, plans)
-    for value in (*shapes.values(), *fits.values()):
-        if isinstance(value, Exception):
-            value.__traceback__ = value.__context__ = None
-    return shapes, plans, fits
+    return shapes, plans, _fit_quadratics(trials, shapes, plans)
 
 
 def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResult:
@@ -762,9 +758,10 @@ def run_campaign(
     lambda_max, seed), is certified, the improvement loops of one n in
     lockstep.  (2) The trials of a quadratic objective are fitted, and the
     exact worst points of their errors on the ball come from one solve per
-    n; a solve that fails fails only its own trial.  (3) Each trial in turn,
-    after ``progress`` gets its line, is run by ``run_trial`` on those
-    values: it places its shape, fits and is scored.
+    n, in lockstep as in (1) (both run under ``geometry._drive``); a solve
+    that fails fails only its own trial.  (3) Each trial in turn, after
+    ``progress`` gets its line, is run by ``run_trial`` on those values: it
+    places its shape, fits and is scored.
     Trials that share (function, n, delta, seed), such as the kinds of one
     sweep point, share one probe plan: the ball center and the objective's
     values and gradients on the probe block, built by the first of them.

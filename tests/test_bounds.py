@@ -24,7 +24,10 @@ from dfobounds import (
     generate_poised_set,
     grid_oracle,
     hessian_bound_mfn,
+    lagrange_determined,
+    lipschitz_on_ball,
     max_abs_on_ball,
+    resolve_function,
     space_dim,
 )
 from dfobounds.bounds import _kind_for_shape
@@ -255,6 +258,16 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
                      id="grid-radius-bool"),
         pytest.param(lambda: grid_oracle(_POLY, [0.0, 0.0], 1.0, "0.1"), "resolution",
                      id="grid-resolution-str"),
+        pytest.param(lambda: grid_oracle(_POLY, [NAN, 0.0], 1.0, 0.1), "center",
+                     id="grid-center-nan"),
+        pytest.param(lambda: lipschitz_on_ball(_POLY, [0.0, NAN], 1.0), "center",
+                     id="lipschitz-center-nan"),
+        pytest.param(lambda: lipschitz_on_ball(_POLY, [0.0, 0.0], -1), "radius",
+                     id="lipschitz-radius-negative"),
+        pytest.param(lambda: lipschitz_on_ball(_POLY, [0.0, 0.0], NAN), "radius",
+                     id="lipschitz-radius-nan"),
+        pytest.param(lambda: lipschitz_on_ball(_POLY, [0.0, 0.0], True), "radius",
+                     id="lipschitz-radius-bool"),
         pytest.param(lambda: c_delta_max(True), "delta_max", id="c_delta_max-bool"),
         pytest.param(lambda: c_delta_max(10**400), "delta_max", id="c_delta_max-huge"),
         pytest.param(lambda: constants_from_lambda("linear", NAN, n=2), "lam",
@@ -293,6 +306,15 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
         pytest.param(lambda: TrialConfig(None, "mfn", 2, 4, 0.1), "function",
                      id="trial-function-null"),
         pytest.param(lambda: space_dim(2, True), "n", id="space_dim-n-bool"),
+        pytest.param(lambda: space_dim(True, 2), "degree", id="space_dim-degree-bool"),
+        pytest.param(lambda: space_dim(2.0, 2), "degree", id="space_dim-degree-float"),
+        pytest.param(lambda: lagrange_determined(SampleSet(_TRIANGLE, 0.5), 1.0), "degree",
+                     id="lagrange_determined-degree-float"),
+        pytest.param(lambda: lagrange_determined(SampleSet(_TRIANGLE, 0.5), True), "degree",
+                     id="lagrange_determined-degree-bool"),
+        pytest.param(lambda: resolve_function("quartic", 0), "n", id="resolve-n-zero"),
+        pytest.param(lambda: resolve_function("quartic", -1), "n", id="resolve-n-negative"),
+        pytest.param(lambda: resolve_function("quartic", 2.5), "n", id="resolve-n-float"),
         pytest.param(lambda: QuadraticPolynomial(2.5, 0.0, [0.0, 0.0], np.zeros((2, 2))),
                      "dim", id="poly-dim-float"),
     ],
@@ -300,6 +322,18 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
 def test_entry_points_name_the_bad_field(call, field):
     # Every public entry point applies the one rule for its scalar inputs.
     with pytest.raises(ValueError, match=f"^{field} must be "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: grid_oracle(_POLY, [0.0, 0.0, 0.0], 1.0, 0.1), id="grid"),
+        pytest.param(lambda: lipschitz_on_ball(_POLY, [0.0, 0.0, 0.0], 1.0), id="lipschitz"),
+    ],
+)
+def test_ball_entry_points_check_the_center_shape(call):
+    with pytest.raises(ValueError, match=r"^center must have shape \(2,\), got \(3,\)$"):
         call()
 
 

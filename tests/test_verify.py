@@ -125,6 +125,14 @@ class TestFunctions:
             with pytest.raises(ValueError, match="only defined for n = 2"):
                 resolve_function("rosenbrock", 3)
 
+    def test_n_checked_before_the_cache_serves(self):
+        # True and 1.0 equal 1 as cache keys; once n = 1 is cached they must
+        # still be refused, not served its function.
+        assert resolve_function("quartic", 1).dim == 1
+        for n in (True, 1.0):
+            with pytest.raises(ValueError, match="^n must be an integer of at least 1, got "):
+                resolve_function("quartic", n)
+
     def test_lipschitz_scan_cached(self):
         assert _rosenbrock_lipschitz() == _rosenbrock_lipschitz()
 
@@ -1332,6 +1340,53 @@ class TestStoredFailures:
                 )
         assert len(alone) == len(trials) - 1
         assert report.failures == alone
+
+    def test_stages_store_bare_failures(self, monkeypatch):
+        # A failure the shape or the worst-point stage stores keeps no
+        # traceback, whose frames would hold other keys' values, and no
+        # __context__, such as the batch solve that failed before its own.
+        def bare(store, key, kind):
+            exc = store[key]
+            assert type(exc) is kind, exc
+            assert exc.__traceback__ is None and exc.__context__ is None
+
+        # A shape loop that gives up: LIN_DET at n = 2 cannot certify lambda 2.
+        shapes = verify_module._certify_shapes([(2, 2, 2.0, 0), (2, 2, 100.0, 0)])
+        bare(shapes, (2, 2, 2.0, 0), RuntimeError)
+        assert isinstance(shapes[2, 2, 100.0, 0], SampleSet)
+        # A plan that does not fit its box (no ball of radius 12 fits
+        # [-10, 10]^2), and a worst-point solve that raises: a NaN in place of
+        # one trial's error row fails the batch of its n, then its own solve.
+        far = TrialConfig("quadratic", "lin_det", 2, 2, 12.0)
+        ok = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0)
+        target = dataclasses.replace(ok, seed=1)
+        configs = [far, ok, target]
+        shapes = verify_module._certify_shapes([verify_module._shape_key(c) for c in configs])
+        rows = []
+        original = verify_module.max_abs_on_ball
+
+        def recording(coeffs, center, radius):
+            rows.append(coeffs.copy())
+            return original(coeffs, center, radius)
+
+        monkeypatch.setattr(verify_module, "max_abs_on_ball", recording)
+        verify_module._fit_quadratics([target], shapes, {})
+        poisoned = rows[-1][0]
+        calls = []
+
+        def flaky(coeffs, center, radius):
+            calls.append(len(coeffs))
+            hit = np.array([np.array_equal(row, poisoned) for row in coeffs])
+            return original(np.where(hit[:, None], np.nan, coeffs), center, radius)
+
+        monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
+        plans = {}
+        fits = verify_module._fit_quadratics(configs, shapes, plans)
+        assert calls == [2, 1, 1]
+        bare(fits, far, ValueError)
+        assert plans["quadratic", 2, 12.0, 0] is fits[far]
+        bare(fits, target, ValueError)
+        assert not isinstance(fits[ok], Exception)
 
     def test_each_reraise_has_a_fresh_traceback(self, monkeypatch):
         # A stored exception raised again would extend its own traceback;
