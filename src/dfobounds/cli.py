@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import Optional
@@ -140,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
+    # Flushed here, so that a reader who closed the pipe early fails the
+    # write inside main, not in the flush at interpreter exit.
+    print(text, flush=True)
     if out is not None:
         with open(out, "w") as handle:
             handle.write(text + "\n")
@@ -288,6 +291,12 @@ def main(argv=None) -> int:
     except RelaxationError as exc:
         print(f"dfobounds: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: nothing is left
+        # to report to.  Stdout now points at devnull, so the flush at exit
+        # cannot fail again (the SIGPIPE note of Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"dfobounds: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,7 @@ the shape's normalized points, basis and certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -153,10 +154,16 @@ def design_matrix(kind, sample_set: SampleSet) -> np.ndarray:
     """
     kind = ModelKind(kind)
     _kind_for_shape(sample_set.n, sample_set.p, kind)
-    D = normalized_points(sample_set)[1:]
+    return np.array(_design(kind, normalized_points(sample_set)))
+
+
+def _design(kind: ModelKind, normalized: np.ndarray) -> np.ndarray:
+    # design_matrix on the normalized points, row 0 the origin; LIN_DET and
+    # MFN give a read-only view of them.
+    D = normalized[1:]
     if kind is ModelKind.QUAD_DET:
         return basis_matrix(D)[:, 1:]
-    return D.copy()
+    return D
 
 
 def _matrix(points: np.ndarray, kind: ModelKind):
@@ -280,17 +287,35 @@ def lagrange_mfn(sample_set: SampleSet):
 class PoisednessCertificate:
     """Measured poisedness constant and the matrix-norm check it implies.
 
-    ``matrix_norm`` is the spectral norm of the inverse (or pseudoinverse)
-    of the scaled design matrix for the kind; ``norm_bound`` is the cap that
-    the measured constant places on it.
+    ``lam`` is the constant and ``per_point_max[j]`` the peak of |l_j| over
+    the ball.  ``normalized`` holds the normalized points (row 0 the origin)
+    the constant was measured on.  ``matrix_norm`` is the spectral norm of the
+    inverse (or pseudoinverse) of the kind's scaled design matrix on them,
+    ``norm_bound`` the cap that the measured constant places on it, and
+    ``satisfied`` whether the norm keeps to the cap; the three are computed
+    on first read, as a campaign reads only ``lam``.  Certificates compare
+    by kind and measured constants.
     """
 
     kind: ModelKind
     lam: float
     per_point_max: tuple
-    matrix_norm: float
-    norm_bound: float
-    satisfied: bool
+    normalized: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def matrix_norm(self) -> float:
+        sv = np.linalg.svd(_design(self.kind, self.normalized), compute_uv=False)
+        smin = float(sv[-1])
+        return float(np.inf if smin == 0.0 else 1.0 / smin)
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        n, p = self.normalized.shape[1], self.normalized.shape[0] - 1
+        return float(constants_from_lambda(self.kind, self.lam, n=n, p=p))
+
+    @functools.cached_property
+    def satisfied(self) -> bool:
+        return bool(self.matrix_norm <= self.norm_bound + 1e-9)
 
     def to_dict(self) -> dict:
         return {
@@ -322,22 +347,12 @@ def _certificate(
     sample_set: SampleSet, kind: ModelKind, values
 ) -> PoisednessCertificate:
     # values[j] is max |l_j| over the ball, for the kind's Lagrange basis.
+    # The certificate keeps the set's normalized points, not the set: a
+    # generated shape holds its certificate, and a cycle would leave both
+    # to the cyclic collector.
     per_point = tuple(float(v) for v in values)
-    lam = max(per_point)
-
-    n, p = sample_set.n, sample_set.p
-    M = design_matrix(kind, sample_set)
-    sv = np.linalg.svd(M, compute_uv=False)
-    smin = float(sv[-1])
-    matrix_norm = np.inf if smin == 0.0 else 1.0 / smin
-    norm_bound = constants_from_lambda(kind, lam, n=n, p=p)
     return PoisednessCertificate(
-        kind=kind,
-        lam=float(lam),
-        per_point_max=per_point,
-        matrix_norm=float(matrix_norm),
-        norm_bound=float(norm_bound),
-        satisfied=bool(matrix_norm <= norm_bound + 1e-9),
+        kind, float(max(per_point)), per_point, normalized_points(sample_set)
     )
 
 

@@ -554,6 +554,18 @@ def _stages(trials: list) -> tuple:
     return shapes, plans, _fit_quadratics(trials, shapes, plans)
 
 
+def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
+    """Values and gradients at the rows of U, and the Hessian, of a FULL row.
+
+    The expressions of ``QuadraticPolynomial.eval_batch`` and ``grad_batch``
+    with U @ H formed once, so both equal the built polynomial's bit for
+    bit; a trial scores its fit without building it.
+    """
+    c, g, H = (part[0] for part in _split_coeffs(coeffs[None, :], n))
+    UH = U @ H
+    return c + U @ g + 0.5 * np.einsum("ij,ij->i", U, UH), g + UH, H
+
+
 def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held.
 
@@ -586,10 +598,9 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
         worst = plan.center + delta * arg
         f_parts.append(fn.f(worst))
         g_parts.append(fn.grad(worst))
-    U = np.concatenate(rows)
-    fitted = QuadraticPolynomial.from_coeffs(fit.coeffs, n)
-    f_err = np.abs(np.concatenate(f_parts) - fitted.eval_batch(U))
-    g_err = np.concatenate(g_parts) - fitted.grad_batch(U) / delta
+    model_f, model_g, H = _model_on_rows(fit.coeffs, n, np.concatenate(rows))
+    f_err = np.abs(np.concatenate(f_parts) - model_f)
+    g_err = np.concatenate(g_parts) - model_g / delta
     # Squared row norms summed column by column: NumPy's per-row reduction
     # costs several times the arithmetic on n columns.
     g_sq = g_err[:, 0] * g_err[:, 0]
@@ -599,7 +610,6 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     emp_g = math.sqrt(g_sq.max()) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|;
     # a LIN_DET model's Hessian is exactly zero, whose norm needs no solve.
-    H = fitted.hessian
     emp_H = float(np.abs(np.linalg.eigvalsh(H)).max()) / (delta * delta) if H.any() else 0.0
 
     margin_f = _margin(emp_f, report.C_f)

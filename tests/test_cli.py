@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfobounds
 from dfobounds.bounds import BoundInputs
 from dfobounds.cli import build_parser, main
 from dfobounds.fileio import write_points
@@ -568,6 +572,31 @@ def test_stdout_matches_golden(capsys, name, argv):
     argv = [str(GOLDEN / a) if a.endswith((".csv", ".json")) else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_1_silently(unbuffered):
+    # A reader that closes the pipe before the JSON arrives, as `| head -c 1`
+    # may: the CLI exits 1 and writes nothing to stderr, not even at the
+    # interpreter's final flush of a block-buffered stdout.
+    src = str(Path(dfobounds.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "dfobounds.cli",
+             "poisedness", str(GOLDEN / "points.csv"), "--kind", "mfn"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from dfobounds import (
     SampleSet,
     TrialConfig,
     basis_matrix,
+    constants_from_lambda,
     design_matrix,
     fit_model,
     generate_poised_set,
@@ -197,6 +201,60 @@ class TestPoisedness:
             a = lambda_poisedness(base, PoisednessKind.MFN).lam
             b = lambda_poisedness(scaled, PoisednessKind.MFN).lam
             assert np.isclose(a, b, rtol=1e-6)
+
+
+class TestLazyCertificate:
+    """The norm check is computed on first read, from the certified points."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("kind", list(PoisednessKind), ids=kind_id)
+    def test_norm_check_equals_eager_formula(self, kind, n):
+        p = KINDS[kind](n)
+        ss = generate_poised_set(n, p, 0.3, 20.0, seed=3, center=np.full(n, 0.1))
+        for cert in (ss.certificate, lambda_poisedness(ss, kind)):
+            assert not {"matrix_norm", "norm_bound", "satisfied"} & set(vars(cert))
+            assert cert.normalized is normalized_points(ss)
+            smin = float(np.linalg.svd(design_matrix(kind, ss), compute_uv=False)[-1])
+            matrix_norm = float(np.inf if smin == 0.0 else 1.0 / smin)
+            norm_bound = float(constants_from_lambda(kind, cert.lam, n=n, p=p))
+            assert cert.matrix_norm.hex() == matrix_norm.hex()
+            assert cert.norm_bound.hex() == norm_bound.hex()
+            assert cert.satisfied is bool(matrix_norm <= norm_bound + 1e-9)
+
+    def test_norm_check_runs_once(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cert = generate_poised_set(2, 4, 0.5, 20.0, seed=1).certificate
+        assert calls == []
+        first = cert.to_dict()
+        assert len(calls) == 1
+        assert cert.to_dict() == first
+        assert len(calls) == 1
+
+    def test_shape_and_placement_need_no_cycle_collector(self):
+        # The certificate holds the shape's normalized points, not the shape,
+        # so a shape and its placements hold no reference cycle: each is
+        # freed as soon as its last reference goes, read fields or not.
+        key = (2, 4, 20.0, 2)
+        gc.disable()
+        try:
+            shape = geometry_module._certify_shapes([key])[key]
+            placed = generate_poised_set(2, 4, 0.5, 20.0, seed=2, shape=shape)
+            satisfied = placed.certificate.satisfied
+            shape_ref, placed_ref = weakref.ref(shape), weakref.ref(placed)
+            del placed
+            placed_freed, shape_kept = placed_ref() is None, shape_ref() is not None
+            del shape
+            shape_freed = shape_ref() is None
+        finally:
+            gc.enable()
+        assert satisfied and placed_freed and shape_kept and shape_freed
 
 
 class TestLagrange:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import traceback
 import weakref
 
@@ -27,12 +28,14 @@ from dfobounds import (
     generate_poised_set,
     lagrange_mfn,
     max_abs_on_ball,
+    normalized_points,
     quadratic_function,
     quartic_function,
     resolve_function,
     rosenbrock_function,
     run_campaign,
     run_trial,
+    space_dim,
 )
 import dfobounds.geometry as geometry_module
 import dfobounds.verify as verify_module
@@ -40,8 +43,10 @@ from dfobounds.verify import (
     TrialResult,
     _first_primes,
     _halton_points,
+    _model_on_rows,
     _probe_plan,
     _rosenbrock_lipschitz,
+    _unit_probe_block,
 )
 
 from conftest import ROOT, campaign_script, default_sweep, fd_gradient
@@ -374,6 +379,47 @@ class TestCheckTheory:
         assert by_name["linear_basis_floor"].lhs >= 1.0 - 1e-9
         assert by_name["unit_coeff_floor"].lhs >= 1.0 / np.sqrt(n + 1.0) - 1e-9
         assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scoring_equals_built_polynomial(n):
+    # A trial scores its fit from the coefficient row; values, gradients and
+    # the Hessian equal the built polynomial's bit for bit, on the rows a
+    # trial scores: the probe block, the unit sample points and a worst
+    # point.  The coefficients stay below 1e300, where the polynomial's
+    # symmetrization 0.5 (H + H^T) would overflow.
+    rng = np.random.default_rng(n)
+    q1 = space_dim(2, n)
+    unit = normalized_points(generate_poised_set(n, n, 1.0, 100.0, seed=n))
+    U = np.concatenate([_unit_probe_block(n), unit, rng.uniform(-0.5, 0.5, (1, n))])
+    rows = [rng.standard_normal(q1) * scale for scale in (1.0, 1e-7, 1e5, 1e150)]
+    rows.append(np.concatenate([rng.standard_normal(n + 1), np.zeros(q1 - n - 1)]))
+    for row in rows:
+        model = QuadraticPolynomial.from_coeffs(row, n)
+        f, g, H = _model_on_rows(row, n, U)
+        assert np.array_equal(f, model.eval_batch(U))
+        assert np.array_equal(g, model.grad_batch(U))
+        assert np.array_equal(H, model.hessian)
+
+
+def test_campaign_runs_no_certificate_svd(monkeypatch):
+    # A campaign reads each certificate's lam alone, so the norm check's SVD,
+    # run on first read of its fields, stays off its path.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == geometry_module.__name__:
+            calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = run_campaign(default_sweep(1))  # one round of the n = 2 sweep
+    assert len(report.rows) == 18 and not report.failures
+    assert calls == []
+    # The wrapper does see the certificate's SVD, once its fields are read.
+    assert generate_poised_set(2, 4, 0.5, 100.0, seed=0).certificate.satisfied
+    assert len(calls) == 1
 
 
 class TestTrials:
