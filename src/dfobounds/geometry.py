@@ -36,7 +36,7 @@ from .ball import _rownorm, max_abs_on_ball
 from .bounds import (
     ModelKind, NotPoisedError, _integer, _kind_for_shape, _number, constants_from_lambda
 )
-from .poly import QuadraticPolynomial, basis_matrix, space_dim
+from .poly import QuadraticPolynomial, _pull_back, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
     "COND_THRESHOLD",
@@ -179,7 +179,12 @@ def _matrix(points: np.ndarray, kind: ModelKind):
         return None, Ml
     if kind is ModelKind.QUAD_DET:
         return None, M
-    return Mq, np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
+    m = points.shape[0]
+    saddle = np.zeros((m + n + 1, m + n + 1))
+    saddle[:m, :m] = Mq @ Mq.T
+    saddle[:m, m:] = Ml
+    saddle[m:, :m] = Ml.T
+    return Mq, saddle
 
 
 def _condition(M: np.ndarray, kind: ModelKind) -> float:
@@ -252,12 +257,15 @@ def _lagrange_coeffs(sample_set: SampleSet, kind: ModelKind) -> np.ndarray:
 
 
 def _lagrange(sample_set: SampleSet, kind: ModelKind):
-    # Each l_j pulled back from the normalized set: x -> l_j((x - y0) / delta).
+    # Each l_j pulled back from the normalized set: x -> l_j((x - y0) / delta),
+    # the substitution of compose_affine on the stack split once.  C order,
+    # so each row's sums run as on the row alone.
     n, delta = sample_set.n, sample_set.radius
-    offset = -sample_set.y0 / delta
+    offset, scale = -sample_set.y0 / delta, 1.0 / delta
+    C, G, H = _split_coeffs(np.ascontiguousarray(_lagrange_coeffs(sample_set, kind)), n)
     return [
-        QuadraticPolynomial.from_coeffs(c, n).compose_affine(offset, 1.0 / delta)
-        for c in _lagrange_coeffs(sample_set, kind)
+        QuadraticPolynomial(n, *_pull_back(c, g, h, offset, scale))
+        for c, g, h in zip(C, G, H)
     ]
 
 
@@ -358,7 +366,7 @@ def _certificate(
 
 def _unit_ball_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     u = rng.standard_normal((count, n))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    norms = _rownorm(u, 1)[:, None]
     norms[norms == 0.0] = 1.0
     radii = rng.uniform(size=(count, 1)) ** (1.0 / n)
     return u / norms * radii
@@ -516,7 +524,7 @@ def _improve_shape(kind: ModelKind, n: int, p: int, lambda_max: float, seed: int
             points = np.vstack([origin, _unit_ball_points(rng, p, n)])
             continue
         values, args = yield coeffs
-        lam = float(values.max())
+        lam = float(np.maximum.reduce(values))
         best = min(best, lam)
         if lam <= lambda_max:
             object.__setattr__(shape, "certificate", _certificate(shape, kind, values))

@@ -39,18 +39,39 @@ def _second_order_index(n: int):
     return rows, cols
 
 
+@functools.lru_cache(maxsize=None)
+def _square_weights(n: int) -> np.ndarray:
+    # 1/2 at each x_i^2/2 in the second-order block, 1 (which keeps every
+    # bit) at each x_i x_j.  Read-only.
+    rows, cols = _second_order_index(n)
+    weights = np.where(rows == cols, 0.5, 1.0)
+    weights.setflags(write=False)
+    return weights
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_index(n: int) -> np.ndarray:
+    """Entry (i, j) is the column of a FULL row that holds H_ij = H_ji.
+
+    Read-only, so ``take`` gathers all n^2 Hessian entries in one pass.
+    """
+    rows, cols = _second_order_index(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(n + 1, space_dim(2, n))
+    index.setflags(write=False)
+    return index
+
+
 def _split_coeffs(A: np.ndarray, n: int):
     """Constants, gradients and Hessians of rows of FULL degree-2 coefficients.
 
-    ``A`` has shape (k, q+1); returns arrays of shapes (k,), (k, n) and
-    (k, n, n).  The coefficient of x_i^2/2 is H_ii and that of x_i x_j is
-    H_ij = H_ji, so the Hessians reproduce the monomial weights.
+    ``A`` has shape (k, q+1), or (q+1,) for one row; returns arrays of
+    shapes (k,), (k, n) and (k, n, n), or (), (n,) and (n, n).  The
+    coefficient of x_i^2/2 is H_ii and that of x_i x_j is H_ij = H_ji, so
+    the Hessians reproduce the monomial weights.  They are one C-order
+    gather, whatever the layout of ``A``.
     """
-    rows, cols = _second_order_index(n)
-    H = np.zeros((A.shape[0], n, n))
-    H[:, rows, cols] = A[:, n + 1 :]
-    H[:, cols, rows] = A[:, n + 1 :]
-    return A[:, 0], A[:, 1 : n + 1], H
+    return A[..., 0], A[..., 1 : n + 1], A.take(_hessian_index(n), axis=-1)
 
 
 def basis_matrix(points: np.ndarray) -> np.ndarray:
@@ -67,9 +88,13 @@ def basis_matrix(points: np.ndarray) -> np.ndarray:
     if n < 1:
         raise ValueError("points must have at least one coordinate")
     rows, cols = _second_order_index(n)
-    second = X[:, rows] * X[:, cols]
-    second[:, rows == cols] *= 0.5
-    return np.column_stack([np.ones(m), X, second])
+    M = np.empty((m, space_dim(2, n)))
+    M[:, 0] = 1.0
+    M[:, 1 : n + 1] = X
+    second = M[:, n + 1 :]
+    np.multiply(X.take(rows, axis=1), X.take(cols, axis=1), out=second)
+    second *= _square_weights(n)
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +135,7 @@ class QuadraticPolynomial:
             raise ValueError(
                 f"expected {expected} coefficients for n={n}, got {a.shape[0]}"
             )
-        c, g, H = _split_coeffs(a[None, :], n)
-        return cls(n, c[0], g[0], H[0])
+        return cls(n, *_split_coeffs(a, n))
 
     def coeffs(self) -> np.ndarray:
         """Coefficients over the FULL degree-2 basis (inverse of from_coeffs)."""
@@ -149,12 +173,17 @@ class QuadraticPolynomial:
 
         Exact coefficient substitution, and the one pull-back: fits and
         Lagrange builders solve on a shifted and scaled sample set and map
-        their polynomials back to original coordinates through it.
+        their polynomials back to original coordinates through it, the
+        builders through its ``_pull_back`` on each row of a split stack.
         """
         o = self._check_point(offset)
-        s = float(scale)
-        Ho = self.hessian @ o
-        c = self.constant + self.gradient @ o + 0.5 * o @ Ho
         return QuadraticPolynomial(
-            self.dim, c, s * (self.gradient + Ho), (s * s) * self.hessian
+            self.dim, *_pull_back(self.constant, self.gradient, self.hessian, o, float(scale))
         )
+
+
+def _pull_back(c, g, H, offset: np.ndarray, scale: float) -> tuple:
+    # The constant, gradient and Hessian of x -> m(offset + scale * x) for
+    # m = (c, g, H) with H symmetric: the substitution of compose_affine.
+    Ho = H @ offset
+    return c + g @ offset + 0.5 * offset @ Ho, scale * (g + Ho), (scale * scale) * H

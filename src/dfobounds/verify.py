@@ -561,7 +561,7 @@ def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
     with U @ H formed once, so both equal the built polynomial's bit for
     bit; a trial scores its fit without building it.
     """
-    c, g, H = (part[0] for part in _split_coeffs(coeffs[None, :], n))
+    c, g, H = _split_coeffs(coeffs, n)
     UH = U @ H
     return c + U @ g + 0.5 * np.einsum("ij,ij->i", U, UH), g + UH, H
 
@@ -606,11 +606,14 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     g_sq = g_err[:, 0] * g_err[:, 0]
     for k in range(1, n):
         g_sq += g_err[:, k] * g_err[:, k]
-    emp_f = float(f_err.max()) / (delta * delta)
-    emp_g = math.sqrt(g_sq.max()) / delta
+    emp_f = float(np.maximum.reduce(f_err)) / (delta * delta)
+    emp_g = math.sqrt(np.maximum.reduce(g_sq)) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|;
     # a LIN_DET model's Hessian is exactly zero, whose norm needs no solve.
-    emp_H = float(np.abs(np.linalg.eigvalsh(H)).max()) / (delta * delta) if H.any() else 0.0
+    emp_H = (
+        float(np.maximum.reduce(np.abs(np.linalg.eigvalsh(H)))) / (delta * delta)
+        if H.any() else 0.0
+    )
 
     margin_f = _margin(emp_f, report.C_f)
     margin_g = _margin(emp_g, report.C_g)
@@ -723,32 +726,36 @@ def _result_columns(result: Optional[TrialResult]) -> dict:
 _MARGINS = ("margin_f", "margin_g", "margin_H")
 
 
-def _quantiles(margins: np.ndarray) -> dict:
-    """q50, q90 and max of each row of the (3, m) margins, keyed by margin.
+def _quantiles(margins) -> dict:
+    """q50, q90 and max of each of the three margin rows, keyed by margin.
 
-    m >= 1, since a kind is summarized only when some trial of it ran.
-    The quantiles are np.quantile's default linear rule, bit for bit, on
-    one sort: position (m - 1) q between the sorted neighbours lo and hi,
-    interpolated from the nearer end.
+    Each row holds m >= 1 numbers, since a kind is summarized only when
+    some trial of it ran.  The quantiles are np.quantile's default linear
+    rule, bit for bit, on one sort of Python floats: position (m - 1) q
+    between the sorted neighbours lo and hi, interpolated from the nearer
+    end.  A row with a NaN, which np.sort puts last, has NaN for all
+    three.  Strict JSON has no infinity: a non-finite value is None.
     """
-    s = np.sort(margins, axis=1)
-    m = s.shape[1]
-    out = {"max": s[:, -1]}  # NaN sorts last, so a row with one has NaN here
-    for key, q in (("q50", 0.5), ("q90", 0.9)):
-        lo = math.floor((m - 1) * q)
-        t = (m - 1) * q - lo
-        a, b = s[:, lo], s[:, min(lo + 1, m - 1)]
-        with np.errstate(invalid="ignore"):  # interpolating between infinities
-            out[key] = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
-        out[key][np.isnan(out["max"])] = np.nan
-    # Strict JSON has no infinity: a non-finite margin is written as null.
-    return {
-        name: {
-            key: float(out[key][i]) if np.isfinite(out[key][i]) else None
-            for key in ("q50", "q90", "max")
+    out = {}
+    for name, row in zip(_MARGINS, margins):
+        # Python floats before any arithmetic: inf - inf warns on NumPy scalars.
+        values = [float(v) for v in row]
+        s = sorted(v for v in values if v == v)
+        if len(s) < len(values):
+            out[name] = dict.fromkeys(("q50", "q90", "max"))
+            continue
+        m = len(s)
+        picked = {}
+        for key, q in (("q50", 0.5), ("q90", 0.9)):
+            lo = math.floor((m - 1) * q)
+            t = (m - 1) * q - lo
+            a, b = s[lo], s[min(lo + 1, m - 1)]
+            picked[key] = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+        picked["max"] = s[-1]
+        out[name] = {
+            key: value if math.isfinite(value) else None for key, value in picked.items()
         }
-        for i, name in enumerate(_MARGINS)
-    }
+    return out
 
 
 def run_campaign(
@@ -822,9 +829,7 @@ def run_campaign(
     per_kind = {}
     for kind in sorted({config.kind.name for config, _ in results}):
         picked = [r for c, r in results if c.kind.name == kind]
-        margins = np.array(
-            [[getattr(r, name) for r in picked] for name in _MARGINS], dtype=float
-        )
+        margins = [[getattr(r, name) for r in picked] for name in _MARGINS]
         per_kind[kind] = {
             "trials": len(picked),
             **_quantiles(margins),
@@ -854,5 +859,5 @@ def write_campaign_csv(report: CampaignReport, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow([str(row[col]) for col in CSV_COLUMNS])
+        # The writer writes each cell as str() does.
+        writer.writerows([row[col] for col in CSV_COLUMNS] for row in report.rows)

@@ -144,6 +144,18 @@ class TestDesignMatrices:
             design_matrix(ModelKind.QUAD_DET, simplex_set)
 
 
+    @pytest.mark.parametrize("n, p", [(2, 3), (2, 4), (4, 10), (8, 30)])
+    def test_saddle_matrix_matches_block(self, rng, n, p):
+        # The saddle written into one zero array has the bits of np.block.
+        points = rng.uniform(-0.5, 0.5, size=(p + 1, n))
+        M = basis_matrix(points)
+        Ml, Mq = M[:, : n + 1], M[:, n + 1 :]
+        expected = np.block([[Mq @ Mq.T, Ml], [Ml.T, np.zeros((n + 1, n + 1))]])
+        got_q, got = geometry_module._matrix(points, ModelKind.MFN)
+        assert np.array_equal(got_q, Mq)
+        assert np.array_equal(got, expected)
+
+
 class TestPoisedness:
     def test_simplex_lambda(self, simplex_set):
         cert = lambda_poisedness(simplex_set, PoisednessKind.LINEAR)
@@ -281,6 +293,36 @@ class TestLagrange:
             x = ss.y0 + rng.uniform(-1, 1, n) * ss.radius
             total = sum(l(x) for l in polys)
             assert np.isclose(total, 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        # n = 1 has no minimum-norm shape.
+        [(kind, n) for kind in KINDS for n in range(1, 9) if kind is not PoisednessKind.MFN or n > 1],
+        ids=kind_id,
+    )
+    def test_builders_equal_compose_affine(self, kind, n):
+        # Each polynomial, pulled back from the stack split once, has the
+        # bits of its normalized row built alone and composed, and of the
+        # substitution written out on that row's polynomial.
+        p = KINDS[kind](n)
+        ss = generate_poised_set(n, p, 0.3, 100.0, seed=n, center=np.linspace(-0.5, 0.7, n))
+        rows = geometry_module._lagrange_coeffs(ss, ModelKind(kind))
+        polys = lagrange_for(ss, kind)
+        assert len(polys) == len(rows)
+        offset, scale = -ss.y0 / ss.radius, 1 / ss.radius
+        for row, got in zip(rows, polys):
+            m = QuadraticPolynomial.from_coeffs(row, n)
+            want = m.compose_affine(offset, scale)
+            Ho = m.hessian @ offset
+            written = (
+                m.constant + m.gradient @ offset + 0.5 * offset @ Ho,
+                scale * (m.gradient + Ho),
+                (scale * scale) * m.hessian,
+            )
+            for polynomial in (want, QuadraticPolynomial(n, *written)):
+                assert np.array_equal(got.constant, polynomial.constant)
+                assert np.array_equal(got.gradient, polynomial.gradient)
+                assert np.array_equal(got.hessian, polynomial.hessian)
 
     def test_degree_guard(self, simplex_set):
         with pytest.raises(ValueError):

@@ -21,6 +21,9 @@ from dfobounds import (
     space_dim,
 )
 
+import dfobounds.geometry as geometry_module
+import dfobounds.poly as poly_module
+
 from conftest import interpolation_residual, random_quadratic
 
 
@@ -282,18 +285,19 @@ def test_wrong_shape_names_rule(p, call, rule):
         call(ss, np.zeros(p + 1))
 
 
-def test_fits_and_lagrange_builders_pull_back_through_compose_affine(monkeypatch):
-    # compose_affine is the one pull-back from the normalized set: a fit
-    # calls it only when its model is first read, and a Lagrange builder
-    # once per polynomial.
+def test_fits_and_lagrange_builders_share_one_pull_back(monkeypatch):
+    # poly._pull_back is the one substitution from the normalized set: a fit
+    # runs it, through compose_affine, only when its model is first read,
+    # and a Lagrange builder once per polynomial.
     calls = []
-    pull_back = QuadraticPolynomial.compose_affine
+    pull_back = poly_module._pull_back
 
-    def counted(self, offset, scale):
+    def counted(c, g, H, offset, scale):
         calls.append(scale)
-        return pull_back(self, offset, scale)
+        return pull_back(c, g, H, offset, scale)
 
-    monkeypatch.setattr(QuadraticPolynomial, "compose_affine", counted)
+    monkeypatch.setattr(poly_module, "_pull_back", counted)
+    monkeypatch.setattr(geometry_module, "_pull_back", counted)
     ss = generate_poised_set(2, 4, 0.5, 25.0, seed=0, center=[1.0, -2.0])
     values = np.arange(5.0)
     fit = fit_model(ModelKind.MFN, ss, values)

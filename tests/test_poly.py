@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfobounds import QuadraticPolynomial, basis_matrix, space_dim
+from dfobounds.poly import _second_order_index, _split_coeffs
 
 from conftest import fd_gradient, random_quadratic
 
@@ -78,6 +79,34 @@ def test_coefficient_layout_matches_loop_reference(rng):
         X = rng.standard_normal((4, n))
         rows = [[1.0, *x, *loop_second_order(np.outer(x, x), True)] for x in X]
         assert np.array_equal(basis_matrix(X), rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_coeffs_matches_scatter(rng, n):
+    # The Hessians are one C-order gather whose bits are those of the
+    # zeros-plus-scatter form, for C-ordered rows and for transposed ones
+    # (a Lagrange stack is the transpose of its solve).
+    rows, cols = _second_order_index(n)
+    for k in (1, 5, 31):
+        B = rng.standard_normal((space_dim(2, n), k))
+        for A in (np.ascontiguousarray(B.T), B.T):
+            H = np.zeros((k, n, n))
+            H[:, rows, cols] = A[:, n + 1 :]
+            H[:, cols, rows] = A[:, n + 1 :]
+            c, g, split = _split_coeffs(A, n)
+            assert split.flags.c_contiguous
+            assert np.array_equal(split, H)
+            assert np.array_equal(c, A[:, 0]) and np.array_equal(g, A[:, 1 : n + 1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_matrix_matches_column_stack(rng, n):
+    # The basis written into one array has the bits of the stacked blocks.
+    rows, cols = _second_order_index(n)
+    X = rng.standard_normal((7, n))
+    second = X[:, rows] * X[:, cols]
+    second[:, rows == cols] *= 0.5
+    assert np.array_equal(basis_matrix(X), np.column_stack([np.ones(7), X, second]))
 
 
 def test_eval_equals_coeff_dot_basis(rng):

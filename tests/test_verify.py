@@ -779,22 +779,58 @@ class StageValues:
         return progress
 
 
+# The campaign_highdim benchmark sweep at trial seeds 0 and 1: n = 4..8,
+# relaxed fits and the exact worst point of the quadratic objective.
+HIGHDIM_SHAPES = (
+    ("lin_det", 8, 8),
+    ("mfn", 4, 10),
+    ("mfn", 6, 20),
+    ("mfn", 8, 30),
+    ("quad_det", 4, 14),
+    ("quad_det", 6, 27),
+)
+
+
+def highdim_sweep():
+    trials = []
+    for kind, n, p in HIGHDIM_SHAPES:
+        trials.extend(
+            expand_config(
+                {
+                    "function": ["quadratic", "quartic"],
+                    "kind": kind,
+                    "n": n,
+                    "p": p,
+                    "delta": 0.2,
+                    "kappa": 0.01,
+                    "lambda_max": 5,
+                    "seed": [0, 1],
+                }
+            )
+        )
+    return trials
+
+
 class TestCampaign:
     @staticmethod
     def _check_against_golden(argv, golden_name, tmp_path, capsys):
-        # Run the campaign script and compare its CSV with a golden one: text
-        # cells (function, kind, pass, the blanks of a failed trial) must
-        # match exactly and numbers to 1e-9 relative, so a change of roundoff
-        # order passes and a change of behaviour does not.
+        # Run the campaign script and compare its CSV with a golden one.
         script = campaign_script()
         assert script.main([*argv, "--quiet", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        with open(tmp_path / "campaign.csv", newline="") as handle:
+        TestCampaign._compare_with_golden(tmp_path / "campaign.csv", golden_name, 91)
+
+    @staticmethod
+    def _compare_with_golden(path, golden_name, length):
+        # Text cells (function, kind, pass, the blanks of a failed trial)
+        # must match exactly and numbers to 1e-9 relative, so a change of
+        # roundoff order passes and a change of behaviour does not.
+        with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         with open(ROOT / "tests" / "data" / golden_name, newline="") as handle:
             golden = list(csv.reader(handle))
         assert rows[0] == golden[0] == CSV_COLUMNS
-        assert len(rows) == len(golden) == 91
+        assert len(rows) == len(golden) == length
         for row, ref in zip(rows[1:], golden[1:]):
             for column, cell, expected in zip(CSV_COLUMNS, row, ref):
                 a, b = _numeric(cell), _numeric(expected)
@@ -815,6 +851,31 @@ class TestCampaign:
         self._check_against_golden(
             ["--seeds", "5", "--kappa", "0.01"], "default_sweep_kappa001.csv", tmp_path, capsys
         )
+
+    def test_highdim_sweep_matches_golden_csv(self, tmp_path):
+        # tests/data/highdim_sweep.csv is the CSV of run_campaign on
+        # highdim_sweep(): the n >= 4 rows that the n = 2 goldens miss.
+        report = run_campaign(highdim_sweep(), csv_path=tmp_path / "campaign.csv")
+        assert report.summary["n_failed"] == 0
+        self._compare_with_golden(tmp_path / "campaign.csv", "highdim_sweep.csv", 25)
+
+    def test_csv_cells_are_written_as_str(self, tmp_path):
+        # The CSV holds the bytes of a csv.writer fed str() of every cell,
+        # quoting included: the failed trial's function holds , and ".
+        trials = [
+            TrialConfig(function='quar,"tic', kind="mfn", n=2, p=4, delta=0.1),
+            TrialConfig(function="quartic", kind="mfn", n=2, p=4, delta=0.1, seed=1),
+        ]
+        report = run_campaign(trials, csv_path=tmp_path / "campaign.csv")
+        assert report.summary["n_failed"] == 1
+        with open(tmp_path / "expected.csv", "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for row in report.rows:
+                writer.writerow([str(row[col]) for col in CSV_COLUMNS])
+        written = (tmp_path / "campaign.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+        assert b'"quar,""tic"' in written
 
     def test_default_sweep_summary_matches_golden(self, tmp_path, capsys):
         # tests/data/default_sweep_summary.json is the summary JSON of
@@ -870,6 +931,7 @@ class TestCampaign:
                 for i, name in enumerate(("margin_f", "margin_g", "margin_H"))
             }
             assert verify_module._quantiles(margins) == expected, margins
+            assert verify_module._quantiles(margins.tolist()) == expected, margins
 
     def test_empty_sweep(self, tmp_path):
         report = run_campaign(
