@@ -7,9 +7,9 @@ Pair k runs ``python3 benchmarks/run.py --workload W --seed k --seconds S
 --trace 0`` once in each checkout, for k = 1..N.  The parent runs first in
 odd pairs and the change first in even pairs, so neither side always gets
 the warmer or the quieter host.  Make both directories the same way, for
-example ``git worktree add --detach DIR REV`` for each revision: a copy made
-otherwise (``cp -a`` of a working tree) can read several percent apart on
-the same code.
+example ``git worktree add --detach DIR REV`` or a fresh ``git clone`` for
+each revision: a copy made otherwise (``cp -a`` of a working tree) can read
+several percent apart on the same code.
 
 Prints the end-to-end metrics of every run, then each side's median and
 quartiles per metric (linear interpolation between order statistics), the

@@ -12,6 +12,12 @@ Affine family: 7,680 rows c + g.x with a zero Hessian, ||g|| from 0 (one
 row in eight) through 1e-12 to 1e3, on balls with off-origin centers, one
 ``extremize_on_ball`` call per (n, radius).
 
+Mixed-n family: 80 calls of ``extremize_on_ball`` (ten per radius), each
+a list of near-hard-case stacks of 64 rows at two or three distinct n from
+1 to 15.  A case fails if the call or a stack's call alone raises, if any
+field of a stack differs by a bit from its call alone, or if a residual
+exceeds 1e-10.
+
 A case fails if its solve raises, if it returns an argument outside the
 ball, or if a sampled point of the ball beats its minimum (or, for the
 affine rows, its maximum) by more than 1e-9 of the item's scale
@@ -30,6 +36,8 @@ from dfobounds import extremize_batch, extremize_on_ball, space_dim
 DIMS = range(1, 16)
 RADII = np.logspace(-3.0, 3.0, 8)
 CASES = 640  # near-hard cases per (n, radius)
+MIXED_CALLS = 10  # mixed-n calls per radius
+MIXED_CASES = 64  # near-hard rows per stack of a mixed-n call
 AFFINE_CASES = 64  # affine rows per (n, radius)
 SAMPLES = 64  # uniform ball samples per case
 SLACK = 1e-9
@@ -49,9 +57,8 @@ def _on_sphere(v, r):
     return v * (r / np.where(norm > 0.0, norm, 1.0))
 
 
-def near_hard_group(rng, n):
-    """CASES near-hard-case items of dimension n: (G, H, Q, E-free gradients)."""
-    k = CASES
+def near_hard_group(rng, n, k=CASES):
+    """k near-hard-case items of dimension n: (G, H, Q, E-free gradients)."""
     Q, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
     w = np.sort(rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (k, 1)), axis=1)
     mult = rng.integers(1, min(n, 3) + 1, size=k)
@@ -151,12 +158,51 @@ def check_affine(rng):
     return failures
 
 
+def _coeff_rows(G, H):
+    # FULL degree-2 coefficient rows of g.z + z^T H z / 2, constant 0.
+    k, n = G.shape
+    rows, cols = np.triu_indices(n)
+    A = np.zeros((k, space_dim(2, n)))
+    A[:, 1 : n + 1] = G
+    A[:, n + 1 :] = H[:, rows, cols]
+    return A
+
+
+def check_mixed(rng):
+    failures = calls = 0
+    fields = ("max_value", "argmax", "min_value", "argmin")
+    for r in RADII:
+        for _ in range(MIXED_CALLS):
+            dims = [int(n) for n in rng.choice(np.array(DIMS), rng.integers(2, 4), replace=False)]
+            stacks = [_coeff_rows(*near_hard_group(rng, n, MIXED_CASES)[:2]) for n in dims]
+            centers = [np.zeros(n) for n in dims]
+            calls += 1
+            try:
+                ext = extremize_on_ball(stacks, centers, r)
+                alone = [extremize_on_ball(A, c, r) for A, c in zip(stacks, centers)]
+            except Exception as exc:
+                print(f"mixed n={dims} r={r:.0e}: raised {exc}")
+                failures += MIXED_CASES * len(dims)
+                continue
+            for i, (n, own) in enumerate(zip(dims, alone)):
+                same = all(getattr(ext, f)[i].tobytes() == getattr(own, f).tobytes() for f in fields)
+                if not same or own.solver_residual > 1e-10:
+                    print(f"mixed n={dims} r={r:.0e} stack n={n}: bits equal {same}, "
+                          f"residual {own.solver_residual:.3e}")
+                    failures += MIXED_CASES
+            if ext.solver_residual > 1e-10:
+                print(f"mixed n={dims} r={r:.0e}: residual {ext.solver_residual:.3e}")
+                failures += MIXED_CASES * len(dims)
+    print(f"mixed-n family: {calls} calls of 2-3 stacks of {MIXED_CASES}, {failures} cases failed")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    failures = check_near_hard(rng) + check_affine(rng)
+    failures = check_near_hard(rng) + check_affine(rng) + check_mixed(rng)
     return 1 if failures else 0
 
 

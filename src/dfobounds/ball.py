@@ -35,7 +35,12 @@ like the others'.
 ``extremize_on_ball`` and ``max_abs_on_ball`` take one polynomial, read as
 its coefficient row, or a stack on one ball: a (k, q+1) array of FULL
 degree-2 coefficients, such as the Lagrange basis of a sample set.  A stack
-is one batched solve for both signs, on one shared eigendecomposition.
+is one batched solve for both signs, on one shared eigendecomposition.  A
+list of stacks of several dimensions, each with its own center, is one
+solve as well: one eigendecomposition per stack, then one Newton iteration
+and one certificate for all rows, in which a row of dimension n pads the
+wider eigenbases with inactive components.  Each sum over the n axis runs
+per stack, so every stack gets the bits it gets alone.
 A brute-force lattice oracle is provided as an independent cross-check for
 low dimensions.
 """
@@ -127,7 +132,7 @@ def extremize_batch(G, H, radius: float) -> BallSolution:
     r = _number("radius", radius, 0.0, strict=True)
     if not (np.isfinite(G).all() and np.isfinite(H).all()):
         raise ValueError("gradients and Hessians must be finite")
-    return _extremize(G, H, r)
+    return _extremize([(G, H)], r)[0]
 
 
 def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
@@ -135,34 +140,53 @@ def _rownorm(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-def _extremize(G, H, r: float, both: bool = False) -> BallSolution:
-    # extremize_batch on checked float arrays and radius.  With both, the
-    # rows of (-G, -H) follow those of (G, H).  A row whose Hessian is all
-    # exact zeros takes the closed form (_affine); the others share one
-    # eigendecomposition, which no call of affine rows alone runs.
-    curved = np.logical_or.reduce(H != 0.0, axis=(1, 2))
-    every = np.logical_and.reduce(curved)
-    if both:
-        G = np.vstack([G, -G])
-    if not every:
-        # Every row in closed form; the curved rows' answers are replaced.
-        flat = _affine(G, r)
-        if not np.logical_or.reduce(curved):
-            return flat
-        H = H[curved]
-    # Ascending eigenvalues, eigenvectors in columns.  eigh(-H) is eigh(H)
-    # with the eigenvalues negated and their order, and the eigenvector
-    # columns with them, reversed.
-    w, Q = np.linalg.eigh(H)
-    if both:
-        w, Q = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
-        H, curved = np.concatenate([H, -H]), np.concatenate([curved, curved])
-    if every:
-        return _certified(G, H, r, w, Q)
-    bent = _certified(G[curved], H, r, w, Q)
-    for name in ("z", "mu", "complementarity", "stationarity"):
-        getattr(flat, name)[curved] = getattr(bent, name)
-    return flat
+def _extremize(stacks, r: float, both: bool = False) -> list:
+    # extremize_batch on checked float arrays and radius, for a list of
+    # (G, H) stacks of any dimensions: one BallSolution per stack.  With
+    # both, the rows of (-G, -H) follow those of (G, H) in each.  A row whose
+    # Hessian is all exact zeros takes the closed form (_affine); the others
+    # of every stack share one general solve, with one eigendecomposition per
+    # stack, which a stack of affine rows alone does not run.
+    out, parts, curves = [], [], []
+    for G, H in stacks:
+        curved = np.logical_or.reduce(H != 0.0, axis=(1, 2))
+        every = np.logical_and.reduce(curved)
+        if both:
+            G = np.vstack([G, -G])
+        flat = None
+        if not every:
+            # Every row in closed form; the curved rows' answers are replaced.
+            flat = _affine(G, r)
+            if not np.logical_or.reduce(curved):
+                out.append(flat)
+                continue
+            H = H[curved]
+        # Ascending eigenvalues, eigenvectors in columns.  eigh(-H) is eigh(H)
+        # with the eigenvalues negated and their order, and the eigenvector
+        # columns with them, reversed.
+        w, Q = np.linalg.eigh(H)
+        if both:
+            w, Q = np.concatenate([w, -w[:, ::-1]]), np.concatenate([Q, Q[:, :, ::-1]])
+            H, curved = np.concatenate([H, -H]), np.concatenate([curved, curved])
+        parts.append((G if every else G[curved], H, w, Q))
+        curves.append((len(out), None if every else curved))
+        out.append(flat)
+    if not parts:
+        return out
+
+    def name(p, j):
+        # Row j of part p's general solve, as the caller counts its rows.
+        stack, curved = curves[p]
+        item = j if curved is None else int(np.flatnonzero(curved)[j])
+        return f"item {item} of stack {stack}" if len(stacks) > 1 else f"item {item}"
+
+    for (i, curved), sol in zip(curves, _certified(parts, r, name)):
+        if curved is None:
+            out[i] = sol
+            continue
+        for field in ("z", "mu", "complementarity", "stationarity"):
+            getattr(out[i], field)[curved] = getattr(sol, field)
+    return out
 
 
 def _affine(G, r: float) -> BallSolution:
@@ -182,14 +206,40 @@ def _affine(G, r: float) -> BallSolution:
     )
 
 
-def _certified(G, H, r: float, w, Q) -> BallSolution:
-    # _extremize's general solve, given the eigendecomposition (w, Q) of H
-    # with w ascending per item.
-    k, n = G.shape
-    gh = np.einsum("kji,kj->ki", Q, G)
+def _nsum(x, spans):
+    # Row sums of a (k, N) array x, for spans [(rows, n), ...]: each
+    # part's rows sum only their own n components, in the order they would
+    # alone, since a sum over padding is not bit-neutral.
+    out = np.empty(len(x))
+    for rows, n in spans:
+        np.add.reduce(x[rows, :n], axis=1, out=out[rows])
+    return out
+
+
+def _certified(parts, r: float, name) -> list:
+    # _extremize's general solve of the curved rows of every part (G, H, w,
+    # Q), with (w, Q) the eigendecomposition of H, w ascending per row: one
+    # BallSolution per part.  The rows of parts of several dimensions share
+    # one solve: in the eigenbasis a row of dimension n < N pads components
+    # n..N-1 as inactive, with zero gradient and its largest eigenvalue,
+    # which no elementwise step, maximum or logical reduction sees.  Every
+    # contraction over the n axis runs per part (_nsum, _rotated), so no
+    # row's bits depend on what shares its solve; one part has no padding.
+    # A row with no certified candidate raises, named by name(part, row).
+    spans, k = [], 0
+    for G, *_ in parts:
+        spans.append((slice(k, k + len(G)), G.shape[1]))
+        k += len(G)
+    gh = np.zeros((k, max(n for _, n in spans)))
+    w, g_norm = np.empty_like(gh), np.empty(k)
+    for (rows, n), (G, _, w_part, Q) in zip(spans, parts):
+        gh[rows, :n] = np.einsum("kji,kj->ki", Q, G)
+        w[rows, :n] = w_part
+        w[rows, n:] = w_part[:, -1:]
+        g_norm[rows] = _rownorm(G, 1)
+    k, n = gh.shape
     lam = w[:, 0]
     h_scale = np.maximum.reduce(np.abs(w), axis=1)
-    g_norm = _rownorm(G, 1)
     scale = np.maximum(_TINY, g_norm + h_scale * r)
     mu_lo = np.maximum(0.0, -lam)
 
@@ -197,7 +247,8 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
     # matter; such a component is dropped so the pole at -lambda_min goes.
     # Adding 0.0 turns -0.0 into 0.0, so every inactive component is +0.0.
     cluster = w <= (lam + 1e-12 * h_scale)[:, None]
-    g_cluster = _rownorm(np.where(cluster, gh, 0.0), 1)
+    g_cluster = np.where(cluster, gh, 0.0)
+    g_cluster = np.sqrt(_nsum(g_cluster * g_cluster, spans))
     degenerate = g_cluster <= 1e-11 * g_norm
     gh_eff = np.where(cluster & degenerate[:, None], 0.0, gh) + 0.0
     g_cluster = np.where(degenerate, 0.0, g_cluster)
@@ -217,7 +268,7 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
     if np.logical_or.reduce(ok_int):
         pos = w > pos_tol[:, None]
         z_int = -np.divide(gh, w, out=np.zeros_like(gh), where=pos)
-        n_int = _rownorm(z_int, 1)
+        n_int = np.sqrt(_nsum(z_int * z_int, spans))
         in_range = np.abs(gh) <= (1e-13 * g_norm)[:, None]
         ok_int &= np.logical_and.reduce(pos | in_range, axis=1) & (n_int <= r * (1.0 + 1e-12))
     else:
@@ -241,9 +292,9 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
             if not np.logical_or.reduce(live):
                 break
             tt = t * t
-            s2 = np.add.reduce(tt, axis=1)
+            s2 = _nsum(tt, spans)
             s = np.sqrt(s2)
-            slope = np.add.reduce(np.divide(tt, d, out=tt), axis=1)
+            slope = _nsum(np.divide(tt, d, out=tt), spans)
             delta = np.maximum((s - r) / r * s2 / slope, 0.0)
             finite = np.isfinite(delta)
             ok_bnd &= finite | ~live
@@ -255,7 +306,7 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
         # minimizer, or past the root at the pole) the interior or completed
         # candidate covers the item; a step short of the sphere is not
         # offered as a boundary one.
-        reached = _rownorm(t, 1) >= r * (1.0 - _TOL)
+        reached = np.sqrt(_nsum(t * t, spans)) >= r * (1.0 - _TOL)
         mu_bnd = mu
 
         # Completion on the extreme eigenspace, from the boundary multiplier
@@ -263,7 +314,7 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
         base = np.where(ok_bnd, mu_bnd, mu_lo)
         t_rest, _ = step(base)
         t_rest[cluster] = 0.0
-        tau2 = r * r - np.add.reduce(t_rest * t_rest, axis=1)
+        tau2 = r * r - _nsum(t_rest * t_rest, spans)
         ok_cmp = tau2 > 0.0
         tau = np.sqrt(np.maximum(tau2, 0.0))
         unit = np.where(g_cluster > 0.0, g_cluster, 1.0)
@@ -292,13 +343,14 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
     ok[:, 3] = ok_bnd & reached
     Zh[~ok] = 0.0
     MU[~ok] = 0.0
-    Z = np.einsum("kij,kcj->kci", Q, Zh)
-    norms = _rownorm(Z, 2)
-    Z *= np.minimum(1.0, r / np.where(norms > 0.0, norms, 1.0))[:, :, None]
-    norms = np.minimum(norms, r)
-    HZ = np.einsum("kij,kcj->kci", H, Z)
-    gap = HZ + MU[:, :, None] * Z + G[:, None, :]
-    stationarity = _rownorm(gap, 2) / scale[:, None]
+    # Pad components stay 0.0 in every candidate, so the lexicographic
+    # tie-break below reads a row's own components only.
+    Z, norms = np.zeros_like(Zh), np.empty((k, 4))
+    stationarity, value = np.empty((k, 4)), np.empty((k, 4))
+    for (rows, dim), part in zip(spans, parts):
+        Z[rows, :, :dim], norms[rows], stationarity[rows], value[rows] = _rotated(
+            part, np.ascontiguousarray(Zh[rows, :, :dim]), MU[rows], scale[rows], r
+        )
     complementarity = np.abs(MU * (r - norms)) / scale[:, None]
     dual = (mu_lo[:, None] - MU) * r / scale[:, None]
     residual = np.maximum(np.maximum(stationarity, complementarity), dual)
@@ -314,25 +366,42 @@ def _certified(G, H, r: float, w, Q) -> BallSolution:
     if np.logical_or.reduce(uncertified):
         i = int(np.flatnonzero(uncertified)[0])
         worst = np.where(ok[i], residual[i], np.inf)
+        p = next(p for p, (rows, _) in enumerate(spans) if i < rows.stop)
         raise RuntimeError(
-            f"no candidate certifies for item {i}: smallest residual "
-            f"{float(worst.min()):.3e} exceeds tol {_TOL:.3e}"
+            f"no candidate certifies for {name(p, i - spans[p][0].start)}: smallest "
+            f"residual {float(worst.min()):.3e} exceeds tol {_TOL:.3e}"
         )
 
-    value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
     value = np.where(certified, value, np.inf)
     best = np.minimum.reduce(value, axis=1)
     tied = value <= (best + 1e-14 * np.maximum(np.abs(best), scale * r))[:, None]
     choice = tied.argmax(axis=1)
     for i in np.flatnonzero(np.add.reduce(tied, axis=1) > 1):
         choice[i] = min(np.flatnonzero(tied[i]), key=lambda c: tuple(Z[i, c]))
-    rows = np.arange(k)
-    return BallSolution(
-        z=Z[rows, choice],
-        mu=MU[rows, choice],
-        complementarity=complementarity[rows, choice],
-        stationarity=stationarity[rows, choice],
-    )
+    every = np.arange(k)
+    z, mu = Z[every, choice], MU[every, choice]
+    complementarity = complementarity[every, choice]
+    stationarity = stationarity[every, choice]
+    return [
+        BallSolution(z[rows, :dim], mu[rows], complementarity[rows], stationarity[rows])
+        for rows, dim in spans
+    ]
+
+
+def _rotated(part, Zh, MU, scale, r: float) -> tuple:
+    # For one part's rows: the candidates Zh (k, 4, n) rotated out of the
+    # eigenbasis and clipped to the ball, their norms, stationarity scaled
+    # by the rows' scale, and values.
+    G, H, _, Q = part
+    Z = np.einsum("kij,kcj->kci", Q, Zh)
+    norms = _rownorm(Z, 2)
+    Z *= np.minimum(1.0, r / np.where(norms > 0.0, norms, 1.0))[:, :, None]
+    norms = np.minimum(norms, r)
+    HZ = np.einsum("kij,kcj->kci", H, Z)
+    gap = HZ + MU[:, :, None] * Z + G[:, None, :]
+    stationarity = _rownorm(gap, 2) / scale[:, None]
+    value = np.einsum("ki,kci->kc", G, Z) + 0.5 * np.einsum("kci,kci->kc", Z, HZ)
+    return Z, norms, stationarity, value
 
 
 def _stack(coeffs, center):
@@ -383,12 +452,16 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
 
     Parameters
     ----------
-    m : QuadraticPolynomial or an array of shape (k, q+1)
+    m : QuadraticPolynomial, an array of shape (k, q+1), or a list of arrays
         A polynomial is read as its ``coeffs()`` row.  Rows are coefficients
-        over the FULL degree-2 basis, in the coordinates of ``center``.  A stack is solved with one batched
-        eigendecomposition; every field of the result but
-        ``solver_residual`` then has a leading axis of length k.
-    center : array_like, shape (n,)
+        over the FULL degree-2 basis, in the coordinates of ``center``.  A
+        stack is solved with one batched eigendecomposition; every field of
+        the result but ``solver_residual`` then has a leading axis of length
+        k.  A list of stacks, of any dimensions, takes a list of as many
+        centers and is one solve (one eigendecomposition per stack); every
+        field but ``solver_residual`` is then a list with one entry per
+        stack, bit for bit what that stack gives alone.
+    center : array_like, shape (n,), or a list of them
     radius : float
         Positive ball radius.
 
@@ -398,33 +471,57 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
         Reported values are evaluations of the polynomials at the returned
         arguments, which lie in the closed ball.  ``solver_residual`` is
         the largest over the whole solve.
+
+    Raises RuntimeError when some row has no candidate that certifies.  The
+    message names item j for the minimum of row j of a k-row stack and item
+    k + j for its maximum, and the stack's position when a list holds several.
     """
     single = isinstance(m, QuadraticPolynomial)
-    center, c, g, H, g0 = _stack(m.coeffs()[None, :] if single else m, center)
+    # A list of 2-D arrays is a list of stacks; as one array it would be 3-D.
+    grouped = isinstance(m, list) and bool(m) and getattr(m[0], "ndim", 0) == 2
+    if grouped:
+        if not (isinstance(center, list) and len(center) == len(m)):
+            raise ValueError(f"need a list of {len(m)} centers, one per stack")
+        stacks = [_stack(A, c) for A, c in zip(m, center)]
+    else:
+        stacks = [_stack(m.coeffs()[None, :] if single else m, center)]
     r = _number("radius", radius, 0.0, strict=True)
-    k = len(c)
-    sol = _extremize(g0, H, r, both=True)
-    X = center + sol.z
-    c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
-    values = (
-        c2 + np.einsum("ki,ki->k", g2, X) + 0.5 * np.einsum("ki,kij,kj->k", X, H2, X)
+    sols = _extremize([(g0, H) for _, _, _, H, g0 in stacks], r, both=True)
+    fields = []
+    for (center, c, g, H, _), sol in zip(stacks, sols):
+        k = len(c)
+        X = center + sol.z
+        c2, g2, H2 = np.concatenate([c, c]), np.vstack([g, g]), np.concatenate([H, H])
+        values = (
+            c2 + np.einsum("ki,ki->k", g2, X) + 0.5 * np.einsum("ki,kij,kj->k", X, H2, X)
+        )
+        fields.append((values[k:], X[k:], values[:k], X[:k]))
+    residual = max(
+        float(np.maximum.reduce(np.maximum(sol.stationarity, sol.complementarity)))
+        for sol in sols
     )
-    residual = float(np.maximum.reduce(np.maximum(sol.stationarity, sol.complementarity)))
     if single:
-        return BallExtremum(float(values[1]), X[1], float(values[0]), X[0], residual)
-    return BallExtremum(values[k:], X[k:], values[:k], X[:k], residual)
+        ((vmax, argmax, vmin, argmin),) = fields
+        return BallExtremum(float(vmax[0]), argmax[0], float(vmin[0]), argmin[0], residual)
+    if grouped:
+        return BallExtremum(*map(list, zip(*fields)), residual)
+    return BallExtremum(*fields[0], residual)
 
 
 def max_abs_on_ball(m, center, radius: float):
     """Maximum of |m| over the ball; returns (value, argument).
 
     For a (k, q+1) coefficient array as in ``extremize_on_ball``, one
-    batched solve returns arrays of shapes (k,) and (k, n).  Ties between
-    the max and min branches (1e-12 relative) are broken toward the
-    lexicographically smaller argument.
+    batched solve returns arrays of shapes (k,) and (k, n); for a list of
+    stacks and a list of centers, one solve returns a list of each, one
+    entry per stack.  Ties between the max and min branches (1e-12
+    relative) are broken toward the lexicographically smaller argument.
     """
     single = isinstance(m, QuadraticPolynomial)
     ext = extremize_on_ball(m.coeffs()[None, :] if single else m, center, radius)
+    if isinstance(ext.max_value, list):
+        picks = map(_pick_abs, ext.max_value, ext.argmax, ext.min_value, ext.argmin)
+        return tuple(map(list, zip(*picks)))
     values, args = _pick_abs(ext.max_value, ext.argmax, ext.min_value, ext.argmin)
     if single:
         return float(values[0]), args[0]

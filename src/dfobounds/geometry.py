@@ -14,13 +14,13 @@ weight vector and certificate of that set reads it.  The generator works on
 the unit ball and only places its certified shape at the end; the placed
 set shares the shape's basis.  Its improvement loop is a generator that
 yields each candidate's Lagrange stack for the ball solver; ``_drive`` runs
-such loops of one n in lockstep, one solve per step for all of them, and a
-campaign's worst-point loops the same way.  A campaign certifies its shapes
-together, a single ``generate_poised_set`` call is a campaign of one shape,
-and each shape equals the one certified alone.  Placing a shape re-checks
-only what rounding can break (the placed points stay finite, pairwise
-distinct and inside the ball, the checks every SampleSet runs) and reuses
-the shape's normalized points, basis and certificate.
+such loops of every n in one lockstep, one solve per step for all of them,
+and a campaign's worst-point loops the same way.  A campaign certifies its
+shapes together, a single ``generate_poised_set`` call is a campaign of one
+shape, and each shape equals the one certified alone.  Placing a shape
+re-checks only what rounding can break (the placed points stay finite,
+pairwise distinct and inside the ball, the checks every SampleSet runs) and
+reuses the shape's normalized points, basis and certificate.
 """
 
 from __future__ import annotations
@@ -460,50 +460,62 @@ def _drive(loops: dict, solve) -> dict:
     """Run the stage loops {n: {key: loop}} and return each key's value.
 
     A loop yields coefficient stacks on the unit ball in R^n, receives their
-    (values, args) of max |l_j| and returns its key's value.  The loops of
-    one n run in lockstep, with one call of ``solve`` (``max_abs_on_ball``,
-    as the caller binds it) per step for all their rows, so each value
-    equals its loop's alone.  A failed solve is thrown into its own loop
-    (see ``_solve_stacks``).  A loop that raises leaves its exception without
-    the traceback and context, whose frames would hold other keys' values.
+    (values, args) of max |l_j| and returns its key's value.  Every loop, of
+    every n, runs in one lockstep, with one call of ``solve``
+    (``max_abs_on_ball``, as the caller binds it) per step for all their
+    rows, so each value equals its loop's alone and a stage makes as many
+    calls as its slowest loop takes steps.  A failed solve is thrown into
+    its own loop (see ``_solve_stacks``).  A loop that raises leaves its
+    exception without the traceback and context, whose frames would hold
+    other keys' values.
     """
     ended = {}
-    for n, group in loops.items():
-        replies = dict.fromkeys(group)  # None starts a loop
-        while True:
-            stacks = {}
-            for key, reply in replies.items():
-                loop = group[key]
+    replies = {n: dict.fromkeys(group) for n, group in loops.items()}  # None starts a loop
+    while True:
+        stacks = {}
+        for n, group in replies.items():
+            for key, reply in group.items():
+                loop = loops[n][key]
                 advance = loop.throw if isinstance(reply, Exception) else loop.send
                 try:
-                    stacks[key] = advance(reply)
+                    stacks.setdefault(n, {})[key] = advance(reply)
                 except StopIteration as stop:
                     ended[key] = stop.value
                 except Exception as exc:
                     exc.__traceback__ = exc.__context__ = None
                     ended[key] = exc
-            if not stacks:
-                break
-            solved = _solve_stacks(list(stacks.values()), np.zeros(n), solve)
-            replies = dict(zip(stacks, solved))
-    return ended
+        if not stacks:
+            return ended
+        solved = _solve_stacks({n: list(group.values()) for n, group in stacks.items()}, solve)
+        replies = {n: dict(zip(group, solved[n])) for n, group in stacks.items()}
 
 
-def _solve_stacks(stacks, origin, solve):
-    # (values, args) of max |l_j| over the unit ball for each coefficient
-    # stack, from one call of solve.  If that raises, each stack is solved
-    # alone, and one that raises gets its exception: a failure belongs to
-    # the stack that caused it, not to the others or the caller.
+def _solve_stacks(stacks: dict, solve) -> dict:
+    """(values, args) of max |l_j| over the unit ball for each stack.
+
+    ``stacks`` maps n to a list of coefficient stacks in R^n, and the
+    result maps n to their replies in order.  One call of ``solve`` takes
+    them all, as a list of each n's rows with a list of centers.  If that
+    raises, each n is solved alone, then each stack, and one that raises
+    gets its exception: a failure belongs to the stack that caused it, not
+    to the others or the caller.
+    """
     try:
-        values, args = solve(np.vstack(stacks), origin, 1.0)
+        coeffs = [np.vstack(group) for group in stacks.values()]
+        solved = zip(*solve(coeffs, [np.zeros(n) for n in stacks], 1.0))
     except Exception as exc:
-        if len(stacks) == 1:
-            return [exc]
-        return [_solve_stacks([c], origin, solve)[0] for c in stacks]
-    out, start = [], 0
-    for c in stacks:
-        out.append((values[start : start + len(c)], args[start : start + len(c)]))
-        start += len(c)
+        if len(stacks) > 1:
+            return {n: _solve_stacks({n: group}, solve)[n] for n, group in stacks.items()}
+        ((n, group),) = stacks.items()
+        if len(group) == 1:
+            return {n: [exc]}
+        return {n: [_solve_stacks({n: [c]}, solve)[n][0] for c in group]}
+    out = {}
+    for (n, group), (values, args) in zip(stacks.items(), solved):
+        out[n], start = [], 0
+        for c in group:
+            out[n].append((values[start : start + len(c)], args[start : start + len(c)]))
+            start += len(c)
     return out
 
 

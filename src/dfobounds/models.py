@@ -19,7 +19,7 @@ from .geometry import (
     lagrange_determined,  # noqa: F401
     lagrange_mfn,  # noqa: F401
 )
-from .poly import QuadraticPolynomial
+from .poly import QuadraticPolynomial, _pull_back, _split_coeffs
 
 __all__ = [
     "ModelKind",
@@ -79,11 +79,14 @@ class FitResult:
 
     @functools.cached_property
     def model(self) -> QuadraticPolynomial:
+        # The fit pulled back from the normalized set, x -> fit((x - y0) /
+        # delta): compose_affine's substitution on the split row, one build.
         ss = self._sample_set
         with np.errstate(over="ignore", invalid="ignore"):
-            model = QuadraticPolynomial.from_coeffs(self.coeffs, ss.n).compose_affine(
-                -ss.y0 / ss.radius, 1.0 / ss.radius
+            pulled = _pull_back(
+                *_split_coeffs(self.coeffs, ss.n), -ss.y0 / ss.radius, 1.0 / ss.radius
             )
+            model = QuadraticPolynomial(ss.n, *pulled)
             if not np.isfinite(model.coeffs()).all():
                 raise ValueError(_OVERFLOW)
         return model

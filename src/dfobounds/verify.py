@@ -526,7 +526,7 @@ def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
     # The state of each config of a quadratic objective: _fit_trial's plus
     # the unit point where the fit's error peaks on the unit ball, or the
     # exception that fails the trial.  Each config's loop yields its error
-    # row once, and the rows of one n go to one solve (see _drive).
+    # row once, and the rows of every n go to one solve (see _drive).
     def loop(fn, config):
         state = plan, _, _, fit, _ = _fit_trial(fn, config, shapes, plans)
         exact = fn.quadratic.compose_affine(plan.center, config.delta)
@@ -772,11 +772,11 @@ def run_campaign(
     The trials run in three stages, whose values are each built once and
     dropped after the last trial that reads them, or when the call returns
     or raises.  (1) Every distinct sample-set shape, one per (n, p,
-    lambda_max, seed), is certified, the improvement loops of one n in
-    lockstep.  (2) The trials of a quadratic objective are fitted, and the
-    exact worst points of their errors on the ball come from one solve per
-    n, in lockstep as in (1) (both run under ``geometry._drive``); a solve
-    that fails fails only its own trial.  (3) Each trial in turn, after
+    lambda_max, seed), is certified, the improvement loops of every n in
+    one lockstep.  (2) The trials of a quadratic objective are fitted, and
+    the exact worst points of their errors on the ball come from one solve
+    across every n, as in (1) (both run under ``geometry._drive``); a
+    solve that fails fails only its own trial.  (3) Each trial in turn, after
     ``progress`` gets its line, is run by ``run_trial`` on those values: it
     places its shape, fits and is scored.
     Trials that share (function, n, delta, seed), such as the kinds of one

@@ -19,6 +19,9 @@ from dfobounds import (
 from dfobounds.bounds import _kind_for_shape
 from dfobounds.geometry import _lagrange_coeffs
 
+import dfobounds.ball as ball_module
+import dfobounds.geometry as geometry_module
+
 from conftest import random_quadratic
 
 
@@ -410,3 +413,94 @@ def test_fortran_stack_row_matches_row_alone():
         value, arg = max_abs_on_ball(A[j : j + 1], np.zeros(3), 1.0)
         assert value[0].tobytes() == values[j].tobytes()
         assert arg[0].tobytes() == args[j].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True), data=st.data()
+)
+def test_mixed_n_call_equals_each_stack_alone(dims, data):
+    # Stacks of 2-3 dimensions in one call, as a list with a list of
+    # centers: each stack gets the bits it gets alone, and the residual is
+    # the largest of theirs.
+    stacks = []
+    for n in dims:
+        A, _ = _lagrange_rows(n)
+        rows = data.draw(st.lists(st.integers(0, len(A) - 1), min_size=1, max_size=len(A)))
+        stacks.append(np.asarray(A[rows], order=data.draw(st.sampled_from("CF"))))
+    centers = [np.zeros(n) for n in dims]
+    values, args = max_abs_on_ball(stacks, centers, 1.0)
+    assert len(values) == len(args) == len(dims)
+    for stack, center, v, a in zip(stacks, centers, values, args):
+        alone_values, alone_args = max_abs_on_ball(stack, center, 1.0)
+        assert v.tobytes() == alone_values.tobytes()
+        assert a.tobytes() == alone_args.tobytes()
+    ext = extremize_on_ball(stacks, centers, 1.0)
+    residuals = [extremize_on_ball(s, c, 1.0).solver_residual for s, c in zip(stacks, centers)]
+    assert ext.solver_residual == max(residuals)
+
+
+def test_mixed_n_full_stacks_equal_each_stack_alone():
+    # Every pair of n in 1..8, whole stacks: a sum over padded components
+    # would change rows of the (7, 8) pair, since NumPy sums 8 or more
+    # terms pairwise and fewer in order.
+    for low in range(1, 9):
+        for high in range(low + 1, 9):
+            stacks = [_lagrange_rows(low)[0], _lagrange_rows(high)[0]]
+            centers = [np.zeros(low), np.zeros(high)]
+            values, args = max_abs_on_ball(stacks, centers, 1.0)
+            for stack, center, v, a in zip(stacks, centers, values, args):
+                alone_values, alone_args = max_abs_on_ball(stack, center, 1.0)
+                assert v.tobytes() == alone_values.tobytes(), (low, high)
+                assert a.tobytes() == alone_args.tobytes(), (low, high)
+
+
+def test_mixed_n_call_needs_a_center_per_stack():
+    stacks = [_lagrange_rows(2)[0], _lagrange_rows(3)[0]]
+    for centers in (np.zeros(2), [np.zeros(2)], (np.zeros(2), np.zeros(3))):
+        with pytest.raises(ValueError, match="need a list of 2 centers"):
+            max_abs_on_ball(stacks, centers, 1.0)
+
+
+def test_mixed_n_nan_stack_fails_alone():
+    # A NaN row in the n = 4 stack makes the call of every n raise; the
+    # driver's fallback solves each n alone, so only that stack fails, with
+    # the error it raises alone, and the other stacks keep their bits.
+    stacks = {n: [_lagrange_rows(n)[0]] for n in (2, 4, 7)}
+    bad = stacks[4][0].copy()
+    bad[1, 3] = np.nan
+    stacks[4] = [bad]
+    with pytest.raises(ValueError):
+        max_abs_on_ball([s[0] for s in stacks.values()], [np.zeros(n) for n in stacks], 1.0)
+    solved = geometry_module._solve_stacks(stacks, max_abs_on_ball)
+    with pytest.raises(ValueError) as alone:
+        max_abs_on_ball(bad, np.zeros(4), 1.0)
+    (failed,) = solved.pop(4)
+    assert type(failed) is ValueError and str(failed) == str(alone.value)
+    for n, ((values, args),) in solved.items():
+        alone_values, alone_args = max_abs_on_ball(stacks[n][0], np.zeros(n), 1.0)
+        assert values.tobytes() == alone_values.tobytes()
+        assert args.tobytes() == alone_args.tobytes()
+
+
+def test_uncertified_row_is_named_as_the_caller_counts_it(monkeypatch):
+    # With no residual small enough, the first curved row raises.  Its name
+    # counts the caller's rows, affine ones included, then the maximization
+    # rows after the k minimization rows, and in a list call names the
+    # stack.
+    A = _lagrange_rows(3)[0][4:8].copy()  # four rows of a fully quadratic set
+    assert np.all(A[:, 4:].any(axis=1))
+    A[0, 4:] = 0.0  # an affine row, solved in closed form
+    affine = np.zeros((2, space_dim(2, 2)))
+    affine[:, 1] = 1.0
+    monkeypatch.setattr(ball_module, "_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="certifies for item 1: "):
+        extremize_on_ball(A, np.zeros(3), 1.0)
+    with pytest.raises(RuntimeError, match="certifies for item 1 of stack 1: "):
+        max_abs_on_ball([affine, A], [np.zeros(2), np.zeros(3)], 1.0)
+    B = A.copy()
+    B[:, 4:] = 0.0
+    B[3] = A[3]
+    # Rows 0-2 of B are affine, so the first curved row is row 3's minimum.
+    with pytest.raises(RuntimeError, match="certifies for item 3 of stack 0: "):
+        extremize_on_ball([B, A], [np.zeros(3), np.zeros(3)], 1.0)

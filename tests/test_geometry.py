@@ -781,32 +781,35 @@ class TestLockstep:
             assert shape.certificate == alone.certificate
 
     def test_one_ball_solve_per_n_per_step(self, monkeypatch):
-        # Each step solves the stacks of every loop of one n still improving
-        # at once: the solves of an n are those of its slowest loop, and the
-        # rows solved are every loop's own.
+        # Each step solves the stacks of every loop still improving, of every
+        # n, at once, handing the solver a list of each n's rows and a list
+        # of centers: the solves are those of the slowest loop, and the rows
+        # solved are every loop's own.
         keys = [(n, p, 5.0, seed) for n, p in HIGHDIM_SHAPES for seed in range(2)]
         keys += [(2, p, 100.0, seed) for p in (2, 4, 5) for seed in range(3)]
         steps = {key: _solves_alone(key) for key in keys}
-        solves = []  # (n, rows) per call
+        solves = []  # {n: rows} per call
         original = geometry_module.max_abs_on_ball
 
         def counted(coeffs, center, radius):
-            solves.append((len(center), len(coeffs)))
+            solves.append({len(c): len(a) for a, c in zip(coeffs, center)})
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(geometry_module, "max_abs_on_ball", counted)
         _lockstep_shapes(keys)
+        assert len(solves) == max(steps.values())
         for n in {key[0] for key in keys}:
             mine = [k for k in keys if k[0] == n]
-            calls = [rows for dim, rows in solves if dim == n]
+            calls = [call[n] for call in solves if n in call]
             assert len(calls) == max(steps[k] for k in mine)
             assert sum(calls) == sum(steps[k] * (k[1] + 1) for k in mine)
-        assert len(solves) < sum(steps.values())
+        assert max(len(call) for call in solves) == len({key[0] for key in keys})
 
     def test_failed_solve_lands_on_its_key(self, monkeypatch):
         # A stack the solver rejects makes the step's batched solve raise;
-        # the step is solved again key by key, so only that key fails, with
-        # the error its solve alone raises, and the others go on unchanged.
+        # the step is solved again n by n, then key by key, so only that key
+        # fails, with the error its solve alone raises, and the others, of
+        # both n, go on unchanged.
         original = geometry_module._improve_shape
         bad = (2, 4, 100.0, 1)
 
@@ -817,6 +820,7 @@ class TestLockstep:
             return (yield from original(kind, n, p, lambda_max, seed))
 
         keys = [(2, p, 100.0, seed) for p in (2, 4, 5) for seed in range(3)]
+        keys += [(4, 10, 5.0, seed) for seed in range(2)]
         reference = _lockstep_shapes(keys)
         monkeypatch.setattr(geometry_module, "_improve_shape", poisoned)
         ended = geometry_module._certify_shapes(keys)

@@ -22,6 +22,7 @@ from dfobounds import (
 )
 
 import dfobounds.geometry as geometry_module
+import dfobounds.models as models_module
 import dfobounds.poly as poly_module
 
 from conftest import interpolation_residual, random_quadratic
@@ -84,6 +85,23 @@ KIND_SHAPES = [
     (ModelKind.QUAD_DET, 2, 5),
     (ModelKind.QUAD_DET, 3, 9),
 ]
+
+
+@pytest.mark.parametrize("kind,n,p", KIND_SHAPES)
+def test_model_equals_two_step_build(kind, n, p, rng):
+    # The model is built once from the split row; its coefficients keep the
+    # bytes of from_coeffs followed by compose_affine, exact and relaxed.
+    for seed in range(3):
+        ss = generate_poised_set(n, p, 0.05 * (seed + 1), 20.0, seed=seed,
+                                 center=rng.uniform(-2.0, 2.0, n))
+        values = rng.standard_normal(p + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+        fits = [fit_model(kind, ss, values),
+                fit_relaxed(kind, ss, values, RelaxationSpec(0.5, noise_seed=seed))]
+        for fit in fits:
+            two_step = QuadraticPolynomial.from_coeffs(fit.coeffs, n).compose_affine(
+                -ss.y0 / ss.radius, 1.0 / ss.radius
+            )
+            assert fit.model.coeffs().tobytes() == two_step.coeffs().tobytes()
 
 
 @pytest.mark.parametrize("kind,n,p", KIND_SHAPES)
@@ -287,8 +305,8 @@ def test_wrong_shape_names_rule(p, call, rule):
 
 def test_fits_and_lagrange_builders_share_one_pull_back(monkeypatch):
     # poly._pull_back is the one substitution from the normalized set: a fit
-    # runs it, through compose_affine, only when its model is first read,
-    # and a Lagrange builder once per polynomial.
+    # runs it only when its model is first read, and a Lagrange builder once
+    # per polynomial.
     calls = []
     pull_back = poly_module._pull_back
 
@@ -298,6 +316,7 @@ def test_fits_and_lagrange_builders_share_one_pull_back(monkeypatch):
 
     monkeypatch.setattr(poly_module, "_pull_back", counted)
     monkeypatch.setattr(geometry_module, "_pull_back", counted)
+    monkeypatch.setattr(models_module, "_pull_back", counted)
     ss = generate_poised_set(2, 4, 0.5, 25.0, seed=0, center=[1.0, -2.0])
     values = np.arange(5.0)
     fit = fit_model(ModelKind.MFN, ss, values)

@@ -854,10 +854,14 @@ class TestCampaign:
 
     def test_highdim_sweep_matches_golden_csv(self, tmp_path):
         # tests/data/highdim_sweep.csv is the CSV of run_campaign on
-        # highdim_sweep(): the n >= 4 rows that the n = 2 goldens miss.
+        # highdim_sweep(): the n >= 4 rows that the n = 2 goldens miss.  A
+        # campaign solves the shapes and worst points of every n together,
+        # and each row keeps the bits its n gives alone, so the bytes match.
         report = run_campaign(highdim_sweep(), csv_path=tmp_path / "campaign.csv")
         assert report.summary["n_failed"] == 0
         self._compare_with_golden(tmp_path / "campaign.csv", "highdim_sweep.csv", 25)
+        golden = (ROOT / "tests" / "data" / "highdim_sweep.csv").read_bytes()
+        assert (tmp_path / "campaign.csv").read_bytes() == golden
 
     def test_csv_cells_are_written_as_str(self, tmp_path):
         # The CSV holds the bytes of a csv.writer fed str() of every cell,
@@ -1319,11 +1323,13 @@ class TestExactWorstPoints:
         return [c for c in trials if c.function == "quadratic" and c.n == n]
 
     def test_one_worst_point_solve_per_n(self, monkeypatch):
+        # One solve takes the error rows of every n, as a list of stacks
+        # with a list of centers.
         solves = []
         original = verify_module.max_abs_on_ball
 
         def counted(coeffs, center, radius):
-            solves.append((len(center), len(coeffs)))
+            solves.append([(len(c), len(a)) for a, c in zip(coeffs, center)])
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", counted)
@@ -1331,7 +1337,7 @@ class TestExactWorstPoints:
         report = run_campaign(trials)
         assert not any(trials[f["trial_id"]].function == "quadratic" for f in report.failures)
         # Quartic and Rosenbrock trials make no worst-point solve.
-        assert solves == [(4, len(self._exact(trials, 4))), (8, len(self._exact(trials, 8)))]
+        assert solves == [[(4, len(self._exact(trials, 4))), (8, len(self._exact(trials, 8)))]]
 
     def test_failed_solve_fails_only_its_trial(self, monkeypatch):
         # The solver is handed a NaN row in place of one trial's error row,
@@ -1344,7 +1350,7 @@ class TestExactWorstPoints:
         original = verify_module.max_abs_on_ball
 
         def recording(coeffs, center, radius):
-            rows.append(coeffs.copy())
+            rows.append(np.vstack(coeffs))
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", recording)
@@ -1352,10 +1358,13 @@ class TestExactWorstPoints:
         poisoned = rows[-1][0]
         calls = []
 
-        def flaky(coeffs, center, radius):
-            calls.append(len(coeffs))
+        def poison(coeffs):
             hit = np.array([np.array_equal(row, poisoned) for row in coeffs])
-            return original(np.where(hit[:, None], np.nan, coeffs), center, radius)
+            return np.where(hit[:, None], np.nan, coeffs)
+
+        def flaky(coeffs, center, radius):
+            calls.append([len(c) for c in coeffs])
+            return original([poison(c) for c in coeffs], center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
         values = StageValues(monkeypatch)
@@ -1368,10 +1377,11 @@ class TestExactWorstPoints:
         }
         assert str(alone.value) == "polynomial coefficients and center must be finite"
         assert report.failures[:-1] == clean.failures
-        # The n = 4 batch raises and its rows are solved alone; n = 8 is one
-        # batch; the last call is the trial run alone.
+        # The solve of both n raises, so each n is solved alone: the n = 4
+        # batch raises too and its rows are solved alone, and n = 8 is one
+        # batch.  The last call is the trial run alone.
         k4, k8 = len(self._exact(trials, 4)), len(self._exact(trials, 8))
-        assert calls == [k4] + [1] * k4 + [k8, 1]
+        assert calls == [[k4, k8], [k4]] + [[1]] * k4 + [[k8], [1]]
         for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
             if trial_id != bad:
                 assert row == ref, trial_id
@@ -1474,7 +1484,7 @@ class TestStoredFailures:
         original = verify_module.max_abs_on_ball
 
         def recording(coeffs, center, radius):
-            rows.append(coeffs.copy())
+            rows.append(np.vstack(coeffs))
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", recording)
@@ -1483,14 +1493,15 @@ class TestStoredFailures:
         calls = []
 
         def flaky(coeffs, center, radius):
-            calls.append(len(coeffs))
-            hit = np.array([np.array_equal(row, poisoned) for row in coeffs])
-            return original(np.where(hit[:, None], np.nan, coeffs), center, radius)
+            calls.append([len(c) for c in coeffs])
+            poison = [np.array([np.array_equal(row, poisoned) for row in c]) for c in coeffs]
+            coeffs = [np.where(hit[:, None], np.nan, c) for hit, c in zip(poison, coeffs)]
+            return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
         plans = {}
         fits = verify_module._fit_quadratics(configs, shapes, plans)
-        assert calls == [2, 1, 1]
+        assert calls == [[2], [1], [1]]
         bare(fits, far, ValueError)
         assert plans["quadratic", 2, 12.0, 0] is fits[far]
         bare(fits, target, ValueError)
