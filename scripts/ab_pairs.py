@@ -15,10 +15,14 @@ Prints the end-to-end metrics of every run, then each side's median and
 quartiles per metric (linear interpolation between order statistics), the
 change's wins on ``ops_per_s``, and whether the gain rule holds: the change
 wins at least nine pairs in ten and its median beats the parent's by more
-than the parent's interquartile range.  The better direction of each metric
-is read from the change's ``BENCHMARK.json``.  Exits 1 if any run exits
-nonzero or reports ``"correct": false``, 0 otherwise, whether or not the
-gain rule holds.
+than the parent's interquartile range.  Then, for every end-to-end metric,
+the no-regression verdict against that metric's ``bound``, a share of the
+parent's median: "worse" if the change's median is worse than the parent's
+by more than the bound, else "unresolved" if the parent's IQR exceeds the
+bound, else "holds".  The better direction and the bound of each metric are
+read from the change's ``BENCHMARK.json``.  Exits 1 if any run exits
+nonzero or reports ``"correct": false``, 0 otherwise, whatever the gain
+rule and the verdicts say.
 """
 
 import argparse
@@ -62,6 +66,24 @@ def better(a: float, b: float, direction: str) -> bool:
     return a > b if direction == "higher" else a < b
 
 
+def share(amount: float, median: float) -> float:
+    """amount as a share of |median|; a nonzero amount of a zero median is infinite."""
+    if median:
+        return amount / abs(median)
+    return math.copysign(math.inf, amount) if amount else 0.0
+
+
+def verdict(parent, change, direction: str, bound: float) -> str:
+    """The no-regression verdict on one metric from each side's (q1, median, q3)."""
+    q1, median, q3 = parent
+    loss = median - change[1] if direction == "higher" else change[1] - median
+    if share(loss, median) > bound:
+        return "worse"
+    if share(q3 - q1, median) > bound:
+        return "unresolved"
+    return "holds"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent revision")
@@ -74,6 +96,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1 and --seconds positive")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     direction = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    bound = {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
     names = list(direction)
 
     runs = {"parent": [], "change": []}
@@ -121,6 +144,19 @@ def main(argv=None) -> int:
     )
     holds = enough_wins and gap > q3 - q1
     print(f"gain rule (>= {GAIN_WINS:.0%} wins and gap > IQR): {'holds' if holds else 'fails'}")
+
+    print("\nno regression (worse by more than the bound, or a parent IQR above it):")
+    for name in names:
+        if ("parent", name) not in summary or ("change", name) not in summary:
+            continue
+        parent, change = summary["parent", name], summary["change", name]
+        q1, parent_median, q3 = parent
+        print(
+            f"{name:<15} bound {bound[name]:.0%}: median {parent_median:.6g} -> "
+            f"{change[1]:.6g} ({100.0 * share(change[1] - parent_median, parent_median):+.2f}%), "
+            f"parent IQR {100.0 * share(q3 - q1, parent_median):.2f}% of its median: "
+            f"{verdict(parent, change, direction[name], bound[name])}"
+        )
     return 0
 
 

@@ -478,8 +478,10 @@ def extremize_on_ball(m, center, radius: float) -> BallExtremum:
     """
     single = isinstance(m, QuadraticPolynomial)
     # A list of 2-D arrays is a list of stacks; as one array it would be 3-D.
-    grouped = isinstance(m, list) and bool(m) and getattr(m[0], "ndim", 0) == 2
+    grouped = isinstance(m, list) and (not m or getattr(m[0], "ndim", 0) == 2)
     if grouped:
+        if not m:
+            raise ValueError("need at least one stack, got an empty list")
         if not (isinstance(center, list) and len(center) == len(m)):
             raise ValueError(f"need a list of {len(m)} centers, one per stack")
         stacks = [_stack(A, c) for A, c in zip(m, center)]

@@ -26,6 +26,7 @@ reuses the shape's normalized points, basis and certificate.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -405,7 +406,8 @@ def generate_poised_set(
     and its certificate, so later fits use exactly the certified geometry.
 
     ``shape``, when given, is the unit shape ``_certify_shapes`` certified
-    for (n, p, lambda_max, seed), and is placed without running the loop.
+    for (n, p, lambda_max, seed), and is placed without running the loop;
+    ValueError if it holds another (n, p).
     """
     n, p, seed = _integer("n", n, 1), _integer("p", p, 1), _integer("seed", seed, 0)
     delta = _number("delta", delta, 0.0, strict=True)
@@ -418,6 +420,11 @@ def generate_poised_set(
     if shape is None:
         key = (n, p, lambda_max, seed)
         shape = _read(_certify_shapes([key]), key)
+    elif (shape.n, shape.p) != (n, p):
+        raise ValueError(
+            f"shape is certified for (n, p) = ({shape.n}, {shape.p}), "
+            f"not the requested ({n}, {p})"
+        )
     return _place(shape, center, delta)
 
 
@@ -449,74 +456,63 @@ def _place(shape: SampleSet, center: np.ndarray, delta: float) -> SampleSet:
 
 def _certify_shapes(keys) -> dict:
     """Each (n, p, lambda_max, seed) key's certified unit shape, or its exception."""
-    loops = {}
-    for key in dict.fromkeys(keys):
-        n, p = key[:2]
-        loops.setdefault(n, {})[key] = _improve_shape(_kind_for_shape(n, p), *key)
+    loops = {key: _improve_shape(_kind_for_shape(*key[:2]), *key) for key in dict.fromkeys(keys)}
     return _drive(loops, max_abs_on_ball)
 
 
 def _drive(loops: dict, solve) -> dict:
-    """Run the stage loops {n: {key: loop}} and return each key's value.
+    """Run the stage loops {key: loop} and return each key's value.
 
     A loop yields coefficient stacks on the unit ball in R^n, receives their
-    (values, args) of max |l_j| and returns its key's value.  Every loop, of
-    every n, runs in one lockstep, with one call of ``solve``
-    (``max_abs_on_ball``, as the caller binds it) per step for all their
-    rows, so each value equals its loop's alone and a stage makes as many
-    calls as its slowest loop takes steps.  A failed solve is thrown into
-    its own loop (see ``_solve_stacks``).  A loop that raises leaves its
-    exception without the traceback and context, whose frames would hold
-    other keys' values.
+    (values, args) of max |l_j| and returns its key's value.  The loops, of
+    any n, run in one lockstep, one call of ``solve`` (``max_abs_on_ball``,
+    as the caller binds it) per step, so each value equals its loop's alone
+    and a stage makes as many calls as its slowest loop takes steps.  A
+    failed solve is thrown into its own loop (see ``_solve_stacks``), and a
+    loop that raises leaves its exception without the traceback and
+    context, whose frames would hold other keys' values.
     """
     ended = {}
-    replies = {n: dict.fromkeys(group) for n, group in loops.items()}  # None starts a loop
+    replies = dict.fromkeys(loops)  # None starts a loop
     while True:
         stacks = {}
-        for n, group in replies.items():
-            for key, reply in group.items():
-                loop = loops[n][key]
-                advance = loop.throw if isinstance(reply, Exception) else loop.send
-                try:
-                    stacks.setdefault(n, {})[key] = advance(reply)
-                except StopIteration as stop:
-                    ended[key] = stop.value
-                except Exception as exc:
-                    exc.__traceback__ = exc.__context__ = None
-                    ended[key] = exc
+        for key, reply in replies.items():
+            advance = loops[key].throw if isinstance(reply, Exception) else loops[key].send
+            try:
+                stacks[key] = advance(reply)
+            except StopIteration as stop:
+                ended[key] = stop.value
+            except Exception as exc:
+                exc.__traceback__ = exc.__context__ = None
+                ended[key] = exc
         if not stacks:
             return ended
-        solved = _solve_stacks({n: list(group.values()) for n, group in stacks.items()}, solve)
-        replies = {n: dict(zip(group, solved[n])) for n, group in stacks.items()}
+        replies = dict(zip(stacks, _solve_stacks(list(stacks.values()), solve)))
 
 
-def _solve_stacks(stacks: dict, solve) -> dict:
-    """(values, args) of max |l_j| over the unit ball for each stack.
+def _solve_stacks(stacks: list, solve) -> list:
+    """(values, args) of max |l_j| over the unit ball for each stack, in order.
 
-    ``stacks`` maps n to a list of coefficient stacks in R^n, and the
-    result maps n to their replies in order.  One call of ``solve`` takes
-    them all, as a list of each n's rows with a list of centers.  If that
-    raises, each n is solved alone, then each stack, and one that raises
-    gets its exception: a failure belongs to the stack that caused it, not
-    to the others or the caller.
+    One call of ``solve`` takes them all: a list of each n's rows in order,
+    n read off a stack's (n + 1)(n + 2)/2 columns, with a list of centers.
+    If that raises, each stack is solved alone, and one that raises gets its
+    exception: a failure belongs to its stack, not to the others or the caller.
     """
     try:
-        coeffs = [np.vstack(group) for group in stacks.values()]
-        solved = zip(*solve(coeffs, [np.zeros(n) for n in stacks], 1.0))
+        parts = {}  # width: its stacks, in order
+        for c in stacks:
+            parts.setdefault(c.shape[1], []).append(c)
+        centers = [np.zeros((math.isqrt(8 * width + 1) - 3) // 2) for width in parts]
+        solved = solve([np.vstack(part) for part in parts.values()], centers, 1.0)
     except Exception as exc:
-        if len(stacks) > 1:
-            return {n: _solve_stacks({n: group}, solve)[n] for n, group in stacks.items()}
-        ((n, group),) = stacks.items()
-        if len(group) == 1:
-            return {n: [exc]}
-        return {n: [_solve_stacks({n: [c]}, solve)[n][0] for c in group]}
-    out = {}
-    for (n, group), (values, args) in zip(stacks.items(), solved):
-        out[n], start = [], 0
-        for c in group:
-            out[n].append((values[start : start + len(c)], args[start : start + len(c)]))
-            start += len(c)
-    return out
+        if len(stacks) == 1:
+            return [exc]
+        return [_solve_stacks([c], solve)[0] for c in stacks]
+    replies = {}  # width: the replies of its stacks, in order
+    for (width, part), values, args in zip(parts.items(), *solved):
+        ends = list(itertools.accumulate(len(c) for c in part))
+        replies[width] = iter([(values[s:e], args[s:e]) for s, e in zip([0, *ends], ends)])
+    return [next(replies[c.shape[1]]) for c in stacks]
 
 
 def _improve_shape(kind: ModelKind, n: int, p: int, lambda_max: float, seed: int):

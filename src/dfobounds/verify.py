@@ -526,7 +526,7 @@ def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
     # The state of each config of a quadratic objective: _fit_trial's plus
     # the unit point where the fit's error peaks on the unit ball, or the
     # exception that fails the trial.  Each config's loop yields its error
-    # row once, and the rows of every n go to one solve (see _drive).
+    # row once, and every row goes to one solve (see _drive).
     def loop(fn, config):
         state = plan, _, _, fit, _ = _fit_trial(fn, config, shapes, plans)
         exact = fn.quadratic.compose_affine(plan.center, config.delta)
@@ -540,7 +540,7 @@ def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
         except Exception:
             continue  # the trial fails on its function alone
         if fn.quadratic is not None:
-            loops.setdefault(config.n, {})[config] = loop(fn, config)
+            loops[config] = loop(fn, config)
     return _drive(loops, max_abs_on_ball)
 
 

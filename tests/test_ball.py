@@ -464,23 +464,78 @@ def test_mixed_n_call_needs_a_center_per_stack():
 
 def test_mixed_n_nan_stack_fails_alone():
     # A NaN row in the n = 4 stack makes the call of every n raise; the
-    # driver's fallback solves each n alone, so only that stack fails, with
-    # the error it raises alone, and the other stacks keep their bits.
-    stacks = {n: [_lagrange_rows(n)[0]] for n in (2, 4, 7)}
-    bad = stacks[4][0].copy()
+    # driver's fallback solves each stack alone, so only that stack fails,
+    # with the error it raises alone, and the other stacks keep their bits.
+    dims = (2, 4, 7)
+    stacks = [_lagrange_rows(n)[0] for n in dims]
+    bad = stacks[1] = stacks[1].copy()
     bad[1, 3] = np.nan
-    stacks[4] = [bad]
     with pytest.raises(ValueError):
-        max_abs_on_ball([s[0] for s in stacks.values()], [np.zeros(n) for n in stacks], 1.0)
+        max_abs_on_ball(stacks, [np.zeros(n) for n in dims], 1.0)
     solved = geometry_module._solve_stacks(stacks, max_abs_on_ball)
     with pytest.raises(ValueError) as alone:
         max_abs_on_ball(bad, np.zeros(4), 1.0)
-    (failed,) = solved.pop(4)
+    failed = solved.pop(1)
     assert type(failed) is ValueError and str(failed) == str(alone.value)
-    for n, ((values, args),) in solved.items():
-        alone_values, alone_args = max_abs_on_ball(stacks[n][0], np.zeros(n), 1.0)
+    for n, stack, (values, args) in zip((2, 7), (stacks[0], stacks[2]), solved):
+        alone_values, alone_args = max_abs_on_ball(stack, np.zeros(n), 1.0)
         assert values.tobytes() == alone_values.tobytes()
         assert args.tobytes() == alone_args.tobytes()
+
+
+def test_solve_stacks_interleaved_dimensions():
+    # Stacks of n = 2, 4, 2, 4 with different row counts: one call holds
+    # each n's rows in order, and each reply is its stack's alone, in the
+    # input order.
+    two, four = _lagrange_rows(2)[0], _lagrange_rows(4)[0]
+    stacks = [two[:3], four[:5], two[3:4], four[5:12]]
+    dims = [2, 4, 2, 4]
+    calls = []
+
+    def counted(coeffs, centers, radius):
+        calls.append([(len(c), len(a)) for a, c in zip(coeffs, centers)])
+        return max_abs_on_ball(coeffs, centers, radius)
+
+    solved = geometry_module._solve_stacks(stacks, counted)
+    assert calls == [[(2, 4), (4, 12)]]
+    assert len(solved) == len(stacks)
+    for stack, n, (values, args) in zip(stacks, dims, solved):
+        alone_values, alone_args = max_abs_on_ball(stack, np.zeros(n), 1.0)
+        assert values.tobytes() == alone_values.tobytes()
+        assert args.tobytes() == alone_args.tobytes()
+
+
+def test_solve_stacks_failed_call_falls_back_per_stack():
+    # One NaN stack makes the merged call raise; each stack is then solved
+    # alone, so only that stack gets its ValueError.
+    two, four = _lagrange_rows(2)[0], _lagrange_rows(4)[0]
+    bad = four[5:12].copy()
+    bad[2, 0] = np.nan
+    stacks = [two[:3], four[:5], two[3:4], bad]
+    dims = [2, 4, 2, 4]
+    calls = []
+
+    def counted(coeffs, centers, radius):
+        calls.append([len(a) for a in coeffs])
+        return max_abs_on_ball(coeffs, centers, radius)
+
+    solved = geometry_module._solve_stacks(stacks, counted)
+    assert calls == [[4, 12], [3], [5], [1], [7]]
+    with pytest.raises(ValueError) as alone:
+        max_abs_on_ball(bad, np.zeros(4), 1.0)
+    failed = solved.pop()
+    assert type(failed) is ValueError and str(failed) == str(alone.value)
+    for stack, n, (values, args) in zip(stacks, dims, solved):
+        alone_values, alone_args = max_abs_on_ball(stack, np.zeros(n), 1.0)
+        assert values.tobytes() == alone_values.tobytes()
+        assert args.tobytes() == alone_args.tobytes()
+
+
+@pytest.mark.parametrize("solver", [max_abs_on_ball, extremize_on_ball])
+def test_empty_list_needs_a_stack(solver):
+    # An empty list is a list of stacks, with none in it.
+    with pytest.raises(ValueError, match="need at least one stack, got an empty list"):
+        solver([], [], 1.0)
 
 
 def test_uncertified_row_is_named_as_the_caller_counts_it(monkeypatch):

@@ -488,6 +488,16 @@ class TestPlacement:
         assert placed._system is shape._system
         assert placed.certificate is shape.certificate
 
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 6)])
+    def test_shape_of_another_n_or_p_is_refused(self, n, p):
+        # A (2, 5) shape asked for as (2, 4) would come back with 6 points,
+        # and a (3, 6) shape would fail to broadcast.
+        key = (n, p, 20.0, 0)
+        shape = geometry_module._certify_shapes([key])[key]
+        message = rf"shape is certified for \(n, p\) = \({n}, {p}\), not the requested \(2, 4\)"
+        with pytest.raises(ValueError, match=message):
+            generate_poised_set(2, 4, 0.5, 20.0, seed=0, shape=shape)
+
 
 class TestSystemMemo:
     """Each set builds its normalized interpolation system once."""

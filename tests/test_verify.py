@@ -1341,7 +1341,7 @@ class TestExactWorstPoints:
 
     def test_failed_solve_fails_only_its_trial(self, monkeypatch):
         # The solver is handed a NaN row in place of one trial's error row,
-        # so the batched solve raises and each row of that n is solved alone.
+        # so the batched solve raises and each row is solved alone.
         trials = _mixed_sweep()
         clean = run_campaign(trials)
         target = self._exact(trials, 4)[2]
@@ -1377,11 +1377,10 @@ class TestExactWorstPoints:
         }
         assert str(alone.value) == "polynomial coefficients and center must be finite"
         assert report.failures[:-1] == clean.failures
-        # The solve of both n raises, so each n is solved alone: the n = 4
-        # batch raises too and its rows are solved alone, and n = 8 is one
-        # batch.  The last call is the trial run alone.
+        # The solve of both n raises, so each row is solved alone.  The
+        # last call is the trial run alone.
         k4, k8 = len(self._exact(trials, 4)), len(self._exact(trials, 8))
-        assert calls == [[k4, k8], [k4]] + [[1]] * k4 + [[k8], [1]]
+        assert calls == [[k4, k8]] + [[1]] * (k4 + k8) + [[1]]
         for trial_id, (row, ref) in enumerate(zip(report.rows, clean.rows)):
             if trial_id != bad:
                 assert row == ref, trial_id
