@@ -13,13 +13,17 @@ several percent apart on the same code.
 
 Prints the end-to-end metrics of every run, then each side's median and
 quartiles per metric (linear interpolation between order statistics), the
-change's wins on ``ops_per_s``, and whether the gain rule holds: the change
-wins at least nine pairs in ten and its median beats the parent's by more
-than the parent's interquartile range.  Then, for every end-to-end metric,
-the no-regression verdict against that metric's ``bound``, a share of the
-parent's median: "worse" if the change's median is worse than the parent's
-by more than the bound, else "unresolved" if the parent's IQR exceeds the
-bound, else "holds".  The better direction and the bound of each metric are
+change's wins on ``ops_per_s``, the median and IQR of the paired relative
+differences of ``ops_per_s`` (change / parent - 1 in each pair), and
+whether the gain rule holds: the change wins at least nine pairs in ten
+and its median beats the parent's by more than the parent's interquartile
+range.  Then, for every end-to-end metric, the no-regression verdict
+against that metric's ``bound``, a share of the parent's median: "worse"
+if the change's median is worse than the parent's by more than the bound,
+else "unresolved" if the parent's IQR exceeds the bound, else "holds".
+With fewer than 10 pairs the gain rule and every verdict read
+"unresolved": a handful of runs has no spread to judge by (one pair has
+an IQR of zero).  The better direction and the bound of each metric are
 read from the change's ``BENCHMARK.json``.  Exits 1 if any run exits
 nonzero or reports ``"correct": false``, 0 otherwise, whatever the gain
 rule and the verdicts say.
@@ -35,6 +39,7 @@ from pathlib import Path
 
 GAIN_METRIC = "ops_per_s"
 GAIN_WINS = 0.9  # the share of pairs the change must win
+MIN_PAIRS = 10  # fewer pairs leave every verdict unresolved
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float):
@@ -142,8 +147,22 @@ def main(argv=None) -> int:
         f"({100.0 * (change_median / parent_median - 1.0):+.2f}%), "
         f"gap {gap:.6g} against the parent's IQR {q3 - q1:.6g}"
     )
+    d1, d2, d3 = quartiles([
+        c[GAIN_METRIC] / p[GAIN_METRIC] - 1.0 for p, c in zip(runs["parent"], runs["change"])
+    ])
+    print(
+        f"paired relative differences (change / parent - 1): median {100.0 * d2:+.2f}%, "
+        f"IQR {100.0 * (d3 - d1):.2f}%"
+    )
+    short = args.pairs < MIN_PAIRS
+    if short:
+        print(
+            f"{args.pairs} of the {MIN_PAIRS} pairs a verdict needs: the IQRs are too coarse "
+            f"to judge by (one pair's is zero), so the gain rule and every verdict read unresolved"
+        )
     holds = enough_wins and gap > q3 - q1
-    print(f"gain rule (>= {GAIN_WINS:.0%} wins and gap > IQR): {'holds' if holds else 'fails'}")
+    rule = "unresolved" if short else "holds" if holds else "fails"
+    print(f"gain rule (>= {GAIN_WINS:.0%} wins and gap > IQR): {rule}")
 
     print("\nno regression (worse by more than the bound, or a parent IQR above it):")
     for name in names:
@@ -155,7 +174,7 @@ def main(argv=None) -> int:
             f"{name:<15} bound {bound[name]:.0%}: median {parent_median:.6g} -> "
             f"{change[1]:.6g} ({100.0 * share(change[1] - parent_median, parent_median):+.2f}%), "
             f"parent IQR {100.0 * share(q3 - q1, parent_median):.2f}% of its median: "
-            f"{verdict(parent, change, direction[name], bound[name])}"
+            f"{'unresolved' if short else verdict(parent, change, direction[name], bound[name])}"
         )
     return 0
 

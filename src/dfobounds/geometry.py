@@ -15,7 +15,7 @@ the unit ball and only places its certified shape at the end; the placed
 set shares the shape's basis.  Its improvement loop is a generator that
 yields each candidate's Lagrange stack for the ball solver; ``_drive`` runs
 such loops of every n in one lockstep, one solve per step for all of them,
-and a campaign's worst-point loops the same way.  A campaign certifies its
+and a campaign's fit loops the same way.  A campaign certifies its
 shapes together, a single ``generate_poised_set`` call is a campaign of one
 shape, and each shape equals the one certified alone.  Placing a shape
 re-checks only what rounding can break (the placed points stay finite,
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ball import _rownorm, max_abs_on_ball
+from .ball import _center, _rownorm, max_abs_on_ball
 from .bounds import (
     ModelKind, NotPoisedError, _integer, _kind_for_shape, _number, constants_from_lambda
 )
@@ -401,9 +401,11 @@ def generate_poised_set(
     Lagrange basis are invariant under that map, so placement only checks
     what rounding can break: the placed points must be finite, pairwise
     distinct and within delta of the center (ValueError otherwise, with the
-    message SampleSet gives).  The placed set reuses the certified unit set
-    U as its normalized points, the Lagrange basis already solved for on it
-    and its certificate, so later fits use exactly the certified geometry.
+    message SampleSet gives).  ``center`` (the origin when None) must be a
+    finite vector in R^n, checked before any shape work.  The placed set
+    reuses the certified unit set U as its normalized points, the Lagrange
+    basis already solved for on it and its certificate, so later fits use
+    exactly the certified geometry.
 
     ``shape``, when given, is the unit shape ``_certify_shapes`` certified
     for (n, p, lambda_max, seed), and is placed without running the loop;
@@ -413,9 +415,7 @@ def generate_poised_set(
     delta = _number("delta", delta, 0.0, strict=True)
     _number("lambda_max", lambda_max, 1.0, strict=True)
     _kind_for_shape(n, p)
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float).ravel()
-    if center.shape != (n,):
-        raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    center = np.zeros(n) if center is None else _center(center, n)
 
     if shape is None:
         key = (n, p, lambda_max, seed)

@@ -484,74 +484,50 @@ def _margin(emp: float, cap: float) -> float:
     return 0.0 if emp <= 1e-12 else np.inf
 
 
-def _fit_trial(fn: TestFunction, config: TrialConfig, shapes: dict, plans: dict):
-    # The trial up to its scoring: its plan (built by the first trial that
-    # reads it), placed set, values there, fit and caps, through the names
-    # this module binds.
-    key = _plan_key(config)
-    if key not in plans:
-        try:
-            plans[key] = _probe_plan(fn, config.delta, config.seed)
-        except Exception as exc:
-            plans[key] = exc
-    plan = _read(plans, key)
-    sample_set = generate_poised_set(
-        config.n, config.p, config.delta, config.lambda_max, seed=config.seed,
-        center=plan.center, shape=_read(shapes, _shape_key(config)),
-    )
-    values = fn.f(sample_set.points)
-    if config.kappa > 0.0:
-        fit = fit_relaxed(
-            config.kind,
-            sample_set,
-            values,
-            RelaxationSpec(kappa=config.kappa, noise_seed=config.seed),
-        )
-    else:
-        fit = fit_model(config.kind, sample_set, values)
-
-    inputs = BoundInputs(
-        L=fn.lipschitz_L,
-        kappa=config.kappa,
-        lam=sample_set.certificate.lam,
-        n=config.n,
-        p=config.p,
-        delta=config.delta,
-        delta_max=config.delta_max,
-    )
-    return plan, sample_set, values, fit, error_bounds(config.kind, inputs)
-
-
-def _fit_quadratics(configs, shapes: dict, plans: dict) -> dict:
-    # The state of each config of a quadratic objective: _fit_trial's plus
-    # the unit point where the fit's error peaks on the unit ball, or the
-    # exception that fails the trial.  Each config's loop yields its error
-    # row once, and every row goes to one solve (see _drive).
-    def loop(fn, config):
-        state = plan, _, _, fit, _ = _fit_trial(fn, config, shapes, plans)
-        exact = fn.quadratic.compose_affine(plan.center, config.delta)
-        _, args = yield (exact.coeffs() - fit.coeffs)[None]
-        return (*state, args)
-
-    loops = {}
-    for config in dict.fromkeys(configs):
-        try:
-            fn = resolve_function(config.function, config.n)
-        except Exception:
-            continue  # the trial fails on its function alone
-        if fn.quadratic is not None:
-            loops[config] = loop(fn, config)
-    return _drive(loops, max_abs_on_ball)
-
-
-def _stages(trials: list) -> tuple:
-    # What run_campaign's first two stages give trials, keyed as their
-    # readers look it up: the shapes, the plans built so far and the
-    # quadratic-objective trials' fitted states.  A key that failed holds
-    # its exception, which each reader raises afresh (see _read).
+def _fits(trials: list) -> dict:
+    # Each distinct config's fitted state (plan, placed set, values there,
+    # fit, caps and, for a quadratic objective, the unit point where the
+    # fit's error peaks on the unit ball), or the exception that fails its
+    # trials.  The shapes are certified together, then one loop per config
+    # builds its plan (the first loop that reads it), places, fits and
+    # bounds through the names this module binds; only a quadratic
+    # objective's loop yields its error row, so every worst point comes
+    # from one solve across every n (see _drive).  A failed key holds its
+    # exception, which each reader raises afresh (see _read).
     shapes = _certify_shapes([_shape_key(c) for c in trials])
     plans = {}
-    return shapes, plans, _fit_quadratics(trials, shapes, plans)
+
+    def loop(config):
+        fn = resolve_function(config.function, config.n)
+        key = _plan_key(config)
+        if key not in plans:
+            try:
+                plans[key] = _probe_plan(fn, config.delta, config.seed)
+            except Exception as exc:
+                plans[key] = exc
+        plan = _read(plans, key)
+        sample_set = generate_poised_set(
+            config.n, config.p, config.delta, config.lambda_max, seed=config.seed,
+            center=plan.center, shape=_read(shapes, _shape_key(config)),
+        )
+        values = fn.f(sample_set.points)
+        if config.kappa > 0.0:
+            spec = RelaxationSpec(kappa=config.kappa, noise_seed=config.seed)
+            fit = fit_relaxed(config.kind, sample_set, values, spec)
+        else:
+            fit = fit_model(config.kind, sample_set, values)
+        inputs = BoundInputs(
+            L=fn.lipschitz_L, kappa=config.kappa, lam=sample_set.certificate.lam,
+            n=config.n, p=config.p, delta=config.delta, delta_max=config.delta_max,
+        )
+        report = error_bounds(config.kind, inputs)
+        arg = None
+        if fn.quadratic is not None:
+            exact = fn.quadratic.compose_affine(plan.center, config.delta)
+            _, arg = yield (exact.coeffs() - fit.coeffs)[None]
+        return plan, sample_set, values, fit, report, arg
+
+    return _drive({c: loop(c) for c in dict.fromkeys(trials)}, max_abs_on_ball)
 
 
 def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
@@ -566,19 +542,18 @@ def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
     return c + U @ g + 0.5 * np.einsum("ij,ij->i", U, UH), g + UH, H
 
 
-def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResult:
+def run_trial(config: TrialConfig, fits: Optional[dict] = None) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held.
 
-    ``stages`` is a campaign's (shapes, plans, fits), built for its trials
-    (see ``run_campaign``).  Without it the trial builds its own, as a
-    campaign of this one trial, so a campaign's row equals its config's alone.
+    ``fits`` is a campaign's fitted states, keyed by config (see
+    ``run_campaign``); the trial only scores its own.  Without it the trial
+    fits a campaign of this one config, so a campaign's row equals its
+    config's alone.
     """
     fn = resolve_function(config.function, config.n)
-    shapes, plans, fits = _stages([config]) if stages is None else stages
-    if fn.quadratic is None:
-        plan, sample_set, values, fit, report = _fit_trial(fn, config, shapes, plans)
-    else:
-        plan, sample_set, values, fit, report, arg = _read(fits, config)
+    plan, sample_set, values, fit, report, arg = _read(
+        _fits([config]) if fits is None else fits, config
+    )
     delta = config.delta
     # The generator certified the set for the kind it inferred from (n, p),
     # which TrialConfig has checked is the kind the model needs.
@@ -593,7 +568,7 @@ def run_trial(config: TrialConfig, stages: Optional[tuple] = None) -> TrialResul
     rows = [_unit_probe_block(n), normalized_points(sample_set)]
     f_parts = [plan.f, values]
     g_parts = [plan.grad, fn.grad(sample_set.points)]
-    if fn.quadratic is not None:
+    if arg is not None:
         rows.append(arg)
         worst = plan.center + delta * arg
         f_parts.append(fn.f(worst))
@@ -769,34 +744,33 @@ def run_campaign(
     A trial that raises is recorded as ``{"trial_id", "type", "error"}``:
     the exception's class name and message.
 
-    The trials run in three stages, whose values are each built once and
-    dropped after the last trial that reads them, or when the call returns
-    or raises.  (1) Every distinct sample-set shape, one per (n, p,
+    The trials run in two stages.  (1) Every trial is fitted before the
+    first one is scored: every distinct sample-set shape, one per (n, p,
     lambda_max, seed), is certified, the improvement loops of every n in
-    one lockstep.  (2) The trials of a quadratic objective are fitted, and
-    the exact worst points of their errors on the ball come from one solve
-    across every n, as in (1) (both run under ``geometry._drive``); a
-    solve that fails fails only its own trial.  (3) Each trial in turn, after
-    ``progress`` gets its line, is run by ``run_trial`` on those values: it
-    places its shape, fits and is scored.
-    Trials that share (function, n, delta, seed), such as the kinds of one
-    sweep point, share one probe plan: the ball center and the objective's
-    values and gradients on the probe block, built by the first of them.
+    one lockstep; then each distinct config is placed, fitted and bounded
+    once, and the exact worst points of the quadratic objective's errors
+    on the ball come from one solve across every n, as the shapes do (both
+    run under ``geometry._drive``).  A solve that fails fails only its own
+    trial.  Trials that share (function, n, delta, seed), such as the kinds
+    of one sweep point, share one probe plan: the ball center and the
+    objective's values and gradients on the probe block.  (2) Each trial in
+    turn, after ``progress`` gets its line, is scored by ``run_trial`` on
+    its config's fitted state, which is dropped after the last trial that
+    reads it, or when the call returns or raises.  The shapes and plans
+    live only as long as stage (1) and the states that hold them.
 
-    A shape or plan that cannot be built is tried once: each of its trials
-    fails with the same type and message.  ``run_trial`` run alone builds
-    the stages for its one config, so every row equals the one its config
-    gives alone.
+    A shape, plan or fit that cannot be built is tried once: each of its
+    trials fails with the same type and message.  ``run_trial`` run alone
+    fits a campaign of its one config, so every row equals the one its
+    config gives alone.
 
     Writes the fixed-column CSV and the JSON summary when paths are given;
     both are byte-identical across runs of the same trial list.
     """
     trials = list(trials)
     rows, failures, results = [], [], []
-    stages = _stages(trials)
-    # What each trial reads, as (stage, key), and the last trial to read it.
-    reads = [tuple(enumerate((_shape_key(c), _plan_key(c), c))) for c in trials]
-    last = {read: i for i, keys in enumerate(reads) for read in keys}
+    fits = _fits(trials)
+    last = {config: i for i, config in enumerate(trials)}
     try:
         for trial_id, config in enumerate(trials):
             if progress is not None:
@@ -807,7 +781,7 @@ def run_campaign(
                 )
             row = _config_columns(trial_id, config)
             try:
-                result = run_trial(config, stages)
+                result = run_trial(config, fits)
                 results.append((config, result))
             except Exception as exc:  # record per-trial failure, keep going
                 result = None
@@ -819,12 +793,10 @@ def run_campaign(
                 exc.__traceback__ = None
             row.update(_result_columns(result))
             rows.append(row)
-            for stage, key in reads[trial_id]:
-                if last[stage, key] == trial_id:
-                    stages[stage].pop(key, None)
+            if last[config] == trial_id:
+                del fits[config]
     finally:
-        for store in stages:
-            store.clear()
+        fits.clear()
 
     per_kind = {}
     for kind in sorted({config.kind.name for config, _ in results}):

@@ -455,8 +455,9 @@ class TestPlacement:
     @pytest.mark.parametrize(
         "delta, center, message",
         [
-            (0.5, [np.nan, 0.0], "points must be finite"),
-            (0.5, [np.inf, 1.0], "points must be finite"),
+            # refused before any shape work (see test_center_checked_first)
+            (0.5, [np.nan, 0.0], "center must be finite"),
+            (0.5, [np.inf, 1.0], "center must be finite"),
             # 1 + 1e-20 u rounds to 1: every placed point is the center
             (1e-20, [1.0, 1.0], "sample points must be pairwise distinct"),
             # rounding at 1e5 moves a boundary point just outside the ball
@@ -472,6 +473,17 @@ class TestPlacement:
         with pytest.raises(ValueError) as info:
             generate_poised_set(2, 4, delta, 20.0, seed=0, center=center)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, -np.inf], [1.0, 2.0, 3.0]])
+    def test_center_checked_first(self, monkeypatch, center):
+        # A center that is not a finite vector in R^n is refused by the rule
+        # lipschitz_on_ball and grid_oracle share, before any improvement loop.
+        def no_shapes(keys):
+            raise AssertionError("shapes certified")
+
+        monkeypatch.setattr(geometry_module, "_certify_shapes", no_shapes)
+        with pytest.raises(ValueError, match="^center must (be finite|have shape)"):
+            generate_poised_set(2, 4, 0.5, 20.0, seed=0, center=center)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 4), (2, 5), (3, 6)])
     def test_placed_set_reuses_shape(self, n, p):

@@ -708,10 +708,10 @@ class StageValues:
     """Weak references to the stage values a campaign builds, by (stage, key).
 
     Wraps the builders ``run_campaign`` calls: the shape certifier, the
-    probe-plan builder and the quadratic-objective fitter.  A shape is its
-    unit ``SampleSet``, a plan its ``_ProbePlan`` and a fitted quadratic
-    trial its ``FitResult``; a key that fails is counted as built but has no
-    value to watch.
+    probe-plan builder and the fit stage.  A shape is its unit
+    ``SampleSet``, a plan its ``_ProbePlan`` and a fitted config its
+    ``FitResult``; a key that fails is counted as built but has no value to
+    watch.
     """
 
     def __init__(self, monkeypatch):
@@ -719,7 +719,7 @@ class StageValues:
         self.refs = {}
         certify = verify_module._certify_shapes
         probe_plan = verify_module._probe_plan
-        fit_quadratics = verify_module._fit_quadratics
+        fit_stage = verify_module._fits
 
         def shapes(keys):
             built = certify(keys)
@@ -734,15 +734,15 @@ class StageValues:
             self.refs["plan", key] = weakref.ref(value)
             return value
 
-        def fits(configs, *stores):
-            fitted = fit_quadratics(configs, *stores)
+        def fits(trials):
+            fitted = fit_stage(trials)
             for config, state in fitted.items():
                 self._track("fit", config, state if isinstance(state, Exception) else state[3])
             return fitted
 
         monkeypatch.setattr(verify_module, "_certify_shapes", shapes)
         monkeypatch.setattr(verify_module, "_probe_plan", plan)
-        monkeypatch.setattr(verify_module, "_fit_quadratics", fits)
+        monkeypatch.setattr(verify_module, "_fits", fits)
 
     def _track(self, stage, key, value):
         self.builds[stage, key] += 1
@@ -1163,7 +1163,8 @@ class TestCampaign:
             run_campaign(trials, progress=values.watch(trials, also=stop))
         assert stopped.tb is not None
         c = trials[0]
-        assert values.seen == [{("shape", (c.n, c.p, c.lambda_max, c.seed))}]
+        assert values.seen == [{("fit", c), ("plan", (c.function, c.n, c.delta, c.seed))}]
+        assert ("shape", (c.n, c.p, c.lambda_max, c.seed)) in values.refs
         assert not values.alive()
 
     def test_progress_callback(self):
@@ -1256,13 +1257,12 @@ class TestProbePlans:
         assert len(evaluated) == 2 * len(built)
 
     def test_plans_released_after_their_last_trial(self, monkeypatch):
-        # Shapes and fitted states are released like plans: each is dropped
-        # once the last trial that reads it has run (checked before every
-        # trial by StageValues.watch).  A trial whose ball does not fit the
-        # domain fails on its plan before it reads its shape, and that shape
-        # does not outlive its last trial either.  The shapes and the
-        # quadratic-objective trials' fits exist before the first trial; a
-        # plan is built by the first trial that reads it.
+        # A fitted state and the plan it holds are dropped once the last
+        # trial that reads them has run (checked before every trial by
+        # StageValues.watch).  Every state and plan exists before the first
+        # trial, and no shape outlives the fit stage, not even that of a
+        # trial whose ball does not fit the domain, which fails on its plan
+        # before it reads its shape.
         trials = _mixed_sweep()
         values = StageValues(monkeypatch)
         report = run_campaign(trials, progress=values.watch(trials))
@@ -1271,9 +1271,10 @@ class TestProbePlans:
         assert set(values.builds.values()) == {1}
         stages = collections.Counter(stage for stage, _ in values.refs)
         assert stages["shape"] and stages["plan"] and stages["fit"]
-        assert {key for key in values.refs if key[0] != "plan"} <= values.seen[0]
+        assert {key for key in values.refs if key[0] != "shape"} <= values.seen[0]
+        assert not any(key[0] == "shape" for key in values.seen[0])
         assert not values.alive()
-        # Some plan is shared: built by one trial and still held for another.
+        # Some plan is shared: built for one config and still held for another.
         assert any(
             sum(key in alive for alive in values.seen) > 1
             for key in values.refs
@@ -1281,8 +1282,9 @@ class TestProbePlans:
         )
 
     def test_shape_released_by_a_trial_with_an_unknown_function(self, monkeypatch):
-        # The first trial fails before it reads its plan or its shape; its
-        # shape, which no later trial uses, is dropped all the same.
+        # The first config fails before it reads its plan or its shape; its
+        # shape, which no later config uses, is dropped with the fit stage
+        # all the same.
         trials = [
             TrialConfig("nope", "lin_det", 2, 2, 0.1, seed=3),
             TrialConfig("quartic", "lin_det", 2, 2, 0.1, seed=4),
@@ -1290,10 +1292,8 @@ class TestProbePlans:
         values = StageValues(monkeypatch)
         report = run_campaign(trials, progress=values.watch(trials))
         assert [f["trial_id"] for f in report.failures] == [0]
-        assert values.seen == [
-            {("shape", (2, 2, 100.0, 3)), ("shape", (2, 2, 100.0, 4))},
-            {("shape", (2, 2, 100.0, 4))},
-        ]
+        assert values.seen == [{("fit", trials[1]), ("plan", ("quartic", 2, 0.1, 4))}] * 2
+        assert {("shape", (2, 2, 100.0, 3)), ("shape", (2, 2, 100.0, 4))} <= set(values.refs)
         assert not values.alive()
 
     def test_plans_dropped_when_progress_raises(self, monkeypatch):
@@ -1385,21 +1385,65 @@ class TestExactWorstPoints:
             if trial_id != bad:
                 assert row == ref, trial_id
 
+    def test_every_config_fitted_once_before_scoring(self, monkeypatch):
+        # One path for every objective: the fit stage places, fits and
+        # bounds each distinct config once, through the names verify binds,
+        # before the first trial is scored; run_trial only scores.
+        q = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0, seed=1)
+        quartic = dataclasses.replace(q, function="quartic")
+        exact = TrialConfig("quadratic", "lin_det", 2, 2, 0.1)
+        quad_det = TrialConfig("quartic", "quad_det", 2, 5, 0.1)
+        trials = [q, quartic, exact, q, quad_det, quartic]
+        events = []
+
+        def logged(name, original, key):
+            def call(*args, **kwargs):
+                events.append((name, key(*args, **kwargs)))
+                return original(*args, **kwargs)
+            return call
+
+        for name, key in (
+            ("generate_poised_set", lambda n, p, delta, lam, seed, center, shape:
+                (n, p, delta, lam, seed, tuple(center))),
+            ("fit_model", lambda kind, ss, values: (kind, ss.points.tobytes())),
+            ("fit_relaxed", lambda kind, ss, values, spec: (kind, ss.points.tobytes())),
+            ("error_bounds", lambda kind, inputs: (kind, inputs)),
+        ):
+            monkeypatch.setattr(
+                verify_module, name, logged(name, getattr(verify_module, name), key)
+            )
+        report = run_campaign(trials, progress=lambda line: events.append(("progress", line)))
+        assert not report.failures
+        first = [name for name, _ in events].index("progress")
+        assert all(name == "progress" for name, _ in events[first:])
+        assert len(events) - first == len(trials)
+        calls = collections.Counter(events[:first])
+        assert set(calls.values()) == {1}
+        per_name = collections.Counter(name for name, _ in calls)
+        assert per_name == {
+            "generate_poised_set": 4, "fit_model": 2, "fit_relaxed": 2, "error_bounds": 4
+        }
+        for trial_id, config in enumerate(trials):
+            alone = verify_module._result_columns(run_trial(config))
+            assert {k: report.rows[trial_id][k] for k in alone} == alone, trial_id
+
     def test_repeated_config_releases_every_key(self, monkeypatch):
         # The quadratic config runs twice and shares its shape with the
         # quartic trial after it.  Before each trial, only what that trial
-        # or a later one reads is held, and each key is built once.
+        # or a later one reads is held, each key is built once, and no
+        # shape outlives the fit stage.
         q = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0, seed=1)
         quartic = dataclasses.replace(q, function="quartic")
         trials = [q, q, quartic]
-        shape, plan = ("shape", (4, 10, 5.0, 1)), ("plan", ("quadratic", 4, 0.2, 1))
+        plan = ("plan", ("quadratic", 4, 0.2, 1))
+        later = {("fit", quartic), ("plan", ("quartic", 4, 0.2, 1))}
         values = StageValues(monkeypatch)
         report = run_campaign(trials, progress=values.watch(trials))
         assert not report.failures
         assert report.rows[0] == {**report.rows[1], "trial_id": 0}
-        assert values.seen == [{("fit", q), shape, plan}] * 2 + [{shape}]
+        assert values.seen == [{("fit", q), plan, *later}] * 2 + [later]
         assert set(values.builds.values()) == {1}
-        assert ("plan", ("quartic", 4, 0.2, 1)) in values.refs
+        assert ("shape", (4, 10, 5.0, 1)) in values.refs
         assert not values.alive()
         alone = verify_module._result_columns(run_trial(q))
         assert {k: report.rows[0][k] for k in alone} == alone
@@ -1459,9 +1503,9 @@ class TestStoredFailures:
         assert report.failures == alone
 
     def test_stages_store_bare_failures(self, monkeypatch):
-        # A failure the shape or the worst-point stage stores keeps no
-        # traceback, whose frames would hold other keys' values, and no
-        # __context__, such as the batch solve that failed before its own.
+        # A failure the shape or the fit stage stores keeps no traceback,
+        # whose frames would hold other keys' values, and no __context__,
+        # such as the batch solve that failed before its own.
         def bare(store, key, kind):
             exc = store[key]
             assert type(exc) is kind, exc
@@ -1475,10 +1519,10 @@ class TestStoredFailures:
         # [-10, 10]^2), and a worst-point solve that raises: a NaN in place of
         # one trial's error row fails the batch of its n, then its own solve.
         far = TrialConfig("quadratic", "lin_det", 2, 2, 12.0)
+        far_mfn = TrialConfig("quadratic", "mfn", 2, 4, 12.0)
         ok = TrialConfig("quadratic", "mfn", 4, 10, 0.2, kappa=0.01, lambda_max=5.0)
         target = dataclasses.replace(ok, seed=1)
-        configs = [far, ok, target]
-        shapes = verify_module._certify_shapes([verify_module._shape_key(c) for c in configs])
+        configs = [far, far_mfn, ok, target]
         rows = []
         original = verify_module.max_abs_on_ball
 
@@ -1487,7 +1531,7 @@ class TestStoredFailures:
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", recording)
-        verify_module._fit_quadratics([target], shapes, {})
+        verify_module._fits([target])
         poisoned = rows[-1][0]
         calls = []
 
@@ -1498,11 +1542,11 @@ class TestStoredFailures:
             return original(coeffs, center, radius)
 
         monkeypatch.setattr(verify_module, "max_abs_on_ball", flaky)
-        plans = {}
-        fits = verify_module._fit_quadratics(configs, shapes, plans)
+        fits = verify_module._fits(configs)
         assert calls == [[2], [1], [1]]
         bare(fits, far, ValueError)
-        assert plans["quadratic", 2, 12.0, 0] is fits[far]
+        assert str(fits[far]).endswith("does not fit inside the domain box of quadratic")
+        assert fits[far_mfn] is fits[far]  # one plan, built once, fails both
         bare(fits, target, ValueError)
         assert not isinstance(fits[ok], Exception)
 
