@@ -437,11 +437,13 @@ def _unit_probe_block(n: int) -> np.ndarray:
 class _ProbePlan:
     """What every trial at one (function, n, delta, seed) probes.
 
-    ``center`` is the ball center, and ``f`` and ``grad`` the objective on
-    the probe points center + delta * U (see _unit_probe_block).  All three
-    are read-only, since the trials of a campaign share them.
+    ``fn`` is the objective, ``center`` the ball center, and ``f`` and
+    ``grad`` the objective on the probe points center + delta * U (see
+    _unit_probe_block).  The arrays are read-only, since the trials of a
+    campaign share them.
     """
 
+    fn: TestFunction
     center: np.ndarray
     f: np.ndarray
     grad: np.ndarray
@@ -464,7 +466,7 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
             f"inside the domain box of {fn.name}"
         )
     block = center + delta * _unit_probe_block(fn.dim)
-    plan = _ProbePlan(center, fn.f(block), fn.grad(block))
+    plan = _ProbePlan(fn, center, fn.f(block), fn.grad(block))
     for array in (plan.center, plan.f, plan.grad):
         array.setflags(write=False)
     return plan
@@ -485,27 +487,33 @@ def _margin(emp: float, cap: float) -> float:
 
 
 def _fits(trials: list) -> dict:
-    # Each distinct config's fitted state (plan, placed set, values there,
-    # fit, caps and, for a quadratic objective, the unit point where the
-    # fit's error peaks on the unit ball), or the exception that fails its
-    # trials.  The shapes are certified together, then one loop per config
-    # builds its plan (the first loop that reads it), places, fits and
-    # bounds through the names this module binds; only a quadratic
-    # objective's loop yields its error row, so every worst point comes
-    # from one solve across every n (see _drive).  A failed key holds its
-    # exception, which each reader raises afresh (see _read).
-    shapes = _certify_shapes([_shape_key(c) for c in trials])
+    # Each distinct config's fitted state (plan, placed set, the unit rows
+    # its score reads beside the probe block with the objective's values and
+    # gradients there, fit and caps), or the exception that fails its
+    # trials, built in dependency order.  Every plan comes first, one per
+    # plan key, with its function resolved there; the shapes of the configs
+    # whose plan built are certified together; then one loop per config
+    # places, fits and bounds through the names this module binds.  Only a
+    # quadratic objective's loop yields its error row, so every worst point
+    # comes from one solve across every n (see _drive).  A failed key holds
+    # its exception, which each reader raises afresh (see _read).
+    configs = dict.fromkeys(trials)
     plans = {}
-
-    def loop(config):
-        fn = resolve_function(config.function, config.n)
+    for config in configs:
         key = _plan_key(config)
         if key not in plans:
             try:
+                fn = resolve_function(config.function, config.n)
                 plans[key] = _probe_plan(fn, config.delta, config.seed)
             except Exception as exc:
                 plans[key] = exc
-        plan = _read(plans, key)
+    shapes = _certify_shapes(
+        [_shape_key(c) for c in configs if not isinstance(plans[_plan_key(c)], Exception)]
+    )
+
+    def loop(config):
+        plan = _read(plans, _plan_key(config))
+        fn = plan.fn
         sample_set = generate_poised_set(
             config.n, config.p, config.delta, config.lambda_max, seed=config.seed,
             center=plan.center, shape=_read(shapes, _shape_key(config)),
@@ -521,13 +529,17 @@ def _fits(trials: list) -> dict:
             n=config.n, p=config.p, delta=config.delta, delta_max=config.delta_max,
         )
         report = error_bounds(config.kind, inputs)
-        arg = None
+        # The set's points and, for a quadratic objective, the exact worst
+        # point, as its error is itself quadratic.
+        rows = (normalized_points(sample_set), values, fn.grad(sample_set.points))
         if fn.quadratic is not None:
             exact = fn.quadratic.compose_affine(plan.center, config.delta)
             _, arg = yield (exact.coeffs() - fit.coeffs)[None]
-        return plan, sample_set, values, fit, report, arg
+            worst = plan.center + config.delta * arg
+            rows = [np.concatenate(pair) for pair in zip(rows, (arg, fn.f(worst), fn.grad(worst)))]
+        return plan, sample_set, rows, fit, report
 
-    return _drive({c: loop(c) for c in dict.fromkeys(trials)}, max_abs_on_ball)
+    return _drive({c: loop(c) for c in configs}, max_abs_on_ball)
 
 
 def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
@@ -546,36 +558,22 @@ def run_trial(config: TrialConfig, fits: Optional[dict] = None) -> TrialResult:
     """Run one verification trial; margins <= 1 mean the theory held.
 
     ``fits`` is a campaign's fitted states, keyed by config (see
-    ``run_campaign``); the trial only scores its own.  Without it the trial
-    fits a campaign of this one config, so a campaign's row equals its
-    config's alone.
+    ``run_campaign``); the trial only scores its own, with arithmetic on the
+    rows the fit stage evaluated.  Without it the trial fits a campaign of
+    this one config, so a campaign's row equals its config's alone.
     """
-    fn = resolve_function(config.function, config.n)
-    plan, sample_set, values, fit, report, arg = _read(
+    plan, sample_set, (rows, f, g), fit, report = _read(
         _fits([config]) if fits is None else fits, config
     )
-    delta = config.delta
-    # The generator certified the set for the kind it inferred from (n, p),
-    # which TrialConfig has checked is the kind the model needs.
-    cert = sample_set.certificate
-
     # The fit is scored where it was solved, at u = (x - center) / delta (the
-    # set's base point and radius): on the block's unit rows, the sample
-    # points and, for a quadratic objective, the exact worst point, as its
-    # error is itself quadratic.  Absolute gradients are the normalized ones
-    # over delta, and the absolute Hessian the normalized one over delta^2.
-    n = config.n
-    rows = [_unit_probe_block(n), normalized_points(sample_set)]
-    f_parts = [plan.f, values]
-    g_parts = [plan.grad, fn.grad(sample_set.points)]
-    if arg is not None:
-        rows.append(arg)
-        worst = plan.center + delta * arg
-        f_parts.append(fn.f(worst))
-        g_parts.append(fn.grad(worst))
-    model_f, model_g, H = _model_on_rows(fit.coeffs, n, np.concatenate(rows))
-    f_err = np.abs(np.concatenate(f_parts) - model_f)
-    g_err = np.concatenate(g_parts) - model_g / delta
+    # set's base point and radius): on the block's unit rows and the rows
+    # beside it.  Absolute gradients are the normalized ones over delta, and
+    # the absolute Hessian the normalized one over delta^2.
+    n, delta = config.n, config.delta
+    U = np.concatenate([_unit_probe_block(n), rows])
+    model_f, model_g, H = _model_on_rows(fit.coeffs, n, U)
+    f_err = np.abs(np.concatenate([plan.f, f]) - model_f)
+    g_err = np.concatenate([plan.grad, g]) - model_g / delta
     # Squared row norms summed column by column: NumPy's per-row reduction
     # costs several times the arithmetic on n columns.
     g_sq = g_err[:, 0] * g_err[:, 0]
@@ -595,7 +593,7 @@ def run_trial(config: TrialConfig, fits: Optional[dict] = None) -> TrialResult:
     margin_H = _margin(emp_H, report.C_H)
     passed = bool(max(margin_f, margin_g, margin_H) <= 1.0 + 1e-8)
     return TrialResult(
-        lam=cert.lam,
+        lam=sample_set.certificate.lam,
         C_f=report.C_f,
         C_g=report.C_g,
         C_H=report.C_H,

@@ -1282,9 +1282,9 @@ class TestProbePlans:
         )
 
     def test_shape_released_by_a_trial_with_an_unknown_function(self, monkeypatch):
-        # The first config fails before it reads its plan or its shape; its
-        # shape, which no later config uses, is dropped with the fit stage
-        # all the same.
+        # The first config fails at its plan, so its shape, which no later
+        # config uses, is never certified; the second config's shape is
+        # dropped with the fit stage.
         trials = [
             TrialConfig("nope", "lin_det", 2, 2, 0.1, seed=3),
             TrialConfig("quartic", "lin_det", 2, 2, 0.1, seed=4),
@@ -1293,8 +1293,69 @@ class TestProbePlans:
         report = run_campaign(trials, progress=values.watch(trials))
         assert [f["trial_id"] for f in report.failures] == [0]
         assert values.seen == [{("fit", trials[1]), ("plan", ("quartic", 2, 0.1, 4))}] * 2
-        assert {("shape", (2, 2, 100.0, 3)), ("shape", (2, 2, 100.0, 4))} <= set(values.refs)
+        assert ("shape", (2, 2, 100.0, 3)) not in values.builds
+        assert ("shape", (2, 2, 100.0, 4)) in values.refs
         assert not values.alive()
+
+    def test_plans_built_before_shapes_and_scoring_evaluates_nothing(self, monkeypatch):
+        # The fit stage builds every plan first, resolving each function once
+        # per plan key, and certifies only the shapes of configs whose plan
+        # built: the Rosenbrock config at n = 4 is the one reader of its shape
+        # key and fails at its plan, so that key's loop never starts.  Once
+        # the first trial is scored, nothing resolves or evaluates an objective.
+        lonely = TrialConfig("rosenbrock", "mfn", 4, 10, 0.1, lambda_max=5.0, seed=5)
+        trials = _mixed_sweep() + [lonely, TrialConfig("nope", "lin_det", 2, 2, 0.1)]
+        events = []
+        resolve = verify_module.resolve_function
+        improve = geometry_module._improve_shape
+
+        def resolved(name, n):
+            events.append(("resolve", (name, n)))
+            fn = resolve(name, n)
+
+            def logged(tag, method):
+                def call(X):
+                    events.append((tag, name))
+                    return method(X)
+                return call
+
+            return dataclasses.replace(fn, f=logged("f", fn.f), grad=logged("grad", fn.grad))
+
+        def loop(kind, n, p, lambda_max, seed):
+            events.append(("loop", (n, p, lambda_max, seed)))
+            return improve(kind, n, p, lambda_max, seed)
+
+        monkeypatch.setattr(verify_module, "resolve_function", resolved)
+        monkeypatch.setattr(geometry_module, "_improve_shape", loop)
+        report = run_campaign(trials, progress=lambda line: events.append(("progress", line)))
+        tags = [tag for tag, _ in events]
+        first = tags.index("progress")
+        assert set(tags[first:]) == {"progress"}
+        assert tags.count("resolve") == len({verify_module._plan_key(c) for c in trials})
+        assert max(i for i, tag in enumerate(tags) if tag == "resolve") < tags.index("loop")
+        loops = [key for tag, key in events if tag == "loop"]
+        failed = {f["trial_id"] for f in report.failures}
+        placed = {verify_module._shape_key(c) for i, c in enumerate(trials) if i not in failed}
+        assert verify_module._shape_key(lonely) not in loops
+        assert len(loops) == len(set(loops)) and set(loops) >= placed
+        # Every row and failure is the one its config gives alone.
+        monkeypatch.undo()
+        alone = []
+        for trial_id, config in enumerate(trials):
+            try:
+                result = run_trial(config)
+            except ValueError as exc:
+                result = None
+                alone.append({"trial_id": trial_id, "type": "ValueError", "error": str(exc)})
+            columns = verify_module._result_columns(result)
+            assert {k: report.rows[trial_id][k] for k in columns} == columns, trial_id
+        assert report.failures == alone
+        assert report.failures[-2:] == [
+            {"trial_id": len(trials) - 2, "type": "ValueError",
+             "error": "rosenbrock is only defined for n = 2, got n = 4"},
+            {"trial_id": len(trials) - 1, "type": "ValueError",
+             "error": "unknown test function 'nope'; known: ['quadratic', 'quartic', 'rosenbrock']"},
+        ]
 
     def test_plans_dropped_when_progress_raises(self, monkeypatch):
         trials = _mixed_sweep()
@@ -1484,7 +1545,10 @@ class TestStoredFailures:
         monkeypatch.setattr(geometry_module, "_improve_shape", counted)
         values = StageValues(monkeypatch)
         report = run_campaign(trials, progress=values.watch(trials))
-        assert len(loops) == len(set(loops)) == 6
+        # The three configs whose plan fails read shapes that no other
+        # config reads, and those shapes are never certified.
+        assert len(loops) == len(set(loops)) == 3
+        assert all(key[2:] != (100.0, 0) for key in loops)
         assert set(values.builds.values()) == {1}
         # A kept exception holds no stage value alive through its traceback.
         assert not values.alive()
