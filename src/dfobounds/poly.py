@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,29 @@ def space_dim(degree: int, n: int) -> int:
     if degree == 2:
         return _q(n) + 1
     raise ValueError(f"degree must be 1 or 2, got {degree}")
+
+
+def _real_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array of finite numbers; ValueError naming the field if not.
+
+    ``shape`` is the array's shape, where None stands for any length of at
+    least 1.  A bool or a string is no number, though NumPy would take it.
+    """
+    try:  # ValueError: nesting NumPy cannot shape; OverflowError: an int beyond float
+        entries = np.asarray(value, dtype=object)
+        sized = entries.ndim == len(shape) and all(
+            size >= 1 if want is None else size == want
+            for want, size in zip(shape, entries.shape)
+        )
+        if sized and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                         for v in entries.flat):
+            array = entries.astype(float)
+            if np.isfinite(array).all():
+                return array
+    except (ValueError, OverflowError):
+        pass
+    what = "a 1-D array" if None in shape else f"an array of shape {shape}"
+    raise ValueError(f"{name} must be {what} of finite numbers, got {value!r}")
 
 
 @functools.lru_cache(maxsize=None)

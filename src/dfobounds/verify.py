@@ -36,7 +36,7 @@ from .geometry import (
     normalized_points,
 )
 from .models import RelaxationSpec, fit_model, fit_relaxed
-from .poly import QuadraticPolynomial, _split_coeffs, basis_matrix, space_dim
+from .poly import QuadraticPolynomial, _real_array, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
     "TestFunction",
@@ -79,10 +79,14 @@ class TestFunction:
 
 
 def quadratic_function(A, b) -> TestFunction:
-    """x -> x^T A x / 2 + b . x on [-10, 10]^n with the exact constant L = ||A||."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
+    """x -> x^T A x / 2 + b . x on [-10, 10]^n with the exact constant L = ||A||.
+
+    ``b`` is a vector of n finite numbers and ``A`` an (n, n) array of them;
+    ValueError naming the argument otherwise.
+    """
+    b = _real_array("b", b, (None,))
     n = b.size
+    A = _real_array("A", A, (n, n))
     poly = QuadraticPolynomial(n, 0.0, b, A)
     box = np.column_stack([np.full(n, -10.0), np.full(n, 10.0)])
     box.setflags(write=False)
@@ -99,6 +103,7 @@ def quadratic_function(A, b) -> TestFunction:
 
 def quartic_function(n: int) -> TestFunction:
     """sum_i x_i^4 on [-1, 1]^n; the Hessian norm there is at most 12."""
+    n = _integer("n", n, 1)
     box = np.column_stack([np.full(n, -1.0), np.full(n, 1.0)])
     box.setflags(write=False)
     return TestFunction(
@@ -140,7 +145,7 @@ def rosenbrock_function(n: int = 2) -> TestFunction:
     The Lipschitz constant is the Hessian's spectral norm at the (+-2, -2)
     corners of the box, where it peaks (5717.98...).
     """
-    if n != 2:
+    if _integer("n", n, 1) != 2:
         raise ValueError(f"rosenbrock is only defined for n = 2, got n = {n}")
 
     def f(X):
@@ -187,8 +192,16 @@ def resolve_function(name: str, n: int) -> TestFunction:
 
     Built once per (name, n) and shared, so its arrays are read-only.
     """
-    # n is checked before the cache, which takes True and 1.0 for 1.
-    return _resolve(name, _integer("n", n, 1))
+    # Both are checked before the cache, which takes True and 1.0 for 1 and
+    # cannot hash a list.
+    return _resolve(_function_name(name), _integer("n", n, 1))
+
+
+def _function_name(name) -> str:
+    # Campaigns key their stage values by the name, so it must be a string.
+    if not isinstance(name, str):
+        raise ValueError(f"function must be a string, got {name!r}")
+    return name
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,10 +345,7 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # A campaign keys its stage values by configs and their fields, and
-        # an unhashable name breaks that.
-        if not isinstance(self.function, str):
-            raise ValueError(f"function must be a string, got {self.function!r}")
+        _function_name(self.function)
         object.__setattr__(self, "kind", ModelKind(self.kind))
         for name, least in (("n", 1), ("p", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)

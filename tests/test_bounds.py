@@ -27,7 +27,10 @@ from dfobounds import (
     lagrange_determined,
     lipschitz_on_ball,
     max_abs_on_ball,
+    quadratic_function,
+    quartic_function,
     resolve_function,
+    rosenbrock_function,
     space_dim,
 )
 from dfobounds.bounds import _kind_for_shape
@@ -315,6 +318,25 @@ _TRIANGLE = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
         pytest.param(lambda: resolve_function("quartic", 0), "n", id="resolve-n-zero"),
         pytest.param(lambda: resolve_function("quartic", -1), "n", id="resolve-n-negative"),
         pytest.param(lambda: resolve_function("quartic", 2.5), "n", id="resolve-n-float"),
+        pytest.param(lambda: resolve_function(["x"], 2), "function", id="resolve-name-list"),
+        pytest.param(lambda: quartic_function(0), "n", id="quartic-n-zero"),
+        pytest.param(lambda: quartic_function(True), "n", id="quartic-n-bool"),
+        pytest.param(lambda: rosenbrock_function(True), "n", id="rosenbrock-n-bool"),
+        pytest.param(lambda: quadratic_function([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]), "A",
+                     id="quadratic-A-nan"),
+        pytest.param(lambda: quadratic_function(np.eye(3), [0.0, 0.0]), "A",
+                     id="quadratic-A-shape"),
+        pytest.param(lambda: quadratic_function(np.eye(2), [np.inf, 0.0]), "b",
+                     id="quadratic-b-inf"),
+        pytest.param(lambda: quadratic_function(np.eye(2), [[0.0], [0.0]]), "b",
+                     id="quadratic-b-column"),
+        pytest.param(lambda: RelaxationSpec(0.1, gamma=np.zeros((2, 2))), "gamma",
+                     id="gamma-2d"),
+        pytest.param(lambda: RelaxationSpec(0.1, gamma=[True, False]), "gamma",
+                     id="gamma-bools"),
+        pytest.param(lambda: RelaxationSpec(0.1, gamma="abc"), "gamma", id="gamma-string"),
+        pytest.param(lambda: RelaxationSpec(0.1, gamma=[0.0, 10**400]), "gamma",
+                     id="gamma-int-beyond-float"),
         pytest.param(lambda: QuadraticPolynomial(2.5, 0.0, [0.0, 0.0], np.zeros((2, 2))),
                      "dim", id="poly-dim-float"),
     ],

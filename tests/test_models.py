@@ -259,6 +259,16 @@ class TestRelaxedFits:
         with pytest.raises(ValueError):
             RelaxationSpec(kappa=0.1, gamma=np.array([np.nan]))
 
+    def test_gamma_list_and_array_alike(self, cross_set):
+        # A 1-D list of numbers, ints among them, is the float array it holds.
+        values = np.array([0.0, 0.0, 0.0, 1.0])
+        listed = RelaxationSpec(kappa=0.01, gamma=[0, 0.001, -0.001, 1])
+        array = RelaxationSpec(kappa=0.01, gamma=np.array([0.0, 0.001, -0.001, 1.0]))
+        assert listed.gamma.dtype == float and np.array_equal(listed.gamma, array.gamma)
+        a = fit_relaxed(ModelKind.MFN, cross_set, values, listed)
+        b = fit_relaxed(ModelKind.MFN, cross_set, values, array)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.float64(2.0)])
     def test_noise_seed_must_be_a_nonnegative_integer(self, seed):
         message = f"^noise_seed must be an integer of at least 0, got {re.escape(repr(seed))}$"
