@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from .bounds import _integer, _number
-from .poly import QuadraticPolynomial
+from .poly import QuadraticPolynomial, _finite_array
 
 if TYPE_CHECKING:
     from .geometry import SampleSet
@@ -160,37 +160,6 @@ def model_to_dict(model: QuadraticPolynomial) -> dict:
         "g": [float(x) for x in model.gradient],
         "H": [[float(x) for x in row] for row in model.hessian],
     }
-
-
-def _nests_numbers(value, depth: int) -> bool:
-    """Whether value is depth levels of JSON arrays around numbers only."""
-    if depth:
-        return isinstance(value, list) and all(
-            _nests_numbers(item, depth - 1) for item in value
-        )
-    # JSON true and false load as bool, an int subclass; they are not numbers.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_array(value, depth: int, name: str) -> np.ndarray:
-    """value, depth levels of JSON arrays around numbers, as a finite array.
-
-    ValueError naming ``name``, the file or the key, if it is anything else,
-    has rows of different lengths, or holds NaN, an infinity or an integer
-    beyond the float range.
-    """
-    if not _nests_numbers(value, depth):
-        what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
-        raise ValueError(f"{name} must be {what}")
-    try:
-        array = np.asarray(value, dtype=float)
-    except ValueError:  # NumPy rejects rows of different lengths
-        raise ValueError(f"{name} has rows of different lengths") from None
-    except OverflowError:  # an integer beyond the float range
-        array = None
-    if array is None or not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
-    return array
 
 
 def model_from_dict(payload: dict, name: str = "model JSON") -> QuadraticPolynomial:

@@ -19,7 +19,7 @@ from .geometry import (
     lagrange_determined,  # noqa: F401
     lagrange_mfn,  # noqa: F401
 )
-from .poly import QuadraticPolynomial, _pull_back, _real_array, _split_coeffs
+from .poly import QuadraticPolynomial, _finite_array, _pull_back, _split_coeffs
 
 __all__ = [
     "ModelKind",
@@ -47,7 +47,7 @@ class RelaxationSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", _number("kappa", self.kappa, 0.0))
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", _real_array("gamma", self.gamma, (None,)))
+            object.__setattr__(self, "gamma", _finite_array(self.gamma, 1, "gamma"))
         if self.noise_seed is not None:
             _integer("noise_seed", self.noise_seed, 0)
 

@@ -27,27 +27,38 @@ def space_dim(degree: int, n: int) -> int:
     raise ValueError(f"degree must be 1 or 2, got {degree}")
 
 
-def _real_array(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a float array of finite numbers; ValueError naming the field if not.
-
-    ``shape`` is the array's shape, where None stands for any length of at
-    least 1.  A bool or a string is no number, though NumPy would take it.
-    """
-    try:  # ValueError: nesting NumPy cannot shape; OverflowError: an int beyond float
-        entries = np.asarray(value, dtype=object)
-        sized = entries.ndim == len(shape) and all(
-            size >= 1 if want is None else size == want
-            for want, size in zip(shape, entries.shape)
+def _nests_numbers(value, depth: int) -> bool:
+    """Whether value is depth levels of lists or tuples around numbers only."""
+    if depth:
+        return isinstance(value, (list, tuple)) and all(
+            _nests_numbers(item, depth - 1) for item in value
         )
-        if sized and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                         for v in entries.flat):
-            array = entries.astype(float)
-            if np.isfinite(array).all():
-                return array
-    except (ValueError, OverflowError):
-        pass
-    what = "a 1-D array" if None in shape else f"an array of shape {shape}"
-    raise ValueError(f"{name} must be {what} of finite numbers, got {value!r}")
+    # A bool, such as JSON true or false, is an int but not a number here.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_array(value, depth: int, name: str) -> np.ndarray:
+    """value, depth levels of lists around numbers, as a finite float array.
+
+    A NumPy array is read as the nested lists it holds.  ValueError naming
+    ``name`` (the argument, or the file or key it was read from) if value is
+    anything else, has rows of different lengths, or holds NaN, an infinity
+    or an integer beyond the float range.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not _nests_numbers(value, depth):
+        what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+        raise ValueError(f"{name} must be {what}")
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError:  # NumPy rejects rows of different lengths
+        raise ValueError(f"{name} has rows of different lengths") from None
+    except OverflowError:  # an integer beyond the float range
+        array = None
+    if array is None or not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from .geometry import (
     normalized_points,
 )
 from .models import RelaxationSpec, fit_model, fit_relaxed
-from .poly import QuadraticPolynomial, _real_array, _split_coeffs, basis_matrix, space_dim
+from .poly import QuadraticPolynomial, _finite_array, _split_coeffs, basis_matrix, space_dim
 
 __all__ = [
     "TestFunction",
@@ -81,12 +81,14 @@ class TestFunction:
 def quadratic_function(A, b) -> TestFunction:
     """x -> x^T A x / 2 + b . x on [-10, 10]^n with the exact constant L = ||A||.
 
-    ``b`` is a vector of n finite numbers and ``A`` an (n, n) array of them;
-    ValueError naming the argument otherwise.
+    ``b`` is a vector of n >= 1 finite numbers and ``A`` an n x n array of
+    them; ValueError naming the argument otherwise.
     """
-    b = _real_array("b", b, (None,))
+    b = _finite_array(b, 1, "b")
     n = b.size
-    A = _real_array("A", A, (n, n))
+    A = _finite_array(A, 2, "A")
+    if not n or A.shape != (n, n):
+        raise ValueError(f"A must be n x n for the n >= 1 entries of b, got {A.shape}")
     poly = QuadraticPolynomial(n, 0.0, b, A)
     box = np.column_stack([np.full(n, -10.0), np.full(n, 10.0)])
     box.setflags(write=False)
@@ -753,22 +755,24 @@ def run_campaign(
     the exception's class name and message.
 
     The trials run in two stages.  (1) Every trial is fitted before the
-    first one is scored: every distinct sample-set shape, one per (n, p,
-    lambda_max, seed), is certified, the improvement loops of every n in
-    one lockstep; then each distinct config is placed, fitted and bounded
-    once, and the exact worst points of the quadratic objective's errors
-    on the ball come from one solve across every n, as the shapes do (both
-    run under ``geometry._drive``).  A solve that fails fails only its own
-    trial.  Trials that share (function, n, delta, seed), such as the kinds
-    of one sweep point, share one probe plan: the ball center and the
-    objective's values and gradients on the probe block.  (2) Each trial in
-    turn, after ``progress`` gets its line, is scored by ``run_trial`` on
-    its config's fitted state, which is dropped after the last trial that
-    reads it, or when the call returns or raises.  The shapes and plans
-    live only as long as stage (1) and the states that hold them.
+    first one is scored, each input after those it needs: first one probe
+    plan per (function, n, delta, seed), shared by trials such as the kinds
+    of one sweep point (the resolved function, the ball center and the
+    objective on the probe block); then one certified shape per (n, p,
+    lambda_max, seed) of a config whose plan built, the improvement loops
+    of every n in one lockstep; then each distinct config is placed, fitted
+    and bounded once, and the objective evaluated at its set's points and,
+    for the quadratic objective, at the exact worst point of the fit's
+    error, which comes from one solve across every n, as the shapes do
+    (both under ``geometry._drive``).  A solve that fails fails only its
+    own trial.  (2) Each trial in turn, after ``progress`` gets its line,
+    is scored by ``run_trial`` on its config's fitted state, with
+    arithmetic only; a state is dropped after the last trial that reads
+    it, or when the call returns or raises.
 
-    A shape, plan or fit that cannot be built is tried once: each of its
-    trials fails with the same type and message.  ``run_trial`` run alone
+    A function, plan, shape or fit that cannot be built is tried once:
+    each of its trials fails with the same type and message, and a config
+    that cannot be placed costs no shape work.  ``run_trial`` run alone
     fits a campaign of its one config, so every row equals the one its
     config gives alone.
 

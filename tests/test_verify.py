@@ -1337,7 +1337,7 @@ class TestProbePlans:
         failed = {f["trial_id"] for f in report.failures}
         placed = {verify_module._shape_key(c) for i, c in enumerate(trials) if i not in failed}
         assert verify_module._shape_key(lonely) not in loops
-        assert len(loops) == len(set(loops)) and set(loops) >= placed
+        assert len(loops) == len(set(loops)) and set(loops) == placed
         # Every row and failure is the one its config gives alone.
         monkeypatch.undo()
         alone = []
