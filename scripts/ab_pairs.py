@@ -11,8 +11,9 @@ example ``git worktree add --detach DIR REV`` or a fresh ``git clone`` for
 each revision: a copy made otherwise (``cp -a`` of a working tree) can read
 several percent apart on the same code.
 
-Prints the end-to-end metrics of every run, then each side's median and
-quartiles per metric (linear interpolation between order statistics), the
+Prints the end-to-end metrics of every run and its minor page faults,
+then each side's median and quartiles per metric and of the faults (linear
+interpolation between order statistics), the
 change's wins on ``ops_per_s``, the median and IQR of the paired relative
 differences of ``ops_per_s`` (change / parent - 1 in each pair), and
 whether the gain rule holds: the change wins at least nine pairs in ten
@@ -27,37 +28,51 @@ an IQR of zero).  The better direction and the bound of each metric are
 read from the change's ``BENCHMARK.json``.  Exits 1 if any run exits
 nonzero or reports ``"correct": false``, 0 otherwise, whatever the gain
 rule and the verdicts say.
+
+A run's minor page faults are read with ``wait4`` of ``run.py``, so they
+count the faults of the probe processes it runs and waits for too.
 """
 
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+FAULTS = "minor_faults"  # the column of each run's minor page faults
 GAIN_METRIC = "ops_per_s"
 GAIN_WINS = 0.9  # the share of pairs the change must win
 MIN_PAIRS = 10  # fewer pairs leave every verdict unresolved
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float):
-    """The result object of one untraced run, or None if the run failed."""
+    """The metrics of one untraced run and its minor page faults, or None if it failed."""
     command = [
         sys.executable, "benchmarks/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        sys.stderr.write(done.stderr)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(command, cwd=checkout, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    lines = stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(stderr)
         return None
     result = json.loads(lines[-1])
     if not result.get("correct"):
-        sys.stderr.write(done.stderr)
+        sys.stderr.write(stderr)
         return None
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics[FAULTS] = usage.ru_minflt
+    return metrics
 
 
 def quartiles(values):
@@ -103,10 +118,12 @@ def main(argv=None) -> int:
     direction = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
     bound = {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
     names = list(direction)
+    columns = names + [FAULTS]
+    direction[FAULTS] = "lower"
 
     runs = {"parent": [], "change": []}
     failed = False
-    print(f"{'pair':>4} {'side':<6} " + " ".join(f"{name:>14}" for name in names))
+    print(f"{'pair':>4} {'side':<6} " + " ".join(f"{name:>14}" for name in columns))
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
@@ -116,14 +133,14 @@ def main(argv=None) -> int:
                 failed = True
                 continue
             runs[side].append(metrics)
-            cells = " ".join(f"{metrics.get(name, math.nan):>14.6g}" for name in names)
+            cells = " ".join(f"{metrics.get(name, math.nan):>14.6g}" for name in columns)
             print(f"{k:>4} {side:<6} {cells}", flush=True)
     if failed:
         return 1
 
     print(f"\n{'metric':<15} {'better':<7} {'side':<6} {'q1':>11} {'median':>11} {'q3':>11}")
     summary = {}
-    for name in names:
+    for name in columns:
         for side in ("parent", "change"):
             values = [m[name] for m in runs[side] if name in m]
             if not values:

@@ -461,8 +461,8 @@ class _ProbePlan:
     grad: np.ndarray
 
 
-def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
-    """Build the probe plan of a trial key.
+def _ball_center(fn: TestFunction, delta: float, seed: int) -> np.ndarray:
+    """The ball center of a trial key, checked against the domain box.
 
     The center is the seed's draw scaled into the middle half of the domain
     box; a ball of radius ``delta`` that does not fit the box raises.
@@ -477,6 +477,12 @@ def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
             f"ball of radius {delta} around the sampled center does not fit "
             f"inside the domain box of {fn.name}"
         )
+    return center
+
+
+def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
+    """Build the probe plan of a trial key around its ball center (see _ball_center)."""
+    center = _ball_center(fn, delta, seed)
     block = center + delta * _unit_probe_block(fn.dim)
     plan = _ProbePlan(fn, center, fn.f(block), fn.grad(block))
     for array in (plan.center, plan.f, plan.grad):
@@ -502,26 +508,35 @@ def _fits(trials: list) -> dict:
     # Each distinct config's fitted state (plan, placed set, the unit rows
     # its score reads beside the probe block with the objective's values and
     # gradients there, fit and caps), or the exception that fails its
-    # trials, built in dependency order.  Every plan comes first, one per
-    # plan key, with its function resolved there; the shapes of the configs
-    # whose plan built are certified together; then one loop per config
-    # places, fits and bounds through the names this module binds.  Only a
-    # quadratic objective's loop yields its error row, so every worst point
-    # comes from one solve across every n (see _drive).  A failed key holds
-    # its exception, which each reader raises afresh (see _read).
+    # trials, built in dependency order.  Each plan key first resolves its
+    # function and checks that its ball fits the domain box; the shapes of
+    # the configs that passed are certified together; only then is each
+    # plan's probe block evaluated, so that its arrays are not held across
+    # the shape pass, whose temporaries would sit above them on the heap;
+    # then one loop per config places, fits and bounds through the names
+    # this module binds.  Only a quadratic objective's loop yields its error
+    # row, so every worst point comes from one solve across every n (see
+    # _drive).  A failed key holds its exception, which each reader raises
+    # afresh (see _read).
     configs = dict.fromkeys(trials)
     plans = {}
     for config in configs:
         key = _plan_key(config)
         if key not in plans:
             try:
-                fn = resolve_function(config.function, config.n)
-                plans[key] = _probe_plan(fn, config.delta, config.seed)
+                plans[key] = resolve_function(config.function, config.n)
+                _ball_center(plans[key], config.delta, config.seed)
             except Exception as exc:
                 plans[key] = exc
     shapes = _certify_shapes(
         [_shape_key(c) for c in configs if not isinstance(plans[_plan_key(c)], Exception)]
     )
+    for key, fn in plans.items():
+        if not isinstance(fn, Exception):
+            try:
+                plans[key] = _probe_plan(fn, *key[2:])
+            except Exception as exc:
+                plans[key] = exc
 
     def loop(config):
         plan = _read(plans, _plan_key(config))
@@ -559,11 +574,36 @@ def _model_on_rows(coeffs: np.ndarray, n: int, U: np.ndarray) -> tuple:
 
     The expressions of ``QuadraticPolynomial.eval_batch`` and ``grad_batch``
     with U @ H formed once, so both equal the built polynomial's bit for
-    bit; a trial scores its fit without building it.
+    bit; a trial scores its fit without building it.  The gradients are
+    written into the buffer of U @ H.
     """
     c, g, H = _split_coeffs(coeffs, n)
     UH = U @ H
-    return c + U @ g + 0.5 * np.einsum("ij,ij->i", U, UH), g + UH, H
+    values = c + U @ g + 0.5 * np.einsum("ij,ij->i", U, UH)
+    return values, np.add(g, UH, out=UH), H
+
+
+def _max_row_norm(G: np.ndarray) -> float:
+    """The largest Euclidean norm of a row of G, NaN if G holds a NaN.
+
+    The squares are summed column by column: NumPy's per-row reduction
+    costs several times the arithmetic on n columns.  Where a square
+    overflows, the norms are taken of G over its largest |entry|, as
+    ``ball._affine`` takes them, so a finite norm reads finite.
+    """
+    def top_square(G):
+        sq = G[:, 0] * G[:, 0]
+        for k in range(1, G.shape[1]):
+            sq += G[:, k] * G[:, k]
+        return np.maximum.reduce(sq)
+
+    with np.errstate(over="ignore"):
+        top = top_square(G)
+    if top == math.inf:
+        scale = np.maximum.reduce(np.abs(G), axis=None)
+        if scale < math.inf:
+            return float(scale) * math.sqrt(top_square(G / scale))
+    return math.sqrt(top)
 
 
 def run_trial(config: TrialConfig, fits: Optional[dict] = None) -> TrialResult:
@@ -580,19 +620,18 @@ def run_trial(config: TrialConfig, fits: Optional[dict] = None) -> TrialResult:
     # The fit is scored where it was solved, at u = (x - center) / delta (the
     # set's base point and radius): on the block's unit rows and the rows
     # beside it.  Absolute gradients are the normalized ones over delta, and
-    # the absolute Hessian the normalized one over delta^2.
+    # the absolute Hessian the normalized one over delta^2.  The errors are
+    # written over the model's values and gradients, block rows first.
     n, delta = config.n, config.delta
     U = np.concatenate([_unit_probe_block(n), rows])
-    model_f, model_g, H = _model_on_rows(fit.coeffs, n, U)
-    f_err = np.abs(np.concatenate([plan.f, f]) - model_f)
-    g_err = np.concatenate([plan.grad, g]) - model_g / delta
-    # Squared row norms summed column by column: NumPy's per-row reduction
-    # costs several times the arithmetic on n columns.
-    g_sq = g_err[:, 0] * g_err[:, 0]
-    for k in range(1, n):
-        g_sq += g_err[:, k] * g_err[:, k]
-    emp_f = float(np.maximum.reduce(f_err)) / (delta * delta)
-    emp_g = math.sqrt(np.maximum.reduce(g_sq)) / delta
+    f_err, g_err, H = _model_on_rows(fit.coeffs, n, U)
+    g_err /= delta
+    block = len(plan.f)
+    for part, f_ref, g_ref in ((slice(block), plan.f, plan.grad), (slice(block, None), f, g)):
+        np.subtract(f_ref, f_err[part], out=f_err[part])
+        np.subtract(g_ref, g_err[part], out=g_err[part])
+    emp_f = float(np.maximum.reduce(np.abs(f_err, out=f_err))) / (delta * delta)
+    emp_g = _max_row_norm(g_err) / delta
     # The Hessian is symmetric, so its spectral norm is its largest |eigenvalue|;
     # a LIN_DET model's Hessian is exactly zero, whose norm needs no solve.
     emp_H = (
@@ -755,20 +794,23 @@ def run_campaign(
     the exception's class name and message.
 
     The trials run in two stages.  (1) Every trial is fitted before the
-    first one is scored, each input after those it needs: first one probe
-    plan per (function, n, delta, seed), shared by trials such as the kinds
-    of one sweep point (the resolved function, the ball center and the
-    objective on the probe block); then one certified shape per (n, p,
-    lambda_max, seed) of a config whose plan built, the improvement loops
-    of every n in one lockstep; then each distinct config is placed, fitted
-    and bounded once, and the objective evaluated at its set's points and,
-    for the quadratic objective, at the exact worst point of the fit's
-    error, which comes from one solve across every n, as the shapes do
-    (both under ``geometry._drive``).  A solve that fails fails only its
-    own trial.  (2) Each trial in turn, after ``progress`` gets its line,
-    is scored by ``run_trial`` on its config's fitted state, with
-    arithmetic only; a state is dropped after the last trial that reads
-    it, or when the call returns or raises.
+    first one is scored, each input after those it needs: first, per
+    (function, n, delta, seed), the resolved function and the check that
+    its ball fits the domain box; then one certified shape per (n, p,
+    lambda_max, seed) of a config that passed, the improvement loops of
+    every n in one lockstep; then one probe plan per (function, n, delta,
+    seed), shared by trials such as the kinds of one sweep point (the ball
+    center and the objective on the probe block, evaluated only now so
+    that no shape work runs while its arrays are held); then each
+    distinct config is placed, fitted and bounded once, and the objective
+    evaluated at its set's points and, for the quadratic objective, at the
+    exact worst point of the fit's error, which comes from one solve
+    across every n, as the shapes do (both under ``geometry._drive``).  A
+    solve that fails fails only its own trial.  (2) Each trial in turn,
+    after ``progress`` gets its line, is scored by ``run_trial`` on its
+    config's fitted state, with arithmetic only and in place; a state is
+    dropped after the last trial that reads it, or when the call returns
+    or raises.
 
     A function, plan, shape or fit that cannot be built is tried once:
     each of its trials fails with the same type and message, and a config

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import traceback
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -402,6 +403,23 @@ def test_scoring_equals_built_polynomial(n):
         assert np.array_equal(H, model.hessian)
 
 
+@pytest.mark.filterwarnings("error")
+def test_max_row_norm():
+    # Squares that overflow are taken over the largest |entry|; an infinite
+    # or NaN entry reads as it did.  Rows whose squares stay finite keep
+    # the bits of the column-by-column sum.
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((50, 4))
+    sq = G[:, 0] * G[:, 0]
+    for k in range(1, 4):
+        sq += G[:, k] * G[:, k]
+    assert verify_module._max_row_norm(G) == math.sqrt(sq.max())
+    big = np.array([[3e200, -4e200], [1.0, 2.0]])
+    assert verify_module._max_row_norm(big) == pytest.approx(5e200, rel=1e-15)
+    assert verify_module._max_row_norm(np.array([[1e300, math.inf]])) == math.inf
+    assert math.isnan(verify_module._max_row_norm(np.array([[1e300, 1e300], [math.nan, 0.0]])))
+
+
 def test_campaign_runs_no_certificate_svd(monkeypatch):
     # A campaign reads each certificate's lam alone, so the norm check's SVD,
     # run on first read of its fields, stays off its path.
@@ -565,6 +583,37 @@ class TestTrials:
                     rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
                     assert rel <= 1e-9, (function, delta, seed, name, rel)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [1e160, 1e200])
+    def test_gradient_errors_whose_squares_overflow(self, kappa):
+        # Noise of order kappa makes gradient errors above 1e154, whose
+        # squares overflow.  The margins are those of a kappa whose squares
+        # stay finite, as the noise dominates every error alike, and no
+        # overflow warning is raised.
+        config = TrialConfig("quartic", "mfn", 2, 4, 0.1, kappa=kappa)
+        result = run_trial(config)
+        moderate = run_trial(dataclasses.replace(config, kappa=1e100))
+        assert result.emp_g > 1e154 and result.passed
+        assert result.margin_g == pytest.approx(moderate.margin_g, rel=1e-12)
+        assert result.margin_f == pytest.approx(moderate.margin_f, rel=1e-12)
+
+    def test_scoring_peak_memory(self):
+        # A trial writes its errors over the model's values and gradients
+        # and never joins the plan's arrays to the rows beside them, so
+        # scoring a fitted (8, 30) config holds at most four probe blocks of
+        # 1017 rows (1000 Halton points, the origin, the +-axes) at once.
+        config = TrialConfig("quadratic", "mfn", 8, 30, 0.2, kappa=0.01, lambda_max=5.0)
+        fits = verify_module._fits([config])
+        expected = run_trial(config, fits)  # first-use caches
+        block = (verify_module._PROBE_COUNT + 1 + 2 * 8) * 8 * 8
+        tracemalloc.start()
+        try:
+            assert run_trial(config, fits) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block, peak / block
+
     def test_mismatched_kind_recertifies(self):
         # p = 4 would make the generator certify a minimum-norm set, which a
         # linear model cannot use; the config is rejected before any trial.
@@ -708,16 +757,19 @@ class StageValues:
     """Weak references to the stage values a campaign builds, by (stage, key).
 
     Wraps the builders ``run_campaign`` calls: the shape certifier, the
-    probe-plan builder and the fit stage.  A shape is its unit
-    ``SampleSet``, a plan its ``_ProbePlan`` and a fitted config its
+    box check and the probe-plan builder, and the fit stage.  A shape is its
+    unit ``SampleSet``, a plan its ``_ProbePlan`` and a fitted config its
     ``FitResult``; a key that fails is counted as built but has no value to
-    watch.
+    watch.  A plan counts as built by its box check, which the fit stage
+    runs before the shape pass; the probe-plan builder repeats that check
+    and evaluates the objective after it.
     """
 
     def __init__(self, monkeypatch):
         self.builds = collections.Counter()
         self.refs = {}
         certify = verify_module._certify_shapes
+        ball_center = verify_module._ball_center
         probe_plan = verify_module._probe_plan
         fit_stage = verify_module._fits
 
@@ -727,10 +779,14 @@ class StageValues:
                 self._track("shape", key, shape)
             return built
 
+        def center(fn, delta, seed):
+            self.builds["plan", (fn.name, fn.dim, delta, seed)] += 1  # counted before it can raise
+            return ball_center(fn, delta, seed)
+
         def plan(fn, delta, seed):
             key = (fn.name, fn.dim, delta, seed)
-            self.builds["plan", key] += 1  # counted before it can raise
             value = probe_plan(fn, delta, seed)
+            self.builds["plan", key] -= 1  # its repeated box check is no new build
             self.refs["plan", key] = weakref.ref(value)
             return value
 
@@ -741,6 +797,7 @@ class StageValues:
             return fitted
 
         monkeypatch.setattr(verify_module, "_certify_shapes", shapes)
+        monkeypatch.setattr(verify_module, "_ball_center", center)
         monkeypatch.setattr(verify_module, "_probe_plan", plan)
         monkeypatch.setattr(verify_module, "_fits", fits)
 
@@ -1298,16 +1355,19 @@ class TestProbePlans:
         assert not values.alive()
 
     def test_plans_built_before_shapes_and_scoring_evaluates_nothing(self, monkeypatch):
-        # The fit stage builds every plan first, resolving each function once
-        # per plan key, and certifies only the shapes of configs whose plan
-        # built: the Rosenbrock config at n = 4 is the one reader of its shape
-        # key and fails at its plan, so that key's loop never starts.  Once
-        # the first trial is scored, nothing resolves or evaluates an objective.
+        # The fit stage resolves each function and checks each ball against
+        # its box first, once per plan key, and certifies only the shapes of
+        # configs whose plan passed: the Rosenbrock config at n = 4 is the one
+        # reader of its shape key and fails at its plan, so that key's loop
+        # never starts.  The probe blocks are evaluated only after the shape
+        # pass returns.  Once the first trial is scored, nothing resolves or
+        # evaluates an objective.
         lonely = TrialConfig("rosenbrock", "mfn", 4, 10, 0.1, lambda_max=5.0, seed=5)
         trials = _mixed_sweep() + [lonely, TrialConfig("nope", "lin_det", 2, 2, 0.1)]
         events = []
         resolve = verify_module.resolve_function
         improve = geometry_module._improve_shape
+        certify = verify_module._certify_shapes
 
         def resolved(name, n):
             events.append(("resolve", (name, n)))
@@ -1315,7 +1375,7 @@ class TestProbePlans:
 
             def logged(tag, method):
                 def call(X):
-                    events.append((tag, name))
+                    events.append((tag, (name, len(X))))
                     return method(X)
                 return call
 
@@ -1325,14 +1385,28 @@ class TestProbePlans:
             events.append(("loop", (n, p, lambda_max, seed)))
             return improve(kind, n, p, lambda_max, seed)
 
+        def certified(keys):
+            shapes = certify(keys)
+            events.append(("shapes", len(shapes)))
+            return shapes
+
         monkeypatch.setattr(verify_module, "resolve_function", resolved)
         monkeypatch.setattr(geometry_module, "_improve_shape", loop)
+        monkeypatch.setattr(verify_module, "_certify_shapes", certified)
         report = run_campaign(trials, progress=lambda line: events.append(("progress", line)))
         tags = [tag for tag, _ in events]
         first = tags.index("progress")
         assert set(tags[first:]) == {"progress"}
         assert tags.count("resolve") == len({verify_module._plan_key(c) for c in trials})
         assert max(i for i, tag in enumerate(tags) if tag == "resolve") < tags.index("loop")
+        # Every call on a probe block (its 1000 Halton rows and more) comes
+        # after the one shape pass has returned.
+        assert tags.count("shapes") == 1
+        probes = [
+            i for i, (tag, key) in enumerate(events)
+            if tag in ("f", "grad") and key[1] >= verify_module._PROBE_COUNT
+        ]
+        assert probes and min(probes) > tags.index("shapes")
         loops = [key for tag, key in events if tag == "loop"]
         failed = {f["trial_id"] for f in report.failures}
         placed = {verify_module._shape_key(c) for i, c in enumerate(trials) if i not in failed}
