@@ -533,10 +533,7 @@ def _fits(trials: list) -> dict:
     )
     for key, fn in plans.items():
         if not isinstance(fn, Exception):
-            try:
-                plans[key] = _probe_plan(fn, *key[2:])
-            except Exception as exc:
-                plans[key] = exc
+            plans[key] = _probe_plan(fn, *key[2:])
 
     def loop(config):
         plan = _read(plans, _plan_key(config))
