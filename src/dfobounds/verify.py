@@ -481,8 +481,12 @@ def _ball_center(fn: TestFunction, delta: float, seed: int) -> np.ndarray:
 
 
 def _probe_plan(fn: TestFunction, delta: float, seed: int) -> _ProbePlan:
-    """Build the probe plan of a trial key around its ball center (see _ball_center)."""
-    center = _ball_center(fn, delta, seed)
+    """Build the probe plan of a trial key (see _ball_center and _plan_around)."""
+    return _plan_around(fn, delta, _ball_center(fn, delta, seed))
+
+
+def _plan_around(fn: TestFunction, delta: float, center: np.ndarray) -> _ProbePlan:
+    """The probe plan around a ball center that _ball_center checked."""
     block = center + delta * _unit_probe_block(fn.dim)
     plan = _ProbePlan(fn, center, fn.f(block), fn.grad(block))
     for array in (plan.center, plan.f, plan.grad):
@@ -524,16 +528,17 @@ def _fits(trials: list) -> dict:
         key = _plan_key(config)
         if key not in plans:
             try:
-                plans[key] = resolve_function(config.function, config.n)
-                _ball_center(plans[key], config.delta, config.seed)
+                fn = resolve_function(config.function, config.n)
+                plans[key] = fn, _ball_center(fn, config.delta, config.seed)
             except Exception as exc:
                 plans[key] = exc
     shapes = _certify_shapes(
         [_shape_key(c) for c in configs if not isinstance(plans[_plan_key(c)], Exception)]
     )
-    for key, fn in plans.items():
-        if not isinstance(fn, Exception):
-            plans[key] = _probe_plan(fn, *key[2:])
+    for key, placed in plans.items():
+        if not isinstance(placed, Exception):
+            fn, center = placed
+            plans[key] = _plan_around(fn, key[2], center)
 
     def loop(config):
         plan = _read(plans, _plan_key(config))

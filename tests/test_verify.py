@@ -757,20 +757,21 @@ class StageValues:
     """Weak references to the stage values a campaign builds, by (stage, key).
 
     Wraps the builders ``run_campaign`` calls: the shape certifier, the
-    box check and the probe-plan builder, and the fit stage.  A shape is its
-    unit ``SampleSet``, a plan its ``_ProbePlan`` and a fitted config its
+    two steps of a probe plan and the fit stage.  A shape is its unit
+    ``SampleSet``, a plan its ``_ProbePlan`` and a fitted config its
     ``FitResult``; a key that fails is counted as built but has no value to
-    watch.  A plan counts as built by its box check, which the fit stage
-    runs before the shape pass; the probe-plan builder repeats that check
-    and evaluates the objective after it.
+    watch.  A plan counts as built by its box check (``_ball_center``),
+    which the fit stage runs before the shape pass; the plan around the
+    checked center is built after it.
     """
 
     def __init__(self, monkeypatch):
         self.builds = collections.Counter()
         self.refs = {}
+        plan_keys = {}  # id of a checked center -> its plan key
         certify = verify_module._certify_shapes
         ball_center = verify_module._ball_center
-        probe_plan = verify_module._probe_plan
+        plan_around = verify_module._plan_around
         fit_stage = verify_module._fits
 
         def shapes(keys):
@@ -780,14 +781,15 @@ class StageValues:
             return built
 
         def center(fn, delta, seed):
-            self.builds["plan", (fn.name, fn.dim, delta, seed)] += 1  # counted before it can raise
-            return ball_center(fn, delta, seed)
-
-        def plan(fn, delta, seed):
             key = (fn.name, fn.dim, delta, seed)
-            value = probe_plan(fn, delta, seed)
-            self.builds["plan", key] -= 1  # its repeated box check is no new build
-            self.refs["plan", key] = weakref.ref(value)
+            self.builds["plan", key] += 1  # counted before it can raise
+            value = ball_center(fn, delta, seed)
+            plan_keys[id(value)] = key
+            return value
+
+        def plan(fn, delta, center):
+            value = plan_around(fn, delta, center)
+            self.refs["plan", plan_keys[id(center)]] = weakref.ref(value)
             return value
 
         def fits(trials):
@@ -798,7 +800,7 @@ class StageValues:
 
         monkeypatch.setattr(verify_module, "_certify_shapes", shapes)
         monkeypatch.setattr(verify_module, "_ball_center", center)
-        monkeypatch.setattr(verify_module, "_probe_plan", plan)
+        monkeypatch.setattr(verify_module, "_plan_around", plan)
         monkeypatch.setattr(verify_module, "_fits", fits)
 
     def _track(self, stage, key, value):
